@@ -18,6 +18,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -32,10 +33,8 @@
 #include "base/byte_scan.h"
 #include "base/check.h"
 #include "base/match_sink.h"
-#include "base/thread_pool.h"
 #include "bench_util.h"
 #include "dra/byte_runner.h"
-#include "dra/parallel_runner.h"
 #include "dra/streaming.h"
 #include "dra/tag_dfa.h"
 #include "engine/multi_query.h"
@@ -418,13 +417,10 @@ void BM_RebuiltScannerPaddedXml(benchmark::State& state) {
 BENCHMARK(BM_LegacyScannerPaddedXml);
 BENCHMARK(BM_RebuiltScannerPaddedXml);
 
-// --- Parallel speculative DFA execution vs the sequential fused table ---
+// --- Sequential fused table on large documents -------------------------
 // Inputs are large balanced documents: copies of the 1 MiB random document
 // nested under a single root, so 64 MB of compact markup stays one
-// well-formed tree. The parallel runner splits into threads * 4 chunks,
-// runs chunks 1.. speculatively from every state, and folds the per-chunk
-// state maps; the result is checked against the sequential count each
-// iteration.
+// well-formed tree.
 
 const std::string& TiledMarkup(size_t target_bytes) {
   static std::map<size_t, std::string>* cache =
@@ -455,36 +451,7 @@ void BM_SequentialFusedRunner(benchmark::State& state) {
   state.SetLabel("seq/" + std::to_string(mib) + "MiB");
 }
 
-void BM_ParallelSpeculativeRunner(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  size_t mib = static_cast<size_t>(state.range(1));
-  BenchSetup setup(false);
-  ByteTagDfaRunner runner(setup.evaluator);
-  ThreadPool pool(threads);
-  ParallelTagDfaRunner parallel(&runner, &pool);
-  const std::string& bytes = TiledMarkup(mib << 20);
-  const int chunks = threads * 4;
-  const int64_t expected = runner.CountSelections(bytes);
-  const int expected_state = runner.FinalState(bytes);
-  for (auto _ : state) {
-    ParallelTagDfaRunner::Result result = parallel.Run(bytes, chunks);
-    SST_CHECK(result.selections == expected);
-    SST_CHECK(result.final_state == expected_state);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(bytes.size()));
-  state.counters["threads"] = threads;
-  state.counters["matches"] = static_cast<double>(expected);
-  state.SetLabel("par/threads=" + std::to_string(threads) + "/" +
-                 std::to_string(mib) + "MiB");
-}
-
 BENCHMARK(BM_SequentialFusedRunner)->Arg(16)->Arg(64);
-BENCHMARK(BM_ParallelSpeculativeRunner)
-    ->ArgsProduct({{1, 2, 4, 8}, {16, 64}})
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 // --- Engine layer: compile-once/run-many amortization -------------------
 // The cost ladder the engine is built around, one rung per benchmark:
@@ -560,21 +527,25 @@ void BM_SharedPlanStreaming(benchmark::State& state) {
   auto plan = QueryPlan::Compile(Rpq::FromXPath("/a//b", alphabet),
                                  PlanOptions{});
   SessionPool session_pool(plan, static_cast<size_t>(threads));
-  ThreadPool pool(threads);
   const std::string& bytes = TiledMarkup(size_t{4} << 20);
   constexpr size_t kChunk = 65536;
+  auto lane = [&] {
+    auto session = session_pool.Acquire();
+    session->Reset();
+    bool ok = true;
+    for (size_t i = 0; ok && i < bytes.size(); i += kChunk) {
+      ok = session->Feed(std::string_view(bytes).substr(i, kChunk));
+    }
+    SST_CHECK(ok && session->Finish());
+    benchmark::DoNotOptimize(session->matches());
+    session_pool.Release(std::move(session));
+  };
   for (auto _ : state) {
-    pool.Run(threads, [&](int) {
-      auto session = session_pool.Acquire();
-      session->Reset();
-      bool ok = true;
-      for (size_t i = 0; ok && i < bytes.size(); i += kChunk) {
-        ok = session->Feed(std::string_view(bytes).substr(i, kChunk));
-      }
-      SST_CHECK(ok && session->Finish());
-      benchmark::DoNotOptimize(session->matches());
-      session_pool.Release(std::move(session));
-    });
+    // threads - 1 helper lanes plus the benchmark thread itself.
+    std::vector<std::thread> helpers;
+    for (int t = 1; t < threads; ++t) helpers.emplace_back(lane);
+    lane();
+    for (std::thread& helper : helpers) helper.join();
   }
   state.SetBytesProcessed(state.iterations() * threads *
                           static_cast<int64_t>(bytes.size()));
@@ -975,36 +946,7 @@ void BM_SequentialFusedRunnerPadded(benchmark::State& state) {
                  ByteScanKernelName());
 }
 
-void BM_ParallelSpeculativeRunnerPadded(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  size_t mib = static_cast<size_t>(state.range(1));
-  BenchSetup setup(false);
-  ByteTagDfaRunner runner(setup.evaluator);
-  ThreadPool pool(threads);
-  ParallelTagDfaRunner parallel(&runner, &pool);
-  const std::string& bytes = TiledPaddedMarkup(mib << 20);
-  const int chunks = threads * 4;
-  const int64_t expected = runner.CountSelections(bytes);
-  const int expected_state = runner.FinalState(bytes);
-  for (auto _ : state) {
-    ParallelTagDfaRunner::Result result = parallel.Run(bytes, chunks);
-    SST_CHECK(result.selections == expected);
-    SST_CHECK(result.final_state == expected_state);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(bytes.size()));
-  state.counters["threads"] = threads;
-  state.counters["matches"] = static_cast<double>(expected);
-  state.SetLabel("par-pad/threads=" + std::to_string(threads) + "/" +
-                 std::to_string(mib) + "MiB");
-}
-
 BENCHMARK(BM_SequentialFusedRunnerPadded)->Arg(16)->Arg(64);
-BENCHMARK(BM_ParallelSpeculativeRunnerPadded)
-    ->ArgsProduct({{1, 2, 4, 8}, {16}})
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 // Mixed multi-query batch: registerless members on the eager sub-product,
 // stackless members stepping their fused DRAs, all in ONE scan — vs the

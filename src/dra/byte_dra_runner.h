@@ -88,12 +88,6 @@ class ByteDraRunner {
   // Final-configuration acceptance after the whole stream.
   bool Accepts(std::string_view bytes) const;
 
-  // Well-formedness-validated whole-document run with StreamingSelector's
-  // fail-fast compact-markup semantics: same first StreamError at the
-  // same byte offset, same partial counters (see ByteTagDfaRunner).
-  ValidatedRun RunValidated(std::string_view bytes,
-                            const StreamLimits& limits = {}) const;
-
   // Configuration reached from the initial configuration.
   DraConfig FinalConfig(std::string_view bytes) const;
 

@@ -291,101 +291,6 @@ bool ByteTagDfaRunner::Accepts(std::string_view bytes) const {
   return accepting_[FinalState(bytes)] != 0;
 }
 
-ValidatedRun ByteTagDfaRunner::RunValidated(std::string_view bytes,
-                                            const StreamLimits& limits) const {
-  ValidatedRun run;
-  run.final_state = initial_;
-  std::vector<Symbol> open_letters;
-  int64_t depth = 0;
-  bool saw_root = false;
-  // Byte guard first (as a prefix split, exactly like StreamingSelector):
-  // the error fires at offset max_document_bytes iff the prefix is clean.
-  bool over_byte_limit =
-      static_cast<int64_t>(bytes.size()) > limits.max_document_bytes;
-  size_t scan_end = over_byte_limit
-                        ? static_cast<size_t>(limits.max_document_bytes)
-                        : bytes.size();
-  auto fail = [&](StreamErrorCode code, int64_t offset, Symbol expected,
-                  Symbol got) {
-    run.error.code = code;
-    run.error.offset = offset;
-    run.error.depth = depth;
-    run.error.expected = expected;
-    run.error.got = got;
-  };
-  // Validation treats whitespace as pure identity (no step, no error, no
-  // count), so iterating the structural index is byte-identical to the
-  // per-byte scan — including every error offset — with no closure gate.
-  StructuralIterator structural(bytes.data(), scan_end);
-  for (size_t i = structural.Next(); i < scan_end; i = structural.Next()) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s < 0) {
-        fail(StreamErrorCode::kUnknownLabel, i, -1, -1);
-        return run;
-      }
-      if (depth == 0 && saw_root) {
-        fail(StreamErrorCode::kTrailingContent, i, -1, s);
-        return run;
-      }
-      if (depth >= limits.max_depth) {
-        fail(StreamErrorCode::kDepthLimitExceeded, i, -1, s);
-        return run;
-      }
-      if (run.events >= limits.max_events) {
-        fail(StreamErrorCode::kEventLimitExceeded, i, -1, -1);
-        return run;
-      }
-      saw_root = true;
-      ++depth;
-      if (depth > run.max_depth) run.max_depth = depth;
-      open_letters.push_back(s);
-      run.final_state = Step(run.final_state, byte);
-      ++run.events;
-      if (accepting_[run.final_state]) ++run.matches;
-      ++run.nodes;
-      continue;
-    }
-    if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s < 0) {
-        fail(StreamErrorCode::kUnknownLabel, i, -1, -1);
-        return run;
-      }
-      if (open_letters.empty()) {
-        fail(StreamErrorCode::kUnbalancedClose, i, -1, s);
-        return run;
-      }
-      if (open_letters.back() != s) {
-        fail(StreamErrorCode::kLabelMismatch, i, open_letters.back(), s);
-        return run;
-      }
-      if (run.events >= limits.max_events) {
-        fail(StreamErrorCode::kEventLimitExceeded, i, -1, -1);
-        return run;
-      }
-      open_letters.pop_back();
-      --depth;
-      run.final_state = Step(run.final_state, byte);
-      ++run.events;
-      continue;
-    }
-    fail(StreamErrorCode::kBadByte, i, -1, -1);
-    return run;
-  }
-  if (over_byte_limit) {
-    fail(StreamErrorCode::kByteLimitExceeded, limits.max_document_bytes, -1,
-         -1);
-    return run;
-  }
-  if (!saw_root || depth != 0) {
-    fail(StreamErrorCode::kTruncatedDocument,
-         static_cast<int64_t>(bytes.size()), -1, -1);
-  }
-  return run;
-}
-
 ByteStackRunner::ByteStackRunner(const Dfa& dfa)
     : num_states_(dfa.num_states), initial_(dfa.initial) {
   SST_CHECK_MSG(dfa.num_symbols <= 26, "compact markup allows 26 symbols");

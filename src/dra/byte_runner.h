@@ -79,19 +79,8 @@ class ByteTagDfaRunner {
   // Final-state acceptance after the whole stream.
   bool Accepts(std::string_view bytes) const;
 
-  // Well-formedness-validated whole-document run: same selection counting
-  // as CountSelections, but the input framing is checked byte for byte
-  // with StreamingSelector's fail-fast compact-markup semantics (unknown
-  // letters, label mismatches, unbalanced closes, trailing content, junk
-  // bytes, truncation, and the StreamLimits guards), reporting the same
-  // first StreamError at the same byte offset. The validation keeps an
-  // open-letter stack — a *validator* of the framing needs the expected
-  // closing labels even though the DFA evaluation itself stays stackless.
-  ValidatedRun RunValidated(std::string_view bytes,
-                            const StreamLimits& limits = {}) const;
-
-  // State reached from the initial state after the whole stream (the
-  // sequential reference the parallel runner must reproduce).
+  // State reached from the initial state after the whole stream;
+  // FinalStatePerByte is its per-byte oracle (no structural index).
   int FinalState(std::string_view bytes) const;
   int FinalStatePerByte(std::string_view bytes) const;
 
@@ -124,9 +113,9 @@ class ByteTagDfaRunner {
 
   int num_states() const { return num_states_; }
 
-  // Raw storage access for the speculative parallel runner and benchmarks:
-  // exactly one of table16()/table32() is non-null, matching
-  // uses_compact_table(). Rows are 256 entries wide.
+  // Raw storage access for the multi-query one-scan loop: exactly one of
+  // table16()/table32() is non-null, matching uses_compact_table(). Rows
+  // are 256 entries wide.
   bool uses_compact_table() const { return !table16_.empty(); }
   const uint16_t* table16() const {
     return table16_.empty() ? nullptr : table16_.data();
@@ -134,7 +123,6 @@ class ByteTagDfaRunner {
   const int32_t* table32() const {
     return table32_.empty() ? nullptr : table32_.data();
   }
-  const uint8_t* accepting_bytes() const { return accepting_.data(); }
 
  private:
   void BuildTable(const TagDfa& dfa, const Symbol* byte_symbol);
@@ -169,7 +157,8 @@ class ByteTagDfaRunner {
   bool text_run_trivial_ = false;
   bool text_run_exact_ = false;
   // byte → symbol of the construction convention; -1 for bytes that are
-  // not a known opening/closing letter. Only RunValidated consults it.
+  // not a known opening/closing letter. QueryPlan and StreamingSelector
+  // read it (byte_symbol()) to cross-check their own letter tables.
   std::array<Symbol, 256> byte_symbol_;
 };
 

@@ -433,143 +433,4 @@ std::vector<int64_t> MultiTagDfaRunner::CountSelections(
   return counts;
 }
 
-MultiValidatedRun MultiTagDfaRunner::RunValidated(
-    std::string_view bytes, const StreamLimits& limits) const {
-  SST_CHECK_MSG(byte_api_ok_,
-                "one-scan byte APIs require single-letter labels");
-  MultiValidatedRun run;
-  run.matches.assign(static_cast<size_t>(num_queries()), 0);
-
-  // Stepper state for whichever tier is strongest; validation is tier-
-  // independent, so the control flow below mirrors
-  // ByteTagDfaRunner::RunValidated line for line (same errors at the same
-  // offsets).
-  int eager_state = eager_ != nullptr ? eager_->dfa.initial : 0;
-  std::optional<LazyProductCursor> cursor;
-  if (eager_ == nullptr && lazy_ != nullptr) cursor.emplace(lazy_);
-  const size_t dra_base =
-      eager_ != nullptr ? static_cast<size_t>(eager_->arity)
-      : lazy_ != nullptr ? static_cast<size_t>(lazy_->arity())
-                         : 0;
-  std::vector<DraConfig> dra_configs;
-  dra_configs.reserve(mixed_dras_.size());
-  for (const ByteDraRunner* dra : mixed_dras_) {
-    dra_configs.push_back(dra->InitialConfig());
-  }
-
-  std::vector<Symbol> open_letters;
-  int64_t depth = 0;
-  bool saw_root = false;
-  bool over_byte_limit =
-      static_cast<int64_t>(bytes.size()) > limits.max_document_bytes;
-  size_t scan_end = over_byte_limit
-                        ? static_cast<size_t>(limits.max_document_bytes)
-                        : bytes.size();
-  auto fail = [&](StreamErrorCode code, int64_t offset, Symbol expected,
-                  Symbol got) {
-    run.error.code = code;
-    run.error.offset = offset;
-    run.error.depth = depth;
-    run.error.expected = expected;
-    run.error.got = got;
-  };
-  // Structural-index iteration (see ByteTagDfaRunner::RunValidated):
-  // validation is whitespace-identity, so the indexed walk reports the
-  // same first error at the same byte offset as the per-byte scan.
-  StructuralIterator structural(bytes.data(), scan_end);
-  for (size_t i = structural.Next(); i < scan_end; i = structural.Next()) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s < 0) {
-        fail(StreamErrorCode::kUnknownLabel, static_cast<int64_t>(i), -1, -1);
-        return run;
-      }
-      if (depth == 0 && saw_root) {
-        fail(StreamErrorCode::kTrailingContent, static_cast<int64_t>(i), -1,
-             s);
-        return run;
-      }
-      if (depth >= limits.max_depth) {
-        fail(StreamErrorCode::kDepthLimitExceeded, static_cast<int64_t>(i),
-             -1, s);
-        return run;
-      }
-      if (run.events >= limits.max_events) {
-        fail(StreamErrorCode::kEventLimitExceeded, static_cast<int64_t>(i),
-             -1, -1);
-        return run;
-      }
-      saw_root = true;
-      ++depth;
-      if (depth > run.max_depth) run.max_depth = depth;
-      open_letters.push_back(s);
-      if (eager_ != nullptr) {
-        eager_state = eager_->dfa.NextOpen(eager_state, s);
-        if (eager_->dfa.accepting[eager_state]) {
-          eager_->masks[static_cast<size_t>(eager_state)].AccumulateInto(
-              run.matches.data());
-        }
-      } else if (cursor) {
-        cursor->Open(s);
-        if (cursor->Accepting()) cursor->AccumulateMask(run.matches.data());
-      }
-      for (size_t j = 0; j < mixed_dras_.size(); ++j) {
-        mixed_dras_[j]->StepOpen(&dra_configs[j], s);
-        run.matches[dra_base + j] += static_cast<int64_t>(
-            mixed_dras_[j]->IsAccepting(dra_configs[j].state));
-      }
-      ++run.events;
-      ++run.nodes;
-      continue;
-    }
-    if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s < 0) {
-        fail(StreamErrorCode::kUnknownLabel, static_cast<int64_t>(i), -1, -1);
-        return run;
-      }
-      if (open_letters.empty()) {
-        fail(StreamErrorCode::kUnbalancedClose, static_cast<int64_t>(i), -1,
-             s);
-        return run;
-      }
-      if (open_letters.back() != s) {
-        fail(StreamErrorCode::kLabelMismatch, static_cast<int64_t>(i),
-             open_letters.back(), s);
-        return run;
-      }
-      if (run.events >= limits.max_events) {
-        fail(StreamErrorCode::kEventLimitExceeded, static_cast<int64_t>(i),
-             -1, -1);
-        return run;
-      }
-      open_letters.pop_back();
-      --depth;
-      if (eager_ != nullptr) {
-        eager_state = eager_->dfa.NextClose(eager_state, s);
-      } else if (cursor) {
-        cursor->Close(s);
-      }
-      for (size_t j = 0; j < mixed_dras_.size(); ++j) {
-        mixed_dras_[j]->StepClose(&dra_configs[j], s);
-      }
-      ++run.events;
-      continue;
-    }
-    fail(StreamErrorCode::kBadByte, static_cast<int64_t>(i), -1, -1);
-    return run;
-  }
-  if (over_byte_limit) {
-    fail(StreamErrorCode::kByteLimitExceeded, limits.max_document_bytes, -1,
-         -1);
-    return run;
-  }
-  if (!saw_root || depth != 0) {
-    fail(StreamErrorCode::kTruncatedDocument,
-         static_cast<int64_t>(bytes.size()), -1, -1);
-  }
-  return run;
-}
-
 }  // namespace sst

@@ -140,20 +140,6 @@ class ProductTagMachine final : public StreamMachine {
   std::vector<int64_t> counts_;
 };
 
-// Whole-document validated multi-query run: the batch analogue of
-// ValidatedRun, field-for-field comparable with N independent fail-fast
-// runs over the same bytes — same first StreamError (code + offset +
-// depth + labels), same per-query selection counts up to that error.
-struct MultiValidatedRun {
-  StreamError error;
-  int64_t nodes = 0;
-  int64_t events = 0;
-  int64_t max_depth = 0;
-  std::vector<int64_t> matches;  // per component, in batch order
-
-  bool ok() const { return error.ok(); }
-};
-
 // Multi-query front-end over one shared product: a chunk-capable
 // StreamingSelector (any format, full StreamError / recovery-policy
 // parity with single-query sessions) around a ProductTagMachine, plus
@@ -222,12 +208,6 @@ class MultiTagDfaRunner {
   // walk over the bytes, whitespace runs bulk-skipped. Requires a
   // markup-eligible alphabet (single lowercase-letter labels).
   std::vector<int64_t> CountSelections(std::string_view bytes) const;
-
-  // Well-formedness-validated whole-document run with StreamingSelector's
-  // fail-fast compact-markup semantics: same first StreamError at the
-  // same byte offset as N independent validated runs.
-  MultiValidatedRun RunValidated(std::string_view bytes,
-                                 const StreamLimits& limits = {}) const;
 
  private:
   template <typename T>

@@ -10,9 +10,10 @@
 namespace sst {
 
 // Structured first-error taxonomy of the streaming front-end. Every
-// scanner and runner that consumes tag-stream bytes reports malformed
-// input through this one type, so sequential (fused and generic) and
-// parallel execution can be compared for byte-identical failure behavior.
+// scanner that consumes tag-stream bytes reports malformed input through
+// this one type, so the execution tiers (fused and generic) and the naive
+// reference validator can be compared for byte-identical failure
+// behavior.
 enum class StreamErrorCode : uint8_t {
   kNone = 0,
   kUnknownLabel,        // element name outside the query alphabet
@@ -32,7 +33,7 @@ const char* StreamErrorCodeName(StreamErrorCode code);
 
 // First-error record: what went wrong, where, and in which context. The
 // byte offset is the error's defining coordinate — all differential
-// properties (chunk re-splits, fused vs generic vs parallel) compare
+// properties (chunk re-splits, fused vs generic vs reference) compare
 // (code, offset) for identity.
 struct StreamError {
   StreamErrorCode code = StreamErrorCode::kNone;
@@ -116,25 +117,6 @@ struct StreamLimits {
   static StreamLimits Merged(const StreamLimits& a, const StreamLimits& b);
 
   friend bool operator==(const StreamLimits&, const StreamLimits&) = default;
-};
-
-// Result of a validated (well-formedness-checked) whole-document run —
-// the common report of ByteTagDfaRunner::RunValidated and
-// ParallelTagDfaRunner::RunValidated, designed to be field-for-field
-// comparable with a fail-fast StreamingSelector run over the same bytes:
-// same first StreamError (code + offset + depth + labels) and the same
-// partial counters up to that error.
-struct ValidatedRun {
-  StreamError error;      // code kNone when the document is well-formed
-  int64_t nodes = 0;      // elements opened before the error
-  int64_t events = 0;     // tag events before the error
-  int64_t max_depth = 0;  // peak nesting before the error
-  int64_t matches = 0;    // pre-selected nodes before the error
-  int final_state = 0;    // DFA state at the error / end of input
-
-  bool ok() const { return error.ok(); }
-
-  friend bool operator==(const ValidatedRun&, const ValidatedRun&) = default;
 };
 
 }  // namespace sst

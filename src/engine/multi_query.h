@@ -262,7 +262,7 @@ class BatchSession {
   bool one_scan_eligible() const;
   std::vector<int64_t> CountSelections(std::string_view bytes) const;
 
-  // Product-tier runner for direct access (benchmarks, validated runs);
+  // Product-tier runner for direct access (benchmarks, tests);
   // null on the independent tier.
   MultiTagDfaRunner* runner() { return runner_ ? &*runner_ : nullptr; }
   const MultiTagDfaRunner* runner() const {

@@ -4,7 +4,9 @@
 // automata may accept or reject invalid encodings arbitrarily, but the
 // implementations must stay memory-safe and terminating).
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,12 +20,16 @@
 #include "dra/machine.h"
 #include "dra/paper_examples.h"
 #include "dra/streaming.h"
+#include "dra/tag_dfa.h"
+#include "engine/query_plan.h"
 #include "eval/el_synopsis.h"
 #include "eval/stack_evaluator.h"
 #include "eval/stackless_query.h"
 #include "eval/registerless_query.h"
+#include "query/rpq.h"
 #include "test_util.h"
 #include "testing/fault_injection.h"
+#include "testing/reference_validator.h"
 #include "trees/encoding.h"
 
 namespace sst {
@@ -254,34 +260,99 @@ TEST(Fuzz, MutatedDocumentsAreChunkSplitInvariant) {
   }
 }
 
-// Differential: on compact markup, the streaming selector (fail-fast) and
-// the batch validated runner are two implementations of one
-// specification and must report the identical first StreamError.
-TEST(Fuzz, SelectorAndValidatedRunnerAgreeOnMutants) {
+// Differential: on compact markup, every single-query rung of the
+// streaming selector (fail-fast) and the naive reference validator are two
+// implementations of one specification. Under each limit of the sweep and
+// each chunking they must report the identical first StreamError (code,
+// offset, depth, labels) and the same partial counters, on clean documents
+// and on all seven fault kinds.
+TEST(Fuzz, SelectorRungsAgreeWithReferenceUnderLimitsAndChunkings) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Dfa query = CompileRegex("a.*b", alphabet);
   TagDfa evaluator = BuildRegisterlessQueryAutomaton(query, /*blind=*/false);
-  ByteTagDfaRunner runner(evaluator);
+  auto dra_plan = QueryPlan::Compile(Rpq::FromXPath("/a/b", alphabet), {});
+  ASSERT_NE(dra_plan->fused_dra(), nullptr);
+
+  // Every rung borrows the same scanner tables; the fused tables passed
+  // alongside pick the rung, and none at all pins the generic tier.
+  const ScannerTables tables =
+      ScannerTables::Build(StreamFormat::kCompactMarkup, alphabet);
+  ByteTagDfaRunner fused(evaluator, alphabet);
+  TagDfaMachine dfa_machine(&evaluator);
+  TagDfaMachine dfa_reference(&evaluator);
+  std::unique_ptr<StreamMachine> dra_machine = dra_plan->NewMachine();
+  std::unique_ptr<StreamMachine> dra_reference = dra_plan->NewMachine();
+  struct Rung {
+    const char* name;
+    StreamMachine* machine;    // driven by the selector
+    StreamMachine* reference;  // driven by the reference validator
+    const ByteTagDfaRunner* fused;
+    const ByteDraRunner* fused_dra;
+    StreamingSelector::Tier tier;
+  };
+  const Rung rungs[] = {
+      {"fused-byte", &dfa_machine, &dfa_reference, &fused, nullptr,
+       StreamingSelector::Tier::kFusedByteTable},
+      {"fused-dra", dra_machine.get(), dra_reference.get(), nullptr,
+       dra_plan->fused_dra(), StreamingSelector::Tier::kFusedDraTable},
+      {"generic", &dfa_machine, &dfa_reference, nullptr, nullptr,
+       StreamingSelector::Tier::kGenericMachine},
+  };
+  const std::vector<StreamLimits> sweep = testing::LimitSweep();
+  std::vector<int> failures(sweep.size(), 0);
+
   for (int iter = 0; iter < FuzzIters(); ++iter) {
     Rng rng(1700 + iter);
     std::vector<Tree> trees = testing::SampleTrees(20, 3, &rng);
     for (size_t t = 0; t < trees.size(); ++t) {
       std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
+      std::vector<std::string> inputs = {doc};
       for (int kind = 0; kind < kNumFaultKinds; ++kind) {
         std::string mutated = doc;
         FaultInjector injector(iter * 524287 + t * 8191 + kind);
         injector.Apply(static_cast<FaultKind>(kind), &mutated);
-        ValidatedRun batch = runner.RunValidated(mutated);
-        TagDfaMachine machine(&evaluator);
-        StreamingSelector selector(
-            &machine, StreamingSelector::Format::kCompactMarkup, &alphabet);
-        bool finished = selector.Feed(mutated) && selector.Finish();
-        ASSERT_EQ(batch.ok(), finished) << mutated;
-        ASSERT_EQ(batch.error, selector.stream_error()) << mutated;
-        ASSERT_EQ(batch.matches, selector.matches()) << mutated;
-        ASSERT_EQ(batch.events, selector.stats().events) << mutated;
+        inputs.push_back(std::move(mutated));
+      }
+      for (size_t l = 0; l < sweep.size(); ++l) {
+        for (const Rung& rung : rungs) {
+          StreamingSelector selector(rung.machine,
+                                     StreamFormat::kCompactMarkup, &alphabet,
+                                     &tables, rung.fused, rung.fused_dra);
+          selector.set_limits(sweep[l]);
+          ASSERT_EQ(selector.active_tier(), rung.tier) << rung.name;
+          for (const std::string& input : inputs) {
+            testing::ValidatedRun expected = testing::ReferenceValidate(
+                rung.reference, alphabet, input, sweep[l]);
+            if (!expected.ok()) ++failures[l];
+            for (size_t chunk : {size_t{1}, size_t{3}, size_t{16},
+                                 std::max<size_t>(input.size(), 1)}) {
+              selector.Reset();
+              bool ok = true;
+              for (size_t i = 0; ok && i < input.size(); i += chunk) {
+                ok = selector.Feed(std::string_view(input).substr(i, chunk));
+              }
+              ok = ok && selector.Finish();
+              const std::string where = std::string(rung.name) +
+                                        " limits#" + std::to_string(l) +
+                                        " chunk=" + std::to_string(chunk) +
+                                        " doc=" + input;
+              ASSERT_EQ(ok, expected.ok()) << where;
+              ASSERT_EQ(selector.stream_error(), expected.error) << where;
+              ASSERT_EQ(selector.matches(), expected.matches) << where;
+              ASSERT_EQ(selector.nodes(), expected.nodes) << where;
+              ASSERT_EQ(selector.stats().events, expected.events) << where;
+              ASSERT_EQ(selector.stats().max_depth, expected.max_depth)
+                  << where;
+            }
+          }
+        }
       }
     }
+  }
+  // Every tight guard must actually fire somewhere beyond the fault-only
+  // failures of the unlimited run.
+  for (size_t l = 1; l < sweep.size(); ++l) {
+    EXPECT_GT(failures[l], failures[0]) << "limits#" << l;
   }
 }
 

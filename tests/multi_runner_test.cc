@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "query/rpq.h"
 #include "test_util.h"
 #include "testing/fault_injection.h"
+#include "testing/reference_validator.h"
 #include "trees/encoding.h"
 
 namespace sst {
@@ -60,6 +62,54 @@ std::vector<std::string> MarkupDocuments(const Alphabet& alphabet, int count,
     documents.push_back(ToCompactMarkup(alphabet, Encode(tree)));
   }
   return documents;
+}
+
+// Clean documents followed by one copy per fault kind of each.
+std::vector<std::string> FaultedMarkupDocuments(const Alphabet& alphabet,
+                                                int count, uint64_t seed) {
+  FaultInjector injector(seed);
+  std::vector<std::string> documents = MarkupDocuments(alphabet, count, seed);
+  const size_t clean = documents.size();
+  for (size_t d = 0; d < clean; ++d) {
+    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
+      std::string mutated = documents[d];
+      injector.Apply(static_cast<FaultKind>(kind), &mutated);
+      documents.push_back(std::move(mutated));
+    }
+  }
+  return documents;
+}
+
+// Streams `doc` through a batch runner under `limits` and checks the
+// outcome against one reference run per member: `references[q]` is member
+// q's own machine. Every member must see the batch's first StreamError,
+// its counters, and its own selection count. Returns whether the batch
+// finished cleanly.
+bool ExpectBatchMatchesReference(
+    MultiTagDfaRunner* runner, const Alphabet& alphabet,
+    const std::vector<std::unique_ptr<StreamMachine>>& references,
+    const std::string& doc, const StreamLimits& limits, size_t chunk) {
+  runner->selector().set_limits(limits);
+  runner->Reset();
+  bool ok = true;
+  for (size_t i = 0; i < doc.size() && ok; i += chunk) {
+    ok = runner->Feed(std::string_view(doc).substr(i, chunk));
+  }
+  ok = ok && runner->Finish();
+  EXPECT_EQ(static_cast<size_t>(runner->num_queries()), references.size());
+  for (size_t q = 0; q < references.size(); ++q) {
+    testing::ValidatedRun single = testing::ReferenceValidate(
+        references[q].get(), alphabet, doc, limits);
+    EXPECT_EQ(ok, single.ok()) << "member " << q << ": " << doc;
+    EXPECT_EQ(runner->stream_error(), single.error)
+        << "member " << q << ": " << doc;
+    EXPECT_EQ(runner->query_matches()[q], single.matches)
+        << "member " << q << ": " << doc;
+    EXPECT_EQ(runner->selector().nodes(), single.nodes) << doc;
+    EXPECT_EQ(runner->stats().events, single.events) << doc;
+    EXPECT_EQ(runner->stats().max_depth, single.max_depth) << doc;
+  }
+  return ok;
 }
 
 TEST(SelectionMask, NarrowBasics) {
@@ -348,7 +398,7 @@ TEST(MultiTagDfaRunner, ChunkedFeedMatchesIndependentSelectors) {
   }
 }
 
-TEST(MultiTagDfaRunner, RunValidatedParityOnFaultedInputs) {
+TEST(MultiTagDfaRunner, EagerAndLazyStreamingMatchPerMemberReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   auto plans = RegisterlessPlans(alphabet);
   ASSERT_GE(plans.size(), 4u);
@@ -360,37 +410,18 @@ TEST(MultiTagDfaRunner, RunValidatedParityOnFaultedInputs) {
                                  nullptr, &*eager, &fused, nullptr);
   MultiTagDfaRunner lazy_runner(StreamFormat::kCompactMarkup, &alphabet,
                                 nullptr, nullptr, nullptr, &lazy);
+  ASSERT_EQ(eager_runner.tier(), MultiTier::kFusedProduct);
+  ASSERT_EQ(lazy_runner.tier(), MultiTier::kLazyProduct);
+  std::vector<std::unique_ptr<StreamMachine>> references;
+  for (const auto& plan : plans) references.push_back(plan->NewMachine());
 
-  FaultInjector injector(59);
-  std::vector<std::string> documents = MarkupDocuments(alphabet, 30, 59);
-  std::vector<std::string> faulted;
-  for (const std::string& doc : documents) {
-    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
-      std::string mutated = doc;
-      injector.Apply(static_cast<FaultKind>(kind), &mutated);
-      faulted.push_back(std::move(mutated));
-    }
-  }
-  documents.insert(documents.end(), faulted.begin(), faulted.end());
-
-  StreamLimits tight;
-  tight.max_depth = 5;
-  tight.max_events = 40;
-  for (const StreamLimits& limits : {StreamLimits{}, tight}) {
-    for (const std::string& doc : documents) {
-      MultiValidatedRun multi = eager_runner.RunValidated(doc, limits);
-      MultiValidatedRun via_lazy = lazy_runner.RunValidated(doc, limits);
-      ASSERT_EQ(multi.matches.size(), plans.size());
-      EXPECT_EQ(multi.error, via_lazy.error) << doc;
-      EXPECT_EQ(multi.matches, via_lazy.matches) << doc;
-      for (size_t q = 0; q < plans.size(); ++q) {
-        ValidatedRun single = plans[q]->fused()->RunValidated(doc, limits);
-        EXPECT_EQ(multi.error, single.error) << "query " << q << ": " << doc;
-        EXPECT_EQ(multi.matches[q], single.matches)
-            << "query " << q << ": " << doc;
-        EXPECT_EQ(multi.nodes, single.nodes) << doc;
-        EXPECT_EQ(multi.events, single.events) << doc;
-        EXPECT_EQ(multi.max_depth, single.max_depth) << doc;
+  for (const StreamLimits& limits : testing::LimitSweep()) {
+    for (const std::string& doc : FaultedMarkupDocuments(alphabet, 30, 59)) {
+      for (size_t chunk : {size_t{3}, std::max<size_t>(doc.size(), 1)}) {
+        ExpectBatchMatchesReference(&eager_runner, alphabet, references, doc,
+                                    limits, chunk);
+        ExpectBatchMatchesReference(&lazy_runner, alphabet, references, doc,
+                                    limits, chunk);
       }
     }
   }
@@ -463,10 +494,10 @@ TEST(MultiTagDfaRunner, WideDemotionMidChunkKeepsFirstErrorParity) {
   EXPECT_TRUE(lazy_mid.overflowed());
 }
 
-// Mixed batch (registerless product + fused DRAs) through the validated
-// whole-document entry point: same first error, same counters, and
-// per-member counts equal to each member's own fused validated run.
-TEST(MultiTagDfaRunner, MixedBatchRunValidatedParity) {
+// Mixed batch (registerless product + fused DRAs) streaming: same first
+// error, same counters, and per-member counts equal to each member's own
+// reference run; clean documents also agree with the one-scan entry point.
+TEST(MultiTagDfaRunner, MixedBatchStreamingMatchesPerMemberReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   auto product_plans = RegisterlessPlans(alphabet);
   ASSERT_GE(product_plans.size(), 2u);
@@ -487,47 +518,22 @@ TEST(MultiTagDfaRunner, MixedBatchRunValidatedParity) {
                            &*eager, nullptr, nullptr, dras);
   EXPECT_EQ(runner.tier(), MultiTier::kMixed);
   ASSERT_TRUE(runner.one_scan_eligible());
-
-  FaultInjector injector(79);
-  std::vector<std::string> documents = MarkupDocuments(alphabet, 30, 79);
-  std::vector<std::string> faulted;
-  for (const std::string& doc : documents) {
-    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
-      std::string mutated = doc;
-      injector.Apply(static_cast<FaultKind>(kind), &mutated);
-      faulted.push_back(std::move(mutated));
-    }
+  // Members in batch order: product bits first, then the DRA members.
+  std::vector<std::unique_ptr<StreamMachine>> references;
+  for (const auto& plan : product_plans) {
+    references.push_back(plan->NewMachine());
   }
-  documents.insert(documents.end(), faulted.begin(), faulted.end());
+  for (const auto& plan : dra_plans) references.push_back(plan->NewMachine());
 
-  StreamLimits tight;
-  tight.max_depth = 5;
-  tight.max_events = 40;
-  const size_t base = product_plans.size();
-  for (const StreamLimits& limits : {StreamLimits{}, tight}) {
-    for (const std::string& doc : documents) {
-      MultiValidatedRun multi = runner.RunValidated(doc, limits);
-      ASSERT_EQ(multi.matches.size(), product_plans.size() + dras.size());
-      for (size_t q = 0; q < product_plans.size(); ++q) {
-        ValidatedRun single =
-            product_plans[q]->fused()->RunValidated(doc, limits);
-        EXPECT_EQ(multi.error, single.error) << "member " << q << ": " << doc;
-        EXPECT_EQ(multi.matches[q], single.matches)
-            << "member " << q << ": " << doc;
-      }
-      for (size_t j = 0; j < dras.size(); ++j) {
-        ValidatedRun single = dras[j]->RunValidated(doc, limits);
-        EXPECT_EQ(multi.error, single.error)
-            << "DRA member " << j << ": " << doc;
-        EXPECT_EQ(multi.matches[base + j], single.matches)
-            << "DRA member " << j << ": " << doc;
-        EXPECT_EQ(multi.nodes, single.nodes) << doc;
-        EXPECT_EQ(multi.events, single.events) << doc;
-        EXPECT_EQ(multi.max_depth, single.max_depth) << doc;
-      }
-      if (multi.ok()) {
-        std::vector<int64_t> one_scan = runner.CountSelections(doc);
-        EXPECT_EQ(one_scan, multi.matches) << doc;
+  for (const StreamLimits& limits : testing::LimitSweep()) {
+    for (const std::string& doc : FaultedMarkupDocuments(alphabet, 30, 79)) {
+      for (size_t chunk : {size_t{3}, std::max<size_t>(doc.size(), 1)}) {
+        bool ok = ExpectBatchMatchesReference(&runner, alphabet, references,
+                                              doc, limits, chunk);
+        if (ok) {
+          EXPECT_EQ(runner.CountSelections(doc), runner.query_matches())
+              << doc;
+        }
       }
     }
   }

@@ -15,6 +15,7 @@
 #include "query/rpq.h"
 #include "test_util.h"
 #include "testing/fault_injection.h"
+#include "testing/reference_validator.h"
 #include "trees/encoding.h"
 #include "trees/generators.h"
 #include "trees/ground_truth.h"
@@ -222,10 +223,11 @@ TEST(StacklessFused, MaxDepthSkipRecoveryMatchesGenericTier) {
   }
 }
 
-// Fail-fast error parity on faulted documents: the fused runner's
-// whole-document RunValidated and the chunked fused session must report
-// the same first StreamError (code + offset) and the same partial counts.
-TEST(StacklessFused, RunValidatedFirstErrorMatchesSelector) {
+// Fail-fast error parity on faulted documents: the chunked fused session
+// and the naive reference validator (driving the plan's own machine) must
+// report the same first StreamError (code + offset) and the same partial
+// counts.
+TEST(StacklessFused, FirstErrorMatchesReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   std::vector<std::string> xpaths = StacklessFusedXPaths(alphabet);
   ASSERT_GE(xpaths.size(), 2u);
@@ -236,6 +238,7 @@ TEST(StacklessFused, RunValidatedFirstErrorMatchesSelector) {
     auto plan = CompileXPath(xpath, alphabet);
     ASSERT_NE(plan->fused_dra(), nullptr) << xpath;
     Session session(plan);
+    std::unique_ptr<StreamMachine> reference = plan->NewMachine();
     for (const Tree& tree : testing::SampleTrees(30, 3, &rng)) {
       std::string doc = ToCompactMarkup(alphabet, Encode(tree));
       std::vector<std::string> inputs = {doc};
@@ -245,7 +248,8 @@ TEST(StacklessFused, RunValidatedFirstErrorMatchesSelector) {
         inputs.push_back(std::move(mutated));
       }
       for (const std::string& input : inputs) {
-        ValidatedRun run = plan->fused_dra()->RunValidated(input);
+        testing::ValidatedRun run =
+            testing::ReferenceValidate(reference.get(), alphabet, input);
         for (size_t chunk : {size_t{1}, size_t{16}}) {
           bool ok = DriveChunked(&session.selector(), input, chunk);
           EXPECT_EQ(ok, run.ok()) << xpath << ": " << input;

@@ -12,6 +12,7 @@
 #include "eval/registerless_query.h"
 #include "eval/stack_evaluator.h"
 #include "test_util.h"
+#include "testing/reference_validator.h"
 #include "trees/encoding.h"
 #include "trees/ground_truth.h"
 
@@ -153,6 +154,74 @@ TEST(StreamingSelector, MalformedInputsAreRejected) {
   reject(Format::kCompactTerm, "a{");          // unclosed
   reject(Format::kCompactTerm, "}");           // close without open
   reject(Format::kCompactTerm, "a}");          // label without '{'
+}
+
+// The hand-written compact-markup error cases, one per StreamErrorCode the
+// format can produce, with the first error spelled out. They pin the
+// reference validator the differential suites compare every rung against:
+// both the selector and the reference must report exactly this error and
+// the same partial counters.
+TEST(StreamingSelector, HandWrittenErrorCasesPinTheReferenceValidator) {
+  Alphabet alphabet = Alphabet::FromLetters("ab");
+  Dfa dfa = CompileRegex("a*", alphabet);
+  StreamLimits depth;
+  depth.max_depth = 3;
+  StreamLimits bytes;
+  bytes.max_document_bytes = 3;
+  StreamLimits events;
+  events.max_events = 3;
+  // Guards that fire at the same byte as another check: the spec's check
+  // order decides which error wins.
+  StreamLimits depth_and_events = depth;
+  depth_and_events.max_events = 3;
+  StreamLimits two_events;
+  two_events.max_events = 2;
+  struct Case {
+    const char* text;
+    StreamLimits limits;
+    StreamErrorCode code;
+    int64_t offset;
+  };
+  const Case cases[] = {
+      {"aB", {}, StreamErrorCode::kLabelMismatch, 1},
+      {"a", {}, StreamErrorCode::kTruncatedDocument, 1},
+      {"", {}, StreamErrorCode::kTruncatedDocument, 0},
+      {"A", {}, StreamErrorCode::kUnbalancedClose, 0},
+      {"aAbB", {}, StreamErrorCode::kTrailingContent, 2},
+      {"x", {}, StreamErrorCode::kUnknownLabel, 0},
+      {"aX", {}, StreamErrorCode::kUnknownLabel, 1},
+      {"a?A", {}, StreamErrorCode::kBadByte, 1},
+      {"ababBABA", depth, StreamErrorCode::kDepthLimitExceeded, 3},
+      {"abBA", bytes, StreamErrorCode::kByteLimitExceeded, 3},
+      {"aAbB", bytes, StreamErrorCode::kTrailingContent, 2},
+      {"abBA", events, StreamErrorCode::kEventLimitExceeded, 3},
+      {"aaaaAAAA", depth_and_events, StreamErrorCode::kDepthLimitExceeded, 3},
+      {"aAA", two_events, StreamErrorCode::kUnbalancedClose, 2},
+      {"abA", two_events, StreamErrorCode::kLabelMismatch, 2},
+      {"abbB", bytes, StreamErrorCode::kByteLimitExceeded, 3},
+      {"a \n b\tB  A", {}, StreamErrorCode::kNone, -1},
+      {"abaABA", depth, StreamErrorCode::kNone, -1},
+  };
+  for (const Case& c : cases) {
+    StackQueryEvaluator reference_machine(&dfa);
+    testing::ValidatedRun reference = testing::ReferenceValidate(
+        &reference_machine, alphabet, c.text, c.limits);
+    EXPECT_EQ(reference.error.code, c.code) << c.text;
+    EXPECT_EQ(reference.error.offset, c.offset) << c.text;
+
+    StackQueryEvaluator machine(&dfa);
+    StreamingSelector selector(&machine,
+                               StreamingSelector::Format::kCompactMarkup,
+                               &alphabet);
+    selector.set_limits(c.limits);
+    bool finished = selector.Feed(c.text) && selector.Finish();
+    EXPECT_EQ(finished, reference.ok()) << c.text;
+    EXPECT_EQ(selector.stream_error(), reference.error) << c.text;
+    EXPECT_EQ(selector.matches(), reference.matches) << c.text;
+    EXPECT_EQ(selector.nodes(), reference.nodes) << c.text;
+    EXPECT_EQ(selector.stats().events, reference.events) << c.text;
+    EXPECT_EQ(selector.stats().max_depth, reference.max_depth) << c.text;
+  }
 }
 
 // Hides a machine's TagDfa export so the selector takes the generic

@@ -22,7 +22,6 @@
 #include "dra/byte_runner.h"
 #include "dra/machine.h"
 #include "dra/multi_runner.h"
-#include "dra/parallel_runner.h"
 #include "dra/streaming.h"
 #include "dra/tag_dfa.h"
 #include "engine/query_plan.h"
@@ -30,6 +29,7 @@
 #include "query/rpq.h"
 #include "test_util.h"
 #include "testing/fault_injection.h"
+#include "testing/reference_validator.h"
 #include "trees/encoding.h"
 
 namespace sst {
@@ -108,8 +108,9 @@ TEST(StructuralIndex, RegisterlessCountsAndFinalStatesMatchPerByte) {
   }
 }
 
-// RunValidated drives the StructuralIterator; its parity oracle is the
-// per-byte generic-tier selector with the fused fast path hidden.
+// The generic-tier selector (fused fast path hidden) drives the
+// StructuralIterator; its parity oracle is the per-byte reference
+// validator, which never touches the index.
 class OpaqueForwarder : public StreamMachine {
  public:
   explicit OpaqueForwarder(StreamMachine* inner) : inner_(inner) {}
@@ -122,18 +123,19 @@ class OpaqueForwarder : public StreamMachine {
   StreamMachine* inner_;
 };
 
-TEST(StructuralIndex, ValidatedRunsReportTheSameFirstErrorAsTheSelector) {
+TEST(StructuralIndex, GenericSelectorReportsTheSameFirstErrorAsReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Dfa dfa = CompileRegex("a.*b", alphabet);
   TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
-  ByteTagDfaRunner runner(evaluator, alphabet);
   Rng rng(2209);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
   int failed_runs = 0;
   for (size_t t = 0; t < trees.size(); ++t) {
     std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
     for (const std::string& bytes : Variants(doc, t * 104729 + 3)) {
-      ValidatedRun run = runner.RunValidated(bytes);
+      TagDfaMachine reference(&evaluator);
+      testing::ValidatedRun run =
+          testing::ReferenceValidate(&reference, alphabet, bytes);
 
       TagDfaMachine inner(&evaluator);
       OpaqueForwarder generic(&inner);
@@ -272,40 +274,6 @@ TEST(StructuralIndex, MixedBatchCountsMatchPerByteReferences) {
         expected.push_back(dra->CountSelectionsPerByte(bytes));
       }
       EXPECT_EQ(mixed.CountSelections(bytes), expected) << "tree=" << t;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel speculative runner: the index-extracted position walk (and its
-// iota fallback) against the per-byte sequential oracles, with tiny dedup
-// intervals so merges land inside whitespace gaps.
-
-TEST(StructuralIndex, ParallelRunnerMatchesPerByteOracles) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  Dfa dfa = CompileRegex("a.*b", alphabet);
-  TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
-  ByteTagDfaRunner runner(evaluator, alphabet);
-  Rng rng(2219);
-  std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
-  for (int dedup_interval : {7, 64, 256}) {
-    ParallelTagDfaRunner parallel(&runner, /*pool=*/nullptr, dedup_interval);
-    for (size_t t = 0; t < trees.size(); ++t) {
-      std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
-      for (const std::string& bytes : Variants(doc, t * 389 + 7)) {
-        for (int chunks : {1, 3, 8}) {
-          ParallelTagDfaRunner::Result result = parallel.Run(bytes, chunks);
-          EXPECT_EQ(result.selections, runner.CountSelectionsPerByte(bytes))
-              << "tree=" << t << " chunks=" << chunks;
-          EXPECT_EQ(result.final_state, runner.FinalStatePerByte(bytes))
-              << "tree=" << t << " chunks=" << chunks;
-        }
-        ValidatedRun sequential = runner.RunValidated(bytes);
-        ValidatedRun parallel_run = parallel.RunValidated(bytes, 3);
-        EXPECT_EQ(parallel_run.error.code, sequential.error.code);
-        EXPECT_EQ(parallel_run.error.offset, sequential.error.offset);
-        EXPECT_EQ(parallel_run.matches, sequential.matches);
-      }
     }
   }
 }

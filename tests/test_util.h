@@ -9,6 +9,7 @@
 #include "automata/random_dfa.h"
 #include "base/rng.h"
 #include "classes/syntactic_classes.h"
+#include "dra/stream_error.h"
 #include "trees/generators.h"
 #include "trees/tree.h"
 
@@ -58,6 +59,23 @@ inline std::vector<Tree> SampleTrees(int count, int num_symbols, Rng* rng) {
     trees.push_back(RandomTree(nodes, num_symbols, rng->NextDouble(), rng));
   }
   return trees;
+}
+
+// StreamLimits sweep of the reference-validator differentials: no limits,
+// one tight guard at a time, then all three at once. Each guard is small
+// enough to fire on some SampleTrees documents (1-40 nodes) and large
+// enough to pass others.
+inline std::vector<StreamLimits> LimitSweep() {
+  StreamLimits depth;
+  depth.max_depth = 3;
+  StreamLimits events;
+  events.max_events = 24;
+  StreamLimits bytes;
+  bytes.max_document_bytes = 32;
+  StreamLimits all = depth;
+  all.max_events = events.max_events;
+  all.max_document_bytes = bytes.max_document_bytes;
+  return {StreamLimits{}, depth, events, bytes, all};
 }
 
 }  // namespace sst::testing
