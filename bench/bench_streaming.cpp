@@ -684,12 +684,12 @@ void BM_MultiQueryFused(benchmark::State& state) {
   state.SetLabel("multiquery/fused/xmlpad/N=" + std::to_string(num_queries));
 }
 
-void BM_MultiQueryIndependent(benchmark::State& state) {
-  int num_queries = static_cast<int>(state.range(0));
-  std::vector<BatchQuery> batch = MultiQueryBatch(num_queries);
+// The status quo for a batch: one pooled session per query, N full
+// scans of the padded xml-lite corpus. Returns the per-query counts.
+std::vector<int64_t> RunPerQuerySessions(benchmark::State& state,
+                                         const std::vector<BatchQuery>& batch) {
   PlanOptions options;
   options.format = StreamFormat::kXmlLite;
-  // The status quo: one pooled session per query, N full scans.
   std::vector<std::unique_ptr<SessionPool>> pools;
   for (const BatchQuery& query : batch) {
     pools.push_back(std::make_unique<SessionPool>(QueryPlan::Compile(
@@ -697,7 +697,7 @@ void BM_MultiQueryIndependent(benchmark::State& state) {
   }
   const std::string& bytes = PaddedXmlWideBytes();
   constexpr size_t kChunk = 65536;
-  std::vector<int64_t> counts(static_cast<size_t>(num_queries), 0);
+  std::vector<int64_t> counts(batch.size(), 0);
   for (auto _ : state) {
     for (size_t q = 0; q < pools.size(); ++q) {
       auto session = pools[q]->Acquire();
@@ -713,13 +713,70 @@ void BM_MultiQueryIndependent(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(bytes.size()));
-  state.counters["queries"] = num_queries;
+  state.counters["queries"] = static_cast<double>(batch.size());
+  return counts;
+}
+
+void BM_MultiQueryIndependent(benchmark::State& state) {
+  int num_queries = static_cast<int>(state.range(0));
+  RunPerQuerySessions(state, MultiQueryBatch(num_queries));
   state.SetLabel("multiquery/independent/xmlpad/N=" +
                  std::to_string(num_queries));
 }
 
+// A mixed batch on xml-lite, shaped like the end-to-end benchmark's R2:
+// 8 registerless "/x//y" plus the stackless "/a/b" and "/a/c", which have
+// no fused DRA on xml-lite and ride the batch's one scan as generic
+// side-car machines. The streaming row runs one pooled BatchSession; the
+// per-query row answers the same batch with one pooled Session per query
+// over the same bytes. bench_baselines.json holds the first at >= 2x the
+// second.
+std::vector<BatchQuery> MixedXmlBatch() {
+  std::vector<BatchQuery> batch = MultiQueryBatch(8);
+  batch.push_back(BatchQuery{QuerySyntax::kXPath, "/a/b"});
+  batch.push_back(BatchQuery{QuerySyntax::kXPath, "/a/c"});
+  return batch;
+}
+
+void BM_MixedBatchStreamingXml(benchmark::State& state) {
+  std::vector<BatchQuery> batch = MixedXmlBatch();
+  MultiQueryOptions options;
+  options.plan.format = StreamFormat::kXmlLite;
+  auto plan = MultiQueryPlan::Compile(batch, WideAlphabet(), options);
+  SST_CHECK(plan->tier() == MultiTier::kMixed);
+  SST_CHECK(plan->stats().machine_members == 2);
+  BatchSessionPool pool(plan);
+  const std::string& bytes = PaddedXmlWideBytes();
+  std::vector<int64_t> expected =
+      IndependentReference(batch, options.plan, bytes);
+  constexpr size_t kChunk = 65536;
+  for (auto _ : state) {
+    std::unique_ptr<BatchSession> session = pool.Acquire();
+    SST_CHECK(DriveBatchChunked(*session, bytes, kChunk));
+    // Acceptance: per-query counts byte-identical to independent runs.
+    SST_CHECK(session->query_matches() == expected);
+    pool.Release(std::move(session));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["queries"] = static_cast<double>(batch.size());
+  state.SetLabel("multiquery/mixed-streaming/xmlpad");
+}
+
+void BM_MixedBatchPerQueryXml(benchmark::State& state) {
+  std::vector<BatchQuery> batch = MixedXmlBatch();
+  PlanOptions options;
+  options.format = StreamFormat::kXmlLite;
+  std::vector<int64_t> expected =
+      IndependentReference(batch, options, PaddedXmlWideBytes());
+  SST_CHECK(RunPerQuerySessions(state, batch) == expected);
+  state.SetLabel("multiquery/mixed-per-query/xmlpad");
+}
+
 BENCHMARK(BM_MultiQueryFused)->Arg(2)->Arg(8)->Arg(32);
 BENCHMARK(BM_MultiQueryIndependent)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_MixedBatchStreamingXml);
+BENCHMARK(BM_MixedBatchPerQueryXml);
 
 // Byte-table tier on compact markup: the eager product fused into one
 // 256-entry table vs the lazy product stepped state-by-state vs N

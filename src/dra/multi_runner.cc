@@ -1,5 +1,6 @@
 #include "dra/multi_runner.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/byte_scan.h"
@@ -134,29 +135,29 @@ void LazyProductCursor::AppendSelected(std::vector<int32_t>* out) const {
 
 // --- ProductTagMachine ---------------------------------------------------
 
-ProductTagMachine::ProductTagMachine(const TagDfaProduct* eager,
-                                     LazyTagDfaProduct* lazy,
-                                     std::vector<const ByteDraRunner*> dras)
-    : eager_(eager), dras_(std::move(dras)) {
+ProductTagMachine::ProductTagMachine(
+    const TagDfaProduct* eager, LazyTagDfaProduct* lazy,
+    std::vector<const ByteDraRunner*> dras,
+    std::vector<std::unique_ptr<StreamMachine>> side_cars)
+    : eager_(eager), dras_(std::move(dras)), machines_(std::move(side_cars)) {
   SST_CHECK_MSG(eager == nullptr || lazy == nullptr,
                 "at most one of eager/lazy product");
-  SST_CHECK_MSG(eager != nullptr || lazy != nullptr || !dras_.empty(),
-                "a product or at least one DRA member required");
-  SST_CHECK_MSG(lazy == nullptr || dras_.empty(),
-                "mixed batches ride the eager product only");
-  size_t base = 0;
+  SST_CHECK_MSG(eager != nullptr || lazy != nullptr || has_side_cars(),
+                "a product or at least one side-car member required");
   if (eager_ != nullptr) {
     eager_state_ = eager_->dfa.initial;
-    base = static_cast<size_t>(eager_->arity);
+    dra_base_ = static_cast<size_t>(eager_->arity);
   } else if (lazy != nullptr) {
     lazy_cursor_.emplace(lazy);
-    base = static_cast<size_t>(lazy->arity());
+    dra_base_ = static_cast<size_t>(lazy->arity());
   }
   dra_configs_.reserve(dras_.size());
   for (const ByteDraRunner* dra : dras_) {
     dra_configs_.push_back(dra->InitialConfig());
   }
-  counts_.assign(base + dras_.size(), 0);
+  machine_base_ = dra_base_ + dras_.size();
+  for (const auto& machine : machines_) SST_CHECK(machine != nullptr);
+  counts_.assign(machine_base_ + machines_.size(), 0);
 }
 
 void ProductTagMachine::Reset() {
@@ -168,6 +169,7 @@ void ProductTagMachine::Reset() {
   for (size_t j = 0; j < dras_.size(); ++j) {
     dra_configs_[j] = dras_[j]->InitialConfig();
   }
+  for (auto& machine : machines_) machine->Reset();
   counts_.assign(counts_.size(), 0);
 }
 
@@ -186,16 +188,22 @@ void ProductTagMachine::OnOpen(Symbol symbol) {
       lazy_cursor_->AccumulateMask(counts_.data());
     }
   }
-  if (dras_.empty()) return;
-  const size_t base = counts_.size() - dras_.size();
   for (size_t j = 0; j < dras_.size(); ++j) {
     dras_[j]->StepOpen(&dra_configs_[j], symbol);
-    counts_[base + j] += static_cast<int64_t>(
+    counts_[dra_base_ + j] += static_cast<int64_t>(
         dras_[j]->IsAccepting(dra_configs_[j].state));
+  }
+  for (size_t k = 0; k < machines_.size(); ++k) {
+    machines_[k]->OnOpen(symbol);
+    counts_[machine_base_ + k] +=
+        static_cast<int64_t>(machines_[k]->InAcceptingState());
   }
 }
 
 void ProductTagMachine::OnClose(Symbol symbol) {
+  // The product and the fused DRAs are tables indexed by symbol; term's
+  // universal close (-1) steps them as symbol 0, which their term-blind
+  // automata ignore. Side-car machines take the raw symbol.
   const Symbol s = symbol < 0 ? 0 : symbol;
   if (eager_ != nullptr) {
     eager_state_ = eager_->dfa.NextClose(eager_state_, s);
@@ -205,6 +213,7 @@ void ProductTagMachine::OnClose(Symbol symbol) {
   for (size_t j = 0; j < dras_.size(); ++j) {
     dras_[j]->StepClose(&dra_configs_[j], s);
   }
+  for (auto& machine : machines_) machine->OnClose(symbol);
 }
 
 bool ProductTagMachine::InAcceptingState() const {
@@ -212,6 +221,9 @@ bool ProductTagMachine::InAcceptingState() const {
   if (lazy_cursor_ && lazy_cursor_->Accepting()) return true;
   for (size_t j = 0; j < dras_.size(); ++j) {
     if (dras_[j]->IsAccepting(dra_configs_[j].state)) return true;
+  }
+  for (const auto& machine : machines_) {
+    if (machine->InAcceptingState()) return true;
   }
   return false;
 }
@@ -225,29 +237,47 @@ void ProductTagMachine::AppendSelectedMembers(
   } else if (lazy_cursor_) {
     if (lazy_cursor_->Accepting()) lazy_cursor_->AppendSelected(out);
   }
-  if (dras_.empty()) return;
-  const int32_t base = static_cast<int32_t>(counts_.size() - dras_.size());
   for (size_t j = 0; j < dras_.size(); ++j) {
     if (dras_[j]->IsAccepting(dra_configs_[j].state)) {
-      out->push_back(base + static_cast<int32_t>(j));
+      out->push_back(static_cast<int32_t>(dra_base_ + j));
+    }
+  }
+  for (size_t k = 0; k < machines_.size(); ++k) {
+    if (machines_[k]->InAcceptingState()) {
+      out->push_back(static_cast<int32_t>(machine_base_ + k));
     }
   }
 }
 
+int64_t ProductTagMachine::StackDepthPeak() const {
+  int64_t peak = 0;
+  for (const auto& machine : machines_) {
+    peak = std::max(peak, machine->StackDepthPeak());
+  }
+  return peak;
+}
+
+int64_t ProductTagMachine::StackUnderflowCloses() const {
+  int64_t total = 0;
+  for (const auto& machine : machines_) {
+    total += machine->StackUnderflowCloses();
+  }
+  return total;
+}
+
 // --- MultiTagDfaRunner ---------------------------------------------------
 
-MultiTagDfaRunner::MultiTagDfaRunner(StreamFormat format,
-                                     const Alphabet* alphabet,
-                                     const ScannerTables* tables,
-                                     const TagDfaProduct* eager,
-                                     const ByteTagDfaRunner* eager_fused,
-                                     LazyTagDfaProduct* lazy,
-                                     std::vector<const ByteDraRunner*> mixed_dras)
+MultiTagDfaRunner::MultiTagDfaRunner(
+    StreamFormat format, const Alphabet* alphabet,
+    const ScannerTables* tables, const TagDfaProduct* eager,
+    const ByteTagDfaRunner* eager_fused, LazyTagDfaProduct* lazy,
+    std::vector<const ByteDraRunner*> mixed_dras,
+    std::vector<std::unique_ptr<StreamMachine>> side_cars)
     : eager_(eager),
       eager_fused_(eager_fused),
       lazy_(lazy),
       mixed_dras_(std::move(mixed_dras)),
-      machine_(eager, lazy, mixed_dras_),
+      machine_(eager, lazy, mixed_dras_, std::move(side_cars)),
       owned_tables_(tables == nullptr
                         ? std::make_unique<ScannerTables>(
                               ScannerTables::Build(format, *alphabet))
@@ -257,14 +287,14 @@ MultiTagDfaRunner::MultiTagDfaRunner(StreamFormat format,
                 /*fused=*/nullptr) {
   SST_CHECK(eager_fused_ == nullptr || eager_ != nullptr);
   // The one-scan markup APIs need every label to be a single lowercase
-  // letter (same eligibility rule as the fused single-query byte table).
+  // letter (same eligibility rule as the fused single-query byte table)
+  // and every member in table form: a generic side-car has none.
   byte_symbol_.fill(-1);
-  byte_api_ok_ = true;
-  for (Symbol s = 0; s < alphabet->size(); ++s) {
+  byte_api_ok_ = machine_.num_generic_side_cars() == 0;
+  for (Symbol s = 0; byte_api_ok_ && s < alphabet->size(); ++s) {
     const std::string& label = alphabet->LabelOf(s);
     if (label.size() != 1 || label[0] < 'a' || label[0] > 'z') {
       byte_api_ok_ = false;
-      break;
     }
   }
   if (byte_api_ok_) {
@@ -321,67 +351,75 @@ void MultiTagDfaRunner::CountSelectionsFused(
   }
 }
 
-void MultiTagDfaRunner::CountSelectionsLazy(
-    std::string_view bytes, std::vector<int64_t>* counts) const {
-  LazyProductCursor cursor(lazy_);
-  int64_t* out = counts->data();
-  // The cursor steps only on tag letters — whitespace is identity on both
-  // the cursor and the counts — so the structural index is sound here
-  // unconditionally (including across a mid-scan wide-mode demotion: the
-  // latched cursor state rides along untouched through every gap).
-  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      // Unknown lowercase letters self-loop (ByteTagDfaRunner parity):
-      // the state is unchanged but the byte still samples acceptance.
-      if (s >= 0) cursor.Open(s);
-      if (cursor.Accepting()) cursor.AccumulateMask(out);
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) cursor.Close(s);
-    }
-    // All other structural bytes self-loop and never count.
-  });
-}
+namespace {
 
-void MultiTagDfaRunner::CountSelectionsMixed(
-    std::string_view bytes, std::vector<int64_t>* counts) const {
+// Product steppers for CountSelectionsWalk, one per product kind, so the
+// walk's inner loop carries no per-byte product-kind branch.
+struct NoProductStep {
+  void Open(Symbol) {}
+  void Close(Symbol) {}
+  void Sample(int64_t*) const {}
+};
+
+struct EagerProductStep {
+  const TagDfaProduct* product;
+  int state;
+  void Open(Symbol s) { state = product->dfa.NextOpen(state, s); }
+  void Close(Symbol s) { state = product->dfa.NextClose(state, s); }
+  void Sample(int64_t* out) const {
+    if (product->dfa.accepting[state]) {
+      product->masks[static_cast<size_t>(state)].AccumulateInto(out);
+    }
+  }
+};
+
+struct LazyProductStep {
+  LazyProductCursor cursor;
+  void Open(Symbol s) { cursor.Open(s); }
+  void Close(Symbol s) { cursor.Close(s); }
+  void Sample(int64_t* out) const {
+    if (cursor.Accepting()) cursor.AccumulateMask(out);
+  }
+};
+
+}  // namespace
+
+template <typename ProductStep>
+void MultiTagDfaRunner::CountSelectionsWalk(
+    ProductStep product, std::string_view bytes,
+    std::vector<int64_t>* counts) const {
   int64_t* out = counts->data();
-  const size_t base =
-      eager_ != nullptr ? static_cast<size_t>(eager_->arity) : 0;
-  int state = eager_ != nullptr ? eager_->dfa.initial : 0;
+  const size_t dra_base = counts->size() - mixed_dras_.size();
   std::vector<DraConfig> configs;
   configs.reserve(mixed_dras_.size());
   for (const ByteDraRunner* dra : mixed_dras_) {
     configs.push_back(dra->InitialConfig());
   }
-  // Mixed tier: the sub-product and every DRA side-car step only on tag
-  // letters, so the structural index is sound unconditionally (whitespace
-  // is identity on all the interleaved machines at once).
+  // The product and every DRA side-car step only on tag letters, so
+  // whitespace is identity on all of them at once and the structural index
+  // is sound unconditionally (including across a lazy cursor's mid-scan
+  // wide-mode demotion: the latched state rides along through every gap).
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     if (byte >= 'a' && byte <= 'z') {
       Symbol s = byte_symbol_[byte];
       if (s >= 0) {
-        if (eager_ != nullptr) state = eager_->dfa.NextOpen(state, s);
+        product.Open(s);
         for (size_t j = 0; j < mixed_dras_.size(); ++j) {
           mixed_dras_[j]->StepOpen(&configs[j], s);
         }
       }
       // Unknown lowercase letters self-loop but still sample acceptance
       // (ByteTagDfaRunner parity).
-      if (eager_ != nullptr && eager_->dfa.accepting[state]) {
-        eager_->masks[static_cast<size_t>(state)].AccumulateInto(out);
-      }
+      product.Sample(out);
       for (size_t j = 0; j < mixed_dras_.size(); ++j) {
-        out[base + j] += static_cast<int64_t>(
+        out[dra_base + j] += static_cast<int64_t>(
             mixed_dras_[j]->IsAccepting(configs[j].state));
       }
     } else if (byte >= 'A' && byte <= 'Z') {
       Symbol s = byte_symbol_[byte];
       if (s >= 0) {
-        if (eager_ != nullptr) state = eager_->dfa.NextClose(state, s);
+        product.Close(s);
         for (size_t j = 0; j < mixed_dras_.size(); ++j) {
           mixed_dras_[j]->StepClose(&configs[j], s);
         }
@@ -394,13 +432,10 @@ void MultiTagDfaRunner::CountSelectionsMixed(
 std::vector<int64_t> MultiTagDfaRunner::CountSelections(
     std::string_view bytes) const {
   SST_CHECK_MSG(byte_api_ok_,
-                "one-scan byte APIs require single-letter labels");
+                "one-scan byte APIs require single-letter labels and no "
+                "generic side-car");
   std::vector<int64_t> counts(static_cast<size_t>(num_queries()), 0);
-  if (!mixed_dras_.empty()) {
-    CountSelectionsMixed(bytes, &counts);
-    return counts;
-  }
-  if (eager_fused_ != nullptr && eager_->narrow) {
+  if (eager_fused_ != nullptr && eager_->narrow && mixed_dras_.empty()) {
     if (eager_fused_->uses_compact_table()) {
       CountSelectionsFused(eager_fused_->table16(), bytes, &counts);
     } else {
@@ -408,28 +443,18 @@ std::vector<int64_t> MultiTagDfaRunner::CountSelections(
     }
     return counts;
   }
+  // Everything else (a mixed batch, the lazy product, an eager product
+  // without a byte table or wider than 64 queries) walks the automata
+  // directly over the structural index.
   if (eager_ != nullptr) {
-    // Eager product without a byte table (or a >64-query batch): walk the
-    // product TagDfa directly over the structural index (the walk steps on
-    // tag letters only, so whitespace is identity).
-    int state = eager_->dfa.initial;
-    ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-      unsigned char byte = static_cast<unsigned char>(bytes[i]);
-      if (byte >= 'a' && byte <= 'z') {
-        Symbol s = byte_symbol_[byte];
-        if (s >= 0) state = eager_->dfa.NextOpen(state, s);
-        if (eager_->dfa.accepting[state]) {
-          eager_->masks[static_cast<size_t>(state)].AccumulateInto(
-              counts.data());
-        }
-      } else if (byte >= 'A' && byte <= 'Z') {
-        Symbol s = byte_symbol_[byte];
-        if (s >= 0) state = eager_->dfa.NextClose(state, s);
-      }
-    });
-    return counts;
+    CountSelectionsWalk(EagerProductStep{eager_, eager_->dfa.initial}, bytes,
+                        &counts);
+  } else if (lazy_ != nullptr) {
+    CountSelectionsWalk(LazyProductStep{LazyProductCursor(lazy_)}, bytes,
+                        &counts);
+  } else {
+    CountSelectionsWalk(NoProductStep{}, bytes, &counts);
   }
-  CountSelectionsLazy(bytes, &counts);
   return counts;
 }
 

@@ -32,14 +32,15 @@ namespace sst {
 //                   256-entry byte→state table (small batches);
 //   kLazyProduct    on-the-fly product shared across sessions — only
 //                   states the inputs actually reach materialize;
-//   kMixed          registerless + stackless batch in ONE scan: the
-//                   registerless members ride an eager product while each
-//                   stackless member steps its fused restricted DRA
-//                   (ByteDraRunner) alongside;
-//   kIndependent    per-query stepping (N automaton steps per event):
-//                   the landing spot when the lazy product hits its state
-//                   cap mid-stream, and the engine's tier for batches
-//                   containing queries outside every fused form.
+//   kMixed          any batch with a non-registerless member, still in ONE
+//                   scan: the registerless members ride the product (eager
+//                   or lazy) while every other member rides alongside as a
+//                   side-car — a fused restricted DRA (ByteDraRunner) when
+//                   its plan has one, its own StreamMachine otherwise (the
+//                   unfused stackless evaluator, the pooled-stack baseline);
+//   kIndependent    never chosen for a batch: the active-tier name of a
+//                   lazy stream whose product hit its state cap mid-stream
+//                   and demoted to per-query (component-wise) stepping.
 enum class MultiTier { kFusedProduct, kLazyProduct, kMixed, kIndependent };
 
 const char* MultiTierName(MultiTier tier);
@@ -96,47 +97,62 @@ class LazyProductCursor {
 };
 
 // StreamMachine over the fused product: drives either the eager product
-// table or a cursor on the shared lazy product, and accumulates per-query
-// selection counts on every opening tag (the multi-query analogue of the
-// selector's single matches_ counter). InAcceptingState() is the batch
-// "any query selects" disjunction, so the aggregate matches statistic of a
-// StreamingSelector running this machine counts nodes selected by at
-// least one query.
+// table or a cursor on the shared lazy product, steps every side-car member
+// alongside, and accumulates per-query selection counts on every opening
+// tag (the multi-query analogue of the selector's single matches_
+// counter). InAcceptingState() is the batch "any query selects"
+// disjunction, so the aggregate matches statistic of a StreamingSelector
+// running this machine counts nodes selected by at least one query.
 class ProductTagMachine final : public StreamMachine {
  public:
-  // At most one of `eager` / `lazy` may be non-null; `dras` adds stackless
-  // members (mixed batches) stepped alongside the product — fused
-  // restricted DRAs whose full configurations live in this machine. At
-  // least one of the three sources must be present, and `dras` composes
-  // with `eager` only (the mixed tier has no lazy rung). counts() reports
-  // members in order: product mask bits first, then the DRA members. All
-  // pointers must outlive the machine.
+  // At most one of `eager` / `lazy` may be non-null. `dras` adds stackless
+  // members stepped as fused restricted DRAs whose full configurations
+  // live in this machine; `side_cars` adds members of any other kind as
+  // owned per-stream StreamMachines (unfused stackless evaluators, the
+  // stack baseline), which see the raw close symbol — term's OnClose(-1)
+  // reaches them unmapped. At least one source must be present. counts()
+  // reports members in order: product mask bits, then the DRA members,
+  // then the side-car machines. Borrowed pointers must outlive the machine.
   ProductTagMachine(const TagDfaProduct* eager, LazyTagDfaProduct* lazy,
-                    std::vector<const ByteDraRunner*> dras = {});
+                    std::vector<const ByteDraRunner*> dras = {},
+                    std::vector<std::unique_ptr<StreamMachine>> side_cars =
+                        {});
 
   void Reset() override;
   void OnOpen(Symbol symbol) override;
   void OnClose(Symbol symbol) override;
   bool InAcceptingState() const override;
 
-  // Match-event fan-out (base/match_sink.h): member ids are the product
-  // mask bits first, then the DRA members — the same member order as
-  // counts(). This machine always runs the generic scanner tier (never
-  // fused), so its state is in sync whenever the selector samples it.
+  // Match-event fan-out (base/match_sink.h): member ids in counts() order.
+  // This machine always runs the generic scanner tier (never fused), so
+  // its state is in sync whenever the selector samples it.
   void AppendSelectedMembers(std::vector<int32_t>* out) const override;
+
+  // Stack diagnostics of the side-car machines: the peak is the largest
+  // side-car peak, the underflow count the sum over side-cars — what each
+  // member would report from its own Session.
+  int64_t StackDepthPeak() const override;
+  int64_t StackUnderflowCloses() const override;
 
   int arity() const { return static_cast<int>(counts_.size()); }
   const std::vector<int64_t>& counts() const { return counts_; }
   bool wide() const { return lazy_cursor_ && lazy_cursor_->wide(); }
+  // True when any member rides outside the product.
+  bool has_side_cars() const { return !dras_.empty() || !machines_.empty(); }
+  size_t num_generic_side_cars() const { return machines_.size(); }
 
  private:
   const TagDfaProduct* eager_;
   int eager_state_ = 0;
   std::optional<LazyProductCursor> lazy_cursor_;
-  // Mixed batches: stackless members and their configurations, parallel
-  // arrays in member order (after the product bits).
+  // Fused-DRA side-cars and their configurations, parallel arrays in
+  // member order starting at dra_base_.
   std::vector<const ByteDraRunner*> dras_;
   std::vector<DraConfig> dra_configs_;
+  size_t dra_base_ = 0;
+  // Generic side-cars, in member order starting at machine_base_.
+  std::vector<std::unique_ptr<StreamMachine>> machines_;
+  size_t machine_base_ = 0;
   std::vector<int64_t> counts_;
 };
 
@@ -156,16 +172,17 @@ class MultiTagDfaRunner {
   // At most one of `eager` / `lazy` may be non-null; `eager_fused` is
   // the optional fused byte table of the eager product (built by the
   // engine when the alphabet is markup-eligible) and `tables` may be null
-  // to build private scanner tables. `mixed_dras` adds stackless members
-  // (mixed tier): fused restricted DRAs stepped alongside the product,
-  // reported after the product bits in member order — composes with
-  // `eager` (or stands alone for an all-stackless batch), never with
-  // `lazy`. All pointers are borrowed and must outlive the runner.
+  // to build private scanner tables. `mixed_dras` and `side_cars` add the
+  // members outside the product (mixed tier; see ProductTagMachine),
+  // reported after the product bits in member order. Borrowed pointers
+  // must outlive the runner.
   MultiTagDfaRunner(StreamFormat format, const Alphabet* alphabet,
                     const ScannerTables* tables, const TagDfaProduct* eager,
                     const ByteTagDfaRunner* eager_fused,
                     LazyTagDfaProduct* lazy,
-                    std::vector<const ByteDraRunner*> mixed_dras = {});
+                    std::vector<const ByteDraRunner*> mixed_dras = {},
+                    std::vector<std::unique_ptr<StreamMachine>> side_cars =
+                        {});
 
   int num_queries() const { return machine_.arity(); }
 
@@ -173,7 +190,7 @@ class MultiTagDfaRunner {
   // the rung actually executing (kIndependent once a lazy stream demoted
   // to wide mode).
   MultiTier tier() const {
-    if (!mixed_dras_.empty()) return MultiTier::kMixed;
+    if (machine_.has_side_cars()) return MultiTier::kMixed;
     return eager_ != nullptr ? MultiTier::kFusedProduct
                              : MultiTier::kLazyProduct;
   }
@@ -200,23 +217,22 @@ class MultiTagDfaRunner {
   const StreamingSelector& selector() const { return selector_; }
 
   // --- One-scan byte entry points (compact markup) ----------------------
-  // Whether the one-scan APIs below may be called (markup-eligible
-  // alphabet: every label a single lowercase letter).
+  // Whether the one-scan APIs below may be called: every label a single
+  // lowercase letter, and no generic side-car (a per-stream machine has no
+  // byte-table form to walk).
   bool one_scan_eligible() const { return byte_api_ok_; }
 
   // ByteTagDfaRunner::CountSelections semantics, per query: one table
-  // walk over the bytes, whitespace runs bulk-skipped. Requires a
-  // markup-eligible alphabet (single lowercase-letter labels).
+  // walk over the bytes, whitespace runs bulk-skipped.
   std::vector<int64_t> CountSelections(std::string_view bytes) const;
 
  private:
   template <typename T>
   void CountSelectionsFused(const T* table, std::string_view bytes,
                             std::vector<int64_t>* counts) const;
-  void CountSelectionsLazy(std::string_view bytes,
+  template <typename ProductStep>
+  void CountSelectionsWalk(ProductStep product, std::string_view bytes,
                            std::vector<int64_t>* counts) const;
-  void CountSelectionsMixed(std::string_view bytes,
-                            std::vector<int64_t>* counts) const;
 
   const TagDfaProduct* eager_;
   const ByteTagDfaRunner* eager_fused_;
@@ -228,7 +244,7 @@ class MultiTagDfaRunner {
   StreamingSelector selector_;
 
   // byte → symbol for the one-scan markup APIs; -1 when the alphabet is
-  // not markup-eligible (byte_api_ok_ false) or the byte is no tag letter.
+  // not markup-eligible or the byte is no tag letter.
   std::array<Symbol, 256> byte_symbol_;
   bool byte_api_ok_ = false;
 };

@@ -52,78 +52,39 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
     plan->slot_of_.push_back(it->second);
   }
 
-  bool all_registerless = true;
-  bool mixed_ok = true;
-  int stackless_members = 0;
-  for (const auto& slot_plan : plan->slot_plans_) {
-    if (!slot_plan->exact()) {
-      all_registerless = false;
-      mixed_ok = false;
-      break;
-    }
-    if (slot_plan->tag_dfa() != nullptr) continue;
-    all_registerless = false;
-    if (slot_plan->fused_dra() != nullptr) {
-      ++stackless_members;
+  // Member order: registerless slots (the product's mask bits), then
+  // slots with a fused DRA, then every other slot (generic side-cars).
+  std::vector<int> dra_slot;
+  for (int slot = 0; slot < plan->num_slots(); ++slot) {
+    const QueryPlan& slot_plan = *plan->slot_plans_[static_cast<size_t>(slot)];
+    plan->exact_ = plan->exact_ && slot_plan.exact();
+    if (slot_plan.tag_dfa() != nullptr) {
+      plan->member_slot_.push_back(slot);
+      plan->components_.push_back(slot_plan.tag_dfa());
+    } else if (slot_plan.fused_dra() != nullptr) {
+      dra_slot.push_back(slot);
+      plan->mixed_dras_.push_back(slot_plan.fused_dra());
     } else {
-      // A stackless member without a fused DRA (term encoding, budget
-      // blown, unfusable labels) — or a stack-baseline member — has no
-      // one-scan form, so the whole batch steps independently.
-      mixed_ok = false;
-      break;
+      plan->machine_slot_.push_back(slot);
     }
   }
-  if (!all_registerless) {
-    if (mixed_ok && stackless_members > 0) {
-      // Mixed tier: fuse the registerless members into an eager
-      // sub-product (their mask bits lead the member order) and borrow
-      // each stackless member's fused DRA from its slot plan.
-      for (int slot = 0; slot < plan->num_slots(); ++slot) {
-        if (plan->slot_plans_[static_cast<size_t>(slot)]->tag_dfa() !=
-            nullptr) {
-          plan->product_slot_.push_back(slot);
-        } else {
-          plan->dra_slot_.push_back(slot);
-        }
-      }
-      bool product_ok = true;
-      if (!plan->product_slot_.empty()) {
-        plan->components_.reserve(plan->product_slot_.size());
-        for (int slot : plan->product_slot_) {
-          plan->components_.push_back(
-              plan->slot_plans_[static_cast<size_t>(slot)]->tag_dfa());
-        }
-        plan->eager_ =
-            BuildTagDfaProduct(plan->components_, options.eager_state_cap);
-        product_ok = plan->eager_.has_value();
-      }
-      if (product_ok) {
-        plan->mixed_dras_.reserve(plan->dra_slot_.size());
-        for (int slot : plan->dra_slot_) {
-          plan->mixed_dras_.push_back(
-              plan->slot_plans_[static_cast<size_t>(slot)]->fused_dra());
-        }
-        plan->tier_ = MultiTier::kMixed;
-        return plan;
-      }
-      // The registerless sub-product outgrew the eager cap; the mixed
-      // tier has no lazy rung, so the batch steps independently.
-      plan->components_.clear();
-      plan->product_slot_.clear();
-      plan->dra_slot_.clear();
+  plan->member_slot_.insert(plan->member_slot_.end(), dra_slot.begin(),
+                            dra_slot.end());
+  plan->member_slot_.insert(plan->member_slot_.end(),
+                            plan->machine_slot_.begin(),
+                            plan->machine_slot_.end());
+
+  if (!plan->components_.empty()) {
+    plan->eager_ =
+        BuildTagDfaProduct(plan->components_, options.eager_state_cap);
+    if (!plan->eager_.has_value()) {
+      plan->lazy_ = std::make_unique<LazyTagDfaProduct>(
+          plan->components_, options.lazy_state_cap);
     }
-    plan->tier_ = MultiTier::kIndependent;
-    return plan;
   }
-
-  plan->components_.reserve(plan->slot_plans_.size());
-  for (const auto& slot_plan : plan->slot_plans_) {
-    plan->components_.push_back(slot_plan->tag_dfa());
-  }
-
-  plan->eager_ =
-      BuildTagDfaProduct(plan->components_, options.eager_state_cap);
-  if (plan->eager_.has_value()) {
+  if (plan->components_.size() < plan->slot_plans_.size()) {
+    plan->tier_ = MultiTier::kMixed;
+  } else if (plan->eager_.has_value()) {
     plan->tier_ = MultiTier::kFusedProduct;
     if (options.plan.format == StreamFormat::kCompactMarkup &&
         MarkupEligible(alphabet)) {
@@ -132,8 +93,6 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
     }
   } else {
     plan->tier_ = MultiTier::kLazyProduct;
-    plan->lazy_ = std::make_unique<LazyTagDfaProduct>(
-        plan->components_, options.lazy_state_cap);
   }
   return plan;
 }
@@ -150,39 +109,39 @@ std::vector<int64_t> MultiQueryPlan::ExpandCounts(
 
 std::vector<int64_t> MultiQueryPlan::MemberCountsToSlots(
     const std::vector<int64_t>& member_counts) const {
-  if (tier_ != MultiTier::kMixed) return member_counts;
-  SST_CHECK(member_counts.size() ==
-            product_slot_.size() + dra_slot_.size());
-  std::vector<int64_t> slot_counts(static_cast<size_t>(num_slots()), 0);
-  for (size_t i = 0; i < product_slot_.size(); ++i) {
-    slot_counts[static_cast<size_t>(product_slot_[i])] = member_counts[i];
-  }
-  for (size_t j = 0; j < dra_slot_.size(); ++j) {
-    slot_counts[static_cast<size_t>(dra_slot_[j])] =
-        member_counts[product_slot_.size() + j];
+  SST_CHECK(member_counts.size() == member_slot_.size());
+  std::vector<int64_t> slot_counts(member_slot_.size(), 0);
+  for (size_t i = 0; i < member_slot_.size(); ++i) {
+    slot_counts[static_cast<size_t>(member_slot_[i])] = member_counts[i];
   }
   return slot_counts;
 }
 
 std::vector<std::vector<int32_t>> MultiQueryPlan::MemberQueryIds() const {
-  // Slot -> submitted query indices first; member order is slot order on
-  // every tier except kMixed, where product mask bits lead.
   std::vector<std::vector<int32_t>> by_slot(
       static_cast<size_t>(num_slots()));
   for (size_t i = 0; i < slot_of_.size(); ++i) {
     by_slot[static_cast<size_t>(slot_of_[i])].push_back(
         static_cast<int32_t>(i));
   }
-  if (tier_ != MultiTier::kMixed) return by_slot;
   std::vector<std::vector<int32_t>> by_member;
   by_member.reserve(by_slot.size());
-  for (int slot : product_slot_) {
-    by_member.push_back(by_slot[static_cast<size_t>(slot)]);
-  }
-  for (int slot : dra_slot_) {
-    by_member.push_back(by_slot[static_cast<size_t>(slot)]);
+  for (int slot : member_slot_) {
+    by_member.push_back(std::move(by_slot[static_cast<size_t>(slot)]));
   }
   return by_member;
+}
+
+std::vector<std::unique_ptr<StreamMachine>> MultiQueryPlan::NewSideCars()
+    const {
+  std::vector<std::unique_ptr<StreamMachine>> machines;
+  machines.reserve(machine_slot_.size());
+  for (int slot : machine_slot_) {
+    machines.push_back(slot_plans_[static_cast<size_t>(slot)]->NewMachine());
+    SST_CHECK_MSG(machines.back() != nullptr,
+                  "BatchSession requires an exact plan (plan->exact())");
+  }
+  return machines;
 }
 
 MultiQueryPlan::Stats MultiQueryPlan::stats() const {
@@ -194,171 +153,65 @@ MultiQueryPlan::Stats MultiQueryPlan::stats() const {
   stats.eager_states = eager_ ? eager_->dfa.num_states : 0;
   stats.lazy_states = lazy_ ? lazy_->num_states() : 0;
   stats.lazy_overflowed = lazy_ ? lazy_->overflowed() : false;
-  stats.stackless_members = static_cast<int>(dra_slot_.size());
+  stats.stackless_members = static_cast<int>(mixed_dras_.size());
+  stats.machine_members = static_cast<int>(machine_slot_.size());
   return stats;
 }
 
 // --- BatchSession --------------------------------------------------------
 
 BatchSession::BatchSession(std::shared_ptr<const MultiQueryPlan> plan)
-    : plan_(std::move(plan)) {
-  if (plan_->tier() == MultiTier::kIndependent) {
-    sessions_.reserve(static_cast<size_t>(plan_->num_slots()));
-    for (const auto& slot_plan : plan_->slot_plans()) {
-      sessions_.push_back(std::make_unique<Session>(slot_plan));
-    }
-    return;
-  }
-  runner_.emplace(plan_->options().plan.format, &plan_->alphabet(),
-                  &plan_->scanner_tables(), plan_->eager(),
-                  plan_->eager_fused(), plan_->lazy(), plan_->mixed_dras());
-}
+    : plan_(std::move(plan)),
+      runner_(plan_->options().plan.format, &plan_->alphabet(),
+              &plan_->scanner_tables(), plan_->eager(), plan_->eager_fused(),
+              plan_->lazy(), plan_->mixed_dras(), plan_->NewSideCars()) {}
 
 bool BatchSession::Feed(std::string_view chunk) {
-  if (runner_) return runner_->Feed(chunk);
-  // Lockstep: the scanners are identical, so every session sees the same
-  // events and fails at the same byte; the conjunction is just defensive.
-  bool ok = true;
-  for (auto& session : sessions_) ok = session->Feed(chunk) && ok;
-  return ok;
+  return runner_.Feed(chunk);
 }
 
-bool BatchSession::Finish() {
-  if (runner_) return runner_->Finish();
-  bool ok = true;
-  for (auto& session : sessions_) ok = session->Finish() && ok;
-  return ok;
-}
+bool BatchSession::Finish() { return runner_.Finish(); }
 
-void BatchSession::Reset() {
-  if (runner_) {
-    runner_->Reset();
-    return;
-  }
-  for (auto& session : sessions_) session->Reset();
-}
+void BatchSession::Reset() { runner_.Reset(); }
 
 void BatchSession::set_limits(const StreamLimits& limits) {
-  if (runner_) {
-    runner_->selector().set_limits(limits);
-    return;
-  }
-  for (auto& session : sessions_) session->selector().set_limits(limits);
+  runner_.selector().set_limits(limits);
 }
 
 void BatchSession::set_recovery_policy(RecoveryPolicy policy) {
-  if (runner_) {
-    runner_->selector().set_recovery_policy(policy);
-    return;
-  }
-  for (auto& session : sessions_) {
-    session->selector().set_recovery_policy(policy);
-  }
+  runner_.selector().set_recovery_policy(policy);
 }
 
 void BatchSession::set_match_sink(MatchSink* sink) {
-  if (runner_) {
-    if (sink == nullptr) {
-      runner_->selector().set_match_sink(nullptr);
-      return;
-    }
-    fan_out_ = MatchFanOutSink(sink, plan_->MemberQueryIds());
-    runner_->selector().set_match_sink(&fan_out_);
-    return;
-  }
-  slot_sinks_.clear();
   if (sink == nullptr) {
-    for (auto& session : sessions_) session->set_match_sink(nullptr);
+    runner_.selector().set_match_sink(nullptr);
     return;
   }
-  // One adapter per lockstep slot session: each session emits query_id 0,
-  // remapped here to the slot's submitted query indices.
-  std::vector<std::vector<int32_t>> by_slot = plan_->MemberQueryIds();
-  slot_sinks_.reserve(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    slot_sinks_.push_back(std::make_unique<MatchFanOutSink>(
-        sink,
-        std::vector<std::vector<int32_t>>{std::move(by_slot[i])}));
-    sessions_[i]->set_match_sink(slot_sinks_.back().get());
-  }
+  fan_out_ = MatchFanOutSink(sink, plan_->MemberQueryIds());
+  runner_.selector().set_match_sink(&fan_out_);
 }
 
 std::vector<int64_t> BatchSession::query_matches() const {
-  if (runner_) {
-    return plan_->ExpandCounts(
-        plan_->MemberCountsToSlots(runner_->query_matches()));
-  }
-  std::vector<int64_t> slot_counts(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    slot_counts[i] = sessions_[i]->matches();
-  }
-  return plan_->ExpandCounts(slot_counts);
+  return plan_->ExpandCounts(
+      plan_->MemberCountsToSlots(runner_.query_matches()));
 }
 
-bool BatchSession::failed() const {
-  if (runner_) return runner_->failed();
-  return sessions_.front()->failed();
-}
+bool BatchSession::failed() const { return runner_.failed(); }
 
 const StreamError& BatchSession::stream_error() const {
-  if (runner_) return runner_->stream_error();
-  return sessions_.front()->stream_error();
+  return runner_.stream_error();
 }
 
-StreamStats BatchSession::stats() const {
-  if (runner_) return runner_->stats();
-  // Lockstep slots see the same framing, so the scanner-side counters are
-  // identical across sessions; only the recorder counters differ per slot
-  // (each slot has its own pending buffer) and the machine-side stack
-  // diagnostics (slots may run different tiers — a stack-baseline slot
-  // reports a peak while its stackless neighbors report 0). Sum the
-  // monotone counters, max the peaks.
-  StreamStats stats = sessions_.front()->stats();
-  stats.matches_emitted = 0;
-  stats.pending_matches_peak = 0;
-  stats.max_stack_depth = 0;
-  stats.underflow_closes = 0;
-  for (const auto& session : sessions_) {
-    StreamStats s = session->stats();
-    stats.matches_emitted += s.matches_emitted;
-    if (s.pending_matches_peak > stats.pending_matches_peak) {
-      stats.pending_matches_peak = s.pending_matches_peak;
-    }
-    if (s.max_stack_depth > stats.max_stack_depth) {
-      stats.max_stack_depth = s.max_stack_depth;
-    }
-    stats.underflow_closes += s.underflow_closes;
-  }
-  return stats;
-}
-
-MultiTier BatchSession::active_tier() const {
-  if (runner_) return runner_->active_tier();
-  return MultiTier::kIndependent;
-}
+MultiTier BatchSession::active_tier() const { return runner_.active_tier(); }
 
 bool BatchSession::one_scan_eligible() const {
-  if (runner_) return runner_->one_scan_eligible();
-  for (const auto& slot_plan : plan_->slot_plans()) {
-    if (slot_plan->fused() == nullptr) return false;
-  }
-  return true;
+  return runner_.one_scan_eligible();
 }
 
 std::vector<int64_t> BatchSession::CountSelections(
     std::string_view bytes) const {
-  if (runner_) {
-    return plan_->ExpandCounts(
-        plan_->MemberCountsToSlots(runner_->CountSelections(bytes)));
-  }
-  SST_CHECK_MSG(one_scan_eligible(),
-                "one-scan counting needs per-slot fused byte tables");
-  std::vector<int64_t> slot_counts(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    slot_counts[i] =
-        plan_->slot_plans()[i]->fused()->CountSelections(bytes);
-  }
-  return plan_->ExpandCounts(slot_counts);
+  return plan_->ExpandCounts(
+      plan_->MemberCountsToSlots(runner_.CountSelections(bytes)));
 }
 
 // --- BatchSessionPool ----------------------------------------------------

@@ -18,10 +18,11 @@ namespace sst {
 
 // Multi-query serving: a batch of N queries answered over each document in
 // ONE pass. The batch compiles once into a MultiQueryPlan — per-query
-// plans deduplicated through the PlanCache canonical key, fused into an
-// output-annotated product automaton when every (unique) query is
-// registerless — and any number of concurrent BatchSessions stream
-// documents against it, each emitting all N selection counts.
+// plans deduplicated through the PlanCache canonical key, the registerless
+// ones fused into an output-annotated product automaton, every other one
+// riding that scan as a side-car — and any number of concurrent
+// BatchSessions stream documents against it, each emitting all N selection
+// counts.
 
 // One query of a batch, in any supported front-end syntax.
 struct BatchQuery {
@@ -39,8 +40,8 @@ struct MultiQueryOptions {
   int eager_state_cap = 4096;
 
   // Lazy materialization bound: states beyond it are never interned and
-  // the affected stream demotes to per-query stepping (kIndependent rung)
-  // for the rest of its document.
+  // the affected stream demotes to per-query stepping of the product's
+  // members (reported as kIndependent) for the rest of its document.
   int lazy_state_cap = 1 << 20;
 
   friend bool operator==(const MultiQueryOptions&,
@@ -52,7 +53,9 @@ struct MultiQueryOptions {
 // cache fill, not a logical mutation), so `shared_ptr<const
 // MultiQueryPlan>` is shared across threads exactly like QueryPlan.
 //
-// The tier ladder, decided at compile time from the batch's verdicts:
+// Every tier is ONE scan: one StreamingSelector per BatchSession. The
+// tier, decided at compile time from the batch's verdicts, names what
+// that scan steps:
 //   kFusedProduct   every unique query registerless and the reachable
 //                   product fit eager_state_cap — plus, on markup-
 //                   eligible alphabets, ONE fused byte table for the
@@ -60,33 +63,35 @@ struct MultiQueryOptions {
 //   kLazyProduct    every unique query registerless but the product is
 //                   too big to materialize up front — states appear as
 //                   documents reach them, shared by all sessions;
-//   kMixed          registerless + stackless batch, every stackless
-//                   member carrying a fused restricted DRA: ONE scan
-//                   steps the registerless sub-product and every DRA
-//                   side by side. Requires the registerless sub-product
-//                   to fit eager_state_cap (the mixed tier has no lazy
-//                   rung);
-//   kIndependent    some query needs an unfused stackless machine or the
-//                   stack baseline: one machine per unique query,
-//                   stepped in lockstep.
+//   kMixed          some member is not registerless: the registerless
+//                   members form a sub-product (eager within
+//                   eager_state_cap, lazy beyond it) and every other
+//                   member rides the same scan as a side-car — its fused
+//                   restricted DRA when the plan has one, otherwise a
+//                   per-session machine from QueryPlan::NewMachine() (the
+//                   unfused stackless evaluator, the stack baseline).
+// kIndependent is never a plan's tier; a BatchSession reports it as its
+// active tier once its lazy (sub-)product demotes to wide mode.
 class MultiQueryPlan {
  public:
   struct Stats {
     int num_queries = 0;  // batch size as submitted
     int num_slots = 0;    // unique queries after canonical-key dedup
-    MultiTier tier = MultiTier::kIndependent;
+    MultiTier tier = MultiTier::kFusedProduct;
     bool fused_byte_table = false;  // eager product fused to 256-entry table
-    int eager_states = 0;           // eager product size (fused/mixed tiers)
+    int eager_states = 0;           // eager (sub-)product size
     int lazy_states = 0;            // lazy states materialized so far (live)
     bool lazy_overflowed = false;   // some stream hit lazy_state_cap
-    int stackless_members = 0;      // mixed tier: DRA members in the batch
+    int stackless_members = 0;      // mixed tier: fused-DRA side-cars
+    int machine_members = 0;        // mixed tier: generic side-car machines
   };
 
   // Compiles the batch. Queries are deduplicated by PlanCache canonical
   // key first, so textual variants of one query cost one bitmask slot and
   // one DFA; `cache` (optional) additionally shares the per-query plans
-  // with the rest of the server. Never fails: batches outside the product
-  // tiers get kIndependent execution.
+  // with the rest of the server. Never fails: a member with no exact
+  // evaluator leaves the plan inexact (exact() false), which callers
+  // must reject before opening a BatchSession.
   static std::shared_ptr<const MultiQueryPlan> Compile(
       const std::vector<BatchQuery>& queries, const Alphabet& alphabet,
       const MultiQueryOptions& options, PlanCache* cache = nullptr);
@@ -106,6 +111,11 @@ class MultiQueryPlan {
 
   MultiTier tier() const { return tier_; }
 
+  // True iff every member has an exact streaming evaluator (always, unless
+  // options().plan.allow_stack_fallback is false and some member is not
+  // stackless). BatchSession requires it.
+  bool exact() const { return exact_; }
+
   // Product artifacts; null outside their tier.
   const TagDfaProduct* eager() const {
     return eager_ ? &*eager_ : nullptr;
@@ -113,29 +123,35 @@ class MultiQueryPlan {
   const ByteTagDfaRunner* eager_fused() const { return eager_fused_.get(); }
   // Internally synchronized; safe to step from any number of sessions.
   LazyTagDfaProduct* lazy() const { return lazy_.get(); }
-  // Mixed tier: the fused DRA of every stackless member, in member order
+  // Mixed tier: the fused DRA of every DRA side-car, in member order
   // (borrowed from the slot plans); empty outside kMixed.
   const std::vector<const ByteDraRunner*>& mixed_dras() const {
     return mixed_dras_;
   }
+
+  // Mixed tier: fresh per-stream machines for the generic side-cars, in
+  // member order (after the DRA side-cars); empty outside kMixed. Each
+  // borrows its slot plan, which this plan keeps alive. Requires exact().
+  std::vector<std::unique_ptr<StreamMachine>> NewSideCars() const;
 
   // Expands per-slot counts (product/bitmask order) to per-query counts
   // (submission order); duplicates of one query report the same count.
   std::vector<int64_t> ExpandCounts(
       const std::vector<int64_t>& slot_counts) const;
 
-  // Mixed tier: reorders MultiTagDfaRunner member-order counts (product
-  // mask bits first, then DRA members) into slot order for ExpandCounts.
-  // Identity on every other tier, where member order IS slot order.
+  // Reorders MultiTagDfaRunner member-order counts (product mask bits,
+  // then DRA side-cars, then generic side-cars) into slot order for
+  // ExpandCounts. Identity outside kMixed, where member order IS slot
+  // order.
   std::vector<int64_t> MemberCountsToSlots(
       const std::vector<int64_t>& member_counts) const;
 
   // Member index -> submission-order query ids, for fanning the product
   // machine's MatchEvents (whose query_id is a member index, in counts()
-  // order: product mask bits first, then DRA members) out to the queries
-  // as submitted. Textual duplicates of one query all appear under their
-  // shared member, so a CountingSink fed through this mapping reports
-  // exactly query_matches().
+  // order: product mask bits, DRA side-cars, generic side-cars) out to
+  // the queries as submitted. Textual duplicates of one query all appear
+  // under their shared member, so a CountingSink fed through this mapping
+  // reports exactly query_matches().
   std::vector<std::vector<int32_t>> MemberQueryIds() const;
 
   Stats stats() const;
@@ -151,16 +167,17 @@ class MultiQueryPlan {
   std::vector<std::shared_ptr<const QueryPlan>> slot_plans_;
   std::vector<const TagDfa*> components_;  // borrowed from slot_plans_
 
-  MultiTier tier_ = MultiTier::kIndependent;
+  MultiTier tier_ = MultiTier::kFusedProduct;
+  bool exact_ = true;
   std::optional<TagDfaProduct> eager_;
   std::unique_ptr<ByteTagDfaRunner> eager_fused_;
   std::unique_ptr<LazyTagDfaProduct> lazy_;
 
-  // Mixed tier bookkeeping: which slots ride the sub-product (in product
-  // mask-bit order) and which step a fused DRA (in DRA member order).
-  std::vector<int> product_slot_;
-  std::vector<int> dra_slot_;
+  // Member index -> slot: the product members (in mask-bit order), then
+  // the DRA side-cars, then the generic side-cars.
+  std::vector<int> member_slot_;
   std::vector<const ByteDraRunner*> mixed_dras_;  // borrowed from slot_plans_
+  std::vector<int> machine_slot_;  // generic side-car slots, member order
 };
 
 // Remaps MatchEvents whose query_id indexes an internal id space (product
@@ -204,13 +221,13 @@ class MatchFanOutSink : public MatchSink {
   std::vector<std::vector<int32_t>> ids_;
 };
 
-// The run-many half: one document stream answering the whole batch.
-// Product tiers hold ONE scanner + product machine (a MultiTagDfaRunner);
-// the independent tier holds one Session per unique query, fed in
-// lockstep. Single-threaded like Session; concurrency comes from many
-// BatchSessions sharing the plan (and, on the lazy tier, the product).
+// The run-many half: one document stream answering the whole batch with
+// ONE scanner + product machine (a MultiTagDfaRunner) on every tier.
+// Single-threaded like Session; concurrency comes from many BatchSessions
+// sharing the plan (and, with a lazy (sub-)product, the product).
 class BatchSession {
  public:
+  // `plan` must be exact() — a member with no machine cannot stream.
   explicit BatchSession(std::shared_ptr<const MultiQueryPlan> plan);
 
   BatchSession(const BatchSession&) = delete;
@@ -227,21 +244,19 @@ class BatchSession {
   bool Finish();
   void Reset();
 
-  // Policy/limits surface, applied uniformly to whichever execution tier
-  // this session runs (the product runner's scanner, or every lockstep
-  // per-slot session). Limits must pass StreamLimits::Validate(); both
-  // must be set before the first Feed of a document and survive Reset(),
-  // so a pooled session keeps its serving configuration across documents.
+  // Policy/limits surface of the batch's one scanner. Limits must pass
+  // StreamLimits::Validate(); both must be set before the first Feed of a
+  // document and survive Reset(), so a pooled session keeps its serving
+  // configuration across documents.
   void set_limits(const StreamLimits& limits);
   void set_recovery_policy(RecoveryPolicy policy);
 
   // Streams every pre-selected node into `sink` as a MatchEvent whose
   // query_id is the submission-order query index, at its earliest certain
   // byte; duplicates of one query each get their own event, so a
-  // CountingSink(num_queries()) reports exactly query_matches(). Product
-  // tiers interleave all queries' events in document order; the
-  // independent tier delivers each slot's events in document order but
-  // interleaves slots per fed chunk. Survives Reset() like limits.
+  // CountingSink(num_queries()) reports exactly query_matches(). All
+  // queries' events interleave in document order, so the whole log is
+  // invariant under chunking. Survives Reset() like limits.
   void set_match_sink(MatchSink* sink);
 
   // Selection counts per submitted query, in submission order.
@@ -249,36 +264,28 @@ class BatchSession {
 
   bool failed() const;
   const StreamError& stream_error() const;
-  StreamStats stats() const;
+  // The scanner's stats; max_stack_depth / underflow_closes come from the
+  // stack-baseline side-cars (see ProductTagMachine).
+  StreamStats stats() const { return runner_.stats(); }
 
-  // The rung actually executing for THIS stream (a lazy-product session
-  // demotes to kIndependent when materialization hits the state cap).
+  // The rung actually executing for THIS stream (a session over a lazy
+  // (sub-)product demotes to kIndependent when materialization hits the
+  // state cap).
   MultiTier active_tier() const;
 
   // One-scan whole-document counting (compact markup, single-letter
-  // labels): per-query counts via the fused product byte table / lazy
-  // product / per-slot fused tables, without touching this session's
-  // streaming state.
+  // labels, no generic side-car): per-query counts via the fused product
+  // byte table or a walk of the product and DRA tables, without touching
+  // this session's streaming state.
   bool one_scan_eligible() const;
   std::vector<int64_t> CountSelections(std::string_view bytes) const;
 
-  // Product-tier runner for direct access (benchmarks, tests);
-  // null on the independent tier.
-  MultiTagDfaRunner* runner() { return runner_ ? &*runner_ : nullptr; }
-  const MultiTagDfaRunner* runner() const {
-    return runner_ ? &*runner_ : nullptr;
-  }
-
  private:
   std::shared_ptr<const MultiQueryPlan> plan_;
-  std::optional<MultiTagDfaRunner> runner_;          // product tiers
-  std::vector<std::unique_ptr<Session>> sessions_;   // independent tier
-  // Member/slot -> query-id remapping in front of the user's sink:
-  // fan_out_ serves the product runner; slot_sinks_ (one per lockstep
-  // session) serve the independent tier. Stable addresses — the
-  // selectors hold raw pointers into them.
+  MultiTagDfaRunner runner_;
+  // Member -> query-id remapping in front of the user's sink (stable
+  // address: the selector holds a raw pointer to it).
   MatchFanOutSink fan_out_;
-  std::vector<std::unique_ptr<MatchFanOutSink>> slot_sinks_;
 };
 
 // Bounded free-list of idle BatchSessions over one shared plan; the batch

@@ -152,6 +152,20 @@ std::shared_ptr<BatchHandle> BatchHandle::Create(
       batch.push_back(BatchQuery{QuerySyntax::kXPath, query});
     }
     handle->multi_ = MultiQueryPlan::Compile(batch, alphabet, options, cache);
+    if (!handle->multi_->exact()) {
+      // Reject at registration: a member with no exact evaluator has no
+      // machine to ride the batch's scan.
+      for (size_t i = 0; i < request.queries.size(); ++i) {
+        const int slot = handle->multi_->slot_of(static_cast<int>(i));
+        if (!handle->multi_->slot_plans()[static_cast<size_t>(slot)]
+                 ->exact()) {
+          *error = "query \"" + request.queries[i] +
+                   "\": admits no exact streaming evaluator";
+          break;
+        }
+      }
+      return nullptr;
+    }
     handle->batch_pool_ = std::make_unique<BatchSessionPool>(handle->multi_);
     MultiQueryPlan::Stats stats = handle->multi_->stats();
     handle->info_.num_queries = stats.num_queries;

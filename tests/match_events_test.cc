@@ -774,9 +774,8 @@ std::vector<int64_t> CountPerQuery(const std::vector<MatchEvent>& matches,
 }
 
 // Every batch tier: event query_ids are submission-order indices,
-// duplicates fan out, and a CountingSink reproduces query_matches()
-// exactly. Product tiers additionally guarantee whole-log chunking
-// invariance; the independent tier guarantees it per query.
+// duplicates fan out, a CountingSink reproduces query_matches() exactly,
+// and the whole log is chunking-invariant (every tier is one scan).
 TEST(MatchEvents, BatchTiersFanOutToSubmissionOrderQueryIds) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   std::vector<std::string> stackless = StacklessFusedXPaths(alphabet);
@@ -803,9 +802,11 @@ TEST(MatchEvents, BatchTiersFanOutToSubmissionOrderQueryIds) {
     std::vector<BatchQuery> mixed = registerless;
     mixed.push_back({QuerySyntax::kXPath, stackless[0]});
     cases.push_back({"mixed-default", mixed, {}});
-    MultiQueryOptions independent;
-    independent.eager_state_cap = 1;
-    cases.push_back({"independent", mixed, independent});
+    MultiQueryOptions lazy;
+    lazy.eager_state_cap = 1;
+    cases.push_back({"mixed-lazy", mixed, lazy});
+    mixed.push_back({QuerySyntax::kXPath, "//a/b"});  // stack side-car
+    cases.push_back({"mixed-stack", mixed, {}});
   }
 
   Rng rng(97);
@@ -814,7 +815,6 @@ TEST(MatchEvents, BatchTiersFanOutToSubmissionOrderQueryIds) {
     auto plan = MultiQueryPlan::Compile(tier_case.queries, alphabet,
                                         tier_case.options);
     BatchSession session(plan);
-    const bool product_tier = session.active_tier() != MultiTier::kIndependent;
     const int num_queries = plan->num_queries();
     CollectingSink sink;
     for (const Tree& tree : trees) {
@@ -838,21 +838,7 @@ TEST(MatchEvents, BatchTiersFanOutToSubmissionOrderQueryIds) {
         ASSERT_TRUE(rerun.finished) << tier_case.name;
         EXPECT_EQ(rerun.query_matches, baseline.query_matches)
             << tier_case.name;
-        if (product_tier) {
-          EXPECT_EQ(rerun, baseline)
-              << tier_case.name << " chunk=" << chunk;
-        } else {
-          // Lockstep slots interleave per chunk; each query's subsequence
-          // is still invariant.
-          for (int q = 0; q < num_queries; ++q) {
-            EXPECT_EQ(FilterQuery(rerun.matches, q),
-                      FilterQuery(baseline.matches, q))
-                << tier_case.name << " query=" << q << " chunk=" << chunk;
-            EXPECT_EQ(FilterQuery(rerun.spans, q),
-                      FilterQuery(baseline.spans, q))
-                << tier_case.name << " query=" << q << " chunk=" << chunk;
-          }
-        }
+        EXPECT_EQ(rerun, baseline) << tier_case.name << " chunk=" << chunk;
       }
       session.set_match_sink(nullptr);
       // The sink must not have perturbed counting: a sink-free rerun

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -33,6 +34,51 @@ std::vector<BatchQuery> XPathBatch(std::initializer_list<const char*> texts) {
 std::vector<BatchQuery> RegisterlessBatch() {
   return XPathBatch({"/a//b", "/a//c", "/b//a", "/c//b"});
 }
+
+// Registerless, stackless and stack-baseline members in one batch: the
+// stackless /a/b rides a fused DRA on compact markup and a generic
+// side-car on xml-lite and term; //a/b is always a stack side-car.
+std::vector<BatchQuery> MixedBatch() {
+  return XPathBatch({"/a//b", "/a//c", "/a/b", "/b/c", "//a/b"});
+}
+
+std::string Serialize(StreamFormat format, const Alphabet& alphabet,
+                      const EventStream& events) {
+  switch (format) {
+    case StreamFormat::kCompactMarkup:
+      return ToCompactMarkup(alphabet, events);
+    case StreamFormat::kXmlLite:
+      return ToXmlLite(alphabet, events);
+    case StreamFormat::kCompactTerm:
+      return ToCompactTerm(alphabet, events);
+  }
+  return {};
+}
+
+MultiQueryOptions OptionsFor(StreamFormat format) {
+  MultiQueryOptions options;
+  options.plan.format = format;
+  options.plan.encoding = format == StreamFormat::kCompactTerm
+                              ? StreamEncoding::kTerm
+                              : StreamEncoding::kMarkup;
+  return options;
+}
+
+constexpr StreamFormat kAllFormats[] = {StreamFormat::kCompactMarkup,
+                                        StreamFormat::kXmlLite,
+                                        StreamFormat::kCompactTerm};
+
+// One Session per slot of `plan`, the independent reference's machines.
+struct IndependentSessions {
+  explicit IndependentSessions(const MultiQueryPlan& plan) {
+    for (const auto& slot_plan : plan.slot_plans()) {
+      owned.push_back(std::make_unique<Session>(slot_plan));
+      ptrs.push_back(owned.back().get());
+    }
+  }
+  std::vector<std::unique_ptr<Session>> owned;
+  std::vector<Session*> ptrs;
+};
 
 struct BatchRunRecord {
   bool ok = false;
@@ -133,27 +179,27 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
   EXPECT_EQ(mixed->stats().stackless_members, 1);
   ASSERT_EQ(mixed->mixed_dras().size(), 1u);
 
-  // The mixed tier needs every stackless member's fused DRA; term
-  // encoding has none (OnClose(-1) cannot be tabled), so the same batch
-  // steps independently there.
-  MultiQueryOptions term_options;
-  term_options.plan.encoding = StreamEncoding::kTerm;
-  term_options.plan.format = StreamFormat::kCompactTerm;
-  auto term_mixed = MultiQueryPlan::Compile(XPathBatch({"/a//b", "/a/b"}),
-                                            alphabet, term_options);
-  EXPECT_EQ(term_mixed->tier(), MultiTier::kIndependent);
-  EXPECT_EQ(term_mixed->eager(), nullptr);
+  // Term encoding has no fused DRA (OnClose(-1) cannot be tabled), so the
+  // stackless member rides the same scan as a generic side-car machine.
+  auto term_mixed = MultiQueryPlan::Compile(
+      XPathBatch({"/a//b", "/a/b"}), alphabet,
+      OptionsFor(StreamFormat::kCompactTerm));
+  EXPECT_EQ(term_mixed->tier(), MultiTier::kMixed);
+  EXPECT_NE(term_mixed->eager(), nullptr);
   EXPECT_EQ(term_mixed->lazy(), nullptr);
+  EXPECT_TRUE(term_mixed->mixed_dras().empty());
+  EXPECT_EQ(term_mixed->stats().machine_members, 1);
 
-  // Mixed has no lazy rung: an over-cap registerless sub-product demotes
-  // the whole batch to independent stepping.
+  // An over-cap registerless sub-product goes lazy; the DRA side-car
+  // stays on the same scan.
   MultiQueryOptions tiny_cap;
   tiny_cap.eager_state_cap = 1;
   auto capped = MultiQueryPlan::Compile(XPathBatch({"/a//b", "/a/b"}),
                                         alphabet, tiny_cap);
-  EXPECT_EQ(capped->tier(), MultiTier::kIndependent);
+  EXPECT_EQ(capped->tier(), MultiTier::kMixed);
   EXPECT_EQ(capped->eager(), nullptr);
-  EXPECT_TRUE(capped->mixed_dras().empty());
+  EXPECT_NE(capped->lazy(), nullptr);
+  EXPECT_EQ(capped->mixed_dras().size(), 1u);
 
   // An all-stackless batch is mixed too: no product members, every slot a
   // fused DRA.
@@ -164,60 +210,43 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
   EXPECT_EQ(all_dra->stats().stackless_members, 2);
 }
 
-// Satellite property test: 30 random trees × {markup, xml-lite, term} ×
-// chunk splits {1, 3, 16} — BatchSession per-query results byte-identical
-// to N independent StreamingSelector runs.
+// Property test: 30 random trees × {markup, xml-lite, term} × chunk
+// splits {1, 3, 16} — BatchSession per-query results byte-identical to N
+// independent StreamingSelector runs. The registerless batch runs on the
+// product; the mixed batch carries DRA and generic side-cars and is also
+// run over every fault kind.
 TEST(BatchSession, ParityAcrossFormatsAndChunkings) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(71);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
+  FaultInjector injector(71);
 
-  struct FormatCase {
-    const char* name;
-    StreamEncoding encoding;
-    StreamFormat format;
-  };
-  const FormatCase kFormats[] = {
-      {"markup", StreamEncoding::kMarkup, StreamFormat::kCompactMarkup},
-      {"xml-lite", StreamEncoding::kMarkup, StreamFormat::kXmlLite},
-      {"term", StreamEncoding::kTerm, StreamFormat::kCompactTerm},
-  };
-  for (const FormatCase& format_case : kFormats) {
-    MultiQueryOptions options;
-    options.plan.encoding = format_case.encoding;
-    options.plan.format = format_case.format;
-    auto plan = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
-                                        options);
-    BatchSession batch(plan);
+  for (StreamFormat format : kAllFormats) {
+    for (bool mixed : {false, true}) {
+      auto plan = MultiQueryPlan::Compile(
+          mixed ? MixedBatch() : RegisterlessBatch(), alphabet,
+          OptionsFor(format));
+      ASSERT_EQ(plan->tier() == MultiTier::kMixed, mixed);
+      BatchSession batch(plan);
+      IndependentSessions independent(*plan);
 
-    std::vector<std::unique_ptr<Session>> independent;
-    std::vector<Session*> independent_ptrs;
-    for (const auto& slot_plan : plan->slot_plans()) {
-      independent.push_back(std::make_unique<Session>(slot_plan));
-      independent_ptrs.push_back(independent.back().get());
-    }
-    ASSERT_EQ(independent.size(), 4u) << format_case.name;
-
-    for (const Tree& tree : trees) {
-      EventStream events = Encode(tree);
-      std::string text;
-      switch (format_case.format) {
-        case StreamFormat::kCompactMarkup:
-          text = ToCompactMarkup(alphabet, events);
-          break;
-        case StreamFormat::kXmlLite:
-          text = ToXmlLite(alphabet, events);
-          break;
-        case StreamFormat::kCompactTerm:
-          text = ToCompactTerm(alphabet, events);
-          break;
-      }
-      for (size_t chunk : {size_t{1}, size_t{3}, size_t{16}}) {
-        BatchRunRecord fused = DriveBatch(&batch, text, chunk);
-        BatchRunRecord reference =
-            DriveIndependent(independent_ptrs, text, chunk);
-        EXPECT_EQ(fused, reference)
-            << format_case.name << " chunk " << chunk << ": " << text;
+      for (const Tree& tree : trees) {
+        std::string text = Serialize(format, alphabet, Encode(tree));
+        std::vector<std::string> inputs = {text};
+        if (mixed) {
+          for (int kind = 0; kind < kNumFaultKinds; ++kind) {
+            inputs.push_back(text);
+            injector.Apply(static_cast<FaultKind>(kind), &inputs.back());
+          }
+        }
+        for (const std::string& input : inputs) {
+          for (size_t chunk : {size_t{1}, size_t{3}, size_t{16}}) {
+            EXPECT_EQ(DriveBatch(&batch, input, chunk),
+                      DriveIndependent(independent.ptrs, input, chunk))
+                << static_cast<int>(format) << " chunk " << chunk << ": "
+                << input;
+          }
+        }
       }
     }
   }
@@ -230,12 +259,7 @@ TEST(BatchSession, FaultedInputsFirstErrorParity) {
   ASSERT_EQ(plan->tier(), MultiTier::kFusedProduct);
   BatchSession batch(plan);
 
-  std::vector<std::unique_ptr<Session>> independent;
-  std::vector<Session*> independent_ptrs;
-  for (const auto& slot_plan : plan->slot_plans()) {
-    independent.push_back(std::make_unique<Session>(slot_plan));
-    independent_ptrs.push_back(independent.back().get());
-  }
+  IndependentSessions independent(*plan);
 
   Rng rng(83);
   FaultInjector injector(83);
@@ -247,7 +271,7 @@ TEST(BatchSession, FaultedInputsFirstErrorParity) {
       for (size_t chunk : {size_t{1}, size_t{3}, size_t{16}}) {
         BatchRunRecord fused = DriveBatch(&batch, mutated, chunk);
         BatchRunRecord reference =
-            DriveIndependent(independent_ptrs, mutated, chunk);
+            DriveIndependent(independent.ptrs, mutated, chunk);
         EXPECT_EQ(fused, reference)
             << FaultKindName(static_cast<FaultKind>(kind)) << " chunk "
             << chunk << ": " << mutated;
@@ -256,31 +280,63 @@ TEST(BatchSession, FaultedInputsFirstErrorParity) {
   }
 }
 
-TEST(BatchSession, IndependentTierMatchesReferenceToo) {
+TEST(BatchSession, StackSideCarRidesTheMixedTier) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  // "/a/b" is stackless, "//a/b" needs the stack baseline: the batch runs
-  // on the independent tier but must behave exactly the same.
+  // "/a/b" is stackless (fused DRA), "//a/b" needs the stack baseline: the
+  // batch still runs one scan, the stack member as a generic side-car.
   auto plan = MultiQueryPlan::Compile(
       XPathBatch({"/a//b", "/a/b", "//a/b"}), alphabet, MultiQueryOptions{});
-  ASSERT_EQ(plan->tier(), MultiTier::kIndependent);
+  ASSERT_EQ(plan->tier(), MultiTier::kMixed);
+  EXPECT_EQ(plan->stats().stackless_members, 1);
+  EXPECT_EQ(plan->stats().machine_members, 1);
   BatchSession batch(plan);
-  EXPECT_EQ(batch.active_tier(), MultiTier::kIndependent);
-  EXPECT_EQ(batch.runner(), nullptr);
-
-  std::vector<std::unique_ptr<Session>> independent;
-  std::vector<Session*> independent_ptrs;
-  for (const auto& slot_plan : plan->slot_plans()) {
-    independent.push_back(std::make_unique<Session>(slot_plan));
-    independent_ptrs.push_back(independent.back().get());
-  }
+  EXPECT_EQ(batch.active_tier(), MultiTier::kMixed);
+  EXPECT_FALSE(batch.one_scan_eligible());
+  IndependentSessions independent(*plan);
 
   Rng rng(89);
   for (const Tree& tree : testing::SampleTrees(20, 3, &rng)) {
     std::string doc = ToCompactMarkup(alphabet, Encode(tree));
     for (size_t chunk : {size_t{1}, size_t{16}}) {
       EXPECT_EQ(DriveBatch(&batch, doc, chunk),
-                DriveIndependent(independent_ptrs, doc, chunk));
+                DriveIndependent(independent.ptrs, doc, chunk));
     }
+  }
+}
+
+// The product machine forwards its side-cars' stack diagnostics, so a
+// batch with stack members reports what each member's own Session does:
+// the peak is the largest side-car peak (two stack members on one document
+// peak together, and must not add up), underflows are summed.
+TEST(BatchSession, StackDiagnosticsMatchTheStackMembersSession) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  for (StreamFormat format : kAllFormats) {
+    std::vector<BatchQuery> queries = MixedBatch();
+    queries.push_back(BatchQuery{QuerySyntax::kXPath, "//b/c"});
+    auto plan = MultiQueryPlan::Compile(queries, alphabet,
+                                        OptionsFor(format));
+    const auto& stack_plan = plan->slot_plans()[4];  // "//a/b"
+    ASSERT_EQ(stack_plan->kind(), EvaluatorKind::kStackBaseline);
+    ASSERT_EQ(plan->slot_plans()[5]->kind(), EvaluatorKind::kStackBaseline);
+    BatchSession batch(plan);
+    Session alone(stack_plan);
+
+    Rng rng(113);
+    int64_t deepest = 0;
+    for (const Tree& tree : testing::SampleTrees(20, 3, &rng)) {
+      std::string doc = Serialize(format, alphabet, Encode(tree));
+      DriveBatch(&batch, doc, 7);
+      alone.Reset();
+      if (alone.Feed(doc)) alone.Finish();
+      EXPECT_EQ(batch.stats().max_stack_depth,
+                alone.stats().max_stack_depth)
+          << doc;
+      EXPECT_EQ(batch.stats().underflow_closes,
+                alone.stats().underflow_closes)
+          << doc;
+      deepest = std::max(deepest, batch.stats().max_stack_depth);
+    }
+    EXPECT_GT(deepest, 1) << static_cast<int>(format);
   }
 }
 
@@ -289,44 +345,45 @@ TEST(BatchSession, IndependentTierMatchesReferenceToo) {
 // inputs, every chunking, and the one-scan byte entry points.
 TEST(BatchSession, MixedTierMatchesIndependentReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plan = MultiQueryPlan::Compile(
-      XPathBatch({"/a//b", "/a/b", "/c//b", "/b/*//c"}), alphabet,
-      MultiQueryOptions{});
-  ASSERT_EQ(plan->tier(), MultiTier::kMixed);
-  EXPECT_EQ(plan->stats().stackless_members, 2);
-  BatchSession batch(plan);
-  EXPECT_EQ(batch.active_tier(), MultiTier::kMixed);
-  ASSERT_TRUE(batch.one_scan_eligible());
+  // Eager sub-product by default; eager_state_cap 1 puts the same DRA
+  // side-cars beside a lazy sub-product.
+  for (int eager_cap : {MultiQueryOptions{}.eager_state_cap, 1}) {
+    MultiQueryOptions options;
+    options.eager_state_cap = eager_cap;
+    auto plan = MultiQueryPlan::Compile(
+        XPathBatch({"/a//b", "/a/b", "/c//b", "/b/*//c"}), alphabet,
+        options);
+    ASSERT_EQ(plan->tier(), MultiTier::kMixed);
+    ASSERT_EQ(plan->lazy() != nullptr, eager_cap == 1);
+    EXPECT_EQ(plan->stats().stackless_members, 2);
+    BatchSession batch(plan);
+    EXPECT_EQ(batch.active_tier(), MultiTier::kMixed);
+    ASSERT_TRUE(batch.one_scan_eligible());
+    IndependentSessions independent(*plan);
 
-  std::vector<std::unique_ptr<Session>> independent;
-  std::vector<Session*> independent_ptrs;
-  for (const auto& slot_plan : plan->slot_plans()) {
-    independent.push_back(std::make_unique<Session>(slot_plan));
-    independent_ptrs.push_back(independent.back().get());
-  }
-
-  Rng rng(107);
-  FaultInjector injector(107);
-  for (const Tree& tree : testing::SampleTrees(30, 3, &rng)) {
-    std::string doc = ToCompactMarkup(alphabet, Encode(tree));
-    for (size_t chunk : {size_t{1}, size_t{3}, size_t{16}}) {
-      BatchRunRecord mixed = DriveBatch(&batch, doc, chunk);
-      BatchRunRecord reference =
-          DriveIndependent(independent_ptrs, doc, chunk);
-      EXPECT_EQ(mixed, reference) << "chunk " << chunk << ": " << doc;
-      if (mixed.ok) {
-        EXPECT_EQ(batch.CountSelections(doc), mixed.matches) << doc;
+    Rng rng(107);
+    FaultInjector injector(107);
+    for (const Tree& tree : testing::SampleTrees(30, 3, &rng)) {
+      std::string doc = ToCompactMarkup(alphabet, Encode(tree));
+      for (size_t chunk : {size_t{1}, size_t{3}, size_t{16}}) {
+        BatchRunRecord mixed = DriveBatch(&batch, doc, chunk);
+        BatchRunRecord reference =
+            DriveIndependent(independent.ptrs, doc, chunk);
+        EXPECT_EQ(mixed, reference) << "chunk " << chunk << ": " << doc;
+        if (mixed.ok) {
+          EXPECT_EQ(batch.CountSelections(doc), mixed.matches) << doc;
+        }
       }
-    }
-    std::string mutated = doc;
-    injector.Apply(
-        static_cast<FaultKind>(rng.NextBelow(
-            static_cast<uint64_t>(kNumFaultKinds))),
-        &mutated);
-    for (size_t chunk : {size_t{1}, size_t{16}}) {
-      EXPECT_EQ(DriveBatch(&batch, mutated, chunk),
-                DriveIndependent(independent_ptrs, mutated, chunk))
-          << mutated;
+      std::string mutated = doc;
+      injector.Apply(
+          static_cast<FaultKind>(rng.NextBelow(
+              static_cast<uint64_t>(kNumFaultKinds))),
+          &mutated);
+      for (size_t chunk : {size_t{1}, size_t{16}}) {
+        EXPECT_EQ(DriveBatch(&batch, mutated, chunk),
+                  DriveIndependent(independent.ptrs, mutated, chunk))
+            << mutated;
+      }
     }
   }
 }
@@ -341,19 +398,14 @@ TEST(BatchSession, AllStacklessBatchRunsMixed) {
   ASSERT_EQ(plan->eager(), nullptr);
   BatchSession batch(plan);
 
-  std::vector<std::unique_ptr<Session>> independent;
-  std::vector<Session*> independent_ptrs;
-  for (const auto& slot_plan : plan->slot_plans()) {
-    independent.push_back(std::make_unique<Session>(slot_plan));
-    independent_ptrs.push_back(independent.back().get());
-  }
+  IndependentSessions independent(*plan);
 
   Rng rng(109);
   for (const Tree& tree : testing::SampleTrees(20, 3, &rng)) {
     std::string doc = ToCompactMarkup(alphabet, Encode(tree));
     for (size_t chunk : {size_t{1}, size_t{7}}) {
       BatchRunRecord mixed = DriveBatch(&batch, doc, chunk);
-      EXPECT_EQ(mixed, DriveIndependent(independent_ptrs, doc, chunk))
+      EXPECT_EQ(mixed, DriveIndependent(independent.ptrs, doc, chunk))
           << doc;
       if (mixed.ok) {
         EXPECT_EQ(batch.CountSelections(doc), mixed.matches) << doc;
@@ -372,12 +424,7 @@ TEST(BatchSession, LazyTierAndWideDemotionKeepParity) {
   ASSERT_EQ(plan->tier(), MultiTier::kLazyProduct);
   BatchSession batch(plan);
 
-  std::vector<std::unique_ptr<Session>> independent;
-  std::vector<Session*> independent_ptrs;
-  for (const auto& slot_plan : plan->slot_plans()) {
-    independent.push_back(std::make_unique<Session>(slot_plan));
-    independent_ptrs.push_back(independent.back().get());
-  }
+  IndependentSessions independent(*plan);
 
   Rng rng(97);
   bool saw_demotion = false;
@@ -385,7 +432,7 @@ TEST(BatchSession, LazyTierAndWideDemotionKeepParity) {
     std::string doc = ToCompactMarkup(alphabet, Encode(tree));
     for (size_t chunk : {size_t{1}, size_t{7}}) {
       EXPECT_EQ(DriveBatch(&batch, doc, chunk),
-                DriveIndependent(independent_ptrs, doc, chunk))
+                DriveIndependent(independent.ptrs, doc, chunk))
           << doc;
       saw_demotion |= batch.active_tier() == MultiTier::kIndependent;
     }
@@ -413,34 +460,17 @@ TEST(BatchSession, OneScanCountsMatchStreaming) {
   }
 }
 
-TEST(BatchSession, ConcurrentSessionsShareOneLazyPlan) {
+// 8 threads stream the same documents through their own BatchSessions
+// over one shared plan; every thread must match a sequential independent
+// reference driven with the thread's chunking.
+void ExpectConcurrentParity(const std::shared_ptr<const MultiQueryPlan>& plan,
+                            const std::vector<std::string>& documents) {
   constexpr int kThreads = 8;
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  MultiQueryOptions lazy_options;
-  lazy_options.eager_state_cap = 1;
-  auto plan = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
-                                      lazy_options);
-  ASSERT_EQ(plan->tier(), MultiTier::kLazyProduct);
-
-  Rng rng(103);
-  std::vector<std::string> documents;
-  for (const Tree& tree : testing::SampleTrees(40, 3, &rng)) {
-    documents.push_back(ToCompactMarkup(alphabet, Encode(tree)));
-  }
-  documents.push_back("abBAabA");  // truncated
-  documents.push_back("abXBA");    // unknown label
-
-  // Sequential reference over independent per-query sessions.
-  std::vector<std::unique_ptr<Session>> independent;
-  std::vector<Session*> independent_ptrs;
-  for (const auto& slot_plan : plan->slot_plans()) {
-    independent.push_back(std::make_unique<Session>(slot_plan));
-    independent_ptrs.push_back(independent.back().get());
-  }
+  IndependentSessions independent(*plan);
   std::vector<std::vector<BatchRunRecord>> expected(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     for (const std::string& doc : documents) {
-      expected[t].push_back(DriveIndependent(independent_ptrs, doc,
+      expected[t].push_back(DriveIndependent(independent.ptrs, doc,
                                              static_cast<size_t>(t) + 1));
     }
   }
@@ -460,6 +490,45 @@ TEST(BatchSession, ConcurrentSessionsShareOneLazyPlan) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(concurrent[t], expected[t]) << "thread " << t;
   }
+}
+
+TEST(BatchSession, ConcurrentSessionsShareOneLazyPlan) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  MultiQueryOptions lazy_options;
+  lazy_options.eager_state_cap = 1;
+  auto plan = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
+                                      lazy_options);
+  ASSERT_EQ(plan->tier(), MultiTier::kLazyProduct);
+
+  Rng rng(103);
+  std::vector<std::string> documents;
+  for (const Tree& tree : testing::SampleTrees(40, 3, &rng)) {
+    documents.push_back(ToCompactMarkup(alphabet, Encode(tree)));
+  }
+  documents.push_back("abBAabA");  // truncated
+  documents.push_back("abXBA");    // unknown label
+  ExpectConcurrentParity(plan, documents);
+}
+
+// The lazy sub-product is shared across threads while every session owns
+// its generic side-car machines (stackless evaluators, stack baseline).
+TEST(BatchSession, ConcurrentSessionsShareOneLazyPlanWithSideCars) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  MultiQueryOptions options = OptionsFor(StreamFormat::kXmlLite);
+  options.eager_state_cap = 1;
+  auto plan = MultiQueryPlan::Compile(MixedBatch(), alphabet, options);
+  ASSERT_EQ(plan->tier(), MultiTier::kMixed);
+  ASSERT_NE(plan->lazy(), nullptr);
+  ASSERT_EQ(plan->stats().machine_members, 3);
+
+  Rng rng(127);
+  std::vector<std::string> documents;
+  for (const Tree& tree : testing::SampleTrees(40, 3, &rng)) {
+    documents.push_back(ToXmlLite(alphabet, Encode(tree)));
+  }
+  documents.push_back("<a><b></b></a><a>");  // trailing content
+  documents.push_back("<a><b></a>");         // label mismatch
+  ExpectConcurrentParity(plan, documents);
 }
 
 TEST(BatchSessionPool, ReusesSessionsAcrossAcquires) {

@@ -736,6 +736,59 @@ TEST(Server, BadRegistrationsAnsweredWithoutKillingTheServer) {
   server.Stop();
 }
 
+// With the stack fallback off, a batch member that is not stackless has
+// no machine to ride the batch's scan: the registration is rejected with a
+// typed error naming the query, and the server keeps serving everyone else.
+TEST(Server, InexactBatchMemberRejectedAtRegistration) {
+  ServerOptions options = SmallServerOptions();
+  options.multi.plan.allow_stack_fallback = false;
+  QueryServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  TestClient served;
+  ASSERT_TRUE(served.Connect(server.port()));
+  ASSERT_TRUE(RegisterDefault(&served));  // registerless + stackless: exact
+
+  TestClient rejected;
+  ASSERT_TRUE(rejected.Connect(server.port()));
+  RegisterRequest request;
+  request.alphabet = kLetters;
+  request.queries = {"/a//b", "//a/b"};
+  rejected.Send(FrameType::kRegister, EncodeRegister(request));
+  Frame frame;
+  ASSERT_TRUE(rejected.ReadFrame(&frame));
+  ASSERT_EQ(frame.type, FrameType::kError);
+  ErrorInfo info;
+  ASSERT_TRUE(ParseErrorInfo(frame.payload, &info));
+  EXPECT_EQ(info.code, "bad_register");
+  EXPECT_EQ(info.message,
+            "query \"//a/b\": admits no exact streaming evaluator");
+  EXPECT_TRUE(rejected.ReadEof());
+
+  // The connection registered before the rejection is still answered.
+  std::string document = MakeDocument(44, 2000);
+  OfflineVerdict offline = OfflineRun(TestQueries(), document);
+  ASSERT_TRUE(offline.ok);
+  SendDocument(&served, document);
+  ASSERT_TRUE(served.ReadFrame(&frame));
+  ASSERT_EQ(frame.type, FrameType::kCounts);
+  std::vector<int64_t> counts;
+  ASSERT_TRUE(ParseCounts(frame.payload, &counts));
+  EXPECT_EQ(counts, offline.counts);
+
+  // ...and so is a connection that arrives after it.
+  TestClient later;
+  ASSERT_TRUE(later.Connect(server.port()));
+  ASSERT_TRUE(RegisterDefault(&later));
+  SendDocument(&later, document);
+  ASSERT_TRUE(later.ReadFrame(&frame));
+  ASSERT_EQ(frame.type, FrameType::kCounts);
+  ASSERT_TRUE(ParseCounts(frame.payload, &counts));
+  EXPECT_EQ(counts, offline.counts);
+  server.Stop();
+}
+
 TEST(Server, OversizedFrameRejectedFromItsHeader) {
   ServerOptions options = SmallServerOptions();
   options.limits.max_frame_payload = 4096;
