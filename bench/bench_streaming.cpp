@@ -844,6 +844,53 @@ BENCHMARK(BM_MultiQueryEagerScan)->Arg(2)->Arg(8)->Arg(32);
 BENCHMARK(BM_MultiQueryLazyScan)->Arg(2)->Arg(8)->Arg(32);
 BENCHMARK(BM_MultiQueryIndependentScan)->Arg(2)->Arg(8)->Arg(32);
 
+// The dense ladder floor: a pooled BatchSession streaming 8 "/x//y"
+// queries (eager product) against the same plan's one-scan
+// CountSelections, on identical whitespace-free markup. The streaming row
+// validates framing and enforces limits on every event; the one-scan row
+// only walks the product byte table. bench_baselines.json holds their
+// ratio.
+std::shared_ptr<const MultiQueryPlan> DenseProductPlan() {
+  auto plan = MultiQueryPlan::Compile(MultiQueryBatch(8), WideAlphabet(),
+                                      MultiQueryOptions{});
+  SST_CHECK(plan->tier() == MultiTier::kFusedProduct);
+  return plan;
+}
+
+void BM_ProductBatchStreamingDense(benchmark::State& state) {
+  auto plan = DenseProductPlan();
+  const std::string& bytes = WideMarkupBytes();
+  const std::vector<int64_t> expected =
+      BatchSession(plan).CountSelections(bytes);
+  BatchSessionPool pool(plan);
+  constexpr size_t kChunk = 65536;
+  for (auto _ : state) {
+    std::unique_ptr<BatchSession> session = pool.Acquire();
+    SST_CHECK(DriveBatchChunked(*session, bytes, kChunk));
+    SST_CHECK(session->query_matches() == expected);
+    pool.Release(std::move(session));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.SetLabel("multiquery/streaming/markup-dense/N=8");
+}
+
+void BM_ProductBatchOneScanDense(benchmark::State& state) {
+  auto plan = DenseProductPlan();
+  const std::string& bytes = WideMarkupBytes();
+  BatchSession session(plan);
+  const std::vector<int64_t> expected = session.CountSelections(bytes);
+  for (auto _ : state) {
+    SST_CHECK(session.CountSelections(bytes) == expected);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.SetLabel("multiquery/one-scan/markup-dense/N=8");
+}
+
+BENCHMARK(BM_ProductBatchStreamingDense);
+BENCHMARK(BM_ProductBatchOneScanDense);
+
 // --- Stackless fused tier: Lemma 3.8 at byte-table speed ----------------
 // Whitespace-padded compact markup over {a, b, c}: pretty-printed with a
 // newline and two spaces of indentation per depth level, so the corpus is

@@ -58,12 +58,13 @@ class SelectionMask {
   uint64_t word() const { return bits_; }
   bool narrow() const { return extra_.empty(); }
 
-  // counts[i] += 1 for every set bit i — the per-node accumulation step of
-  // multi-query selection counting.
-  void AccumulateInto(int64_t* counts) const {
-    AccumulateWord(bits_, 0, counts);
+  // counts[i] += times for every set bit i — the accumulation step of
+  // multi-query selection counting (`times` nodes selected by this mask).
+  void AccumulateInto(int64_t* counts, int64_t times = 1) const {
+    AccumulateWord(bits_, 0, times, counts);
     for (size_t slot = 0; slot < extra_.size(); ++slot) {
-      AccumulateWord(extra_[slot], (static_cast<int>(slot) + 1) * 64, counts);
+      AccumulateWord(extra_[slot], (static_cast<int>(slot) + 1) * 64, times,
+                     counts);
     }
   }
 
@@ -99,9 +100,10 @@ class SelectionMask {
 #endif
   }
 
-  static void AccumulateWord(uint64_t word, int base, int64_t* counts) {
+  static void AccumulateWord(uint64_t word, int base, int64_t times,
+                             int64_t* counts) {
     for (; word != 0; word &= word - 1) {
-      ++counts[base + CountTrailingZeros(word)];
+      counts[base + CountTrailingZeros(word)] += times;
     }
   }
 

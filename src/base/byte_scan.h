@@ -88,25 +88,39 @@ class StructuralIterator {
 };
 
 // Calls fn(offset) for every structural byte of [data, data + len), in
-// order. The workhorse of the indexed batch loops: fully-structural blocks
+// order, until fn returns false; returns that offset, or len when fn took
+// every byte. The workhorse of the indexed loops: fully-structural blocks
 // (mask == all-ones, the dense-corpus steady state) take a plain 64-byte
 // loop so the index costs one ClassifyBlock per block and nothing per
 // byte; sparse blocks take the ctz walk and skip text/whitespace entirely.
+// The only state across bytes is the block offset and its mask, which
+// leaves the caller's loop body the registers.
 template <typename Fn>
-inline void ForEachStructural(const char* data, size_t len, Fn&& fn) {
-  size_t i = 0;
-  while (i < len) {
-    size_t n = len - i < 64 ? len - i : 64;
+inline size_t ForEachStructuralUntil(const char* data, size_t len, Fn&& fn) {
+  for (size_t i = 0; i < len; i += 64) {
+    const size_t n = len - i < 64 ? len - i : 64;
     uint64_t mask = ClassifyBlock(data + i, n);
     if (mask == ~uint64_t{0}) {
-      for (size_t k = 0; k < 64; ++k) fn(i + k);
+      for (size_t k = i; k < i + 64; ++k) {
+        if (!fn(k)) return k;
+      }
     } else {
       for (; mask != 0; mask &= mask - 1) {
-        fn(i + static_cast<size_t>(std::countr_zero(mask)));
+        const size_t k = i + static_cast<size_t>(std::countr_zero(mask));
+        if (!fn(k)) return k;
       }
     }
-    i += n;
   }
+  return len;
+}
+
+// ForEachStructuralUntil for a callback that takes every byte.
+template <typename Fn>
+inline void ForEachStructural(const char* data, size_t len, Fn&& fn) {
+  ForEachStructuralUntil(data, len, [&fn](size_t i) {
+    fn(i);
+    return true;
+  });
 }
 
 }  // namespace sst

@@ -151,12 +151,12 @@ class MatchRecorder {
 
   // Non-null when the installed sink is verdict-only (wants_spans()
   // false): hot loops may then build the event themselves, call
-  // OnMatch on the returned sink directly, and account it with
-  // CountEmitted() — one virtual call, no span bookkeeping.
+  // OnMatch on the returned sink directly, and account for the events with
+  // CountEmitted() — one virtual call each, no span bookkeeping.
   MatchSink* verdict_only_sink() const {
     return wants_spans_ ? nullptr : sink_;
   }
-  void CountEmitted() { ++emitted_; }
+  void CountEmitted(int64_t events = 1) { emitted_ += events; }
 
   // A node at nesting depth `depth` (1-based, sampled just after its open)
   // matched query `query_id`; fires OnMatch and buffers the pending span.

@@ -13,6 +13,7 @@ namespace sst {
 
 struct TagDfa;
 struct Dra;
+class ProductStepper;
 
 // Full configuration of a depth-register automaton (Definition 2.1):
 // control state, depth counter, register values. This is the unit the
@@ -57,8 +58,9 @@ class StreamMachine {
   // state-independent: the fused tiers sample acceptance from the byte
   // table without syncing the machine mid-chunk, and the default must stay
   // correct there. Multi-query machines (ProductTagMachine) override this
-  // to enumerate the accepting members of the product mask; they never run
-  // fused, so their machine state is in sync at every call.
+  // to enumerate the accepting members of the product mask; a scanner
+  // running their exported stepper enumerates through the stepper and
+  // stores it before any virtual call, so their state is in sync here.
   virtual void AppendSelectedMembers(std::vector<int32_t>* out) const {
     out->push_back(0);
   }
@@ -83,6 +85,14 @@ class StreamMachine {
   virtual const Dra* ExportDra() const { return nullptr; }
   virtual DraConfig ExportedDraConfig() const { return {}; }
   virtual void SyncExportedDraConfig(const DraConfig& /*config*/) {}
+
+  // Batch export: a multi-query machine whose every member is an eager
+  // product bit or a fused DRA exposes the ProductStepper it steps itself
+  // with. Scanners then run a register-resident copy of it with no virtual
+  // dispatch per event, copy it back around every event they hand to the
+  // virtual interface, and fold its hit histogram at the end of each
+  // chunk (dra/product_stepper.h).
+  virtual ProductStepper* ExportProductStepper() { return nullptr; }
 
   // Checkpoint protocol (incremental re-evaluation, engine/incremental.h):
   // machines that can serialize their full configuration into a flat word

@@ -47,6 +47,7 @@ std::optional<TagDfaProduct> BuildTagDfaProduct(
     }
     dfa.accepting[state] = product.masks[state].Any();
   }
+  product.rows = ProductRows::Build(dfa);
   return product;
 }
 
@@ -133,6 +134,42 @@ void LazyProductCursor::AppendSelected(std::vector<int32_t>* out) const {
   }
 }
 
+// --- LazyStepper ---------------------------------------------------------
+
+void LazyStepper::Reset() {
+  if (cursor) cursor->Reset();
+  side_cars.Reset();
+  side_accepting = side_cars.AnyAccepting();
+}
+
+void LazyStepper::Step(bool open, Symbol symbol) {
+  if (cursor) {
+    if (open) {
+      cursor->Open(symbol);
+      // Pre-selection samples directly after opening tags: accumulate the
+      // new state's mask into the per-query counts.
+      if (cursor->Accepting()) cursor->AccumulateMask(counts);
+    } else {
+      cursor->Close(symbol);
+    }
+  }
+  side_accepting = side_cars.Step(open, symbol < 0 ? 0 : symbol);
+}
+
+void LazyStepper::Resample() {
+  if (cursor && cursor->Accepting()) cursor->AccumulateMask(counts);
+  side_accepting = side_cars.Sample();
+}
+
+void LazyStepper::AppendSelected(std::vector<int32_t>* out) const {
+  int32_t base = 0;
+  if (cursor) {
+    if (cursor->Accepting()) cursor->AppendSelected(out);
+    base = static_cast<int32_t>(cursor->arity());
+  }
+  side_cars.AppendSelected(base, out);
+}
+
 // --- ProductTagMachine ---------------------------------------------------
 
 ProductTagMachine::ProductTagMachine(
@@ -145,29 +182,33 @@ ProductTagMachine::ProductTagMachine(
   SST_CHECK_MSG(eager != nullptr || lazy != nullptr || has_side_cars(),
                 "a product or at least one side-car member required");
   if (eager_ != nullptr) {
-    eager_state_ = eager_->dfa.initial;
     dra_base_ = static_cast<size_t>(eager_->arity);
   } else if (lazy != nullptr) {
-    lazy_cursor_.emplace(lazy);
+    lazy_.cursor.emplace(lazy);
     dra_base_ = static_cast<size_t>(lazy->arity());
   }
-  dra_configs_.reserve(dras_.size());
-  for (const ByteDraRunner* dra : dras_) {
-    dra_configs_.push_back(dra->InitialConfig());
-  }
+  dra_configs_.resize(dras_.size());
   machine_base_ = dra_base_ + dras_.size();
   for (const auto& machine : machines_) SST_CHECK(machine != nullptr);
   counts_.assign(machine_base_ + machines_.size(), 0);
+  DraSideCars cars{dras_.data(), dra_configs_.data(),
+                   counts_.data() + dra_base_, dras_.size()};
+  if (eager_ != nullptr) {
+    hits_.assign(static_cast<size_t>(eager_->rows.num_states()), 0);
+    stepper_ = ProductStepper(eager_, counts_.data(), hits_.data(), cars);
+  } else {
+    lazy_.counts = counts_.data();
+    lazy_.side_cars = cars;
+    lazy_.Reset();
+  }
 }
 
 void ProductTagMachine::Reset() {
   if (eager_ != nullptr) {
-    eager_state_ = eager_->dfa.initial;
-  } else if (lazy_cursor_) {
-    lazy_cursor_->Reset();
-  }
-  for (size_t j = 0; j < dras_.size(); ++j) {
-    dra_configs_[j] = dras_[j]->InitialConfig();
+    stepper_.Reset();
+    hits_.assign(hits_.size(), 0);
+  } else {
+    lazy_.Reset();
   }
   for (auto& machine : machines_) machine->Reset();
   counts_.assign(counts_.size(), 0);
@@ -175,23 +216,9 @@ void ProductTagMachine::Reset() {
 
 void ProductTagMachine::OnOpen(Symbol symbol) {
   if (eager_ != nullptr) {
-    eager_state_ = eager_->dfa.NextOpen(eager_state_, symbol);
-    // Pre-selection samples directly after opening tags: accumulate the
-    // new state's mask into the per-query counts.
-    if (eager_->dfa.accepting[eager_state_]) {
-      eager_->masks[static_cast<size_t>(eager_state_)].AccumulateInto(
-          counts_.data());
-    }
-  } else if (lazy_cursor_) {
-    lazy_cursor_->Open(symbol);
-    if (lazy_cursor_->Accepting()) {
-      lazy_cursor_->AccumulateMask(counts_.data());
-    }
-  }
-  for (size_t j = 0; j < dras_.size(); ++j) {
-    dras_[j]->StepOpen(&dra_configs_[j], symbol);
-    counts_[dra_base_ + j] += static_cast<int64_t>(
-        dras_[j]->IsAccepting(dra_configs_[j].state));
+    stepper_.Step(true, symbol);
+  } else {
+    lazy_.Step(true, symbol);
   }
   for (size_t k = 0; k < machines_.size(); ++k) {
     machines_[k]->OnOpen(symbol);
@@ -204,23 +231,17 @@ void ProductTagMachine::OnClose(Symbol symbol) {
   // The product and the fused DRAs are tables indexed by symbol; term's
   // universal close (-1) steps them as symbol 0, which their term-blind
   // automata ignore. Side-car machines take the raw symbol.
-  const Symbol s = symbol < 0 ? 0 : symbol;
   if (eager_ != nullptr) {
-    eager_state_ = eager_->dfa.NextClose(eager_state_, s);
-  } else if (lazy_cursor_) {
-    lazy_cursor_->Close(symbol);
-  }
-  for (size_t j = 0; j < dras_.size(); ++j) {
-    dras_[j]->StepClose(&dra_configs_[j], s);
+    stepper_.Step(false, symbol);
+  } else {
+    lazy_.Step(false, symbol);
   }
   for (auto& machine : machines_) machine->OnClose(symbol);
 }
 
 bool ProductTagMachine::InAcceptingState() const {
-  if (eager_ != nullptr && eager_->dfa.accepting[eager_state_]) return true;
-  if (lazy_cursor_ && lazy_cursor_->Accepting()) return true;
-  for (size_t j = 0; j < dras_.size(); ++j) {
-    if (dras_[j]->IsAccepting(dra_configs_[j].state)) return true;
+  if (eager_ != nullptr ? stepper_.accepting() : lazy_.accepting()) {
+    return true;
   }
   for (const auto& machine : machines_) {
     if (machine->InAcceptingState()) return true;
@@ -231,16 +252,9 @@ bool ProductTagMachine::InAcceptingState() const {
 void ProductTagMachine::AppendSelectedMembers(
     std::vector<int32_t>* out) const {
   if (eager_ != nullptr) {
-    if (eager_->dfa.accepting[eager_state_]) {
-      eager_->masks[static_cast<size_t>(eager_state_)].AppendSetBits(out);
-    }
-  } else if (lazy_cursor_) {
-    if (lazy_cursor_->Accepting()) lazy_cursor_->AppendSelected(out);
-  }
-  for (size_t j = 0; j < dras_.size(); ++j) {
-    if (dras_[j]->IsAccepting(dra_configs_[j].state)) {
-      out->push_back(static_cast<int32_t>(dra_base_ + j));
-    }
+    stepper_.AppendSelected(out);
+  } else {
+    lazy_.AppendSelected(out);
   }
   for (size_t k = 0; k < machines_.size(); ++k) {
     if (machines_[k]->InAcceptingState()) {
@@ -351,50 +365,9 @@ void MultiTagDfaRunner::CountSelectionsFused(
   }
 }
 
-namespace {
-
-// Product steppers for CountSelectionsWalk, one per product kind, so the
-// walk's inner loop carries no per-byte product-kind branch.
-struct NoProductStep {
-  void Open(Symbol) {}
-  void Close(Symbol) {}
-  void Sample(int64_t*) const {}
-};
-
-struct EagerProductStep {
-  const TagDfaProduct* product;
-  int state;
-  void Open(Symbol s) { state = product->dfa.NextOpen(state, s); }
-  void Close(Symbol s) { state = product->dfa.NextClose(state, s); }
-  void Sample(int64_t* out) const {
-    if (product->dfa.accepting[state]) {
-      product->masks[static_cast<size_t>(state)].AccumulateInto(out);
-    }
-  }
-};
-
-struct LazyProductStep {
-  LazyProductCursor cursor;
-  void Open(Symbol s) { cursor.Open(s); }
-  void Close(Symbol s) { cursor.Close(s); }
-  void Sample(int64_t* out) const {
-    if (cursor.Accepting()) cursor.AccumulateMask(out);
-  }
-};
-
-}  // namespace
-
-template <typename ProductStep>
-void MultiTagDfaRunner::CountSelectionsWalk(
-    ProductStep product, std::string_view bytes,
-    std::vector<int64_t>* counts) const {
-  int64_t* out = counts->data();
-  const size_t dra_base = counts->size() - mixed_dras_.size();
-  std::vector<DraConfig> configs;
-  configs.reserve(mixed_dras_.size());
-  for (const ByteDraRunner* dra : mixed_dras_) {
-    configs.push_back(dra->InitialConfig());
-  }
+template <typename Stepper>
+void MultiTagDfaRunner::CountSelectionsWalk(Stepper& stepper,
+                                            std::string_view bytes) const {
   // The product and every DRA side-car step only on tag letters, so
   // whitespace is identity on all of them at once and the structural index
   // is sound unconditionally (including across a lazy cursor's mid-scan
@@ -403,27 +376,16 @@ void MultiTagDfaRunner::CountSelectionsWalk(
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     if (byte >= 'a' && byte <= 'z') {
       Symbol s = byte_symbol_[byte];
-      if (s >= 0) {
-        product.Open(s);
-        for (size_t j = 0; j < mixed_dras_.size(); ++j) {
-          mixed_dras_[j]->StepOpen(&configs[j], s);
-        }
-      }
       // Unknown lowercase letters self-loop but still sample acceptance
       // (ByteTagDfaRunner parity).
-      product.Sample(out);
-      for (size_t j = 0; j < mixed_dras_.size(); ++j) {
-        out[dra_base + j] += static_cast<int64_t>(
-            mixed_dras_[j]->IsAccepting(configs[j].state));
+      if (s >= 0) {
+        stepper.Step(true, s);
+      } else {
+        stepper.Resample();
       }
     } else if (byte >= 'A' && byte <= 'Z') {
       Symbol s = byte_symbol_[byte];
-      if (s >= 0) {
-        product.Close(s);
-        for (size_t j = 0; j < mixed_dras_.size(); ++j) {
-          mixed_dras_[j]->StepClose(&configs[j], s);
-        }
-      }
+      if (s >= 0) stepper.Step(false, s);
     }
     // All other structural bytes self-loop and never count.
   });
@@ -445,15 +407,25 @@ std::vector<int64_t> MultiTagDfaRunner::CountSelections(
   }
   // Everything else (a mixed batch, the lazy product, an eager product
   // without a byte table or wider than 64 queries) walks the automata
-  // directly over the structural index.
+  // directly over the structural index, on a private copy of the steppers
+  // the streaming machine uses.
+  std::vector<DraConfig> configs(mixed_dras_.size());
+  DraSideCars cars{mixed_dras_.data(), configs.data(),
+                   counts.data() + (counts.size() - mixed_dras_.size()),
+                   mixed_dras_.size()};
   if (eager_ != nullptr) {
-    CountSelectionsWalk(EagerProductStep{eager_, eager_->dfa.initial}, bytes,
-                        &counts);
-  } else if (lazy_ != nullptr) {
-    CountSelectionsWalk(LazyProductStep{LazyProductCursor(lazy_)}, bytes,
-                        &counts);
+    std::vector<int64_t> hits(static_cast<size_t>(eager_->rows.num_states()),
+                              0);
+    ProductStepper stepper(eager_, counts.data(), hits.data(), cars);
+    CountSelectionsWalk(stepper, bytes);
+    stepper.Fold();
   } else {
-    CountSelectionsWalk(NoProductStep{}, bytes, &counts);
+    LazyStepper stepper;
+    if (lazy_ != nullptr) stepper.cursor.emplace(lazy_);
+    stepper.counts = counts.data();
+    stepper.side_cars = cars;
+    stepper.Reset();
+    CountSelectionsWalk(stepper, bytes);
   }
   return counts;
 }

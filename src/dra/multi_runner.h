@@ -14,6 +14,7 @@
 #include "dra/byte_dra_runner.h"
 #include "dra/byte_runner.h"
 #include "dra/machine.h"
+#include "dra/product_stepper.h"
 #include "dra/stream_error.h"
 #include "dra/streaming.h"
 #include "dra/tag_dfa.h"
@@ -45,18 +46,6 @@ enum class MultiTier { kFusedProduct, kLazyProduct, kMixed, kIndependent };
 
 const char* MultiTierName(MultiTier tier);
 
-// Eagerly built product of TagDfas: the product TagDfa (accepting =
-// "some query selects") plus the per-state selection masks, with the
-// masks' fast-path words flattened for byte-scan loops when the batch
-// fits in 64 bits.
-struct TagDfaProduct {
-  TagDfa dfa;
-  std::vector<SelectionMask> masks;   // per product state
-  std::vector<uint64_t> mask_words;   // masks[s].word(); complete iff narrow
-  int arity = 0;
-  bool narrow = false;  // arity <= 64: mask_words fully describe the masks
-};
-
 // BFS materialization bounded by `state_cap`; nullopt when the reachable
 // product is larger (callers fall back to the lazy product).
 std::optional<TagDfaProduct> BuildTagDfaProduct(
@@ -79,6 +68,7 @@ class LazyProductCursor {
   void Close(Symbol symbol);
   bool Accepting() const { return accepting_; }
   bool wide() const { return wide_; }
+  int arity() const { return lazy_->arity(); }
 
   // counts[i] += 1 for every query whose automaton accepts right now.
   void AccumulateMask(int64_t* counts) const;
@@ -96,11 +86,29 @@ class LazyProductCursor {
   std::vector<int32_t> tuple_;  // wide mode only
 };
 
+// A lazy (or absent) product plus fused-DRA side-cars: the non-eager
+// counterpart of ProductStepper, shared by ProductTagMachine's lazy branch
+// and the one-scan walk. Per-query counts accumulate per open.
+struct LazyStepper {
+  std::optional<LazyProductCursor> cursor;  // empty: side-cars only
+  int64_t* counts = nullptr;                // product members' counts
+  DraSideCars side_cars;
+  bool side_accepting = false;
+
+  void Reset();
+  void Step(bool open, Symbol symbol);
+  void Resample();
+  bool accepting() const {
+    return (cursor && cursor->Accepting()) || side_accepting;
+  }
+  void AppendSelected(std::vector<int32_t>* out) const;
+};
+
 // StreamMachine over the fused product: drives either the eager product
-// table or a cursor on the shared lazy product, steps every side-car member
-// alongside, and accumulates per-query selection counts on every opening
-// tag (the multi-query analogue of the selector's single matches_
-// counter). InAcceptingState() is the batch "any query selects"
+// (through its ProductStepper) or a cursor on the shared lazy product,
+// steps every side-car member alongside, and counts per-query selections
+// on every opening tag (the multi-query analogue of the selector's single
+// matches_ counter). InAcceptingState() is the batch "any query selects"
 // disjunction, so the aggregate matches statistic of a StreamingSelector
 // running this machine counts nodes selected by at least one query.
 class ProductTagMachine final : public StreamMachine {
@@ -118,15 +126,22 @@ class ProductTagMachine final : public StreamMachine {
                     std::vector<std::unique_ptr<StreamMachine>> side_cars =
                         {});
 
+  // The steppers point into this machine's own storage.
+  ProductTagMachine(const ProductTagMachine&) = delete;
+  ProductTagMachine& operator=(const ProductTagMachine&) = delete;
+
   void Reset() override;
   void OnOpen(Symbol symbol) override;
   void OnClose(Symbol symbol) override;
   bool InAcceptingState() const override;
 
   // Match-event fan-out (base/match_sink.h): member ids in counts() order.
-  // This machine always runs the generic scanner tier (never fused), so
-  // its state is in sync whenever the selector samples it.
   void AppendSelectedMembers(std::vector<int32_t>* out) const override;
+
+  // The eager stepper, when no generic side-car needs the virtual path.
+  ProductStepper* ExportProductStepper() override {
+    return eager_ != nullptr && machines_.empty() ? &stepper_ : nullptr;
+  }
 
   // Stack diagnostics of the side-car machines: the peak is the largest
   // side-car peak, the underflow count the sum over side-cars — what each
@@ -135,16 +150,17 @@ class ProductTagMachine final : public StreamMachine {
   int64_t StackUnderflowCloses() const override;
 
   int arity() const { return static_cast<int>(counts_.size()); }
-  const std::vector<int64_t>& counts() const { return counts_; }
-  bool wide() const { return lazy_cursor_ && lazy_cursor_->wide(); }
+  const std::vector<int64_t>& counts() const {
+    if (eager_ != nullptr) stepper_.Fold();
+    return counts_;
+  }
+  bool wide() const { return lazy_.cursor && lazy_.cursor->wide(); }
   // True when any member rides outside the product.
   bool has_side_cars() const { return !dras_.empty() || !machines_.empty(); }
   size_t num_generic_side_cars() const { return machines_.size(); }
 
  private:
   const TagDfaProduct* eager_;
-  int eager_state_ = 0;
-  std::optional<LazyProductCursor> lazy_cursor_;
   // Fused-DRA side-cars and their configurations, parallel arrays in
   // member order starting at dra_base_.
   std::vector<const ByteDraRunner*> dras_;
@@ -154,6 +170,9 @@ class ProductTagMachine final : public StreamMachine {
   std::vector<std::unique_ptr<StreamMachine>> machines_;
   size_t machine_base_ = 0;
   std::vector<int64_t> counts_;
+  std::vector<int64_t> hits_;  // eager: the stepper's per-state histogram
+  ProductStepper stepper_;     // eager product + DRA side-cars
+  LazyStepper lazy_;           // otherwise: lazy cursor + DRA side-cars
 };
 
 // Multi-query front-end over one shared product: a chunk-capable
@@ -230,9 +249,8 @@ class MultiTagDfaRunner {
   template <typename T>
   void CountSelectionsFused(const T* table, std::string_view bytes,
                             std::vector<int64_t>* counts) const;
-  template <typename ProductStep>
-  void CountSelectionsWalk(ProductStep product, std::string_view bytes,
-                           std::vector<int64_t>* counts) const;
+  template <typename Stepper>
+  void CountSelectionsWalk(Stepper& stepper, std::string_view bytes) const;
 
   const TagDfaProduct* eager_;
   const ByteTagDfaRunner* eager_fused_;

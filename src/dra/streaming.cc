@@ -1,5 +1,6 @@
 #include "dra/streaming.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -24,24 +25,55 @@ inline bool IsAsciiAlnum(unsigned char c) {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SST_NOINLINE __attribute__((noinline))
+#define SST_ALWAYS_INLINE __attribute__((always_inline)) inline
+#define SST_UNLIKELY(x) __builtin_expect(static_cast<bool>(x), 0)
 #else
 #define SST_NOINLINE
+#define SST_ALWAYS_INLINE inline
+#define SST_UNLIKELY(x) (x)
 #endif
 
-// Out-of-line recorder entry points for the fused scan loop. Keeping the
-// emission bodies (event construction, virtual sink dispatch, pending-
-// stack maintenance) out of the loop keeps its register allocation —
-// stepper state plus the structural iterator — intact; inlining them
-// costs ~10% whole-scan throughput on the padded corpus even though the
-// guard branches are never taken without a sink.
-SST_NOINLINE void RecordSingleMemberMatchSlow(MatchRecorder& recorder,
-                                              int64_t depth, int64_t start) {
-  recorder.OnMatch(0, depth, start, start + 1);
-}
-
+// Out-of-line recorder entry point for the scan loops: keeping emission
+// bodies (event construction, virtual sink dispatch, pending-stack
+// maintenance) out of the loops keeps their register allocation intact.
 SST_NOINLINE void RecordSpanClose(MatchRecorder& recorder, int64_t depth,
                                   int64_t end) {
   recorder.OnClose(depth, end);
+}
+
+// An XML-lite tag starting at the '<' at `i`, lexed where it lies.
+// complete: its '>' is inside the chunk and its name (after an optional
+// leading '/') is 1 to kMaxTagBytes bytes — the tags the in-place lexer
+// takes; any other goes through the partial-tag buffer.
+struct InPlaceTag {
+  bool complete;
+  bool closing;
+  size_t name;      // first name byte
+  size_t name_end;  // the '>' (or the chunk end)
+};
+
+SST_ALWAYS_INLINE InPlaceTag LexInPlace(const char* bytes, size_t n,
+                                        size_t i) {
+  InPlaceTag tag;
+  size_t j = i + 1;
+  tag.closing = j < n && bytes[j] == '/';
+  j += tag.closing ? 1 : 0;
+  tag.name = j;
+  while (j < n && bytes[j] != '>') ++j;
+  tag.name_end = j;
+  const size_t name_len = j - tag.name;
+  tag.complete = j < n && name_len > 0 &&
+                 name_len <= StreamingSelector::kMaxTagBytes;
+  return tag;
+}
+
+// Symbol of an XML-lite tag name; single bytes through the byte table.
+SST_ALWAYS_INLINE Symbol LookupTag(const ScannerTables& tables,
+                                   const Alphabet& alphabet, const char* name,
+                                   size_t name_len) {
+  return name_len == 1
+             ? tables.byte_symbol[static_cast<unsigned char>(name[0])]
+             : alphabet.Find(std::string_view(name, name_len));
 }
 
 }  // namespace
@@ -90,7 +122,7 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
   owned_tables_ =
       std::make_unique<ScannerTables>(ScannerTables::Build(format, *alphabet));
   tables_ = owned_tables_.get();
-  open_labels_.reserve(kDepthReserve);
+  labels_.assign(kDepthReserve + 2, kNoLabel);
   if (format_ == Format::kCompactMarkup) {
     if (const TagDfa* dfa = machine_->ExportTagDfa()) {
       // The fused table is keyed by the raw byte, so every symbol the
@@ -125,6 +157,10 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
       }
     }
   }
+  // A batch machine's stepper rides every format: it is keyed by symbol.
+  if (fused_ == nullptr && fused_dra_ == nullptr) {
+    product_ = machine_->ExportProductStepper();
+  }
   CheckTableAgreement();
   Reset();
 }
@@ -158,7 +194,11 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
     const Dra* dra = machine_->ExportDra();
     SST_CHECK(dra != nullptr && dra->num_states == fused_dra_->num_states());
   }
-  open_labels_.reserve(kDepthReserve);
+  // A batch machine's stepper rides every format: it is keyed by symbol.
+  if (fused_ == nullptr && fused_dra_ == nullptr) {
+    product_ = machine_->ExportProductStepper();
+  }
+  labels_.assign(kDepthReserve + 2, kNoLabel);
   CheckTableAgreement();
   Reset();
 }
@@ -217,7 +257,6 @@ void StreamingSelector::RecordMatch(int64_t start, int64_t certainty) {
 
 void StreamingSelector::Reset() {
   machine_->Reset();
-  open_labels_.clear();
   tag_len_ = 0;
   in_tag_ = false;
   tag_first_ = false;
@@ -256,7 +295,7 @@ bool StreamingSelector::SaveCheckpoint(SelectorCheckpoint* out) {
   // never buffer, so this rejects only span-collecting configurations.
   if (recorder_.pending() > 0) return false;
   if (!machine_->SaveConfig(&out->machine_config)) return false;
-  out->open_labels = open_labels_;
+  out->open_labels.assign(labels_.begin() + 1, labels_.begin() + 1 + depth_);
   out->tag_buf.assign(tag_buf_, tag_len_);
   out->in_tag = in_tag_;
   out->tag_first = tag_first_;
@@ -286,7 +325,11 @@ bool StreamingSelector::SaveCheckpoint(SelectorCheckpoint* out) {
 
 bool StreamingSelector::RestoreCheckpoint(const SelectorCheckpoint& cp) {
   if (!machine_->RestoreConfig(cp.machine_config)) return false;
-  open_labels_ = cp.open_labels;
+  SST_CHECK(static_cast<int64_t>(cp.open_labels.size()) == cp.depth);
+  if (labels_.size() < cp.open_labels.size() + 2) {
+    labels_.resize(cp.open_labels.size() + 2);
+  }
+  std::copy(cp.open_labels.begin(), cp.open_labels.end(), labels_.begin() + 1);
   SST_CHECK(cp.tag_buf.size() <= kMaxTagBytes);
   std::memcpy(tag_buf_, cp.tag_buf.data(), cp.tag_buf.size());
   tag_len_ = static_cast<uint32_t>(cp.tag_buf.size());
@@ -347,7 +390,10 @@ bool StreamingSelector::CheckpointConverged(const SelectorCheckpoint& cp,
       std::memcmp(tag_buf_, cp.tag_buf.data(), tag_len_) != 0) {
     return false;
   }
-  if (open_labels_ != cp.open_labels) return false;
+  if (!std::equal(cp.open_labels.begin(), cp.open_labels.end(),
+                  labels_.begin() + 1)) {
+    return false;
+  }
   return machine_->ConfigEqualsCurrent(cp.machine_config);
 }
 
@@ -425,7 +471,7 @@ bool StreamingSelector::ResyncClose(int64_t consumed_end) {
   if (!recovered_errors_.empty() &&
       recovered_errors_.back().resume_offset < 0) {
     recovered_errors_.back().resume_offset = consumed_end;
-    recovered_errors_.back().closed_label = open_labels_.back();
+    recovered_errors_.back().closed_label = labels_[depth_];
   }
   return EmitSynthClose(consumed_end - 1, consumed_end);
 }
@@ -434,8 +480,7 @@ bool StreamingSelector::EmitSynthClose(int64_t offset, int64_t span_end) {
   if (events_ >= limits_.max_events) {
     return FailAt(MakeError(StreamErrorCode::kEventLimitExceeded, offset));
   }
-  Symbol symbol = open_labels_.back();
-  open_labels_.pop_back();
+  Symbol symbol = labels_[depth_];
   if (recorder_.active()) recorder_.OnClose(depth_, span_end);
   --depth_;
   machine_->OnClose(format_ == Format::kCompactTerm ? -1 : symbol);
@@ -460,9 +505,8 @@ bool StreamingSelector::EmitOpen(Symbol symbol, int64_t offset,
                    ErrorToken::kOpenLike, excise_from);
   }
   saw_root_ = true;
-  ++depth_;
+  PushLabel(symbol);
   if (depth_ > max_depth_) max_depth_ = depth_;
-  open_labels_.push_back(symbol);
   machine_->OnOpen(symbol);
   ++events_;
   if (machine_->InAcceptingState()) {
@@ -479,21 +523,20 @@ bool StreamingSelector::EmitOpen(Symbol symbol, int64_t offset,
 
 bool StreamingSelector::EmitClose(Symbol symbol, int64_t offset,
                                   int64_t excise_from) {
-  if (open_labels_.empty()) {
+  if (depth_ == 0) {
     return Recover(
         MakeError(StreamErrorCode::kUnbalancedClose, offset, -1, symbol),
         ErrorToken::kCloseLike, excise_from);
   }
-  if (symbol >= 0 && open_labels_.back() != symbol) {
+  if (symbol >= 0 && labels_[depth_] != symbol) {
     return Recover(MakeError(StreamErrorCode::kLabelMismatch, offset,
-                             open_labels_.back(), symbol),
+                             labels_[depth_], symbol),
                    ErrorToken::kCloseLike, excise_from);
   }
   if (events_ >= limits_.max_events) {
     return Recover(MakeError(StreamErrorCode::kEventLimitExceeded, offset),
                    ErrorToken::kCloseLike, excise_from);
   }
-  open_labels_.pop_back();
   if (recorder_.active()) recorder_.OnClose(depth_, offset + 1);
   --depth_;
   machine_->OnClose(symbol);
@@ -501,184 +544,293 @@ bool StreamingSelector::EmitClose(Symbol symbol, int64_t offset,
   return true;
 }
 
-template <typename Stepper>
-StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
-    std::string_view chunk, size_t start, Stepper& stepper) {
-  const uint8_t* cls = tables_->byte_class.data();
-  const Symbol* sym = tables_->byte_symbol.data();
-  // Shared error exit. The fused tier cannot synthesize machine-level
-  // events, so when the policy wants resynchronization it demotes (the
-  // generic tier re-detects the same error at the same byte and owns the
-  // recovery decision); otherwise Recover() decides between absorbing the
-  // error and failing fatally.
-  auto fail_or_recover = [&](const StreamError& err,
-                             ErrorToken token) -> ScanStatus {
-    if constexpr (!Stepper::kCanRecover) {
-      if (policy_ == RecoveryPolicy::kSkipMalformedSubtree) {
-        return ScanStatus::kDemote;
-      }
-    }
-    return Recover(err, token, err.offset) ? ScanStatus::kOk
-                                           : ScanStatus::kFatal;
-  };
-  // Structural-index scan: the stage-1 SIMD classification yields only
-  // structural offsets, so the byte-class switch never sees whitespace
-  // (CheckTableAgreement asserts the kWs class and the index classifier
-  // agree byte for byte). Error returns report the structural byte's own
-  // chunk index, so demotion resumes (FeedMarkup(chunk, resume_index, ...))
-  // land on exactly the byte the per-byte scan would have stopped at.
-  StructuralIterator structural(chunk.data() + start, chunk.size() - start);
-  for (size_t i = start + structural.Next(); i < chunk.size();
-       i = start + structural.Next()) {
-    unsigned char c = static_cast<unsigned char>(chunk[i]);
-    if constexpr (Stepper::kCanRecover) {
-      if (in_skip_) {
-        // Framing-only scan of the skipped region: O(1) state, no machine
-        // events, until the close that ends the innermost open element.
-        switch (cls[c]) {
-          case ScannerTables::kOpen:
-            ++skip_depth_;
-            break;
-          case ScannerTables::kClose:
-            if (skip_depth_ > 0) {
-              --skip_depth_;
-            } else if (!ResyncClose(chunk_base_ + static_cast<int64_t>(i) +
-                                    1)) {
-              return {ScanStatus::kFatal, i};
-            }
-            break;
-          default:
-            break;  // junk inside a region that is already being excised
-        }
-        continue;
-      }
-    }
-    switch (cls[c]) {
-      case ScannerTables::kOpen: {
-        Symbol s = sym[c];
-        if (s < 0) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kUnknownLabel, chunk_base_ + i),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        if (depth_ == 0 && saw_root_) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kTrailingContent, chunk_base_ + i,
-                        -1, s),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        if (depth_ >= limits_.max_depth) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kDepthLimitExceeded, chunk_base_ + i,
-                        -1, s),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        if (events_ >= limits_.max_events) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kEventLimitExceeded, chunk_base_ + i),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        saw_root_ = true;
-        ++depth_;
-        if (depth_ > max_depth_) max_depth_ = depth_;
-        open_labels_.push_back(s);
-        stepper.Open(s, c);
-        ++events_;
-        if (stepper.Accepting()) {
-          ++matches_;
-          if (match_callback_) match_callback_(nodes_, s);
-          // Compact-markup tokens are one byte: the span starts at the
-          // letter and the verdict is certain at the very next byte. On
-          // the fused tiers acceptance comes from the byte table, so the
-          // recorder path costs one predictable branch when no sink is
-          // installed; single-member steppers also skip the virtual
-          // AppendSelectedMembers fan-out (always {0} there).
-          if (recorder_.active()) {
-            if constexpr (Stepper::kSingleMember) {
-              const int64_t start = chunk_base_ + static_cast<int64_t>(i);
-              if (MatchSink* vsink = recorder_.verdict_only_sink()) {
-                MatchEvent event;
-                event.start_offset = start;
-                event.certainty_offset = start + 1;
-                vsink->OnMatch(event);
-                recorder_.CountEmitted();
-              } else {
-                RecordSingleMemberMatchSlow(recorder_, depth_, start);
-              }
-            } else {
-              RecordMatch(chunk_base_ + static_cast<int64_t>(i),
-                          chunk_base_ + static_cast<int64_t>(i) + 1);
-            }
-          }
-        }
-        ++nodes_;
-        break;
-      }
-      case ScannerTables::kClose: {
-        Symbol s = sym[c];
-        if (s < 0) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kUnknownLabel, chunk_base_ + i),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        if (open_labels_.empty()) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kUnbalancedClose, chunk_base_ + i,
-                        -1, s),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        if (open_labels_.back() != s) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kLabelMismatch, chunk_base_ + i,
-                        open_labels_.back(), s),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        if (events_ >= limits_.max_events) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kEventLimitExceeded, chunk_base_ + i),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
-          break;
-        }
-        open_labels_.pop_back();
-        if (recorder_.active() && recorder_.pending() > 0) {
-          RecordSpanClose(recorder_, depth_,
-                          chunk_base_ + static_cast<int64_t>(i) + 1);
-        }
-        --depth_;
-        stepper.Close(s, c);
-        ++events_;
-        break;
-      }
-      default: {
-        ScanStatus st = fail_or_recover(
-            MakeError(StreamErrorCode::kBadByte, chunk_base_ + i),
-            ErrorToken::kJunk);
-        if (st != ScanStatus::kOk) return {st, i};
-        break;
-      }
+void StreamingSelector::PushLabel(Symbol symbol) {
+  labels_[static_cast<size_t>(depth_) + 1] = symbol;
+  ++depth_;
+  if (static_cast<size_t>(depth_) + 2 > labels_.size()) {
+    labels_.resize(2 * labels_.size());
+  }
+}
+
+SST_ALWAYS_INLINE StreamingSelector::Frame StreamingSelector::LoadFrame(
+    bool single_member) {
+#ifndef NDEBUG
+  // The frame derives saw_root from the event count (see CleanToken):
+  // every event follows the root's open.
+  SST_CHECK(saw_root_ == (events_ > 0));
+#endif
+  Frame frame;
+  frame.depth = depth_;
+  frame.max_depth = max_depth_;
+  frame.events = events_;
+  frame.node_base = 2 * nodes_ - events_ - depth_;
+  frame.matches = matches_;
+  frame.labels = labels_.data();
+  // One slot above the top stays free for the core's unconditional label
+  // write; an open that would use it takes the refusal path, whose
+  // PushLabel grows the stack.
+  frame.depth_cap = std::min<int64_t>(
+      limits_.max_depth, static_cast<int64_t>(labels_.size()) - 2);
+  frame.max_events = limits_.max_events;
+  frame.spans = recorder_.active() && recorder_.verdict_only_sink() == nullptr;
+  frame.batch_verdicts =
+      single_member && recorder_.verdict_only_sink() != nullptr;
+  frame.emit = static_cast<bool>(match_callback_) ||
+               (recorder_.active() && !frame.batch_verdicts);
+  frame.num_verdicts = 0;
+  return frame;
+}
+
+SST_NOINLINE void StreamingSelector::FlushVerdicts(int64_t count) {
+  MatchSink* sink = recorder_.verdict_only_sink();
+  for (int64_t k = 0; k < count; ++k) {
+    // Single-member tokens are one compact-markup byte: the verdict is
+    // certain just past it.
+    MatchEvent event;
+    event.start_offset = verdict_starts_[k];
+    event.certainty_offset = verdict_starts_[k] + 1;
+    sink->OnMatch(event);
+  }
+  recorder_.CountEmitted(count);
+}
+
+SST_ALWAYS_INLINE void StreamingSelector::CommitFrame(Frame& frame) {
+  if (frame.num_verdicts > 0) {
+    FlushVerdicts(frame.num_verdicts);
+    frame.num_verdicts = 0;
+  }
+  depth_ = frame.depth;
+  max_depth_ = frame.max_depth;
+  events_ = frame.events;
+  nodes_ = frame.nodes();
+  matches_ = frame.matches;
+  saw_root_ = frame.events > 0;
+}
+
+template <bool kUniversalClose, typename Stepper>
+SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
+    Frame& frame, Stepper& stepper, bool open, Symbol symbol,
+    unsigned char byte, int64_t start, int64_t last) {
+  // Every check EmitOpen/EmitClose make, plus unknown labels (symbol -1,
+  // which no open passes and no stored label equals), evaluated for both
+  // polarities without branching and folded into one predictable branch.
+  // Which check fired, and in which spec order, is the refusal path's
+  // business.
+  const bool refuse_open = (symbol < 0) | (frame.depth >= frame.depth_cap) |
+                           ((frame.depth == 0) & (frame.events != 0));
+  // labels[0] holds kNoLabel, which matches no close: an unbalanced close
+  // is a label mismatch to the core.
+  const bool refuse_close = kUniversalClose
+                                ? frame.depth == 0
+                                : frame.labels[frame.depth] != symbol;
+  if (SST_UNLIKELY((frame.events >= frame.max_events) |
+                   (open & refuse_open) | (!open & refuse_close))) {
+    return false;
+  }
+  if (frame.spans & !open) RecordSpanClose(recorder_, frame.depth, last + 1);
+  // An open pushes its label; a close writes the free slot above the new
+  // top, which nothing reads.
+  const int64_t opened = static_cast<int64_t>(open);
+  frame.labels[frame.depth + 1] = symbol;
+  frame.depth += 2 * opened - 1;
+  frame.max_depth = frame.depth > frame.max_depth ? frame.depth
+                                                  : frame.max_depth;
+  ++frame.events;
+  stepper.Step(open, symbol, byte);
+  const bool hit = stepper.Hit(open);
+  frame.matches += static_cast<int64_t>(hit);
+  if constexpr (Stepper::kSingleMember) {
+    // A verdict-only sink costs a store per token, not a branch per match.
+    verdict_starts_[frame.num_verdicts] = start;
+    frame.num_verdicts += static_cast<int64_t>(hit & frame.batch_verdicts);
+    if (SST_UNLIKELY(frame.num_verdicts == kVerdictBatch)) {
+      FlushVerdicts(kVerdictBatch);
+      frame.num_verdicts = 0;
     }
   }
+  if (SST_UNLIKELY(hit & frame.emit)) {
+    // By value: the stepper's address never escapes the scan loop. The
+    // callback numbers nodes from 0, so the one just opened is nodes - 1.
+    EmitMatch(stepper, frame.nodes() - 1, frame.depth, symbol, start,
+              last + 1);
+  }
+  return true;
+}
+
+template <typename Stepper>
+SST_NOINLINE void StreamingSelector::EmitMatch(Stepper stepper, int64_t node,
+                                               int64_t depth, Symbol symbol,
+                                               int64_t start,
+                                               int64_t certainty) {
+  if (match_callback_) match_callback_(node, symbol);
+  if (!recorder_.active()) return;
+  if constexpr (Stepper::kSingleMember) {
+    // The fused tiers' acceptance always fans out to member 0 alone; a
+    // verdict-only sink never gets here (CleanToken batches it).
+    if (recorder_.verdict_only_sink() == nullptr) {
+      recorder_.OnMatch(0, depth, start, certainty);
+    }
+  } else {
+    member_scratch_.clear();
+    stepper.AppendSelected(&member_scratch_);
+    for (int32_t member : member_scratch_) {
+      recorder_.OnMatch(member, depth, start, certainty);
+    }
+  }
+}
+
+template <typename Stepper, typename Slow>
+SST_ALWAYS_INLINE StreamingSelector::ScanStatus StreamingSelector::Refuse(
+    Frame& frame, Stepper& stepper, Slow slow) {
+  // Only values cross into the out-of-line refusal path: the members and
+  // the machine are brought up to date first and read back after.
+  CommitFrame(frame);
+  stepper.Store();
+  const ScanStatus status = RunRefused(Stepper::kDemotes, slow);
+  if (status == ScanStatus::kOk) {
+    frame = LoadFrame(Stepper::kSingleMember);
+    stepper.Load();
+  }
+  return status;
+}
+
+template <typename Slow>
+SST_NOINLINE StreamingSelector::ScanStatus StreamingSelector::RunRefused(
+    bool demotes, Slow slow) {
+  const int64_t recovered = errors_recovered_;
+  const bool ok = slow();
+  // Degradation ladder: resynchronization synthesizes machine-level close
+  // events, which a fused table cannot express. The token already ran on
+  // the machine (synced by Refuse), so the generic tier simply continues
+  // after it for the rest of the document.
+  if (demotes && policy_ == RecoveryPolicy::kSkipMalformedSubtree &&
+      (!ok || errors_recovered_ != recovered)) {
+    demoted_ = true;
+    return ok ? ScanStatus::kDemote : ScanStatus::kFatal;
+  }
+  return ok ? ScanStatus::kOk : ScanStatus::kFatal;
+}
+
+template <typename Stepper>
+StreamingSelector::ScanResult StreamingSelector::Scan(Stepper stepper,
+                                                      std::string_view chunk,
+                                                      size_t start) {
+  // Each format loop owns its copy of the stepper, so the stepper's state
+  // can live in registers for the whole chunk.
+  stepper.Load();
+  if (format_ == Format::kCompactMarkup) {
+    return FeedMarkup(chunk, start, stepper);
+  }
+  // The fused single-query tiers are byte tables over compact markup.
+  if constexpr (!Stepper::kDemotes) {
+    SST_CHECK(start == 0);
+    if (format_ == Format::kXmlLite) return FeedXml(chunk, stepper);
+    return FeedTerm(chunk, stepper);
+  }
+  SST_CHECK_MSG(false, "fused tiers run compact markup only");
+  return {ScanStatus::kFatal, 0};
+}
+
+template <typename Stepper>
+SST_NOINLINE size_t StreamingSelector::MarkupRun(std::string_view chunk,
+                                                 size_t i, Frame& frame_io,
+                                                 Stepper& stepper_io) {
+  // Register-resident copies for the run; a small function of its own, so
+  // no cold path competes for the registers.
+  Frame frame = frame_io;
+  Stepper stepper = stepper_io;
+  const uint8_t* cls = tables_->byte_class.data();
+  const Symbol* sym = tables_->byte_symbol.data();
+  const int64_t base = chunk_base_ + static_cast<int64_t>(i);
+  const char* bytes = chunk.data() + i;
+  const size_t n = chunk.size() - i;
+  // Structural-index scan: the stage-1 SIMD classification yields only
+  // structural offsets, so the loop never sees whitespace
+  // (CheckTableAgreement asserts the kWs class and the index classifier
+  // agree byte for byte).
+  const size_t stop = ForEachStructuralUntil(bytes, n, [&](size_t k) {
+    const unsigned char c = static_cast<unsigned char>(bytes[k]);
+    const int64_t offset = base + static_cast<int64_t>(k);
+    // A bad byte or unknown letter has symbol -1, which the core refuses.
+    return CleanToken<false>(frame, stepper, cls[c] == ScannerTables::kOpen,
+                             sym[c], c, offset, offset);
+  });
+  frame_io = frame;
+  stepper_io = stepper;
+  return i + stop;
+}
+
+size_t StreamingSelector::MarkupSkip(std::string_view chunk, size_t i) {
+  const uint8_t* cls = tables_->byte_class.data();
+  const char* bytes = chunk.data() + i;
+  return i + ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
+    const uint8_t byte_class = cls[static_cast<unsigned char>(bytes[k])];
+    if (byte_class == ScannerTables::kOpen) {
+      ++skip_depth_;
+    } else if (byte_class == ScannerTables::kClose) {
+      if (skip_depth_ == 0) return false;
+      --skip_depth_;
+    }
+    // Any other byte is junk inside a region already being excised.
+    return true;
+  });
+}
+
+template <typename Stepper>
+StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
+    std::string_view chunk, size_t start, Stepper stepper) {
+  const uint8_t* cls = tables_->byte_class.data();
+  const Symbol* sym = tables_->byte_symbol.data();
+  Frame frame = LoadFrame(Stepper::kSingleMember);
+  size_t i = start;
+  while (true) {
+    // Only the generic tiers resynchronize in place; a fused tier demotes
+    // before it could enter skip mode.
+    const bool skipping = !Stepper::kDemotes && in_skip_;
+    i = skipping ? MarkupSkip(chunk, i) : MarkupRun(chunk, i, frame, stepper);
+    if (i >= chunk.size()) break;
+    const unsigned char c = static_cast<unsigned char>(chunk[i]);
+    const int64_t offset = chunk_base_ + static_cast<int64_t>(i);
+    ScanStatus status;
+    if (skipping) {
+      // The close that ends the innermost open element of the region.
+      status = Refuse(frame, stepper,
+                      [=, this] { return ResyncClose(offset + 1); });
+    } else {
+      // The token the core refused, through the exact path.
+      status = Refuse(frame, stepper, [=, this] {
+        const bool open = cls[c] == ScannerTables::kOpen;
+        if (!open && cls[c] != ScannerTables::kClose) {
+          return Recover(MakeError(StreamErrorCode::kBadByte, offset),
+                         ErrorToken::kJunk, offset);
+        }
+        if (sym[c] < 0) {
+          return Recover(MakeError(StreamErrorCode::kUnknownLabel, offset),
+                         open ? ErrorToken::kOpenLike : ErrorToken::kCloseLike,
+                         offset);
+        }
+        return open ? EmitOpen(sym[c], offset, offset)
+                    : EmitClose(sym[c], offset, offset);
+      });
+    }
+    if (status != ScanStatus::kOk) return {status, i + 1};
+    ++i;
+  }
+  CommitFrame(frame);
+  stepper.Store();
   return {ScanStatus::kOk, chunk.size()};
 }
 
-bool StreamingSelector::FeedTerm(std::string_view chunk) {
+template <typename Stepper>
+StreamingSelector::ScanResult StreamingSelector::FeedTerm(
+    std::string_view chunk, Stepper stepper) {
   const uint8_t* cls = tables_->byte_class.data();
   const Symbol* sym = tables_->byte_symbol.data();
+  const int64_t base = chunk_base_;
+  Frame frame = LoadFrame(Stepper::kSingleMember);
+  auto refuse = [&](auto slow) {
+    return Refuse(frame, stepper, slow) == ScanStatus::kOk;
+  };
   // Structural-index scan (term delimiters and labels are all structural
   // bytes); whitespace between tokens never reaches the token logic. The
   // pending-label reprocess trick keeps its semantics: instead of --i, the
@@ -686,15 +838,16 @@ bool StreamingSelector::FeedTerm(std::string_view chunk) {
   StructuralIterator structural(chunk.data(), chunk.size());
   size_t i = structural.Next();
   while (i < chunk.size()) {
-    unsigned char c = static_cast<unsigned char>(chunk[i]);
+    const unsigned char c = static_cast<unsigned char>(chunk[i]);
+    const int64_t offset = base + static_cast<int64_t>(i);
     if (in_skip_) {
       if (c == '{') {
         ++skip_depth_;
       } else if (cls[c] == ScannerTables::kCloseBrace) {
         if (skip_depth_ > 0) {
           --skip_depth_;
-        } else if (!ResyncClose(chunk_base_ + static_cast<int64_t>(i) + 1)) {
-          return false;
+        } else if (!refuse([=, this] { return ResyncClose(offset + 1); })) {
+          return {ScanStatus::kFatal, i};
         }
       }
       i = structural.Next();
@@ -702,137 +855,241 @@ bool StreamingSelector::FeedTerm(std::string_view chunk) {
     }
     if (have_pending_) {
       if (c != '{') {
-        if (!Recover(MakeError(StreamErrorCode::kBadByte, chunk_base_ + i),
-                     ErrorToken::kJunk, pending_offset_)) {
-          return false;
+        if (!refuse([=, this] {
+              return Recover(MakeError(StreamErrorCode::kBadByte, offset),
+                             ErrorToken::kJunk, pending_offset_);
+            })) {
+          return {ScanStatus::kFatal, i};
         }
         // Reprocess this byte under skip framing ('}' must resync): keep
         // i where it is for the next round.
         continue;
       }
       have_pending_ = false;
-      Symbol s = sym[pending_byte_];
-      if (s < 0) {
-        if (!Recover(
-                MakeError(StreamErrorCode::kUnknownLabel, chunk_base_ + i),
-                ErrorToken::kOpenLike, pending_offset_)) {
-          return false;
-        }
-        i = structural.Next();
-        continue;
+      const Symbol s = sym[pending_byte_];
+      if (!CleanToken<true>(frame, stepper, true, s, c, pending_offset_,
+                            offset) &&
+          !refuse([=, this] {
+            if (s < 0) {
+              return Recover(
+                  MakeError(StreamErrorCode::kUnknownLabel, offset),
+                  ErrorToken::kOpenLike, pending_offset_);
+            }
+            return EmitOpen(s, offset, pending_offset_);
+          })) {
+        return {ScanStatus::kFatal, i};
       }
-      if (!EmitOpen(s, chunk_base_ + i, pending_offset_)) return false;
       i = structural.Next();
       continue;
     }
     switch (cls[c]) {
       case ScannerTables::kCloseBrace:
-        if (!EmitClose(-1, chunk_base_ + i, chunk_base_ + i)) return false;
+        if (!CleanToken<true>(frame, stepper, false, -1, c, offset, offset) &&
+            !refuse([=, this] { return EmitClose(-1, offset, offset); })) {
+          return {ScanStatus::kFatal, i};
+        }
         break;
       case ScannerTables::kLabel:
         pending_byte_ = c;
-        pending_offset_ = chunk_base_ + static_cast<int64_t>(i);
+        pending_offset_ = offset;
         have_pending_ = true;
         break;
       default:
         // A stray '{' still opens a frame (its matching '}' will close
         // it); any other byte is plain junk.
-        if (!Recover(MakeError(StreamErrorCode::kBadByte, chunk_base_ + i),
-                     c == '{' ? ErrorToken::kOpenLike : ErrorToken::kJunk,
-                     chunk_base_ + i)) {
-          return false;
+        if (!refuse([=, this] {
+              return Recover(
+                  MakeError(StreamErrorCode::kBadByte, offset),
+                  c == '{' ? ErrorToken::kOpenLike : ErrorToken::kJunk,
+                  offset);
+            })) {
+          return {ScanStatus::kFatal, i};
         }
         break;
     }
     i = structural.Next();
   }
-  return true;
+  CommitFrame(frame);
+  stepper.Store();
+  return {ScanStatus::kOk, chunk.size()};
 }
 
-bool StreamingSelector::FeedXml(std::string_view chunk) {
+template <typename Stepper>
+SST_NOINLINE size_t StreamingSelector::XmlRun(std::string_view chunk,
+                                              size_t i, Frame& frame_io,
+                                              Stepper& stepper_io) {
+  Frame frame = frame_io;
+  Stepper stepper = stepper_io;
   const uint8_t* cls = tables_->byte_class.data();
+  const char* bytes = chunk.data();
   const size_t n = chunk.size();
+  const int64_t base = chunk_base_;
+  int64_t last_start = -1;
+  bool last_closing = false;
+  while (i < n) {
+    const unsigned char c = static_cast<unsigned char>(bytes[i]);
+    if (c != '<') {
+      if (cls[c] != ScannerTables::kWs) break;  // junk: the exact path
+      // Between tags only whitespace is legal before the next '<';
+      // bulk-skip the run (SIMD/SWAR, base/byte_scan.h).
+      i += 1 + FindStructural(bytes + i + 1, n - i - 1);
+      continue;
+    }
+    const InPlaceTag tag = LexInPlace(bytes, n, i);
+    if (!tag.complete) break;  // the buffered lexer takes it
+    const int64_t start = base + static_cast<int64_t>(i);
+    if (SST_UNLIKELY(!CleanToken<false>(
+            frame, stepper, !tag.closing,
+            LookupTag(*tables_, *alphabet_, bytes + tag.name,
+                      tag.name_end - tag.name),
+            0, start, base + static_cast<int64_t>(tag.name_end)))) {
+      break;
+    }
+    last_start = start;
+    last_closing = tag.closing;
+    i = tag.name_end + 1;
+  }
+  // An in-place tag leaves the lexer fields exactly as the buffered path
+  // would, so checkpoint convergence never depends on the chunking.
+  if (last_start >= 0) {
+    tag_start_ = last_start;
+    tag_closing_ = last_closing;
+    tag_first_ = false;
+  }
+  frame_io = frame;
+  stepper_io = stepper;
+  return i;
+}
+
+template <typename Stepper>
+StreamingSelector::ScanResult StreamingSelector::FeedXml(
+    std::string_view chunk, Stepper stepper) {
+  const char* bytes = chunk.data();
+  const size_t n = chunk.size();
+  const int64_t base = chunk_base_;
+  Frame frame = LoadFrame(Stepper::kSingleMember);
+  auto refuse = [&](auto slow) {
+    return Refuse(frame, stepper, slow) == ScanStatus::kOk;
+  };
+  // A complete tag through the exact path. False on a fatal error.
+  auto exact_tag = [&](bool closing, Symbol s, size_t name_end,
+                       int64_t start) {
+    const int64_t offset = base + static_cast<int64_t>(name_end);
+    return refuse([=, this] {
+      if (s < 0) {
+        return Recover(MakeError(StreamErrorCode::kUnknownLabel, offset),
+                       closing ? ErrorToken::kCloseLike : ErrorToken::kOpenLike,
+                       start);
+      }
+      return closing ? EmitClose(s, offset, start) : EmitOpen(s, offset, start);
+    });
+  };
   size_t i = 0;
   while (i < n) {
-    unsigned char c = static_cast<unsigned char>(chunk[i]);
-    if (!in_tag_) {
-      if (in_skip_) {
-        // Inside the excised region only tag framing matters: jump to the
-        // next '<' in one vectorized sweep.
-        const void* lt = std::memchr(chunk.data() + i, '<', n - i);
-        if (lt == nullptr) return true;
-        i = static_cast<size_t>(static_cast<const char*>(lt) - chunk.data());
-        in_tag_ = true;
-        tag_first_ = true;
-        tag_closing_ = false;
-        tag_len_ = 0;
-        tag_start_ = chunk_base_ + static_cast<int64_t>(i);
-        ++i;
-        continue;
-      }
-      if (cls[c] == ScannerTables::kWs) {
-        // Between tags only whitespace is legal before the next '<';
-        // bulk-skip the run (SIMD/SWAR, base/byte_scan.h).
-        i += 1 + FindStructural(chunk.data() + i + 1, n - i - 1);
-        continue;
-      }
-      if (c != '<') {
-        if (!Recover(MakeError(StreamErrorCode::kBadByte, chunk_base_ + i),
-                     ErrorToken::kJunk, chunk_base_ + i)) {
-          return false;
+    if (!in_tag_ && !in_skip_) {
+      i = XmlRun(chunk, i, frame, stepper);
+      if (i >= n) break;
+      if (bytes[i] != '<') {
+        const int64_t offset = base + static_cast<int64_t>(i);
+        if (!refuse([=, this] {
+              return Recover(MakeError(StreamErrorCode::kBadByte, offset),
+                             ErrorToken::kJunk, offset);
+            })) {
+          return {ScanStatus::kFatal, i};
         }
         ++i;
         continue;
       }
+      const InPlaceTag tag = LexInPlace(bytes, n, i);
+      if (tag.complete) {
+        // A tag the core refused, with the lexer fields as the buffered
+        // path leaves them.
+        tag_start_ = base + static_cast<int64_t>(i);
+        tag_closing_ = tag.closing;
+        tag_first_ = false;
+        if (!exact_tag(tag.closing,
+                       LookupTag(*tables_, *alphabet_, bytes + tag.name,
+                                 tag.name_end - tag.name),
+                       tag.name_end, tag_start_)) {
+          return {ScanStatus::kFatal, i};
+        }
+        i = tag.name_end + 1;
+        continue;
+      }
+      // The tag straddles the chunk end or is malformed: the buffered
+      // lexer takes it from its '<'.
       in_tag_ = true;
       tag_first_ = true;
       tag_closing_ = false;
       tag_len_ = 0;
-      tag_start_ = chunk_base_ + static_cast<int64_t>(i);
+      tag_start_ = base + static_cast<int64_t>(i);
       ++i;
       continue;
     }
+    const unsigned char c = static_cast<unsigned char>(bytes[i]);
+    if (!in_tag_) {
+      // Inside the excised region only tag framing matters: jump to the
+      // next '<' in one vectorized sweep.
+      const void* lt = std::memchr(bytes + i, '<', n - i);
+      if (lt == nullptr) break;
+      i = static_cast<size_t>(static_cast<const char*>(lt) - bytes);
+      in_tag_ = true;
+      tag_first_ = true;
+      tag_closing_ = false;
+      tag_len_ = 0;
+      tag_start_ = base + static_cast<int64_t>(i);
+      ++i;
+      continue;
+    }
+    // Buffered lexer: a tag that straddles a chunk boundary, one the
+    // in-place lexer does not take (empty or oversized name), or any tag
+    // in skip mode.
     if (tag_first_ && c == '/') {
       tag_closing_ = true;
       tag_first_ = false;
       ++i;
       continue;
     }
-    // Inside a tag: find the closing '>' in one vectorized sweep (libc
-    // memchr) and copy the whole name run instead of byte-at-a-time.
-    const void* gt = std::memchr(chunk.data() + i, '>', n - i);
-    size_t name_end =
+    const void* gt = std::memchr(bytes + i, '>', n - i);
+    const size_t name_end =
         gt != nullptr
-            ? static_cast<size_t>(static_cast<const char*>(gt) - chunk.data())
+            ? static_cast<size_t>(static_cast<const char*>(gt) - bytes)
             : n;
     if (size_t name_len = name_end - i; name_len > 0) {
       tag_first_ = false;
       if (in_skip_) {
-        // Only "name was nonempty" matters for skip framing; don't buffer.
+        // Only "name was nonempty" matters for skip framing; buffer just
+        // the name's first byte, so the lexer state never depends on
+        // earlier tags (checkpoints compare it).
+        if (tag_len_ == 0) tag_buf_[0] = bytes[i];
         tag_len_ = 1;
-        i = name_end;
       } else if (tag_len_ + name_len > kMaxTagBytes) {
         // Error offset = the first byte that no longer fits, matching the
         // byte-at-a-time scanner.
-        if (!Recover(
-                MakeError(StreamErrorCode::kTagTooLong,
-                          chunk_base_ + i + (kMaxTagBytes - tag_len_)),
-                ErrorToken::kJunk, tag_start_)) {
-          return false;
+        const int64_t too_long =
+            base + static_cast<int64_t>(i + (kMaxTagBytes - tag_len_));
+        if (!refuse([=, this] {
+              return Recover(
+                  MakeError(StreamErrorCode::kTagTooLong, too_long),
+                  ErrorToken::kJunk, tag_start_);
+            })) {
+          return {ScanStatus::kFatal, i};
         }
         // Recovered: the oversized tag is junk inside the skipped region;
-        // keep consuming its body without buffering.
+        // keep consuming its body without buffering (the first name byte
+        // stays, as in skip framing).
+        if (tag_len_ == 0) tag_buf_[0] = bytes[i];
         tag_len_ = 1;
-        i = name_end;
       } else {
-        std::memcpy(tag_buf_ + tag_len_, chunk.data() + i, name_len);
+        std::memcpy(tag_buf_ + tag_len_, bytes + i, name_len);
         tag_len_ += static_cast<uint32_t>(name_len);
-        i = name_end;
       }
+      i = name_end;
     }
     if (gt == nullptr) break;  // partial tag; the next chunk continues it
     in_tag_ = false;
     ++i;  // past the '>'
+    const int64_t end_offset = base + static_cast<int64_t>(name_end);
     if (in_skip_) {
       const bool nonempty = tag_len_ != 0;
       tag_len_ = 0;
@@ -840,9 +1097,9 @@ bool StreamingSelector::FeedXml(std::string_view chunk) {
       if (tag_closing_) {
         if (skip_depth_ > 0) {
           --skip_depth_;
-        } else if (!ResyncClose(chunk_base_ +
-                                static_cast<int64_t>(name_end) + 1)) {
-          return false;
+        } else if (!refuse(
+                       [=, this] { return ResyncClose(end_offset + 1); })) {
+          return {ScanStatus::kFatal, i};
         }
       } else {
         ++skip_depth_;
@@ -850,33 +1107,25 @@ bool StreamingSelector::FeedXml(std::string_view chunk) {
       continue;
     }
     if (tag_len_ == 0) {
-      if (!Recover(MakeError(StreamErrorCode::kBadByte,
-                             chunk_base_ + static_cast<int64_t>(name_end)),
-                   ErrorToken::kJunk, tag_start_)) {
-        return false;
+      if (!refuse([=, this] {
+            return Recover(MakeError(StreamErrorCode::kBadByte, end_offset),
+                           ErrorToken::kJunk, tag_start_);
+          })) {
+        return {ScanStatus::kFatal, i};
       }
       continue;
     }
-    Symbol s = tag_len_ == 1
-                   ? tables_->byte_symbol[static_cast<unsigned char>(tag_buf_[0])]
-                   : alphabet_->Find(std::string_view(tag_buf_, tag_len_));
-    const bool closing = tag_closing_;
+    const Symbol s = LookupTag(*tables_, *alphabet_, tag_buf_, tag_len_);
     tag_len_ = 0;
-    if (s < 0) {
-      if (!Recover(MakeError(StreamErrorCode::kUnknownLabel,
-                             chunk_base_ + static_cast<int64_t>(name_end)),
-                   closing ? ErrorToken::kCloseLike : ErrorToken::kOpenLike,
-                   tag_start_)) {
-        return false;
-      }
-      continue;
+    if (!CleanToken<false>(frame, stepper, !tag_closing_, s, 0, tag_start_,
+                           end_offset) &&
+        !exact_tag(tag_closing_, s, name_end, tag_start_)) {
+      return {ScanStatus::kFatal, i};
     }
-    int64_t offset = chunk_base_ + static_cast<int64_t>(name_end);
-    bool ok = closing ? EmitClose(s, offset, tag_start_)
-                      : EmitOpen(s, offset, tag_start_);
-    if (!ok) return false;
   }
-  return true;
+  CommitFrame(frame);
+  stepper.Store();
+  return {ScanStatus::kOk, n};
 }
 
 bool StreamingSelector::Feed(std::string_view chunk) {
@@ -894,51 +1143,22 @@ bool StreamingSelector::Feed(std::string_view chunk) {
   chunk_base_ = bytes_fed_;
   bytes_fed_ += static_cast<int64_t>(chunk.size());
   ++chunks_fed_;
-  bool ok = true;
-  switch (format_) {
-    case Format::kCompactMarkup: {
-      if (using_fused_fast_path()) {
-        FusedStepper stepper{fused_, machine_->ExportedState()};
-        ScanResult r = FeedMarkup(chunk, 0, stepper);
-        machine_->SyncExportedState(stepper.state);
-        if (r.status == ScanStatus::kDemote) {
-          // Degradation ladder: recovery synthesizes machine-level close
-          // events, which the fused byte table cannot express. Drop to the
-          // generic tier for the rest of the document; it re-detects the
-          // error at the same byte and owns the recovery decision.
-          demoted_ = true;
-          VirtualStepper generic{machine_};
-          r = FeedMarkup(chunk, r.resume_index, generic);
-        }
-        ok = r.status == ScanStatus::kOk;
-      } else if (using_fused_dra_path()) {
-        DraFusedStepper stepper{fused_dra_, machine_->ExportedDraConfig()};
-        ScanResult r = FeedMarkup(chunk, 0, stepper);
-        machine_->SyncExportedDraConfig(stepper.config);
-        if (r.status == ScanStatus::kDemote) {
-          // Same degradation ladder as the registerless tier: the machine
-          // holds the configuration reached just before the offending byte
-          // (synced above), so the generic re-run continues seamlessly and
-          // re-detects the error at the same offset.
-          demoted_ = true;
-          VirtualStepper generic{machine_};
-          r = FeedMarkup(chunk, r.resume_index, generic);
-        }
-        ok = r.status == ScanStatus::kOk;
-      } else {
-        VirtualStepper stepper{machine_};
-        ok = FeedMarkup(chunk, 0, stepper).status == ScanStatus::kOk;
-      }
-      break;
-    }
-    case Format::kCompactTerm:
-      ok = FeedTerm(chunk);
-      break;
-    case Format::kXmlLite:
-      ok = FeedXml(chunk);
-      break;
+  ScanResult r;
+  if (using_fused_fast_path()) {
+    r = Scan(FusedStepper{machine_, fused_}, chunk, 0);
+  } else if (using_fused_dra_path()) {
+    r = Scan(DraFusedStepper{machine_, fused_dra_, {}}, chunk, 0);
+  } else if (product_ != nullptr) {
+    r = Scan(ProductLoopStepper{product_, {}}, chunk, 0);
+  } else {
+    r = Scan(VirtualStepper{machine_}, chunk, 0);
   }
-  if (!ok) return false;
+  if (r.status == ScanStatus::kDemote) {
+    // A fused tier demoted mid-chunk (see Refuse): the generic tier takes
+    // the rest of the document from the byte after the offending token.
+    r = Scan(VirtualStepper{machine_}, chunk, r.resume_index);
+  }
+  if (r.status != ScanStatus::kOk) return false;
   if (over_byte_limit) {
     return FailAt(MakeError(StreamErrorCode::kByteLimitExceeded,
                             limits_.max_document_bytes));

@@ -14,6 +14,7 @@
 #include "dra/byte_dra_runner.h"
 #include "dra/byte_runner.h"
 #include "dra/machine.h"
+#include "dra/product_stepper.h"
 #include "dra/stream_error.h"
 
 namespace sst {
@@ -109,19 +110,27 @@ struct SelectorCheckpoint;
 // The hot loop is table-driven: a 256-entry byte classification and a
 // byte→Symbol table are precomputed from the Alphabet at construction, so
 // the steady state performs no isspace/hash-lookup calls and no heap
-// allocation; whitespace runs and XML tag bodies are skipped in bulk with
-// the SIMD/SWAR kernels of base/byte_scan.h rather than byte by byte
-// (partial tags live in a fixed buffer; the well-formedness
-// label stack keeps its capacity across Reset and only grows past
-// kDepthReserve on pathologically deep documents). When the machine exports
-// a plain TagDfa (registerless tier) and the format is compact markup, the
-// scanner runs a fused ByteTagDfaRunner byte→state table with no virtual
-// dispatch per event (Section 4.3); when it instead exports a restricted
-// DRA (stackless tier, Lemma 3.8), the scanner runs a fused ByteDraRunner
-// that resolves depth, registers, and the comparison code inline — one rung
-// below the registerless table on the ladder, still byte-table speed.
-// Recovery demotes either fused tier to the generic machine tier for the
-// rest of the document (the degradation ladder); Reset() re-arms it.
+// allocation; whitespace runs are skipped in bulk with the SIMD/SWAR
+// kernels of base/byte_scan.h rather than byte by byte, and an XML tag
+// that lies wholly inside the chunk is lexed in place (only a tag that
+// straddles the chunk end is buffered, in a fixed buffer). Every format's
+// clean tokens go through one framing core that keeps depth, counters and
+// the label-stack top in registers for the whole chunk and folds every
+// well-formedness and limit check into one refusal branch; a refused
+// token takes the exact per-event path (EmitOpen/EmitClose/Recover), so
+// errors, offsets, recovery and stats come from one implementation (see
+// DESIGN.md "Scan hot loop"). What the core advances per token is a
+// stepper: when the machine exports a plain TagDfa (registerless tier)
+// and the format is compact markup, a fused ByteTagDfaRunner byte→state
+// table (Section 4.3); when it instead exports a restricted DRA
+// (stackless tier, Lemma 3.8), a fused ByteDraRunner that resolves depth,
+// registers, and the comparison code inline — one rung below the
+// registerless table on the ladder, still byte-table speed; when it is a
+// batch exporting a ProductStepper, the eager product's symbol-keyed rows
+// plus its fused-DRA side-cars, on any format; otherwise the virtual
+// machine. Recovery demotes either fused single-query tier to the generic
+// machine tier for the rest of the document (the degradation ladder);
+// Reset() re-arms it.
 class StreamingSelector {
  public:
   using Format = StreamFormat;
@@ -334,52 +343,131 @@ class StreamingSelector {
   // and junk is simply discarded.
   enum class ErrorToken : uint8_t { kJunk, kOpenLike, kCloseLike };
 
-  // Per-chunk scan result; kDemote asks Feed to re-run the remainder of
-  // the chunk on the generic tier (which owns all recovery logic).
+  // Per-chunk scan result; kDemote asks Feed to continue the chunk from
+  // resume_index on the generic tier (a fused tier met an error that the
+  // recovery policy resynchronizes, which only the virtual machine can).
   enum class ScanStatus : uint8_t { kOk, kFatal, kDemote };
   struct ScanResult {
     ScanStatus status = ScanStatus::kOk;
     size_t resume_index = 0;  // kDemote: first unconsumed chunk index
   };
 
-  // Steppers let the markup scanner run either through the virtual
-  // StreamMachine interface or the fused byte table with identical
-  // validation code. Only the virtual stepper can recover (kCanRecover);
-  // the fused instantiation demotes instead.
-  // kSingleMember marks steppers whose acceptance always fans out to
-  // member 0 alone: the fused tiers only ever run single-query machines
-  // (ProductTagMachine never exports a fused table), so their match
-  // emission skips the virtual AppendSelectedMembers enumeration.
+  // The framing state a scan keeps in locals for the length of a chunk;
+  // LoadFrame/CommitFrame move it between the members and the loop, and
+  // every refused token is bracketed by a commit and a reload.
+  //
+  // Two members are derived rather than carried: every event a frame
+  // applies moves depth by one and counts once, so the nodes opened so far
+  // follow from events and depth (node_base fixes the offset), and
+  // saw_root_ is events > 0 (no event precedes the root's open).
+  struct Frame {
+    int64_t depth;
+    int64_t max_depth;
+    int64_t events;
+    int64_t node_base;  // 2 * nodes - events - depth, invariant
+    int64_t matches;
+    Symbol* labels;     // labels_.data(): the open labels at [1, depth]
+    int64_t depth_cap;  // an open at this depth or deeper is refused
+    int64_t max_events;
+    bool emit;   // EmitMatch sees every match: a callback, or a sink
+                 // whose matches are not batched
+    bool spans;  // the sink buffers spans, which closes complete
+    // Single-member steppers with a verdict-only sink: matches are
+    // collected without a branch into verdict_starts_ and delivered by
+    // FlushVerdicts (when full, before any refusal, at the end of the
+    // scan).
+    bool batch_verdicts;
+    int64_t num_verdicts;
+
+    int64_t nodes() const { return (node_base + events + depth) / 2; }
+  };
+
+  // Steppers: what the framing core advances per clean token. Load/Store
+  // sync a stepper's register copy with the machine around every token the
+  // core refuses (the refused token runs through the virtual interface)
+  // and at the end of the scan. kDemotes marks the fused single-query
+  // tiers, which hand recovery to the generic tier instead of resyncing
+  // themselves; kSingleMember marks steppers whose acceptance always fans
+  // out to member 0 alone, so match emission skips the member
+  // enumeration.
   struct VirtualStepper {
-    static constexpr bool kCanRecover = true;
+    static constexpr bool kDemotes = false;
     static constexpr bool kSingleMember = false;
     StreamMachine* machine;
-    void Open(Symbol s, unsigned char) { machine->OnOpen(s); }
-    void Close(Symbol s, unsigned char) { machine->OnClose(s); }
-    bool Accepting() const { return machine->InAcceptingState(); }
+    void Load() {}
+    void Store() {}
+    void Step(bool open, Symbol s, unsigned char) {
+      if (open) {
+        machine->OnOpen(s);
+      } else {
+        machine->OnClose(s);
+      }
+    }
+    bool Hit(bool open) const { return open && machine->InAcceptingState(); }
+    void AppendSelected(std::vector<int32_t>* out) const {
+      machine->AppendSelectedMembers(out);
+    }
   };
   struct FusedStepper {
-    static constexpr bool kCanRecover = false;
+    static constexpr bool kDemotes = true;
     static constexpr bool kSingleMember = true;
+    StreamMachine* machine;
     const ByteTagDfaRunner* runner;
-    int state;
-    void Open(Symbol, unsigned char byte) { state = runner->Next(state, byte); }
-    void Close(Symbol, unsigned char byte) {
-      state = runner->Next(state, byte);
+    int state = 0;
+    // The runner's table, exactly one non-null (uint16 below 65536 states).
+    const uint16_t* table16 = runner->table16();
+    const int32_t* table32 = runner->table32();
+    void Load() { state = machine->ExportedState(); }
+    void Store() { machine->SyncExportedState(state); }
+    void Step(bool, Symbol, unsigned char byte) {
+      const size_t index = static_cast<size_t>(state) * 256 + byte;
+      state = table16 != nullptr ? table16[index] : table32[index];
     }
-    bool Accepting() const { return runner->IsAccepting(state); }
+    bool Hit(bool open) const { return open & runner->IsAccepting(state); }
+    void AppendSelected(std::vector<int32_t>* out) const { out->push_back(0); }
   };
   // Stackless fused tier: the whole DRA configuration (state, depth,
   // registers) lives in the stepper for the duration of a chunk; the
   // runner resolves the 3^r comparison code and the register loads inline.
   struct DraFusedStepper {
-    static constexpr bool kCanRecover = false;
+    static constexpr bool kDemotes = true;
     static constexpr bool kSingleMember = true;
+    StreamMachine* machine;
     const ByteDraRunner* runner;
     DraConfig config;
-    void Open(Symbol s, unsigned char) { runner->StepOpen(&config, s); }
-    void Close(Symbol s, unsigned char) { runner->StepClose(&config, s); }
-    bool Accepting() const { return runner->IsAccepting(config.state); }
+    void Load() { config = machine->ExportedDraConfig(); }
+    void Store() { machine->SyncExportedDraConfig(config); }
+    void Step(bool open, Symbol s, unsigned char) {
+      if (open) {
+        runner->StepOpen(&config, s);
+      } else {
+        runner->StepClose(&config, s);
+      }
+    }
+    bool Hit(bool open) const {
+      return open & runner->IsAccepting(config.state);
+    }
+    void AppendSelected(std::vector<int32_t>* out) const { out->push_back(0); }
+  };
+  // A batch's eager product and fused-DRA side-cars (ProductTagMachine's
+  // own stepper, copied into registers). Store folds the hit histogram,
+  // so the machine's counts are exact at every chunk end and before any
+  // refused token.
+  struct ProductLoopStepper {
+    static constexpr bool kDemotes = false;
+    static constexpr bool kSingleMember = false;
+    ProductStepper* home;
+    ProductStepper local;
+    void Load() { local = *home; }
+    void Store() {
+      local.Fold();
+      *home = local;
+    }
+    void Step(bool open, Symbol s, unsigned char) { local.Step(open, s); }
+    bool Hit(bool open) const { return open & local.accepting(); }
+    void AppendSelected(std::vector<int32_t>* out) const {
+      local.AppendSelected(out);
+    }
   };
 
   // Verifies (debug builds only) that the shared/owned scanner tables and
@@ -396,8 +484,9 @@ class StreamingSelector {
   // recovery budget) records the error, enters skip mode, and returns
   // true; otherwise records it fatally and returns false. `excise_from`
   // is the first damaged byte (see RecoveredError). Machine events
-  // synthesized here go through the virtual interface — callers on the
-  // fused tier must demote before calling.
+  // synthesized here go through the virtual interface, so a stepper's
+  // state must be stored into the machine first (Refuse does), and a
+  // fused tier demotes afterwards.
   bool Recover(const StreamError& err, ErrorToken token, int64_t excise_from);
 
   // Synthesizes the close of the innermost open element (symbol -1 under
@@ -405,17 +494,68 @@ class StreamingSelector {
   // just past the resync token. False on a fatal guard violation.
   bool ResyncClose(int64_t consumed_end);
 
+  Frame LoadFrame(bool single_member);
+  // Also delivers the frame's batched verdicts.
+  void CommitFrame(Frame& frame);
+  void FlushVerdicts(int64_t count);
+
+  // The framing core: applies one clean token (an open or close of
+  // `symbol`; -1 for an unknown label) to the frame and the stepper, or
+  // returns false — leaving both untouched — when any check refuses it.
+  // `start` is the token's first byte, `last` the byte that completes it.
+  // kUniversalClose: closes carry no label to match (term encoding).
+  template <bool kUniversalClose, typename Stepper>
+  bool CleanToken(Frame& frame, Stepper& stepper, bool open, Symbol symbol,
+                  unsigned char byte, int64_t start, int64_t last);
+  template <typename Stepper>
+  void EmitMatch(Stepper stepper, int64_t node, int64_t depth,
+                 Symbol symbol, int64_t start, int64_t certainty);
+
+  // Runs `slow` (the exact per-event path for a refused token) with the
+  // frame committed and the stepper stored, then reloads both. A fused
+  // tier whose token raised an error the recovery policy resynchronizes
+  // demotes instead (kDemote; the token is consumed either way).
+  template <typename Stepper, typename Slow>
+  ScanStatus Refuse(Frame& frame, Stepper& stepper, Slow slow);
+  template <typename Slow>
+  ScanStatus RunRefused(bool demotes, Slow slow);
+
+  // One chunk (from `start`) on `stepper`, in the selector's format.
+  template <typename Stepper>
+  ScanResult Scan(Stepper stepper, std::string_view chunk, size_t start);
   template <typename Stepper>
   ScanResult FeedMarkup(std::string_view chunk, size_t start,
-                        Stepper& stepper);
-  bool FeedTerm(std::string_view chunk);
-  bool FeedXml(std::string_view chunk);
+                        Stepper stepper);
+  // The clean paths: from chunk index `i`, apply tokens until the chunk
+  // ends or one needs the exact path; return where they stopped. Each
+  // runs on register copies of the frame and the stepper.
+  template <typename Stepper>
+  size_t MarkupRun(std::string_view chunk, size_t i, Frame& frame,
+                   Stepper& stepper);
+  template <typename Stepper>
+  size_t XmlRun(std::string_view chunk, size_t i, Frame& frame,
+                Stepper& stepper);
+  // Skip-mode framing from `i`: the index of the close that resyncs the
+  // region, or chunk.size().
+  size_t MarkupSkip(std::string_view chunk, size_t i);
+  template <typename Stepper>
+  ScanResult FeedXml(std::string_view chunk, Stepper stepper);
+  template <typename Stepper>
+  ScanResult FeedTerm(std::string_view chunk, Stepper stepper);
+
+  // The exact per-event path: every check in spec order, then the event.
   bool EmitOpen(Symbol symbol, int64_t offset, int64_t excise_from);
   bool EmitClose(Symbol symbol, int64_t offset, int64_t excise_from);
   // `span_end` is the end offset pending match spans complete with —
   // just past the resync token (kSkipMalformedSubtree) or the EOF offset
   // (kAutoClose); distinct from `offset`, the event-guard coordinate.
   bool EmitSynthClose(int64_t offset, int64_t span_end);
+
+  // Label stack: labels_[1..depth_] are the open labels, bottom to top;
+  // slot 0 holds kNoLabel, and the slots above the top are scratch the
+  // core may write. PushLabel keeps at least one free slot above the top.
+  static constexpr Symbol kNoLabel = -2;  // no symbol, nor unknown (-1)
+  void PushLabel(Symbol symbol);
 
   // Fans the just-opened node's match out per accepting machine member
   // (query_id 0 for single-query machines) into the recorder. Only called
@@ -434,6 +574,9 @@ class StreamingSelector {
   // a reusable scratch vector for the per-member fan-out.
   MatchRecorder recorder_;
   std::vector<int32_t> member_scratch_;
+  // Start offsets of batched single-member verdicts (see Frame).
+  static constexpr int64_t kVerdictBatch = 64;
+  int64_t verdict_starts_[kVerdictBatch] = {};
 
   // Per-byte tables: either borrowed from a shared plan (owned_tables_
   // null) or privately built at construction. tables_ is never null.
@@ -452,10 +595,14 @@ class StreamingSelector {
   std::unique_ptr<ByteDraRunner> owned_fused_dra_;
   const ByteDraRunner* fused_dra_ = nullptr;
 
+  // The batch stepper the machine exports (ExportProductStepper), if any.
+  ProductStepper* product_ = nullptr;
+
   // Well-formedness: the expected closing labels (only the labels, not
   // full automaton states — the library never keeps evaluation state per
   // level, but a *validator* of the input framing needs the open labels).
-  std::vector<Symbol> open_labels_;
+  // Sized kDepthReserve + 2 up front; see PushLabel.
+  std::vector<Symbol> labels_;
 
   // Incremental lexer state (partial tag across chunk boundaries) — fixed
   // capacity, no allocation.

@@ -44,6 +44,13 @@ std::string RenderMetrics(const ServerStats& stats) {
   line("server_active_connections", stats.active_connections);
   line("server_active_streams", stats.active_streams);
   line("server_draining", stats.draining ? 1 : 0);
+  for (size_t worker = 0; worker < stats.worker_connections.size(); ++worker) {
+    out += "server_worker_connections{worker=\"";
+    out += std::to_string(worker);
+    out += "\"} ";
+    out += std::to_string(stats.worker_connections[worker]);
+    out += '\n';
+  }
   line("server_connections_accepted", stats.connections_accepted);
   line("server_connections_closed", stats.connections_closed);
   line("server_connections_peak", stats.connections_peak);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "engine/plan_cache.h"
 #include "engine/session.h"
@@ -75,6 +76,7 @@ struct ServerStats {
   int64_t active_connections = 0;
   int64_t active_streams = 0;
   bool draining = false;
+  std::vector<int64_t> worker_connections;  // per worker, in worker order
 
   // Counters (see ServerCounters).
   int64_t connections_accepted = 0;

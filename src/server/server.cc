@@ -226,6 +226,10 @@ void Worker::Join() {
 }
 
 void Worker::Adopt(int fd) {
+  // Counted at hand-off, on the acceptor thread: the next accept of the
+  // same round already sees it, so back-to-back connects spread across
+  // the workers instead of all reading a stale zero.
+  load_.fetch_add(1, kRelaxed);
   loop_.Post([this, fd] { AdoptOnLoop(fd); });
 }
 
@@ -233,7 +237,6 @@ void Worker::AdoptOnLoop(int fd) {
   auto connection = std::make_unique<Connection>(fd, this);
   Connection* raw = connection.get();
   connections_.emplace(fd, std::move(connection));
-  load_.store(connections_.size(), kRelaxed);
   raw->Start();
   // Adoption can race a drain request (the acceptor had already handed
   // the socket over): such latecomers are shed immediately.
@@ -299,7 +302,7 @@ std::string Worker::MetricsText() { return server_->MetricsText(); }
 
 void Worker::DestroyConnection(int fd) {
   connections_.erase(fd);
-  load_.store(connections_.size(), kRelaxed);
+  load_.fetch_sub(1, kRelaxed);
   StopIfDrained();
 }
 
@@ -556,6 +559,10 @@ ServerStats QueryServer::stats() const {
   stats.active_streams = admission_state_.active_streams.load(kRelaxed);
   stats.draining = admission_state_.draining.load(kRelaxed);
   SnapshotCounters(counters_, &stats);
+  for (const auto& worker : workers_) {
+    stats.worker_connections.push_back(
+        static_cast<int64_t>(worker->approx_connections()));
+  }
   stats.cache = cache_.stats();
   std::lock_guard<std::mutex> lock(batches_mu_);
   stats.batches_registered = static_cast<int64_t>(batches_.size());

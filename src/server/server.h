@@ -153,7 +153,8 @@ class Worker : public ConnectionHost {
   // The loop stops once the last connection is gone.
   void BeginDrain(int64_t force_deadline_ms);
 
-  // Approximate connection count, for least-loaded adoption.
+  // Connections handed to this worker and not yet destroyed (including
+  // any whose adoption task is still queued), for least-loaded adoption.
   size_t approx_connections() const {
     return load_.load(std::memory_order_relaxed);
   }

@@ -80,18 +80,32 @@ struct IndependentSessions {
   std::vector<Session*> ptrs;
 };
 
+// The StreamStats every member of a batch shares with its own Session:
+// the framing counters. (matches, the emission counters and the stack
+// diagnostics are per machine.)
+std::vector<int64_t> FramingStats(const StreamStats& stats) {
+  return {stats.bytes_fed,        stats.chunks_fed,
+          stats.events,           stats.max_depth,
+          stats.errors_recovered, stats.subtrees_skipped,
+          stats.error_offset};
+}
+
 struct BatchRunRecord {
   bool ok = false;
   std::vector<int64_t> matches;
   StreamErrorCode error_code = StreamErrorCode::kNone;
   int64_t error_offset = -1;
+  std::vector<int64_t> framing;  // FramingStats
 
   friend bool operator==(const BatchRunRecord&, const BatchRunRecord&) =
       default;
 };
 
-BatchRunRecord DriveBatch(BatchSession* session, const std::string& text,
-                          size_t chunk_size) {
+template <typename Stream>
+BatchRunRecord DriveBatch(Stream* session, const std::string& text,
+                          size_t chunk_size,
+                          const StreamLimits& limits = StreamLimits{}) {
+  session->set_limits(limits);
   session->Reset();
   BatchRunRecord record;
   record.ok = true;
@@ -102,17 +116,20 @@ BatchRunRecord DriveBatch(BatchSession* session, const std::string& text,
   record.matches = session->query_matches();
   record.error_code = session->stream_error().code;
   record.error_offset = session->stream_error().offset;
+  record.framing = FramingStats(session->stats());
   return record;
 }
 
 // The independent reference: one Session per query (each a plain
 // StreamingSelector over that query's plan), driven with the same
-// chunking.
+// chunking and limits.
 BatchRunRecord DriveIndependent(const std::vector<Session*>& sessions,
-                                const std::string& text, size_t chunk_size) {
+                                const std::string& text, size_t chunk_size,
+                                const StreamLimits& limits = StreamLimits{}) {
   BatchRunRecord record;
   record.ok = true;
   for (Session* session : sessions) {
+    session->selector().set_limits(limits);
     session->Reset();
     bool ok = true;
     for (size_t i = 0; i < text.size() && ok; i += chunk_size) {
@@ -124,6 +141,106 @@ BatchRunRecord DriveIndependent(const std::vector<Session*>& sessions,
   }
   record.error_code = sessions.front()->stream_error().code;
   record.error_offset = sessions.front()->stream_error().offset;
+  record.framing = FramingStats(sessions.front()->stats());
+  return record;
+}
+
+// Forwards to a machine without exporting its ProductStepper, so a
+// selector steps the batch through the virtual interface.
+class VirtualOnlyMachine final : public StreamMachine {
+ public:
+  explicit VirtualOnlyMachine(StreamMachine* inner) : inner_(inner) {}
+  void Reset() override { inner_->Reset(); }
+  void OnOpen(Symbol symbol) override { inner_->OnOpen(symbol); }
+  void OnClose(Symbol symbol) override { inner_->OnClose(symbol); }
+  bool InAcceptingState() const override {
+    return inner_->InAcceptingState();
+  }
+  void AppendSelectedMembers(std::vector<int32_t>* out) const override {
+    inner_->AppendSelectedMembers(out);
+  }
+  int64_t StackDepthPeak() const override { return inner_->StackDepthPeak(); }
+  int64_t StackUnderflowCloses() const override {
+    return inner_->StackUnderflowCloses();
+  }
+
+ private:
+  StreamMachine* inner_;
+};
+
+// A batch plan's product machine on the generic scanner tier: the
+// reference the inline product stepper must match event for event.
+class GenericBatch {
+ public:
+  explicit GenericBatch(const MultiQueryPlan& plan)
+      : plan_(plan),
+        machine_(plan.eager(), plan.lazy(), plan.mixed_dras(),
+                 plan.NewSideCars()),
+        opaque_(&machine_),
+        selector_(&opaque_, plan.options().plan.format, &plan.alphabet(),
+                  &plan.scanner_tables(), nullptr) {}
+
+  void set_limits(const StreamLimits& limits) {
+    selector_.set_limits(limits);
+  }
+  void set_match_sink(MatchSink* sink) {
+    fan_out_ = MatchFanOutSink(sink, plan_.MemberQueryIds());
+    selector_.set_match_sink(sink == nullptr ? nullptr : &fan_out_);
+  }
+  void Reset() { selector_.Reset(); }
+  bool Feed(std::string_view chunk) { return selector_.Feed(chunk); }
+  bool Finish() { return selector_.Finish(); }
+  std::vector<int64_t> query_matches() const {
+    return plan_.ExpandCounts(plan_.MemberCountsToSlots(machine_.counts()));
+  }
+  const StreamError& stream_error() const { return selector_.stream_error(); }
+  StreamStats stats() const { return selector_.stats(); }
+
+ private:
+  const MultiQueryPlan& plan_;
+  ProductTagMachine machine_;
+  VirtualOnlyMachine opaque_;
+  StreamingSelector selector_;
+  MatchFanOutSink fan_out_;
+};
+
+enum class SinkMode { kOff, kCounting, kCollecting };
+
+// One run with a sink installed: the batch record plus every StreamStats
+// field and whatever the sink saw.
+struct SinkRunRecord {
+  BatchRunRecord run;
+  std::vector<int64_t> stats;
+  std::vector<int64_t> sink_counts;
+  std::vector<MatchEvent> matches;
+  std::vector<MatchEvent> spans;
+
+  friend bool operator==(const SinkRunRecord&, const SinkRunRecord&) =
+      default;
+};
+
+template <typename Stream>
+SinkRunRecord DriveWithSink(Stream* stream, int num_queries, SinkMode mode,
+                            const std::string& text, size_t chunk_size,
+                            const StreamLimits& limits) {
+  CountingSink counting(num_queries);
+  CollectingSink collecting;
+  MatchSink* sink = nullptr;
+  if (mode == SinkMode::kCounting) sink = &counting;
+  if (mode == SinkMode::kCollecting) sink = &collecting;
+  stream->set_match_sink(sink);
+  SinkRunRecord record;
+  record.run = DriveBatch(stream, text, chunk_size, limits);
+  stream->set_match_sink(nullptr);
+  StreamStats stats = stream->stats();
+  record.stats = FramingStats(stats);
+  record.stats.insert(record.stats.end(),
+                      {stats.matches, stats.matches_emitted,
+                       stats.pending_matches_peak, stats.max_stack_depth,
+                       stats.underflow_closes});
+  if (mode == SinkMode::kCounting) record.sink_counts = counting.counts();
+  record.matches = collecting.matches();
+  record.spans = collecting.spans();
   return record;
 }
 
@@ -210,41 +327,72 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
   EXPECT_EQ(all_dra->stats().stackless_members, 2);
 }
 
-// Property test: 30 random trees × {markup, xml-lite, term} × chunk
-// splits {1, 3, 16} — BatchSession per-query results byte-identical to N
-// independent StreamingSelector runs. The registerless batch runs on the
-// product; the mixed batch carries DRA and generic side-cars and is also
-// run over every fault kind.
+// Property test: 30 random trees, clean and with every fault kind, ×
+// {markup, xml-lite, term} × testing::LimitSweep × chunk splits {1, 3,
+// 16, whole} — BatchSession per-query results, first error and framing
+// stats byte-identical to N independent StreamingSelector runs. Three
+// batches: registerless (the eager product alone), eager product plus a
+// stackless member (a fused-DRA side-car on markup, so the scanner steps
+// the inline ProductStepper with its side-car; a generic side-car on the
+// other formats) and a mixed batch with a stack member. Under every sink
+// mode (off, CountingSink, CollectingSink) each run must also match the
+// same plan's product machine driven through the virtual interface: every
+// StreamStats field, the sink's counts and the whole match log.
 TEST(BatchSession, ParityAcrossFormatsAndChunkings) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(71);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
   FaultInjector injector(71);
+  const std::vector<std::vector<BatchQuery>> batches = {
+      RegisterlessBatch(), XPathBatch({"/a//b", "/a//c", "/a/b"}),
+      MixedBatch()};
 
   for (StreamFormat format : kAllFormats) {
-    for (bool mixed : {false, true}) {
-      auto plan = MultiQueryPlan::Compile(
-          mixed ? MixedBatch() : RegisterlessBatch(), alphabet,
-          OptionsFor(format));
-      ASSERT_EQ(plan->tier() == MultiTier::kMixed, mixed);
+    for (const std::vector<BatchQuery>& queries : batches) {
+      auto plan = MultiQueryPlan::Compile(queries, alphabet,
+                                          OptionsFor(format));
+      ASSERT_NE(plan->eager(), nullptr);
+      const bool registerless = &queries == &batches[0];
+      ASSERT_EQ(plan->tier() == MultiTier::kMixed, !registerless);
+      if (&queries == &batches[1] &&
+          format == StreamFormat::kCompactMarkup) {
+        ASSERT_EQ(plan->stats().stackless_members, 1);
+        ASSERT_EQ(plan->stats().machine_members, 0);
+      }
       BatchSession batch(plan);
+      GenericBatch generic(*plan);
       IndependentSessions independent(*plan);
 
       for (const Tree& tree : trees) {
         std::string text = Serialize(format, alphabet, Encode(tree));
         std::vector<std::string> inputs = {text};
-        if (mixed) {
-          for (int kind = 0; kind < kNumFaultKinds; ++kind) {
-            inputs.push_back(text);
-            injector.Apply(static_cast<FaultKind>(kind), &inputs.back());
-          }
+        for (int kind = 0; kind < kNumFaultKinds; ++kind) {
+          inputs.push_back(text);
+          injector.Apply(static_cast<FaultKind>(kind), &inputs.back());
         }
-        for (const std::string& input : inputs) {
-          for (size_t chunk : {size_t{1}, size_t{3}, size_t{16}}) {
-            EXPECT_EQ(DriveBatch(&batch, input, chunk),
-                      DriveIndependent(independent.ptrs, input, chunk))
-                << static_cast<int>(format) << " chunk " << chunk << ": "
-                << input;
+        for (const StreamLimits& limits : testing::LimitSweep()) {
+          for (const std::string& input : inputs) {
+            for (size_t chunk : {size_t{1}, size_t{3}, size_t{16},
+                                 std::max<size_t>(input.size(), 1)}) {
+              BatchRunRecord reference =
+                  DriveIndependent(independent.ptrs, input, chunk, limits);
+              for (SinkMode mode : {SinkMode::kOff, SinkMode::kCounting,
+                                    SinkMode::kCollecting}) {
+                SinkRunRecord got = DriveWithSink(
+                    &batch, plan->num_queries(), mode, input, chunk, limits);
+                EXPECT_EQ(got.run, reference)
+                    << static_cast<int>(format) << " chunk " << chunk
+                    << ": " << input;
+                EXPECT_EQ(got, DriveWithSink(&generic, plan->num_queries(),
+                                             mode, input, chunk, limits))
+                    << static_cast<int>(format) << " sink "
+                    << static_cast<int>(mode) << " chunk " << chunk << ": "
+                    << input;
+                if (mode == SinkMode::kCounting) {
+                  EXPECT_EQ(got.sink_counts, got.run.matches) << input;
+                }
+              }
+            }
           }
         }
       }

@@ -561,6 +561,40 @@ TEST(Server, MetricsFrameAndStatsAgree) {
   server.Stop();
 }
 
+// Least-loaded adoption counts a connection against its worker at
+// hand-off: connects accepted back to back, before any worker has run its
+// adoption task, still alternate between the workers.
+TEST(Server, BackToBackConnectsSpreadAcrossWorkers) {
+  QueryServer server(SmallServerOptions());
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  std::vector<TestClient> clients(8);
+  for (TestClient& client : clients) {
+    ASSERT_TRUE(client.Connect(server.port()));
+  }
+  ASSERT_TRUE(WaitFor([&] {
+    ServerStats stats = server.stats();
+    return stats.connections_accepted == 8 &&
+           stats.worker_connections.size() == 2 &&
+           stats.worker_connections[0] + stats.worker_connections[1] == 8;
+  }));
+  EXPECT_EQ(server.stats().worker_connections,
+            (std::vector<int64_t>{4, 4}));
+
+  clients.front().Send(FrameType::kMetrics, "");
+  Frame frame;
+  ASSERT_TRUE(clients.front().ReadFrame(&frame));
+  ASSERT_EQ(frame.type, FrameType::kMetricsText);
+  EXPECT_NE(frame.payload.find("server_worker_connections{worker=\"0\"} 4"),
+            std::string::npos)
+      << frame.payload;
+  EXPECT_NE(frame.payload.find("server_worker_connections{worker=\"1\"} 4"),
+            std::string::npos)
+      << frame.payload;
+  server.Stop();
+}
+
 TEST(Server, RegistryDeduplicatesIdenticalBatches) {
   QueryServer server(SmallServerOptions());
   std::string error;

@@ -424,6 +424,220 @@ TEST(StreamingSelector, FusedFastPathAgreesWithGenericPath) {
   EXPECT_EQ(fused_machine.state(), inner.state());
 }
 
+// Opens past the label stack's reserve take the refusal path, which
+// grows the stack; the run must read exactly as the per-byte reference
+// does — clean, with the root's close mismatched, and with a depth limit
+// beyond the reserve — on the fused and the generic markup tiers, and the
+// same tree must read alike under every split in every format.
+TEST(StreamingSelector, LabelStackGrowsPastItsReserve) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  Dfa dfa = CompileRegex("a.*b", alphabet);
+  TagDfa plain = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
+  TagDfa blind = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/true);
+  TagDfaMachine fused_machine(&plain);
+  TagDfaMachine inner(&plain);
+  OpaqueMachine generic_machine(&inner);
+  TagDfaMachine blind_machine(&blind);
+  TagDfaMachine reference_machine(&plain);
+
+  const int depth = 3 * static_cast<int>(StreamingSelector::kDepthReserve) + 5;
+  EventStream events;
+  for (int d = 0; d < depth; ++d) events.push_back({true, d % 3});
+  for (int d = depth - 1; d >= 0; --d) events.push_back({false, d % 3});
+  const std::string markup = ToCompactMarkup(alphabet, events);
+  // The root 'a' closed as 'b'.
+  const std::string mismatched = markup.substr(0, markup.size() - 1) + "B";
+  StreamLimits deep_limit;
+  deep_limit.max_depth = 2 * static_cast<int64_t>(
+                                 StreamingSelector::kDepthReserve);
+
+  for (StreamMachine* machine :
+       {static_cast<StreamMachine*>(&fused_machine),
+        static_cast<StreamMachine*>(&generic_machine)}) {
+    StreamingSelector selector(machine,
+                               StreamingSelector::Format::kCompactMarkup,
+                               &alphabet);
+    for (const std::string* doc : {&markup, &mismatched}) {
+      for (const StreamLimits& limits : {StreamLimits{}, deep_limit}) {
+        selector.set_limits(limits);
+        testing::ValidatedRun want = testing::ReferenceValidate(
+            &reference_machine, alphabet, *doc, limits);
+        for (size_t chunk : {size_t{1}, size_t{7}, doc->size()}) {
+          RunResult got =
+              RunWithSplits(&selector, *doc, UniformSplits(doc->size(), chunk));
+          EXPECT_EQ(got.stream_error, want.error) << chunk;
+          EXPECT_EQ(got.nodes, want.nodes) << chunk;
+          EXPECT_EQ(got.events, want.events) << chunk;
+          EXPECT_EQ(got.max_depth, want.max_depth) << chunk;
+          EXPECT_EQ(got.matches, want.matches) << chunk;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(testing::ReferenceValidate(&reference_machine, alphabet, markup)
+                .max_depth,
+            depth);
+
+  struct Case {
+    StreamMachine* machine;
+    StreamingSelector::Format format;
+    std::string text;
+  };
+  const Case cases[] = {
+      {&fused_machine, StreamingSelector::Format::kCompactMarkup, markup},
+      {&generic_machine, StreamingSelector::Format::kXmlLite,
+       ToXmlLite(alphabet, events)},
+      {&blind_machine, StreamingSelector::Format::kCompactTerm,
+       ToCompactTerm(alphabet, events)},
+  };
+  for (const Case& c : cases) {
+    StreamingSelector selector(c.machine, c.format, &alphabet);
+    RunResult whole = RunWithSplits(&selector, c.text, {c.text.size()});
+    EXPECT_TRUE(whole.finished) << whole.error;
+    EXPECT_EQ(whole.max_depth, depth);
+    EXPECT_EQ(whole.nodes, depth);
+    for (size_t chunk : {size_t{1}, size_t{7}}) {
+      EXPECT_EQ(RunWithSplits(&selector, c.text,
+                              UniformSplits(c.text.size(), chunk)),
+                whole)
+          << static_cast<int>(c.format) << " chunk " << chunk;
+    }
+  }
+}
+
+// Everything a SelectorCheckpoint records except chunks_fed, which
+// measures the split schedule itself.
+void ExpectSameCheckpoint(const SelectorCheckpoint& got,
+                          const SelectorCheckpoint& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.machine_config, want.machine_config) << where;
+  EXPECT_EQ(got.open_labels, want.open_labels) << where;
+  EXPECT_EQ(got.tag_buf, want.tag_buf) << where;
+  EXPECT_EQ(got.in_tag, want.in_tag) << where;
+  EXPECT_EQ(got.tag_first, want.tag_first) << where;
+  EXPECT_EQ(got.tag_closing, want.tag_closing) << where;
+  EXPECT_EQ(got.have_pending, want.have_pending) << where;
+  EXPECT_EQ(got.pending_byte, want.pending_byte) << where;
+  EXPECT_EQ(got.pending_offset, want.pending_offset) << where;
+  EXPECT_EQ(got.tag_start, want.tag_start) << where;
+  EXPECT_EQ(got.in_skip, want.in_skip) << where;
+  EXPECT_EQ(got.skip_depth, want.skip_depth) << where;
+  EXPECT_EQ(got.demoted, want.demoted) << where;
+  EXPECT_EQ(got.bytes_fed, want.bytes_fed) << where;
+  EXPECT_EQ(got.events, want.events) << where;
+  EXPECT_EQ(got.nodes, want.nodes) << where;
+  EXPECT_EQ(got.matches, want.matches) << where;
+  EXPECT_EQ(got.depth, want.depth) << where;
+  EXPECT_EQ(got.errors_recovered, want.errors_recovered) << where;
+  EXPECT_EQ(got.subtrees_skipped, want.subtrees_skipped) << where;
+  EXPECT_EQ(got.error_offset, want.error_offset) << where;
+  EXPECT_EQ(got.saw_root, want.saw_root) << where;
+  EXPECT_EQ(got.machine_underflows, want.machine_underflows) << where;
+  EXPECT_EQ(got.stream_error, want.stream_error) << where;
+  ASSERT_EQ(got.recovered.size(), want.recovered.size()) << where;
+  for (size_t k = 0; k < got.recovered.size(); ++k) {
+    EXPECT_EQ(got.recovered[k].error, want.recovered[k].error) << where;
+    EXPECT_EQ(got.recovered[k].excise_from, want.recovered[k].excise_from)
+        << where;
+    EXPECT_EQ(got.recovered[k].resume_offset,
+              want.recovered[k].resume_offset)
+        << where;
+    EXPECT_EQ(got.recovered[k].closed_label, want.recovered[k].closed_label)
+        << where;
+  }
+}
+
+// The scanner's complete state at a Feed boundary depends only on the
+// bytes consumed, never on how they were split: whether a tag was lexed in
+// place or through the partial-tag buffer, and whether a token ran on the
+// framing core or the refusal path, must leave identical checkpoints.
+// Every split schedule is compared, at each of its Feed boundaries, with a
+// byte-at-a-time feed at the same offset. XML-lite documents mix single-
+// and multi-letter labels; the compact formats write single letters only,
+// over both a letters-only alphabet (markup's fused tier) and the mixed
+// one. Faulted copies run under kSkipMalformedSubtree, so the recovery
+// fields are exercised too.
+TEST(StreamingSelector, CheckpointsAtFeedBoundariesAreChunkingInvariant) {
+  using Format = StreamingSelector::Format;
+  Alphabet letters = Alphabet::FromLetters("abc");
+  Alphabet mixed;
+  for (const char* label : {"a", "b", "c", "item", "list"}) {
+    mixed.Intern(label);
+  }
+  struct Case {
+    const char* name;
+    const Alphabet* alphabet;
+    Format format;
+  };
+  const Case cases[] = {
+      {"markup-fused", &letters, Format::kCompactMarkup},
+      {"markup-mixed", &mixed, Format::kCompactMarkup},
+      {"xml-mixed", &mixed, Format::kXmlLite},
+      {"term-mixed", &mixed, Format::kCompactTerm},
+  };
+  for (const Case& c : cases) {
+    const bool term = c.format == Format::kCompactTerm;
+    Dfa dfa = CompileRegex("a.*b", *c.alphabet);
+    TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, term);
+    TagDfaMachine machine(&evaluator);
+    StreamingSelector selector(&machine, c.format, c.alphabet);
+    selector.set_recovery_policy(RecoveryPolicy::kSkipMalformedSubtree);
+    if (c.alphabet == &letters) {
+      ASSERT_TRUE(selector.using_fused_fast_path());
+    }
+
+    // Documents: random trees (over the single letters a, b, c where the
+    // format cannot write more), each clean and with one byte corrupted.
+    const int num_symbols = c.format == Format::kXmlLite ? 5 : 3;
+    Rng rng(41);
+    std::vector<std::string> docs;
+    for (int d = 0; d < 12; ++d) {
+      Tree tree = RandomTree(1 + static_cast<int>(rng.NextBelow(30)),
+                             num_symbols, rng.NextDouble(), &rng);
+      EventStream events = Encode(tree);
+      std::string text = c.format == Format::kCompactMarkup
+                             ? ToCompactMarkup(*c.alphabet, events)
+                         : c.format == Format::kXmlLite
+                             ? ToXmlLite(*c.alphabet, events)
+                             : ToCompactTerm(*c.alphabet, events);
+      docs.push_back(text);
+      std::string faulted = text;
+      faulted[rng.NextBelow(faulted.size())] = '#';
+      docs.push_back(faulted);
+    }
+
+    for (const std::string& text : docs) {
+      // Reference: one checkpoint after every byte, fed one at a time.
+      std::vector<SelectorCheckpoint> reference(text.size() + 1);
+      selector.Reset();
+      ASSERT_TRUE(selector.SaveCheckpoint(&reference[0]));
+      size_t reference_end = 0;  // last offset before a fatal error
+      for (size_t k = 0; k < text.size(); ++k) {
+        if (!selector.Feed(std::string_view(text).substr(k, 1))) break;
+        ASSERT_TRUE(selector.SaveCheckpoint(&reference[k + 1]));
+        reference_end = k + 1;
+      }
+      for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{5}, size_t{7}, size_t{64}, text.size()}) {
+        selector.Reset();
+        for (size_t offset = 0; offset < text.size(); offset += chunk) {
+          if (!selector.Feed(std::string_view(text).substr(offset, chunk))) {
+            break;
+          }
+          const size_t end = std::min(offset + chunk, text.size());
+          ASSERT_LE(end, reference_end) << c.name << ": " << text;
+          SelectorCheckpoint cp;
+          ASSERT_TRUE(selector.SaveCheckpoint(&cp));
+          ExpectSameCheckpoint(cp, reference[end],
+                               std::string(c.name) + " chunk " +
+                                   std::to_string(chunk) + " offset " +
+                                   std::to_string(end) + ": " + text);
+        }
+      }
+    }
+  }
+}
+
 // Acceptance criterion: the steady-state Feed loop performs zero heap
 // allocations, on every format and on both markup paths.
 TEST(StreamingSelector, FeedDoesNotAllocateInSteadyState) {
