@@ -725,12 +725,11 @@ void BM_MultiQueryIndependent(benchmark::State& state) {
 }
 
 // A mixed batch on xml-lite, shaped like the end-to-end benchmark's R2:
-// 8 registerless "/x//y" plus the stackless "/a/b" and "/a/c", which have
-// no fused DRA on xml-lite and ride the batch's one scan as generic
-// side-car machines. The streaming row runs one pooled BatchSession; the
-// per-query row answers the same batch with one pooled Session per query
-// over the same bytes. bench_baselines.json holds the first at >= 2x the
-// second.
+// 8 registerless "/x//y" plus the stackless "/a/b" and "/a/c", which ride
+// the batch's one scan as fused-DRA side-cars. The streaming row runs one
+// pooled BatchSession; the per-query row answers the same batch with one
+// pooled Session per query over the same bytes. bench_baselines.json holds
+// the first at >= 2x the second.
 std::vector<BatchQuery> MixedXmlBatch() {
   std::vector<BatchQuery> batch = MultiQueryBatch(8);
   batch.push_back(BatchQuery{QuerySyntax::kXPath, "/a/b"});
@@ -744,7 +743,8 @@ void BM_MixedBatchStreamingXml(benchmark::State& state) {
   options.plan.format = StreamFormat::kXmlLite;
   auto plan = MultiQueryPlan::Compile(batch, WideAlphabet(), options);
   SST_CHECK(plan->tier() == MultiTier::kMixed);
-  SST_CHECK(plan->stats().machine_members == 2);
+  SST_CHECK(plan->stats().stackless_members == 2);
+  SST_CHECK(plan->stats().machine_members == 0);
   BatchSessionPool pool(plan);
   const std::string& bytes = PaddedXmlWideBytes();
   std::vector<int64_t> expected =
@@ -888,8 +888,36 @@ void BM_ProductBatchOneScanDense(benchmark::State& state) {
   state.SetLabel("multiquery/one-scan/markup-dense/N=8");
 }
 
+// The same dense bytes through the R2-shaped batch (MixedXmlBatch on
+// markup): the product of the 8 "/x//y" plus the fused-DRA side-cars
+// "/a/b" and "/a/c", which sleep through most of the document
+// (ByteDraRunner::IsSleepy). bench_baselines.json holds it against
+// BM_ProductBatchStreamingDense, the same scan without side-cars.
+void BM_SideCarBatchStreamingDense(benchmark::State& state) {
+  auto plan = MultiQueryPlan::Compile(MixedXmlBatch(), WideAlphabet(),
+                                      MultiQueryOptions{});
+  SST_CHECK(plan->tier() == MultiTier::kMixed);
+  SST_CHECK(plan->eager() != nullptr);
+  SST_CHECK(plan->stats().stackless_members == 2);
+  const std::string& bytes = WideMarkupBytes();
+  const std::vector<int64_t> expected =
+      BatchSession(plan).CountSelections(bytes);
+  BatchSessionPool pool(plan);
+  constexpr size_t kChunk = 65536;
+  for (auto _ : state) {
+    std::unique_ptr<BatchSession> session = pool.Acquire();
+    SST_CHECK(DriveBatchChunked(*session, bytes, kChunk));
+    SST_CHECK(session->query_matches() == expected);
+    pool.Release(std::move(session));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.SetLabel("multiquery/side-car-streaming/markup-dense/N=10");
+}
+
 BENCHMARK(BM_ProductBatchStreamingDense);
 BENCHMARK(BM_ProductBatchOneScanDense);
+BENCHMARK(BM_SideCarBatchStreamingDense);
 
 // --- Stackless fused tier: Lemma 3.8 at byte-table speed ----------------
 // Whitespace-padded compact markup over {a, b, c}: pretty-printed with a

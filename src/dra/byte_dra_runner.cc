@@ -5,6 +5,13 @@
 
 namespace sst {
 
+namespace {
+
+constexpr const char* kNotCompact =
+    "byte-level DRA entry points require single lowercase-letter labels";
+
+}  // namespace
+
 ByteDraRunner::ByteDraRunner(const Dra* dra, const Alphabet& alphabet)
     : dra_(dra),
       num_states_(dra->num_states),
@@ -18,16 +25,29 @@ ByteDraRunner::ByteDraRunner(const Dra* dra, const Alphabet& alphabet)
     pow3_[static_cast<size_t>(r)] = p;
   }
   byte_symbol_.fill(-1);
-  for (Symbol a = 0; a < num_symbols_; ++a) {
+  compact_labels_ = true;
+  for (Symbol a = 0; compact_labels_ && a < num_symbols_; ++a) {
     const std::string& label = alphabet.LabelOf(a);
-    SST_CHECK_MSG(label.size() == 1 && label[0] >= 'a' && label[0] <= 'z',
-                  "compact markup requires single lowercase-letter labels");
-    byte_symbol_[static_cast<unsigned char>(label[0])] = a;
-    byte_symbol_[static_cast<unsigned char>(label[0] - 'a' + 'A')] = a;
+    compact_labels_ = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
+  }
+  for (Symbol a = 0; compact_labels_ && a < num_symbols_; ++a) {
+    const unsigned char letter =
+        static_cast<unsigned char>(alphabet.LabelOf(a)[0]);
+    byte_symbol_[letter] = a;
+    byte_symbol_[letter - 'a' + 'A'] = a;
   }
   accepting_.assign(num_states_, 0);
+  sleepy_.assign(num_states_, 0);
   for (int q = 0; q < num_states_; ++q) {
     accepting_[q] = dra->accepting[q] ? 1 : 0;
+    bool sleepy = !dra->accepting[q];
+    for (int close = 0; sleepy && close < 2; ++close) {
+      for (Symbol a = 0; sleepy && a < num_symbols_; ++a) {
+        const Dra::Action& action = dra->At(q, close != 0, a, 0);
+        sleepy = action.load_mask == 0 && action.next == q;
+      }
+    }
+    sleepy_[q] = sleepy ? 1 : 0;
   }
   if (num_states_ < 65536) {
     FillTables(&open_next16_, &close_next16_);
@@ -72,6 +92,7 @@ DraConfig ByteDraRunner::InitialConfig() const {
 }
 
 DraConfig ByteDraRunner::FinalConfig(std::string_view bytes) const {
+  SST_CHECK_MSG(compact_labels_, kNotCompact);
   DraConfig config = InitialConfig();
   ForEachStructural(bytes.data(), bytes.size(),
                     [&](size_t i) {
@@ -81,6 +102,7 @@ DraConfig ByteDraRunner::FinalConfig(std::string_view bytes) const {
 }
 
 int64_t ByteDraRunner::CountSelectionsPerByte(std::string_view bytes) const {
+  SST_CHECK_MSG(compact_labels_, kNotCompact);
   DraConfig config = InitialConfig();
   int64_t selected = 0;
   for (unsigned char byte : bytes) {
@@ -100,6 +122,7 @@ int64_t ByteDraRunner::CountSelectionsPerByte(std::string_view bytes) const {
 }
 
 int64_t ByteDraRunner::CountSelections(std::string_view bytes) const {
+  SST_CHECK_MSG(compact_labels_, kNotCompact);
   DraConfig config = InitialConfig();
   int64_t selected = 0;
   // Structural-index walk: whitespace gaps leave the configuration and the
@@ -135,6 +158,7 @@ struct DraCollectState {
 
 int64_t ByteDraRunner::CollectMatches(std::string_view bytes, MatchSink* sink,
                                       int64_t max_pending) const {
+  SST_CHECK_MSG(compact_labels_, kNotCompact);
   MatchRecorder recorder;
   recorder.set_sink(sink);
   recorder.set_max_pending(max_pending);
@@ -170,6 +194,7 @@ int64_t ByteDraRunner::CollectMatches(std::string_view bytes, MatchSink* sink,
 int64_t ByteDraRunner::CollectMatchesPerByte(std::string_view bytes,
                                              MatchSink* sink,
                                              int64_t max_pending) const {
+  SST_CHECK_MSG(compact_labels_, kNotCompact);
   MatchRecorder recorder;
   recorder.set_sink(sink);
   recorder.set_max_pending(max_pending);

@@ -1,6 +1,7 @@
 #ifndef SST_DRA_BYTE_DRA_RUNNER_H_
 #define SST_DRA_BYTE_DRA_RUNNER_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string_view>
@@ -14,13 +15,16 @@
 
 namespace sst {
 
-// Byte-level fused execution of a *restricted* DRA over the compact markup
-// serialization ('a'..'z' opening tags, 'A'..'Z' closing tags): the
-// stackless analogue of ByteTagDfaRunner, closing the gap between the
-// paper's Lemma 3.8 evaluators and the Section 4.3 byte-table regime. The
-// depth counter, the <= Dra::kMaxRegisters depth registers, and the 3^r
-// comparison code are all resolved inside the scan loop — no virtual
-// dispatch, no per-event heap traffic.
+// Fused execution of a *restricted* DRA: the stackless analogue of
+// ByteTagDfaRunner, closing the gap between the paper's Lemma 3.8
+// evaluators and the Section 4.3 byte-table regime. The depth counter, the
+// <= Dra::kMaxRegisters depth registers, and the 3^r comparison code are
+// all resolved inside the scan loop — no virtual dispatch, no per-event
+// heap traffic. The symbol-level stepping API (StepOpen/StepClose, the
+// sleepy bits) serves every stream format; the byte-level entry points
+// (Next, CountSelections, CollectMatches, FinalConfig, Accepts) read the
+// compact markup serialization ('a'..'z' opening tags, 'A'..'Z' closing
+// tags) and need single-lowercase-letter labels (compact_labels()).
 //
 // Restrictedness (Section 2.2) is what makes the fusion cheap. In a
 // restricted DRA every transition reloads each register reading strictly
@@ -42,13 +46,26 @@ namespace sst {
 // with a ctz walk. Rows are laid out open-major:
 //   open:  [state * num_symbols + symbol]                      (code == 0)
 //   close: [(state * num_symbols + symbol) * 3^r + code]
+//
+// Sleeping states (DESIGN.md "Sleeping DRA members"). A state is *sleepy*
+// iff it is non-accepting and every code-0 action — open or close, any
+// symbol — is a load-free self-loop. Opens always read code 0, and so does
+// a close whose new depth is above every register; so while the depth
+// stays above Gate(config), the highest register, a sleepy configuration
+// provably cannot change but for its depth, and steppers skip the table.
 class ByteDraRunner {
  public:
   // Label-driven convention, matching ByteTagDfaRunner: each symbol of
   // `dra` opens as its single lowercase-letter label in `alphabet` and
-  // closes as the uppercase form. Requires IsRestricted(*dra); `dra` is
+  // closes as the uppercase form; with any other label the byte-level
+  // entry points are unavailable (compact_labels() false) and only
+  // symbol-level stepping remains. Requires IsRestricted(*dra); `dra` is
   // borrowed and must outlive the runner.
   ByteDraRunner(const Dra* dra, const Alphabet& alphabet);
+
+  // True when every label is a single lowercase letter: the byte-level
+  // entry points may be called.
+  bool compact_labels() const { return compact_labels_; }
 
   // Streams the bytes; returns the number of pre-selected nodes (acceptance
   // sampled after every opening byte 'a'..'z'). Bytes that are no known tag
@@ -119,6 +136,8 @@ class ByteDraRunner {
                         ? open_next32_[index]
                         : open_next16_[index];
   }
+  // The symbol must be in [0, num_symbols): term's universal close steps
+  // column 0, which a term-blind DRA reads like any other.
   void StepClose(DraConfig* config, Symbol symbol) const {
     const int64_t depth = --config->depth;
     int code = 0;
@@ -138,6 +157,19 @@ class ByteDraRunner {
     config->state = close_next16_.empty()
                         ? close_next32_[index]
                         : close_next16_[index];
+  }
+
+  // Sleeping: true iff `state` is sleepy (see the class comment).
+  bool IsSleepy(int state) const { return sleepy_[state] != 0; }
+  // The depth a sleepy configuration must stay above: its highest
+  // register, 0 with none. Stale registers (above the live chain) are
+  // at most the depth too, so counting them only wakes a stepper earlier.
+  int64_t Gate(const DraConfig& config) const {
+    int64_t gate = 0;
+    for (int r = 0; r < num_registers_; ++r) {
+      gate = std::max(gate, config.registers[static_cast<size_t>(r)]);
+    }
+    return gate;
   }
 
   // Symbol of an opening ('a'..'z') or closing ('A'..'Z') letter under the
@@ -184,6 +216,8 @@ class ByteDraRunner {
   std::vector<int32_t> close_next32_;
   std::vector<uint16_t> close_load_;
   std::vector<uint8_t> accepting_;
+  std::vector<uint8_t> sleepy_;
+  bool compact_labels_ = false;
   std::array<Symbol, 256> byte_symbol_;
 };
 

@@ -216,7 +216,10 @@ void DraRunner::Step(Symbol symbol, bool is_close) {
     code += digit * place;
     place *= 3;
   }
-  const Dra::Action& action = dra_->At(state_, is_close, symbol, code);
+  // Term's universal close (-1) reads column 0, as every fused stepper
+  // does; a term-blind DRA's close columns all agree.
+  const Dra::Action& action =
+      dra_->At(state_, is_close, symbol < 0 ? 0 : symbol, code);
   for (int r = 0; r < dra_->num_registers; ++r) {
     if (action.load_mask & (uint32_t{1} << r)) registers_[r] = depth_;
   }

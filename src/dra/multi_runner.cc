@@ -139,7 +139,6 @@ void LazyProductCursor::AppendSelected(std::vector<int32_t>* out) const {
 void LazyStepper::Reset() {
   if (cursor) cursor->Reset();
   side_cars.Reset();
-  side_accepting = side_cars.AnyAccepting();
 }
 
 void LazyStepper::Step(bool open, Symbol symbol) {
@@ -153,12 +152,12 @@ void LazyStepper::Step(bool open, Symbol symbol) {
       cursor->Close(symbol);
     }
   }
-  side_accepting = side_cars.Step(open, symbol < 0 ? 0 : symbol);
+  side_cars.Step(open, symbol < 0 ? 0 : symbol);
 }
 
 void LazyStepper::Resample() {
   if (cursor && cursor->Accepting()) cursor->AccumulateMask(counts);
-  side_accepting = side_cars.Sample();
+  side_cars.Sample();
 }
 
 void LazyStepper::AppendSelected(std::vector<int32_t>* out) const {

@@ -93,13 +93,12 @@ struct LazyStepper {
   std::optional<LazyProductCursor> cursor;  // empty: side-cars only
   int64_t* counts = nullptr;                // product members' counts
   DraSideCars side_cars;
-  bool side_accepting = false;
 
   void Reset();
   void Step(bool open, Symbol symbol);
   void Resample();
   bool accepting() const {
-    return (cursor && cursor->Accepting()) || side_accepting;
+    return (cursor && cursor->Accepting()) || side_cars.accepting;
   }
   void AppendSelected(std::vector<int32_t>* out) const;
 };

@@ -1,6 +1,45 @@
 #include "dra/product_stepper.h"
 
+#include <algorithm>
+
 namespace sst {
+
+void DraSideCars::Rearm(int64_t depth) {
+  bool all_asleep = true;
+  int64_t gate = 0;
+  accepting = false;
+  for (size_t j = 0; j < size; ++j) {
+    all_asleep = all_asleep && runners[j]->IsSleepy(configs[j].state);
+    gate = std::max(gate, runners[j]->Gate(configs[j]));
+    accepting = accepting || runners[j]->IsAccepting(configs[j].state);
+  }
+  slack = all_asleep ? depth - gate : kAwake;
+  base = all_asleep ? gate : depth;
+}
+
+DraSideCars DraSideCars::Wake(DraSideCars cars, bool open, Symbol symbol) {
+  const int64_t depth = cars.depth();
+  const int64_t next = depth + (open ? 1 : -1);
+  for (size_t j = 0; j < cars.size; ++j) {
+    const ByteDraRunner& runner = *cars.runners[j];
+    DraConfig& config = cars.configs[j];
+    if (!runner.IsSleepy(config.state) ||
+        (!open && next <= runner.Gate(config))) {
+      // Awake, or woken by this close: a sleeping side-car's depth is
+      // stale, so resync it before the step.
+      config.depth = depth;
+      if (open) {
+        runner.StepOpen(&config, symbol);
+      } else {
+        runner.StepClose(&config, symbol);
+      }
+      cars.counts[j] += static_cast<int64_t>(
+          open && runner.IsAccepting(config.state));
+    }
+  }
+  cars.Rearm(next);
+  return cars;
+}
 
 ProductRows ProductRows::Build(const TagDfa& dfa) {
   ProductRows rows;

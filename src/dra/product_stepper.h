@@ -49,59 +49,77 @@ struct TagDfaProduct {
 
 // View over the fused-DRA members of a batch: the shared runners, the
 // stream's configurations and the members' selection counts, all owned by
-// the caller. Stepping is the one implementation every batch path uses
-// for its DRA side-cars.
+// the caller, plus the batch's sleep state (by value, so a stepper copy
+// carries it in registers). Stepping is the one implementation every
+// batch path uses for its DRA side-cars.
+//
+// Sleeping (ByteDraRunner::IsSleepy): a side-car whose state is sleepy
+// skips its table step while the depth stays above its gate, and its
+// configuration's depth goes stale meanwhile. While every side-car
+// sleeps, `slack` is the batch depth minus the highest gate: an open may
+// skip, and so may a close that leaves the depth above the gate (slack
+// >= 2) — one compare per event, on one register. Otherwise Wake steps
+// the side-cars that are awake or woken, resyncing a woken one's depth
+// first. SyncDepths() writes the true depth into every configuration
+// before they are handed out.
 struct DraSideCars {
   const ByteDraRunner* const* runners = nullptr;
   DraConfig* configs = nullptr;
   int64_t* counts = nullptr;  // counts[j]: nodes side-car j selected
   size_t size = 0;
+  // Every side-car asleep: slack = depth - gate >= 0 and base = gate.
+  // Otherwise slack = kAwake and base = depth.
+  static constexpr int64_t kAwake = INT64_MIN / 2;
+  int64_t slack = kAwake;
+  int64_t base = 0;
+  bool accepting = false;  // some side-car accepts (never while all sleep)
 
   void Reset() {
     for (size_t j = 0; j < size; ++j) configs[j] = runners[j]->InitialConfig();
+    Rearm(0);
   }
+
+  // The batch depth.
+  int64_t depth() const { return slack >= 0 ? base + slack : base; }
+
+  // Recomputes the sleep state and acceptance from the configurations at
+  // batch depth `depth`.
+  void Rearm(int64_t depth);
 
   // One tag event for every side-car; `symbol` must be a table symbol
   // (term's universal close arrives as 0, which term-blind DRAs ignore).
-  // Counts the accepting side-cars on opens; returns whether any accepts.
-  bool Step(bool open, Symbol symbol) {
-    bool any = false;
-    for (size_t j = 0; j < size; ++j) {
-      if (open) {
-        runners[j]->StepOpen(&configs[j], symbol);
-      } else {
-        runners[j]->StepClose(&configs[j], symbol);
-      }
-      const bool accepting = runners[j]->IsAccepting(configs[j].state);
-      counts[j] += static_cast<int64_t>(open && accepting);
-      any = any || accepting;
+  // Counts the accepting side-cars on opens. Skipping leaves `accepting`
+  // false, as it already is while every side-car sleeps.
+  void Step(bool open, Symbol symbol) {
+    if (slack + 2 * static_cast<int64_t>(open) > 1) {
+      slack += open ? 1 : -1;
+      return;
     }
-    return any;
+    *this = Wake(*this, open, symbol);
   }
 
-  // Samples acceptance with no transition, counting it as an open would.
-  bool Sample() {
-    bool any = false;
+  // Step's awake path: steps every side-car that is awake or woken by the
+  // event. Out of line, so the scan loops carry only the compare above.
+  static DraSideCars Wake(DraSideCars cars, bool open, Symbol symbol);
+
+  // Counts the accepting side-cars as an open would, with no transition.
+  void Sample() {
     for (size_t j = 0; j < size; ++j) {
-      const bool accepting = runners[j]->IsAccepting(configs[j].state);
-      counts[j] += static_cast<int64_t>(accepting);
-      any = any || accepting;
+      counts[j] += static_cast<int64_t>(
+          runners[j]->IsAccepting(configs[j].state));
     }
-    return any;
   }
 
-  bool AnyAccepting() const {
-    for (size_t j = 0; j < size; ++j) {
-      if (runners[j]->IsAccepting(configs[j].state)) return true;
-    }
-    return false;
+  void SyncDepths() const {
+    const int64_t now = depth();
+    for (size_t j = 0; j < size; ++j) configs[j].depth = now;
   }
 
-  // Appends base + j for every accepting side-car j.
-  void AppendSelected(int32_t base, std::vector<int32_t>* out) const {
+  // Appends first + j for every accepting side-car j.
+  void AppendSelected(int32_t first, std::vector<int32_t>* out) const {
     for (size_t j = 0; j < size; ++j) {
       if (runners[j]->IsAccepting(configs[j].state)) {
-        out->push_back(base + static_cast<int32_t>(j));
+        out->push_back(first + static_cast<int32_t>(j));
       }
     }
   }
@@ -145,27 +163,37 @@ class ProductStepper {
   void Reset() {
     state_ = product_->rows.initial;
     side_cars_.Reset();
-    side_accepting_ = side_cars_.AnyAccepting();
   }
 
   // One tag event. Term's universal close (-1) steps column 0, which the
   // term-blind product rows ignore.
   void Step(bool open, Symbol symbol) {
+    if (has_side_cars()) {
+      StepWith<true>(open, symbol);
+    } else {
+      StepWith<false>(open, symbol);
+    }
+  }
+  // Step with the side-car check resolved at compile time: kSideCars
+  // false steps the product alone (valid only without side-cars).
+  template <bool kSideCars>
+  void StepWith(bool open, Symbol symbol) {
     const Symbol a = symbol < 0 ? 0 : symbol;
     Advance(a + (open ? 0 : num_symbols_), open);
-    if (side_cars_.size != 0) side_accepting_ = side_cars_.Step(open, a);
+    if constexpr (kSideCars) side_cars_.Step(open, a);
   }
+  bool has_side_cars() const { return side_cars_.size != 0; }
 
   // No transition, but acceptance is sampled as after an open: the
   // one-scan walk's unknown opening letter.
   void Resample() {
     Advance(product_->rows.noop_column(), true);
-    if (side_cars_.size != 0) side_accepting_ = side_cars_.Sample();
+    side_cars_.Sample();
   }
 
   // Some member selects the node just opened.
   bool accepting() const {
-    return (accepting_[state_] != 0) | side_accepting_;
+    return (accepting_[state_] != 0) | side_cars_.accepting;
   }
 
   // Members selecting the node just opened: product mask bits, then the
@@ -177,9 +205,11 @@ class ProductStepper {
     side_cars_.AppendSelected(static_cast<int32_t>(product_->arity), out);
   }
 
-  // Folds the hit histogram into the counts and clears it. Mutates only
-  // the borrowed storage, so owners may fold from const accessors.
+  // Folds the hit histogram into the counts and clears it, and brings the
+  // side-car configurations' depths up to date. Mutates only the borrowed
+  // storage, so owners may fold from const accessors.
   void Fold() const {
+    side_cars_.SyncDepths();
     const int num_states = static_cast<int>(product_->masks.size());
     for (int state = 0; state < num_states; ++state) {
       const int64_t hits = hits_[state];
@@ -207,7 +237,6 @@ class ProductStepper {
   int64_t* hits_ = nullptr;
   DraSideCars side_cars_;
   int state_ = 0;
-  bool side_accepting_ = false;
 };
 
 }  // namespace sst

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "base/byte_scan.h"
 #include "base/check.h"
@@ -123,38 +124,32 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
       std::make_unique<ScannerTables>(ScannerTables::Build(format, *alphabet));
   tables_ = owned_tables_.get();
   labels_.assign(kDepthReserve + 2, kNoLabel);
-  if (format_ == Format::kCompactMarkup) {
-    if (const TagDfa* dfa = machine_->ExportTagDfa()) {
-      // The fused table is keyed by the raw byte, so every symbol the
-      // stream can mention must be a single lowercase letter and covered
-      // by the automaton.
-      bool compact = alphabet_->size() <= dfa->num_symbols;
-      for (Symbol s = 0; compact && s < alphabet_->size(); ++s) {
-        const std::string& label = alphabet_->LabelOf(s);
-        compact = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
-      }
-      if (compact) {
-        owned_fused_ = std::make_unique<ByteTagDfaRunner>(*dfa, *alphabet_);
-        fused_ = owned_fused_.get();
-      }
-    } else if (const Dra* dra = machine_->ExportDra()) {
-      // Stackless fused tier: same label eligibility, plus restrictedness
-      // (the fused table's open/close layout is only sound then) and a
-      // table budget — the close table has 3^r columns per (state, symbol)
-      // and an unrestricted register count could make it enormous.
-      bool compact = alphabet_->size() == dra->num_symbols &&
-                     IsRestricted(*dra) &&
-                     static_cast<int64_t>(dra->num_states) *
-                             dra->num_symbols * dra->NumCmpCodes() <=
-                         kFusedDraEntryBudget;
-      for (Symbol s = 0; compact && s < alphabet_->size(); ++s) {
-        const std::string& label = alphabet_->LabelOf(s);
-        compact = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
-      }
-      if (compact) {
-        owned_fused_dra_ = std::make_unique<ByteDraRunner>(dra, *alphabet_);
-        fused_dra_ = owned_fused_dra_.get();
-      }
+  if (const TagDfa* dfa = machine_->ExportTagDfa()) {
+    // The fused table is keyed by the raw byte, so the format must be
+    // compact markup and every symbol the stream can mention a single
+    // lowercase letter covered by the automaton.
+    bool compact = format_ == Format::kCompactMarkup &&
+                   alphabet_->size() <= dfa->num_symbols;
+    for (Symbol s = 0; compact && s < alphabet_->size(); ++s) {
+      const std::string& label = alphabet_->LabelOf(s);
+      compact = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
+    }
+    if (compact) {
+      owned_fused_ = std::make_unique<ByteTagDfaRunner>(*dfa, *alphabet_);
+      fused_ = owned_fused_.get();
+    }
+  } else if (const Dra* dra = machine_->ExportDra()) {
+    // Stackless fused tier, keyed by symbol on every format: it needs
+    // restrictedness (the fused table's open/close layout is only sound
+    // then) and a table budget — the close table has 3^r columns per
+    // (state, symbol) and an unrestricted register count could make it
+    // enormous.
+    if (alphabet_->size() == dra->num_symbols && IsRestricted(*dra) &&
+        static_cast<int64_t>(dra->num_states) * dra->num_symbols *
+                dra->NumCmpCodes() <=
+            kFusedDraEntryBudget) {
+      owned_fused_dra_ = std::make_unique<ByteDraRunner>(dra, *alphabet_);
+      fused_dra_ = owned_fused_dra_.get();
     }
   }
   // A batch machine's stepper rides every format: it is keyed by symbol.
@@ -187,10 +182,9 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
     SST_CHECK(dfa != nullptr && dfa->num_states == fused_->num_states());
   }
   if (fused_dra_ != nullptr) {
-    // Likewise for the stackless tier: the full configuration is synced
-    // around each chunk, so the machine must export a DRA the shared fused
-    // table was built from.
-    SST_CHECK(format_ == Format::kCompactMarkup);
+    // Likewise for the stackless tier (any format): the full configuration
+    // is synced around each chunk, so the machine must export a DRA the
+    // shared fused table was built from.
     const Dra* dra = machine_->ExportDra();
     SST_CHECK(dra != nullptr && dra->num_states == fused_dra_->num_states());
   }
@@ -218,7 +212,11 @@ void StreamingSelector::CheckTableAgreement() const {
   // previously each layer derived its own copy with no cross-check). They
   // must agree on every letter byte: same symbol, open/close polarity
   // matching the case convention.
-  if (fused_ == nullptr && fused_dra_ == nullptr) return;
+  if (fused_ == nullptr &&
+      (fused_dra_ == nullptr || format_ != Format::kCompactMarkup ||
+       !fused_dra_->compact_labels())) {
+    return;
+  }
   for (int c = 'a'; c <= 'z'; ++c) {
     SST_CHECK(tables_->byte_class[c] == ScannerTables::kOpen);
     SST_CHECK(tables_->byte_class[c - 'a' + 'A'] == ScannerTables::kClose);
@@ -229,7 +227,7 @@ void StreamingSelector::CheckTableAgreement() const {
           fused_->byte_symbol(static_cast<unsigned char>(c - 'a' + 'A')) ==
           tables_->byte_symbol[c - 'a' + 'A']);
     }
-    if (fused_dra_ != nullptr) {
+    if (fused_dra_ != nullptr && fused_dra_->compact_labels()) {
       SST_CHECK(fused_dra_->byte_symbol(static_cast<unsigned char>(c)) ==
                 tables_->byte_symbol[c]);
       SST_CHECK(
@@ -267,7 +265,6 @@ void StreamingSelector::Reset() {
   tag_start_ = -1;
   in_skip_ = false;
   skip_depth_ = 0;
-  demoted_ = false;
   chunk_base_ = 0;
   bytes_fed_ = 0;
   chunks_fed_ = 0;
@@ -306,7 +303,6 @@ bool StreamingSelector::SaveCheckpoint(SelectorCheckpoint* out) {
   out->tag_start = tag_start_;
   out->in_skip = in_skip_;
   out->skip_depth = skip_depth_;
-  out->demoted = demoted_;
   out->bytes_fed = bytes_fed_;
   out->chunks_fed = chunks_fed_;
   out->events = events_;
@@ -342,7 +338,6 @@ bool StreamingSelector::RestoreCheckpoint(const SelectorCheckpoint& cp) {
   tag_start_ = cp.tag_start;
   in_skip_ = cp.in_skip;
   skip_depth_ = cp.skip_depth;
-  demoted_ = cp.demoted;
   chunk_base_ = cp.bytes_fed;
   bytes_fed_ = cp.bytes_fed;
   chunks_fed_ = cp.chunks_fed;
@@ -371,10 +366,7 @@ bool StreamingSelector::CheckpointConverged(const SelectorCheckpoint& cp,
                                             int64_t delta) const {
   if (failed_) return false;
   if (depth_ != cp.depth || saw_root_ != cp.saw_root) return false;
-  if (in_skip_ != cp.in_skip || skip_depth_ != cp.skip_depth ||
-      demoted_ != cp.demoted) {
-    return false;
-  }
+  if (in_skip_ != cp.in_skip || skip_depth_ != cp.skip_depth) return false;
   if (in_tag_ != cp.in_tag || tag_first_ != cp.tag_first ||
       tag_closing_ != cp.tag_closing || have_pending_ != cp.have_pending ||
       pending_byte_ != cp.pending_byte) {
@@ -573,8 +565,9 @@ SST_ALWAYS_INLINE StreamingSelector::Frame StreamingSelector::LoadFrame(
       limits_.max_depth, static_cast<int64_t>(labels_.size()) - 2);
   frame.max_events = limits_.max_events;
   frame.spans = recorder_.active() && recorder_.verdict_only_sink() == nullptr;
-  frame.batch_verdicts =
-      single_member && recorder_.verdict_only_sink() != nullptr;
+  frame.batch_verdicts = single_member &&
+                         format_ == Format::kCompactMarkup &&
+                         recorder_.verdict_only_sink() != nullptr;
   frame.emit = static_cast<bool>(match_callback_) ||
                (recorder_.active() && !frame.batch_verdicts);
   frame.num_verdicts = 0;
@@ -652,7 +645,7 @@ SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
     // By value: the stepper's address never escapes the scan loop. The
     // callback numbers nodes from 0, so the one just opened is nodes - 1.
     EmitMatch(stepper, frame.nodes() - 1, frame.depth, symbol, start,
-              last + 1);
+              last + 1, !frame.batch_verdicts);
   }
   return true;
 }
@@ -661,15 +654,13 @@ template <typename Stepper>
 SST_NOINLINE void StreamingSelector::EmitMatch(Stepper stepper, int64_t node,
                                                int64_t depth, Symbol symbol,
                                                int64_t start,
-                                               int64_t certainty) {
+                                               int64_t certainty,
+                                               bool record) {
   if (match_callback_) match_callback_(node, symbol);
-  if (!recorder_.active()) return;
+  if (!recorder_.active() || !record) return;
   if constexpr (Stepper::kSingleMember) {
-    // The fused tiers' acceptance always fans out to member 0 alone; a
-    // verdict-only sink never gets here (CleanToken batches it).
-    if (recorder_.verdict_only_sink() == nullptr) {
-      recorder_.OnMatch(0, depth, start, certainty);
-    }
+    // The fused tiers' acceptance always fans out to member 0 alone.
+    recorder_.OnMatch(0, depth, start, certainty);
   } else {
     member_scratch_.clear();
     stepper.AppendSelected(&member_scratch_);
@@ -680,55 +671,39 @@ SST_NOINLINE void StreamingSelector::EmitMatch(Stepper stepper, int64_t node,
 }
 
 template <typename Stepper, typename Slow>
-SST_ALWAYS_INLINE StreamingSelector::ScanStatus StreamingSelector::Refuse(
-    Frame& frame, Stepper& stepper, Slow slow) {
+SST_ALWAYS_INLINE bool StreamingSelector::Refuse(Frame& frame,
+                                                 Stepper& stepper, Slow slow) {
   // Only values cross into the out-of-line refusal path: the members and
-  // the machine are brought up to date first and read back after.
+  // the machine are brought up to date first and read back after. Every
+  // event the slow path applies — the token, or the closes recovery
+  // synthesizes — runs on the machine, so the stepper resumes from
+  // whatever configuration those events left.
   CommitFrame(frame);
   stepper.Store();
-  const ScanStatus status = RunRefused(Stepper::kDemotes, slow);
-  if (status == ScanStatus::kOk) {
-    frame = LoadFrame(Stepper::kSingleMember);
-    stepper.Load();
-  }
-  return status;
+  if (!RunRefused(slow)) return false;
+  frame = LoadFrame(Stepper::kSingleMember);
+  stepper.Load();
+  return true;
 }
 
 template <typename Slow>
-SST_NOINLINE StreamingSelector::ScanStatus StreamingSelector::RunRefused(
-    bool demotes, Slow slow) {
-  const int64_t recovered = errors_recovered_;
-  const bool ok = slow();
-  // Degradation ladder: resynchronization synthesizes machine-level close
-  // events, which a fused table cannot express. The token already ran on
-  // the machine (synced by Refuse), so the generic tier simply continues
-  // after it for the rest of the document.
-  if (demotes && policy_ == RecoveryPolicy::kSkipMalformedSubtree &&
-      (!ok || errors_recovered_ != recovered)) {
-    demoted_ = true;
-    return ok ? ScanStatus::kDemote : ScanStatus::kFatal;
-  }
-  return ok ? ScanStatus::kOk : ScanStatus::kFatal;
+SST_NOINLINE bool StreamingSelector::RunRefused(Slow slow) {
+  return slow();
 }
 
 template <typename Stepper>
-StreamingSelector::ScanResult StreamingSelector::Scan(Stepper stepper,
-                                                      std::string_view chunk,
-                                                      size_t start) {
+bool StreamingSelector::Scan(Stepper stepper, std::string_view chunk) {
   // Each format loop owns its copy of the stepper, so the stepper's state
   // can live in registers for the whole chunk.
   stepper.Load();
-  if (format_ == Format::kCompactMarkup) {
-    return FeedMarkup(chunk, start, stepper);
-  }
-  // The fused single-query tiers are byte tables over compact markup.
-  if constexpr (!Stepper::kDemotes) {
-    SST_CHECK(start == 0);
+  if (format_ == Format::kCompactMarkup) return FeedMarkup(chunk, stepper);
+  // The fused byte table is keyed by compact-markup bytes.
+  if constexpr (!std::is_same_v<Stepper, FusedStepper>) {
     if (format_ == Format::kXmlLite) return FeedXml(chunk, stepper);
     return FeedTerm(chunk, stepper);
   }
-  SST_CHECK_MSG(false, "fused tiers run compact markup only");
-  return {ScanStatus::kFatal, 0};
+  SST_CHECK_MSG(false, "the fused byte table runs compact markup only");
+  return false;
 }
 
 template <typename Stepper>
@@ -777,28 +752,25 @@ size_t StreamingSelector::MarkupSkip(std::string_view chunk, size_t i) {
 }
 
 template <typename Stepper>
-StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
-    std::string_view chunk, size_t start, Stepper stepper) {
+bool StreamingSelector::FeedMarkup(std::string_view chunk, Stepper stepper) {
   const uint8_t* cls = tables_->byte_class.data();
   const Symbol* sym = tables_->byte_symbol.data();
   Frame frame = LoadFrame(Stepper::kSingleMember);
-  size_t i = start;
+  size_t i = 0;
   while (true) {
-    // Only the generic tiers resynchronize in place; a fused tier demotes
-    // before it could enter skip mode.
-    const bool skipping = !Stepper::kDemotes && in_skip_;
+    const bool skipping = in_skip_;
     i = skipping ? MarkupSkip(chunk, i) : MarkupRun(chunk, i, frame, stepper);
     if (i >= chunk.size()) break;
     const unsigned char c = static_cast<unsigned char>(chunk[i]);
     const int64_t offset = chunk_base_ + static_cast<int64_t>(i);
-    ScanStatus status;
+    bool ok;
     if (skipping) {
       // The close that ends the innermost open element of the region.
-      status = Refuse(frame, stepper,
-                      [=, this] { return ResyncClose(offset + 1); });
+      ok = Refuse(frame, stepper,
+                  [=, this] { return ResyncClose(offset + 1); });
     } else {
       // The token the core refused, through the exact path.
-      status = Refuse(frame, stepper, [=, this] {
+      ok = Refuse(frame, stepper, [=, this] {
         const bool open = cls[c] == ScannerTables::kOpen;
         if (!open && cls[c] != ScannerTables::kClose) {
           return Recover(MakeError(StreamErrorCode::kBadByte, offset),
@@ -813,24 +785,21 @@ StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
                     : EmitClose(sym[c], offset, offset);
       });
     }
-    if (status != ScanStatus::kOk) return {status, i + 1};
+    if (!ok) return false;
     ++i;
   }
   CommitFrame(frame);
   stepper.Store();
-  return {ScanStatus::kOk, chunk.size()};
+  return true;
 }
 
 template <typename Stepper>
-StreamingSelector::ScanResult StreamingSelector::FeedTerm(
-    std::string_view chunk, Stepper stepper) {
+bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
   const uint8_t* cls = tables_->byte_class.data();
   const Symbol* sym = tables_->byte_symbol.data();
   const int64_t base = chunk_base_;
   Frame frame = LoadFrame(Stepper::kSingleMember);
-  auto refuse = [&](auto slow) {
-    return Refuse(frame, stepper, slow) == ScanStatus::kOk;
-  };
+  auto refuse = [&](auto slow) { return Refuse(frame, stepper, slow); };
   // Structural-index scan (term delimiters and labels are all structural
   // bytes); whitespace between tokens never reaches the token logic. The
   // pending-label reprocess trick keeps its semantics: instead of --i, the
@@ -847,7 +816,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedTerm(
         if (skip_depth_ > 0) {
           --skip_depth_;
         } else if (!refuse([=, this] { return ResyncClose(offset + 1); })) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
       }
       i = structural.Next();
@@ -859,7 +828,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedTerm(
               return Recover(MakeError(StreamErrorCode::kBadByte, offset),
                              ErrorToken::kJunk, pending_offset_);
             })) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
         // Reprocess this byte under skip framing ('}' must resync): keep
         // i where it is for the next round.
@@ -877,7 +846,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedTerm(
             }
             return EmitOpen(s, offset, pending_offset_);
           })) {
-        return {ScanStatus::kFatal, i};
+        return false;
       }
       i = structural.Next();
       continue;
@@ -886,7 +855,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedTerm(
       case ScannerTables::kCloseBrace:
         if (!CleanToken<true>(frame, stepper, false, -1, c, offset, offset) &&
             !refuse([=, this] { return EmitClose(-1, offset, offset); })) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
         break;
       case ScannerTables::kLabel:
@@ -903,7 +872,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedTerm(
                   c == '{' ? ErrorToken::kOpenLike : ErrorToken::kJunk,
                   offset);
             })) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
         break;
     }
@@ -911,7 +880,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedTerm(
   }
   CommitFrame(frame);
   stepper.Store();
-  return {ScanStatus::kOk, chunk.size()};
+  return true;
 }
 
 template <typename Stepper>
@@ -962,15 +931,12 @@ SST_NOINLINE size_t StreamingSelector::XmlRun(std::string_view chunk,
 }
 
 template <typename Stepper>
-StreamingSelector::ScanResult StreamingSelector::FeedXml(
-    std::string_view chunk, Stepper stepper) {
+bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
   const char* bytes = chunk.data();
   const size_t n = chunk.size();
   const int64_t base = chunk_base_;
   Frame frame = LoadFrame(Stepper::kSingleMember);
-  auto refuse = [&](auto slow) {
-    return Refuse(frame, stepper, slow) == ScanStatus::kOk;
-  };
+  auto refuse = [&](auto slow) { return Refuse(frame, stepper, slow); };
   // A complete tag through the exact path. False on a fatal error.
   auto exact_tag = [&](bool closing, Symbol s, size_t name_end,
                        int64_t start) {
@@ -995,7 +961,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedXml(
               return Recover(MakeError(StreamErrorCode::kBadByte, offset),
                              ErrorToken::kJunk, offset);
             })) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
         ++i;
         continue;
@@ -1011,7 +977,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedXml(
                        LookupTag(*tables_, *alphabet_, bytes + tag.name,
                                  tag.name_end - tag.name),
                        tag.name_end, tag_start_)) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
         i = tag.name_end + 1;
         continue;
@@ -1073,7 +1039,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedXml(
                   MakeError(StreamErrorCode::kTagTooLong, too_long),
                   ErrorToken::kJunk, tag_start_);
             })) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
         // Recovered: the oversized tag is junk inside the skipped region;
         // keep consuming its body without buffering (the first name byte
@@ -1099,7 +1065,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedXml(
           --skip_depth_;
         } else if (!refuse(
                        [=, this] { return ResyncClose(end_offset + 1); })) {
-          return {ScanStatus::kFatal, i};
+          return false;
         }
       } else {
         ++skip_depth_;
@@ -1111,7 +1077,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedXml(
             return Recover(MakeError(StreamErrorCode::kBadByte, end_offset),
                            ErrorToken::kJunk, tag_start_);
           })) {
-        return {ScanStatus::kFatal, i};
+        return false;
       }
       continue;
     }
@@ -1120,12 +1086,12 @@ StreamingSelector::ScanResult StreamingSelector::FeedXml(
     if (!CleanToken<false>(frame, stepper, !tag_closing_, s, 0, tag_start_,
                            end_offset) &&
         !exact_tag(tag_closing_, s, name_end, tag_start_)) {
-      return {ScanStatus::kFatal, i};
+      return false;
     }
   }
   CommitFrame(frame);
   stepper.Store();
-  return {ScanStatus::kOk, n};
+  return true;
 }
 
 bool StreamingSelector::Feed(std::string_view chunk) {
@@ -1143,22 +1109,19 @@ bool StreamingSelector::Feed(std::string_view chunk) {
   chunk_base_ = bytes_fed_;
   bytes_fed_ += static_cast<int64_t>(chunk.size());
   ++chunks_fed_;
-  ScanResult r;
-  if (using_fused_fast_path()) {
-    r = Scan(FusedStepper{machine_, fused_}, chunk, 0);
-  } else if (using_fused_dra_path()) {
-    r = Scan(DraFusedStepper{machine_, fused_dra_, {}}, chunk, 0);
+  bool ok;
+  if (fused_ != nullptr) {
+    ok = Scan(FusedStepper{machine_, fused_}, chunk);
+  } else if (fused_dra_ != nullptr) {
+    ok = Scan(DraFusedStepper{machine_, fused_dra_}, chunk);
+  } else if (product_ != nullptr && product_->has_side_cars()) {
+    ok = Scan(ProductLoopStepper<true>{product_, {}}, chunk);
   } else if (product_ != nullptr) {
-    r = Scan(ProductLoopStepper{product_, {}}, chunk, 0);
+    ok = Scan(ProductLoopStepper<false>{product_, {}}, chunk);
   } else {
-    r = Scan(VirtualStepper{machine_}, chunk, 0);
+    ok = Scan(VirtualStepper{machine_}, chunk);
   }
-  if (r.status == ScanStatus::kDemote) {
-    // A fused tier demoted mid-chunk (see Refuse): the generic tier takes
-    // the rest of the document from the byte after the offending token.
-    r = Scan(VirtualStepper{machine_}, chunk, r.resume_index);
-  }
-  if (r.status != ScanStatus::kOk) return false;
+  if (!ok) return false;
   if (over_byte_limit) {
     return FailAt(MakeError(StreamErrorCode::kByteLimitExceeded,
                             limits_.max_document_bytes));

@@ -123,22 +123,24 @@ struct SelectorCheckpoint;
 // stepper: when the machine exports a plain TagDfa (registerless tier)
 // and the format is compact markup, a fused ByteTagDfaRunner byte→state
 // table (Section 4.3); when it instead exports a restricted DRA
-// (stackless tier, Lemma 3.8), a fused ByteDraRunner that resolves depth,
-// registers, and the comparison code inline — one rung below the
-// registerless table on the ladder, still byte-table speed; when it is a
-// batch exporting a ProductStepper, the eager product's symbol-keyed rows
-// plus its fused-DRA side-cars, on any format; otherwise the virtual
-// machine. Recovery demotes either fused single-query tier to the generic
-// machine tier for the rest of the document (the degradation ladder);
-// Reset() re-arms it.
+// (stackless tier, Lemma 3.8), on any format, a fused ByteDraRunner that
+// resolves depth, registers, and the comparison code inline and skips the
+// table while the configuration sleeps (DESIGN.md "Sleeping DRA
+// members") — one rung below the registerless table on the ladder, still
+// table speed; when it is a batch exporting a ProductStepper, the eager
+// product's symbol-keyed rows plus its fused-DRA side-cars, on any format;
+// otherwise the virtual machine. Every stepper stays in place through
+// recovery: the refused token and the closes resynchronization
+// synthesizes run on the machine, which the stepper is synced with around
+// them.
 class StreamingSelector {
  public:
   using Format = StreamFormat;
 
-  // Which rung of the degradation ladder is executing events. The stack
-  // tier (StackQueryEvaluator) — below all of these — is chosen by the
-  // caller as the machine itself; the selector can only report the rungs
-  // it switches between internally: the registerless fused byte table, the
+  // Which rung of the degradation ladder is executing events, fixed at
+  // construction. The stack tier (StackQueryEvaluator) — below all of
+  // these — is chosen by the caller as the machine itself; the selector
+  // reports the rungs it can run: the registerless fused byte table, the
   // stackless fused DRA table, and the generic virtual machine.
   enum class Tier { kFusedByteTable, kFusedDraTable, kGenericMachine };
 
@@ -310,7 +312,7 @@ class StreamingSelector {
   // change). Counters and error history do not participate — they are
   // prefix aggregates, spliced separately; what must agree is everything
   // that determines the *future* of the run: depth, validator labels,
-  // lexer, recovery mode, tier demotion, and the machine configuration.
+  // lexer, recovery mode, and the machine configuration.
   bool CheckpointConverged(const SelectorCheckpoint& cp, int64_t delta) const;
 
   // Returns the peak depth since the last call (or Reset/Restore) and
@@ -321,15 +323,11 @@ class StreamingSelector {
   int64_t TakeSegmentPeakDepth();
 
   // True when the fused byte→state fast path is active (registerless
-  // machine + compact markup + single-letter labels, not demoted).
-  bool using_fused_fast_path() const {
-    return fused_ != nullptr && !demoted_;
-  }
-  // True when the fused byte→configuration fast path is active (restricted
-  // DRA machine + compact markup + single-letter labels, not demoted).
-  bool using_fused_dra_path() const {
-    return fused_dra_ != nullptr && !demoted_;
-  }
+  // machine + compact markup + single-letter labels).
+  bool using_fused_fast_path() const { return fused_ != nullptr; }
+  // True when the fused DRA fast path is active (restricted DRA machine
+  // within the table budget, any format).
+  bool using_fused_dra_path() const { return fused_dra_ != nullptr; }
   Tier active_tier() const {
     if (using_fused_fast_path()) return Tier::kFusedByteTable;
     if (using_fused_dra_path()) return Tier::kFusedDraTable;
@@ -342,15 +340,6 @@ class StreamingSelector {
   // element, a close-like token is itself the resynchronization point,
   // and junk is simply discarded.
   enum class ErrorToken : uint8_t { kJunk, kOpenLike, kCloseLike };
-
-  // Per-chunk scan result; kDemote asks Feed to continue the chunk from
-  // resume_index on the generic tier (a fused tier met an error that the
-  // recovery policy resynchronizes, which only the virtual machine can).
-  enum class ScanStatus : uint8_t { kOk, kFatal, kDemote };
-  struct ScanResult {
-    ScanStatus status = ScanStatus::kOk;
-    size_t resume_index = 0;  // kDemote: first unconsumed chunk index
-  };
 
   // The framing state a scan keeps in locals for the length of a chunk;
   // LoadFrame/CommitFrame move it between the members and the loop, and
@@ -372,7 +361,8 @@ class StreamingSelector {
     bool emit;   // EmitMatch sees every match: a callback, or a sink
                  // whose matches are not batched
     bool spans;  // the sink buffers spans, which closes complete
-    // Single-member steppers with a verdict-only sink: matches are
+    // Single-member steppers with a verdict-only sink on compact markup
+    // (one-byte tokens, certain just past their start): matches are
     // collected without a branch into verdict_starts_ and delivered by
     // FlushVerdicts (when full, before any refusal, at the end of the
     // scan).
@@ -384,14 +374,11 @@ class StreamingSelector {
 
   // Steppers: what the framing core advances per clean token. Load/Store
   // sync a stepper's register copy with the machine around every token the
-  // core refuses (the refused token runs through the virtual interface)
-  // and at the end of the scan. kDemotes marks the fused single-query
-  // tiers, which hand recovery to the generic tier instead of resyncing
-  // themselves; kSingleMember marks steppers whose acceptance always fans
-  // out to member 0 alone, so match emission skips the member
-  // enumeration.
+  // core refuses (the refused token, and any close recovery synthesizes,
+  // runs through the virtual interface) and at the end of the scan.
+  // kSingleMember marks steppers whose acceptance always fans out to
+  // member 0 alone, so match emission skips the member enumeration.
   struct VirtualStepper {
-    static constexpr bool kDemotes = false;
     static constexpr bool kSingleMember = false;
     StreamMachine* machine;
     void Load() {}
@@ -408,8 +395,8 @@ class StreamingSelector {
       machine->AppendSelectedMembers(out);
     }
   };
+  // Keyed by the raw byte: compact markup only.
   struct FusedStepper {
-    static constexpr bool kDemotes = true;
     static constexpr bool kSingleMember = true;
     StreamMachine* machine;
     const ByteTagDfaRunner* runner;
@@ -429,32 +416,59 @@ class StreamingSelector {
   // Stackless fused tier: the whole DRA configuration (state, depth,
   // registers) lives in the stepper for the duration of a chunk; the
   // runner resolves the 3^r comparison code and the register loads inline.
+  // A sleepy configuration skips the table while the depth stays above its
+  // gate (ByteDraRunner::IsSleepy), so the sleeping path touches only the
+  // scalars below; `config` is current but for its depth, which `depth`
+  // holds.
   struct DraFusedStepper {
-    static constexpr bool kDemotes = true;
     static constexpr bool kSingleMember = true;
     StreamMachine* machine;
     const ByteDraRunner* runner;
-    DraConfig config;
-    void Load() { config = machine->ExportedDraConfig(); }
-    void Store() { machine->SyncExportedDraConfig(config); }
+    DraConfig config{};
+    int64_t depth = 0;
+    int64_t gate = 0;
+    bool asleep = false;
+    bool accepting = false;
+    void Load() {
+      config = machine->ExportedDraConfig();
+      depth = config.depth;
+      Rearm();
+    }
+    void Store() {
+      config.depth = depth;
+      machine->SyncExportedDraConfig(config);
+    }
+    void Rearm() {
+      asleep = runner->IsSleepy(config.state);
+      accepting = runner->IsAccepting(config.state);
+      gate = runner->Gate(config);
+    }
     void Step(bool open, Symbol s, unsigned char) {
+      const int64_t next = depth + (open ? 1 : -1);
+      if (asleep & (open | (next > gate))) {
+        depth = next;
+        return;
+      }
+      config.depth = depth;
       if (open) {
         runner->StepOpen(&config, s);
       } else {
-        runner->StepClose(&config, s);
+        // Term's universal close (-1) reads column 0.
+        runner->StepClose(&config, s < 0 ? 0 : s);
       }
+      depth = next;
+      Rearm();
     }
-    bool Hit(bool open) const {
-      return open & runner->IsAccepting(config.state);
-    }
+    bool Hit(bool open) const { return open & accepting; }
     void AppendSelected(std::vector<int32_t>* out) const { out->push_back(0); }
   };
   // A batch's eager product and fused-DRA side-cars (ProductTagMachine's
   // own stepper, copied into registers). Store folds the hit histogram,
   // so the machine's counts are exact at every chunk end and before any
-  // refused token.
+  // refused token. A batch without side-cars runs the kSideCars = false
+  // instantiation, whose loop carries no side-car code at all.
+  template <bool kSideCars>
   struct ProductLoopStepper {
-    static constexpr bool kDemotes = false;
     static constexpr bool kSingleMember = false;
     ProductStepper* home;
     ProductStepper local;
@@ -463,7 +477,9 @@ class StreamingSelector {
       local.Fold();
       *home = local;
     }
-    void Step(bool open, Symbol s, unsigned char) { local.Step(open, s); }
+    void Step(bool open, Symbol s, unsigned char) {
+      local.StepWith<kSideCars>(open, s);
+    }
     bool Hit(bool open) const { return open & local.accepting(); }
     void AppendSelected(std::vector<int32_t>* out) const {
       local.AppendSelected(out);
@@ -485,8 +501,8 @@ class StreamingSelector {
   // true; otherwise records it fatally and returns false. `excise_from`
   // is the first damaged byte (see RecoveredError). Machine events
   // synthesized here go through the virtual interface, so a stepper's
-  // state must be stored into the machine first (Refuse does), and a
-  // fused tier demotes afterwards.
+  // state must be stored into the machine first and loaded back after
+  // (Refuse does both).
   bool Recover(const StreamError& err, ErrorToken token, int64_t excise_from);
 
   // Synthesizes the close of the innermost open element (symbol -1 under
@@ -507,25 +523,27 @@ class StreamingSelector {
   template <bool kUniversalClose, typename Stepper>
   bool CleanToken(Frame& frame, Stepper& stepper, bool open, Symbol symbol,
                   unsigned char byte, int64_t start, int64_t last);
+  // `record`: the match goes to the recorder (false when CleanToken
+  // batches it as a verdict).
   template <typename Stepper>
   void EmitMatch(Stepper stepper, int64_t node, int64_t depth,
-                 Symbol symbol, int64_t start, int64_t certainty);
+                 Symbol symbol, int64_t start, int64_t certainty,
+                 bool record);
 
   // Runs `slow` (the exact per-event path for a refused token) with the
-  // frame committed and the stepper stored, then reloads both. A fused
-  // tier whose token raised an error the recovery policy resynchronizes
-  // demotes instead (kDemote; the token is consumed either way).
+  // frame committed and the stepper stored, then reloads both on success.
+  // False on a fatal error.
   template <typename Stepper, typename Slow>
-  ScanStatus Refuse(Frame& frame, Stepper& stepper, Slow slow);
+  bool Refuse(Frame& frame, Stepper& stepper, Slow slow);
   template <typename Slow>
-  ScanStatus RunRefused(bool demotes, Slow slow);
+  bool RunRefused(Slow slow);
 
-  // One chunk (from `start`) on `stepper`, in the selector's format.
+  // One chunk on `stepper`, in the selector's format; false on a fatal
+  // error.
   template <typename Stepper>
-  ScanResult Scan(Stepper stepper, std::string_view chunk, size_t start);
+  bool Scan(Stepper stepper, std::string_view chunk);
   template <typename Stepper>
-  ScanResult FeedMarkup(std::string_view chunk, size_t start,
-                        Stepper stepper);
+  bool FeedMarkup(std::string_view chunk, Stepper stepper);
   // The clean paths: from chunk index `i`, apply tokens until the chunk
   // ends or one needs the exact path; return where they stopped. Each
   // runs on register copies of the frame and the stepper.
@@ -539,9 +557,9 @@ class StreamingSelector {
   // region, or chunk.size().
   size_t MarkupSkip(std::string_view chunk, size_t i);
   template <typename Stepper>
-  ScanResult FeedXml(std::string_view chunk, Stepper stepper);
+  bool FeedXml(std::string_view chunk, Stepper stepper);
   template <typename Stepper>
-  ScanResult FeedTerm(std::string_view chunk, Stepper stepper);
+  bool FeedTerm(std::string_view chunk, Stepper stepper);
 
   // The exact per-event path: every check in spec order, then the event.
   bool EmitOpen(Symbol symbol, int64_t offset, int64_t excise_from);
@@ -589,9 +607,9 @@ class StreamingSelector {
   std::unique_ptr<ByteTagDfaRunner> owned_fused_;
   const ByteTagDfaRunner* fused_ = nullptr;
 
-  // Stackless fused fast path; null when the machine exports no restricted
-  // DRA (or the table would exceed the build budget). Mutually exclusive
-  // with fused_; same ownership scheme.
+  // Stackless fused fast path, on any format; null when the machine
+  // exports no restricted DRA (or the table would exceed the build
+  // budget). Mutually exclusive with fused_; same ownership scheme.
   std::unique_ptr<ByteDraRunner> owned_fused_dra_;
   const ByteDraRunner* fused_dra_ = nullptr;
 
@@ -619,11 +637,9 @@ class StreamingSelector {
   // Recovery state (kSkipMalformedSubtree): while in_skip_, input is
   // framing-scanned only; skip_depth_ counts elements opened inside the
   // skipped region. Resync happens at the close that would return the
-  // region to the innermost open element's end. demoted_ latches the
-  // fused→generic tier drop until Reset.
+  // region to the innermost open element's end.
   bool in_skip_ = false;
   int64_t skip_depth_ = 0;
-  bool demoted_ = false;
 
   int64_t chunk_base_ = 0;  // bytes fed before the current chunk
   int64_t bytes_fed_ = 0;
@@ -671,7 +687,6 @@ struct SelectorCheckpoint {
   // Recovery state.
   bool in_skip = false;
   int64_t skip_depth = 0;
-  bool demoted = false;
 
   // Exact prefix counters (StreamStats minus the recorder-owned fields).
   int64_t bytes_fed = 0;

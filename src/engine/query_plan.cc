@@ -11,9 +11,9 @@ namespace sst {
 
 namespace {
 
-// Compact-markup label eligibility shared by both fused rungs: every
-// document label must be a single lowercase letter so tables can be keyed
-// by the raw byte.
+// Compact-markup label eligibility of the fused byte table: every
+// document label must be a single lowercase letter so the table can be
+// keyed by the raw byte.
 bool CompactLabels(const Alphabet& alphabet) {
   for (Symbol s = 0; s < alphabet.size(); ++s) {
     const std::string& label = alphabet.LabelOf(s);
@@ -150,18 +150,14 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
     plan->kind_ = EvaluatorKind::kStackless;
     plan->stackless_ = StacklessBlueprint::Build(plan->minimal_dfa_, term);
     // Stackless fused rung: materialize the Lemma 3.8 machine into an
-    // explicit restricted DRA and flatten it to a byte table, when the
-    // format and labels allow and the table fits the budget. The budget is
-    // resolved *before* materializing — the blueprint's register bound
+    // explicit restricted DRA, when the table fits the budget. The budget
+    // is resolved *before* materializing — the blueprint's register bound
     // (max_chain) fixes the per-state table cost, so the state cap is
-    // shrunk until the transient table is bounded too. Markup encoding
-    // only: term-encoded callers drive OnClose(-1) (universal closing
-    // tag), which an explicit DRA table cannot index — those plans keep
-    // the StacklessQueryEvaluator interpreter.
-    if (options.encoding == StreamEncoding::kMarkup &&
-        options.format == StreamFormat::kCompactMarkup &&
-        plan->minimal_dfa_.num_symbols == plan->alphabet_.size() &&
-        CompactLabels(plan->alphabet_) &&
+    // shrunk until the transient table is bounded too. Every format gets
+    // one: the steppers are symbol-keyed, and the term encoding's
+    // universal close reads column 0 of the blind (Thm B.2) machine, whose
+    // close columns all agree.
+    if (plan->minimal_dfa_.num_symbols == plan->alphabet_.size() &&
         plan->stackless_->max_chain <= Dra::kMaxRegisters) {
       int64_t codes = 1;
       for (int i = 0; i < plan->stackless_->max_chain; ++i) codes *= 3;
@@ -177,21 +173,24 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
         plan->fused_dra_ = std::make_unique<ByteDraRunner>(
             &*plan->stackless_dra_, plan->alphabet_);
 #ifndef NDEBUG
-        // Same cross-check as the registerless rung: the fused DRA table
-        // and the scanner tables are derived independently from the same
-        // Alphabet and must agree on every letter byte.
-        for (int b = 'a'; b <= 'z'; ++b) {
-          SST_CHECK(plan->fused_dra_->byte_symbol(
-                        static_cast<unsigned char>(b)) ==
-                    plan->scanner_tables_.byte_symbol[b]);
-          SST_CHECK(plan->fused_dra_->byte_symbol(
-                        static_cast<unsigned char>(b - 'a' + 'A')) ==
-                    plan->scanner_tables_.byte_symbol[b - 'a' + 'A']);
-        }
-        // Text-run closure cross-check for the stackless rung: whitespace
-        // must leave the full (state, depth, registers) configuration
-        // untouched for the structural-index walk to skip it.
-        {
+        if (options.format == StreamFormat::kCompactMarkup &&
+            plan->fused_dra_->compact_labels()) {
+          // Same cross-check as the registerless rung: the fused DRA's
+          // byte entry points and the scanner tables are derived
+          // independently from the same Alphabet and must agree on every
+          // letter byte.
+          for (int b = 'a'; b <= 'z'; ++b) {
+            SST_CHECK(plan->fused_dra_->byte_symbol(
+                          static_cast<unsigned char>(b)) ==
+                      plan->scanner_tables_.byte_symbol[b]);
+            SST_CHECK(plan->fused_dra_->byte_symbol(
+                          static_cast<unsigned char>(b - 'a' + 'A')) ==
+                      plan->scanner_tables_.byte_symbol[b - 'a' + 'A']);
+          }
+          // Text-run closure cross-check for the stackless rung:
+          // whitespace must leave the full (state, depth, registers)
+          // configuration untouched for the structural-index walk to skip
+          // it.
           static constexpr unsigned char kWsProbe[] = {' ',  '\t', '\n',
                                                        '\v', '\f', '\r'};
           DraConfig probe = plan->fused_dra_->InitialConfig();
@@ -224,8 +223,8 @@ std::unique_ptr<StreamMachine> QueryPlan::NewMachine() const {
       // With the fused rung present, instantiate the machine as a DRA
       // runner over the materialized automaton: it exports the (state,
       // depth, registers) configuration the fused scanner syncs around
-      // each chunk, and steps the *same* automaton on the generic tier
-      // after a demotion — the two tiers cannot diverge.
+      // each chunk and every refused token, and steps the *same*
+      // automaton on that token — the two cannot diverge.
       if (fused_dra_) return std::make_unique<DraRunner>(&*stackless_dra_);
       return std::make_unique<StacklessQueryEvaluator>(&*stackless_);
     case EvaluatorKind::kStackBaseline:

@@ -54,11 +54,12 @@ struct PlanOptions {
 // The degradation ladder (DESIGN.md "Robustness & recovery") is encoded in
 // which artifacts are present:
 //   fused byte table  ->  fused DRA table  ->  generic machine  ->  stack
-// fused() non-null means the registerless byte-table rung exists;
-// fused_dra() non-null the stackless one (Lemma 3.8 materialized into a
-// restricted DRA and flattened to byte-table form — at most one of the two
-// is present); kind() names the strongest machine tier NewMachine()
-// instantiates; minimal_dfa() always supports the pushdown baseline.
+// fused() non-null means the registerless byte-table rung exists (compact
+// markup only); fused_dra() non-null the stackless one (Lemma 3.8
+// materialized into a restricted DRA and flattened to table form, on
+// every format — at most one of the two is present); kind() names the
+// strongest machine tier NewMachine() instantiates; minimal_dfa() always
+// supports the pushdown baseline.
 class QueryPlan {
  public:
   // Classifies the query and builds every immutable table of the
@@ -97,12 +98,13 @@ class QueryPlan {
   // degradation ladder does not exist for this plan.
   const ByteTagDfaRunner* fused() const { return fused_.get(); }
 
-  // Stackless fused tier (kind() == kStackless, compact markup,
-  // single-lowercase-letter labels, materialization within budget): the
-  // Lemma 3.8 machine materialized into an explicit restricted DRA plus
-  // its fused byte table. Both null when the stackless query runs on the
-  // generic machine tier only. stackless_dra() is non-null iff fused_dra()
-  // is.
+  // Stackless fused tier (kind() == kStackless, materialization within
+  // budget), on every format: the Lemma 3.8 machine materialized into an
+  // explicit restricted DRA — the blind (Thm B.2) machine under the term
+  // encoding — plus its fused table. Both null when the stackless query
+  // runs on the generic machine tier only. stackless_dra() is non-null iff
+  // fused_dra() is. The runner's byte-level entry points additionally need
+  // single-lowercase-letter labels (ByteDraRunner::compact_labels()).
   const Dra* stackless_dra() const {
     return stackless_dra_ ? &*stackless_dra_ : nullptr;
   }

@@ -229,15 +229,34 @@ std::optional<Dra> MaterializeStacklessQueryDra(const Dfa& minimal_dfa,
   start.current_scc = scc.component_of[dfa.initial];
   ControlState dead_state;
   dead_state.dead = true;
-  int start_id = intern(start);
-  int dead_id = intern(dead_state);
-  (void)dead_id;
+  const int start_id = intern(start);
+  const int dead_id = intern(dead_state);
 
-  std::vector<Dra::Action> table;  // filled in state order
   const int num_symbols = dfa.num_symbols;
   int num_codes = 1;
   for (int i = 0; i < num_registers; ++i) num_codes *= 3;
+  // Restrictedness (Section 2.2): every action reloads the registers that
+  // read strictly greater than the current depth. In reachable
+  // configurations chain depths increase bottom-to-top and the machine
+  // pops as soon as the top exceeds the depth, so the only register this
+  // can hit is a just-freed top (whose value is never read again) or
+  // registers in unreachable comparison codes — either way the simulation
+  // is unaffected. greater[code] is that reload set.
+  std::vector<uint32_t> greater(static_cast<size_t>(num_codes), 0);
+  for (int code = 0; code < num_codes; ++code) {
+    for (int r = 0; r < num_registers; ++r) {
+      if (Dra::CmpDigit(code, r) == Dra::kGreater) {
+        greater[static_cast<size_t>(code)] |= uint32_t{1} << r;
+      }
+    }
+  }
 
+  // The successor depends on the comparison code only through the top
+  // live register's digit, which decides a close's pop: each (state,
+  // polarity, symbol) interns at most two successors, and the 3^r code
+  // columns are filled from them. Code 0 (no pop) interns first, exactly
+  // as a per-code walk would, so state ids follow the same BFS order.
+  std::vector<Dra::Action> table;  // filled in state order
   for (size_t index = 0; index < states.size(); ++index) {
     if (static_cast<int>(states.size()) > max_states) return std::nullopt;
     // Copy: `states` may grow (and reallocate) during interning below.
@@ -245,57 +264,45 @@ std::optional<Dra> MaterializeStacklessQueryDra(const Dfa& minimal_dfa,
     const int live = static_cast<int>(current.chain_scc.size());
     for (int close = 0; close < 2; ++close) {
       for (Symbol a = 0; a < num_symbols; ++a) {
-        for (int code = 0; code < num_codes; ++code) {
-          Dra::Action action;
+        int stay = dead_id;
+        uint32_t stay_loads = 0;
+        int pop = -1;
+        if (current.dead) {
+          // stay dead
+        } else if (close == 0) {
           ControlState next = current;
-          int new_live = live;
-          if (current.dead) {
-            // stay dead
-          } else if (close == 0) {
-            int succ = dfa.Next(current.witness, a);
-            int succ_scc = scc.component_of[succ];
-            if (succ_scc != current.current_scc) {
-              next.chain_scc.push_back(current.current_scc);
-              next.chain_witness.push_back(current.witness);
-              next.current_scc = succ_scc;
-              action.load_mask |= uint32_t{1} << live;
-              new_live = live + 1;
-            }
-            next.witness = succ;
-          } else {
-            bool pop = live > 0 && Dra::CmpDigit(code, live - 1) ==
-                                       Dra::kGreater;
-            if (pop) {
-              next.current_scc = next.chain_scc.back();
-              next.witness = next.chain_witness.back();
-              next.chain_scc.pop_back();
-              next.chain_witness.pop_back();
-              new_live = live - 1;
-            } else {
-              int target = spec.Revert(current.witness, blind ? 0 : a);
-              if (target < 0) {
-                next = ControlState{};
-                next.dead = true;
-              } else {
-                next.witness = target;
-              }
-            }
+          const int succ = dfa.Next(current.witness, a);
+          const int succ_scc = scc.component_of[succ];
+          if (succ_scc != current.current_scc) {
+            next.chain_scc.push_back(current.current_scc);
+            next.chain_witness.push_back(current.witness);
+            next.current_scc = succ_scc;
+            stay_loads = uint32_t{1} << live;
           }
-          // Restrictedness (Section 2.2): reload every register that reads
-          // strictly greater than the current depth. In reachable
-          // configurations chain depths increase bottom-to-top and the
-          // machine pops as soon as the top exceeds the depth, so the only
-          // register this can hit is a just-freed top (whose value is never
-          // read again) or registers in unreachable comparison codes —
-          // either way the simulation is unaffected.
-          (void)new_live;
-          for (int r = 0; r < num_registers; ++r) {
-            if (Dra::CmpDigit(code, r) == Dra::kGreater) {
-              action.load_mask |= uint32_t{1} << r;
-            }
+          next.witness = succ;
+          stay = intern(next);
+        } else {
+          const int target = spec.Revert(current.witness, blind ? 0 : a);
+          if (target >= 0) {
+            ControlState next = current;
+            next.witness = target;
+            stay = intern(next);
           }
-          action.next = intern(next);
-          table.push_back(action);
+          if (live > 0) {
+            ControlState next = current;
+            next.current_scc = next.chain_scc.back();
+            next.witness = next.chain_witness.back();
+            next.chain_scc.pop_back();
+            next.chain_witness.pop_back();
+            pop = intern(next);
+          }
+        }
+        const uint32_t top_bit = live > 0 ? uint32_t{1} << (live - 1) : 0;
+        for (int code = 0; code < num_codes; ++code) {
+          const uint32_t loads = greater[static_cast<size_t>(code)];
+          const bool pops = pop >= 0 && (loads & top_bit) != 0;
+          table.push_back(
+              Dra::Action{pops ? loads : stay_loads | loads, pops ? pop : stay});
         }
       }
     }

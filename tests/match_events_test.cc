@@ -425,7 +425,7 @@ TEST(MatchEvents, FusedDraTierMatchesGenericTier) {
   }
 }
 
-// --- Faults, recovery, demotion ------------------------------------------
+// --- Faults and recovery --------------------------------------------------
 
 // Installing a sink must not perturb error detection: the first
 // StreamError (code + offset) of every mutated document is identical with
@@ -475,11 +475,12 @@ TEST(MatchEvents, FaultedStreamsKeepErrorOffsetsAndTruncateSpans) {
   }
 }
 
-// Mid-chunk demotion: under kSkipMalformedSubtree a fused-tier selector
-// drops to the generic machine at the first error and continues — the
-// event log must equal the always-generic run, under every chunking
-// (including chunk sizes that put the error mid-chunk).
-TEST(MatchEvents, DemotionMidChunkPreservesEventLog) {
+// Mid-chunk recovery: under kSkipMalformedSubtree a fused-tier selector
+// runs the error and its resynchronization on the synced machine and
+// continues on the fused tier — the event log must equal the
+// always-generic run, under every chunking (including chunk sizes that
+// put the error mid-chunk).
+TEST(MatchEvents, RecoveryMidChunkPreservesEventLog) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Dfa dfa = CompileRegex("a.*b", alphabet);
   TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
@@ -517,7 +518,7 @@ TEST(MatchEvents, DemotionMidChunkPreservesEventLog) {
               << FaultKindName(kind) << " generic chunk=" << chunk;
           EXPECT_EQ(CollectChunked(&fused_selector, &sink, doc, chunk),
                     baseline)
-              << FaultKindName(kind) << " demoted chunk=" << chunk;
+              << FaultKindName(kind) << " fused chunk=" << chunk;
         }
       }
     }

@@ -296,16 +296,17 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
   EXPECT_EQ(mixed->stats().stackless_members, 1);
   ASSERT_EQ(mixed->mixed_dras().size(), 1u);
 
-  // Term encoding has no fused DRA (OnClose(-1) cannot be tabled), so the
-  // stackless member rides the same scan as a generic side-car machine.
+  // The term encoding has a fused DRA too (the blind Thm B.2 machine,
+  // whose universal close reads column 0), so the stackless member rides
+  // the same scan as a DRA side-car.
   auto term_mixed = MultiQueryPlan::Compile(
       XPathBatch({"/a//b", "/a/b"}), alphabet,
       OptionsFor(StreamFormat::kCompactTerm));
   EXPECT_EQ(term_mixed->tier(), MultiTier::kMixed);
   EXPECT_NE(term_mixed->eager(), nullptr);
   EXPECT_EQ(term_mixed->lazy(), nullptr);
-  EXPECT_TRUE(term_mixed->mixed_dras().empty());
-  EXPECT_EQ(term_mixed->stats().machine_members, 1);
+  EXPECT_EQ(term_mixed->mixed_dras().size(), 1u);
+  EXPECT_EQ(term_mixed->stats().machine_members, 0);
 
   // An over-cap registerless sub-product goes lazy; the DRA side-car
   // stays on the same scan.
@@ -332,9 +333,9 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
 // 16, whole} — BatchSession per-query results, first error and framing
 // stats byte-identical to N independent StreamingSelector runs. Three
 // batches: registerless (the eager product alone), eager product plus a
-// stackless member (a fused-DRA side-car on markup, so the scanner steps
-// the inline ProductStepper with its side-car; a generic side-car on the
-// other formats) and a mixed batch with a stack member. Under every sink
+// stackless member (a fused-DRA side-car on every format, so the scanner
+// steps the inline ProductStepper with its side-car) and a mixed batch
+// with a stack member. Under every sink
 // mode (off, CountingSink, CollectingSink) each run must also match the
 // same plan's product machine driven through the virtual interface: every
 // StreamStats field, the sink's counts and the whole match log.
@@ -354,8 +355,7 @@ TEST(BatchSession, ParityAcrossFormatsAndChunkings) {
       ASSERT_NE(plan->eager(), nullptr);
       const bool registerless = &queries == &batches[0];
       ASSERT_EQ(plan->tier() == MultiTier::kMixed, !registerless);
-      if (&queries == &batches[1] &&
-          format == StreamFormat::kCompactMarkup) {
+      if (&queries == &batches[1]) {
         ASSERT_EQ(plan->stats().stackless_members, 1);
         ASSERT_EQ(plan->stats().machine_members, 0);
       }
@@ -658,8 +658,9 @@ TEST(BatchSession, ConcurrentSessionsShareOneLazyPlan) {
   ExpectConcurrentParity(plan, documents);
 }
 
-// The lazy sub-product is shared across threads while every session owns
-// its generic side-car machines (stackless evaluators, stack baseline).
+// The lazy sub-product and the DRA side-cars' tables are shared across
+// threads while every session owns its side-car configurations and its
+// generic side-car machine (the stack-baseline member //a/b).
 TEST(BatchSession, ConcurrentSessionsShareOneLazyPlanWithSideCars) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   MultiQueryOptions options = OptionsFor(StreamFormat::kXmlLite);
@@ -667,7 +668,8 @@ TEST(BatchSession, ConcurrentSessionsShareOneLazyPlanWithSideCars) {
   auto plan = MultiQueryPlan::Compile(MixedBatch(), alphabet, options);
   ASSERT_EQ(plan->tier(), MultiTier::kMixed);
   ASSERT_NE(plan->lazy(), nullptr);
-  ASSERT_EQ(plan->stats().machine_members, 3);
+  ASSERT_EQ(plan->stats().stackless_members, 2);
+  ASSERT_EQ(plan->stats().machine_members, 1);
 
   Rng rng(127);
   std::vector<std::string> documents;

@@ -95,16 +95,14 @@ TEST(StacklessFused, ParityAcrossFormatsAndChunkings) {
       options.format = format_case.format;
       auto plan = CompileXPath(xpath, alphabet, options);
       ASSERT_TRUE(plan->exact()) << xpath;
-      const bool fused_tier =
-          format_case.format == StreamFormat::kCompactMarkup &&
-          format_case.encoding == StreamEncoding::kMarkup;
-      EXPECT_EQ(plan->fused_dra() != nullptr, fused_tier)
+      // Every format has the fused tier: the steppers are symbol-keyed,
+      // and term runs the blind (Thm B.2) DRA.
+      EXPECT_NE(plan->fused_dra(), nullptr)
           << xpath << " " << format_case.name;
       Session session(plan);
-      if (fused_tier) {
-        EXPECT_EQ(session.selector().active_tier(),
-                  StreamingSelector::Tier::kFusedDraTable);
-      }
+      EXPECT_EQ(session.selector().active_tier(),
+                StreamingSelector::Tier::kFusedDraTable)
+          << xpath << " " << format_case.name;
       for (const Tree& tree : trees) {
         EventStream events = Encode(tree);
         std::string text;
@@ -157,10 +155,10 @@ TEST(StacklessFused, DeepChainRegisterStress) {
 }
 
 // Recovery matrix: StreamLimits.max_depth x kSkipMalformedSubtree. Depth
-// overflows are recoverable errors; the fused session must demote to the
-// generic tier, keep scanning, and end with byte-identical stats to a
-// session that ran the SAME materialized DRA on the generic tier from the
-// start.
+// overflows are recoverable errors; the fused session must stay on its
+// tier through the resynchronization, keep scanning, and end with
+// byte-identical stats to a session that ran the SAME materialized DRA on
+// the generic tier from the start.
 TEST(StacklessFused, MaxDepthSkipRecoveryMatchesGenericTier) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   std::vector<std::string> xpaths = StacklessFusedXPaths(alphabet);
@@ -212,10 +210,10 @@ TEST(StacklessFused, MaxDepthSkipRecoveryMatchesGenericTier) {
             << xpath << ": " << doc;
         if (fused_stats.errors_recovered > 0) {
           saw_recovery = true;
-          // Recovery runs on the generic rung only: the fused session must
-          // have latched the demotion for the rest of this document.
+          // The recovered events ran on the machine, synced with the
+          // stepper around them: the fused tier never left.
           EXPECT_EQ(fused_session.selector().active_tier(),
-                    StreamingSelector::Tier::kGenericMachine);
+                    StreamingSelector::Tier::kFusedDraTable);
         }
       }
     }
@@ -265,11 +263,10 @@ TEST(StacklessFused, FirstErrorMatchesReference) {
   }
 }
 
-// The two fused rungs answer the same queries the same way when a query
-// is BOTH registerless and stackless is impossible (the tiers are
-// disjoint by verdict) — but the fused DRA must agree with the unfused
-// interpreter plan obtained by disabling the markup byte tables via the
-// xml-lite format. Counts per document, not just in aggregate.
+// The fused DRA must agree with the unfused Lemma 3.8 interpreter over
+// the plan's own blueprint (which exports no DRA, so it runs the generic
+// tier), on markup and xml-lite alike. Counts per document, not just in
+// aggregate.
 TEST(StacklessFused, FusedAndUnfusedPlansAgreePerDocument) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   std::vector<std::string> xpaths = StacklessFusedXPaths(alphabet);
@@ -279,19 +276,26 @@ TEST(StacklessFused, FusedAndUnfusedPlansAgreePerDocument) {
     auto fused_plan = CompileXPath(xpath, alphabet);
     PlanOptions xml;
     xml.format = StreamFormat::kXmlLite;
-    auto unfused_plan = CompileXPath(xpath, alphabet, xml);
+    auto xml_plan = CompileXPath(xpath, alphabet, xml);
     ASSERT_NE(fused_plan->fused_dra(), nullptr);
-    ASSERT_EQ(unfused_plan->fused_dra(), nullptr);
+    ASSERT_NE(xml_plan->fused_dra(), nullptr);
     Session fused_session(fused_plan);
-    Session unfused_session(unfused_plan);
+    Session xml_session(xml_plan);
+    StacklessQueryEvaluator interpreter(fused_plan->stackless());
+    StreamingSelector unfused(&interpreter, StreamFormat::kXmlLite,
+                              &xml_plan->alphabet());
+    ASSERT_EQ(unfused.active_tier(), StreamingSelector::Tier::kGenericMachine);
     for (const Tree& tree : testing::SampleTrees(25, 3, &rng)) {
       EventStream events = Encode(tree);
       std::string markup = ToCompactMarkup(alphabet, events);
       std::string xml_lite = ToXmlLite(alphabet, events);
       ASSERT_TRUE(DriveChunked(&fused_session.selector(), markup, 16));
-      ASSERT_TRUE(DriveChunked(&unfused_session.selector(), xml_lite, 16));
-      EXPECT_EQ(fused_session.matches(), unfused_session.matches())
+      ASSERT_TRUE(DriveChunked(&xml_session.selector(), xml_lite, 16));
+      ASSERT_TRUE(DriveChunked(&unfused, xml_lite, 16));
+      EXPECT_EQ(fused_session.matches(), unfused.matches())
           << xpath << ": " << markup;
+      EXPECT_EQ(xml_session.matches(), unfused.matches())
+          << xpath << ": " << xml_lite;
     }
   }
 }

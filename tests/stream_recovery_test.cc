@@ -1,7 +1,7 @@
 // Recovery, resource-guard, and degradation-ladder tests for the
 // hardened streaming front-end: RecoveryPolicy semantics per format,
-// StreamLimits determinism under any chunk split, fused→generic tier
-// demotion, and the sanitized-document equivalence property that pins
+// StreamLimits determinism under any chunk split, fused tiers through
+// recovery, and the sanitized-document equivalence property that pins
 // down what kSkipMalformedSubtree means.
 #include <gtest/gtest.h>
 
@@ -438,7 +438,8 @@ TEST_F(SkipRecoveryTest, AutoCloseNeedsARoot) {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation ladder: fused tier demotes to the generic tier on recovery.
+// Degradation ladder: the fused tier survives recovery, synced with the
+// machine around every event recovery hands to the virtual interface.
 
 // Forwards events but hides the TagDfa export, pinning the selector to
 // the generic tier for differential comparison.
@@ -456,7 +457,7 @@ class OpaqueForwarder : public StreamMachine {
   StreamMachine* inner_;
 };
 
-TEST(StreamRecoveryLadder, RecoveryDemotesTheFusedTierUntilReset) {
+TEST(StreamRecoveryLadder, RecoveryKeepsTheFusedTier) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Dfa dfa = CompileRegex("a.*b", alphabet);
   TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
@@ -466,25 +467,27 @@ TEST(StreamRecoveryLadder, RecoveryDemotesTheFusedTierUntilReset) {
   ASSERT_TRUE(selector.using_fused_fast_path());
   ASSERT_EQ(selector.active_tier(), Tier::kFusedByteTable);
 
+  // "a" then "b" is selected, the junk byte excises the rest of b's
+  // subtree, and the resynchronized close of b runs on the machine.
   ASSERT_TRUE(selector.Feed("ab!BA"));
   ASSERT_TRUE(selector.Finish());
   EXPECT_EQ(selector.stats().errors_recovered, 1);
-  // Recovery synthesized a machine-level close: the fused byte table
-  // cannot express that, so the run finished on the generic tier.
-  EXPECT_FALSE(selector.using_fused_fast_path());
-  EXPECT_EQ(selector.active_tier(), Tier::kGenericMachine);
-
-  // Reset re-arms the fast path.
-  selector.Reset();
+  EXPECT_EQ(selector.matches(), 1);
   EXPECT_TRUE(selector.using_fused_fast_path());
+  EXPECT_EQ(selector.active_tier(), Tier::kFusedByteTable);
 
-  // A clean document never demotes.
-  ASSERT_TRUE(selector.Feed("abBA"));
+  // The table resumes from the machine's state after the synthesized
+  // close: the second b under a is selected on the fused tier, in the
+  // same chunk as the recovery.
+  selector.Reset();
+  ASSERT_TRUE(selector.Feed("ab!BbBA"));
   ASSERT_TRUE(selector.Finish());
+  EXPECT_EQ(selector.stats().errors_recovered, 1);
+  EXPECT_EQ(selector.matches(), 2);
   EXPECT_EQ(selector.active_tier(), Tier::kFusedByteTable);
 }
 
-TEST(StreamRecoveryLadder, DemotedRunsMatchTheGenericTierExactly) {
+TEST(StreamRecoveryLadder, RecoveredFusedRunsMatchTheGenericTierExactly) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Dfa dfa = CompileRegex("a.*b", alphabet);
   TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);

@@ -522,7 +522,6 @@ void ExpectSameCheckpoint(const SelectorCheckpoint& got,
   EXPECT_EQ(got.tag_start, want.tag_start) << where;
   EXPECT_EQ(got.in_skip, want.in_skip) << where;
   EXPECT_EQ(got.skip_depth, want.skip_depth) << where;
-  EXPECT_EQ(got.demoted, want.demoted) << where;
   EXPECT_EQ(got.bytes_fed, want.bytes_fed) << where;
   EXPECT_EQ(got.events, want.events) << where;
   EXPECT_EQ(got.nodes, want.nodes) << where;

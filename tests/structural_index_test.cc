@@ -4,8 +4,8 @@
 // the first StreamError (code + offset) — to its per-byte reference.
 // The matrix is 30 random trees x {markup, xml-lite, term} x chunk
 // splits {1, 3, 16, 64k}, with heavy whitespace padding (runs crossing
-// the 64-byte block size), all seven fault-injection mutators, and the
-// mid-run fused->generic demotion the recovery path forces.
+// the 64-byte block size), all seven fault-injection mutators, and
+// mid-run recovery on the fused tier.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -280,9 +280,9 @@ TEST(StructuralIndex, MixedBatchCountsMatchPerByteReferences) {
 
 // ---------------------------------------------------------------------------
 // Selector-level matrix: fused tier (StructuralIterator scanners, byte
-// tables, demotion ladder) vs the generic tier pinned by OpaqueForwarder,
-// 30 trees x 3 formats x 4 chunkings x all variants, under the recovery
-// policy that forces mid-run fused->generic demotion.
+// tables) vs the generic tier pinned by OpaqueForwarder, 30 trees x 3
+// formats x 4 chunkings x all variants, under the recovery policy that
+// resynchronizes mid-run on the fused tier.
 
 struct Observed {
   bool fed = false;
@@ -341,7 +341,7 @@ TEST(StructuralIndex, SelectorParityAcrossFormatsChunkingsAndFaults) {
 
   Rng rng(2221);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
-  int demoted_runs = 0;
+  int recovered_runs = 0;
   for (size_t t = 0; t < trees.size(); ++t) {
     EventStream events = Encode(trees[t]);
     for (const FormatCase& fc : kFormats) {
@@ -359,15 +359,15 @@ TEST(StructuralIndex, SelectorParityAcrossFormatsChunkingsAndFaults) {
               << "tree=" << t << " chunk=" << chunk << "\ntext: " << text;
           if (fused.errors_recovered > 0 &&
               fc.format == Format::kCompactMarkup) {
-            ++demoted_runs;
+            ++recovered_runs;
           }
         }
       }
     }
   }
-  // The corpus must exercise mid-run demotion on the fused tier, not just
-  // clean scans that never leave it.
-  EXPECT_GT(demoted_runs, 100);
+  // The corpus must exercise mid-run recovery on the fused tier, not just
+  // clean scans.
+  EXPECT_GT(recovered_runs, 100);
 }
 
 }  // namespace
