@@ -10,7 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +44,7 @@
 #include "engine/query_plan.h"
 #include "engine/session.h"
 #include "eval/registerless_query.h"
+#include "eval/stack_evaluator.h"
 #include "query/rpq.h"
 #include "trees/encoding.h"
 
@@ -915,9 +918,119 @@ void BM_SideCarBatchStreamingDense(benchmark::State& state) {
   state.SetLabel("multiquery/side-car-streaming/markup-dense/N=10");
 }
 
+// Single queries on the same dense bytes: the stackless "/a/b" on the
+// fused-DRA stepper and the stack-baseline "//a/b" on the inline stack
+// stepper, each as a Session. bench_baselines.json holds both against
+// BM_ProductBatchStreamingDense, so a fused-DRA stepper that starts
+// spilling its state (a DraConfig back in the loop copy) fails its floor.
+// The second floor is only a cliff guard; BM_StackInlineVsVirtualDense
+// below guards the inline stack stepper itself.
+void RunDenseSession(benchmark::State& state, const char* query,
+                     EvaluatorKind kind) {
+  auto plan =
+      QueryPlan::Compile(Rpq::FromXPath(query, WideAlphabet()), PlanOptions{});
+  SST_CHECK(plan->kind() == kind);
+  const std::string& bytes = WideMarkupBytes();
+  Session reference(plan);
+  const int64_t expected = DriveChunked(reference, bytes, bytes.size());
+  SST_CHECK(expected >= 0);
+  Session session(plan);
+  constexpr size_t kChunk = 65536;
+  for (auto _ : state) {
+    SST_CHECK(DriveChunked(session, bytes, kChunk) == expected);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["matches"] = static_cast<double>(expected);
+}
+
+void BM_StacklessStreamingDense(benchmark::State& state) {
+  RunDenseSession(state, "/a/b", EvaluatorKind::kStackless);
+  state.SetLabel("stackless/fused-streaming/markup-dense");
+}
+
+void BM_StackStreamingDense(benchmark::State& state) {
+  RunDenseSession(state, "//a/b", EvaluatorKind::kStackBaseline);
+  state.SetLabel("stack/streaming/markup-dense");
+}
+
+// Hides a StackQueryEvaluator's export, so the scanner steps it through
+// the virtual interface. The evaluator's type is final, so each forwarded
+// call is direct: one virtual dispatch per event, as on the generic path.
+class HiddenStackMachine final : public StreamMachine {
+ public:
+  explicit HiddenStackMachine(const Dfa* dfa) : inner_(dfa) {}
+  void Reset() override { inner_.Reset(); }
+  void OnOpen(Symbol symbol) override { inner_.OnOpen(symbol); }
+  void OnClose(Symbol symbol) override { inner_.OnClose(symbol); }
+  bool InAcceptingState() const override {
+    return inner_.InAcceptingState();
+  }
+
+ private:
+  StackQueryEvaluator inner_;
+};
+
+// The guard of the inline stack stepper. One iteration = kPairs pairs of
+// passes over the dense bytes: the "//a/b" Session (inline StackStepper)
+// and the same evaluator behind HiddenStackMachine, in alternating order.
+// inline_over_virtual is the median of virtual time over inline time per
+// pair (above 1.0 = inline faster); the pairing cancels the machine drift
+// that makes a ratio of two separately run rows too noisy to tell the two
+// steppers apart at CI's short --min-time.
+void BM_StackInlineVsVirtualDense(benchmark::State& state) {
+  auto plan = QueryPlan::Compile(Rpq::FromXPath("//a/b", WideAlphabet()),
+                                 PlanOptions{});
+  SST_CHECK(plan->kind() == EvaluatorKind::kStackBaseline);
+  const std::string& bytes = WideMarkupBytes();
+  Session session(plan);
+  const int64_t expected = DriveChunked(session, bytes, bytes.size());
+  SST_CHECK(expected >= 0);
+  HiddenStackMachine hidden(&plan->minimal_dfa());
+  StreamingSelector hidden_sel(&hidden, plan->options().format,
+                               &plan->alphabet(), &plan->scanner_tables(),
+                               /*fused=*/nullptr);
+  constexpr size_t kChunk = 65536;
+  constexpr int kPairs = 15;
+  auto timed = [&](auto& selector) {
+    const auto start = std::chrono::steady_clock::now();
+    SST_CHECK(DriveChunked(selector, bytes, kChunk) == expected);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  std::vector<double> ratios;
+  bool inline_first = true;
+  for (auto _ : state) {
+    for (int pair = 0; pair < kPairs; ++pair) {
+      double inline_s;
+      double virtual_s;
+      if (inline_first) {
+        inline_s = timed(session);
+        virtual_s = timed(hidden_sel);
+      } else {
+        virtual_s = timed(hidden_sel);
+        inline_s = timed(session);
+      }
+      inline_first = !inline_first;
+      ratios.push_back(virtual_s / inline_s);
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * kPairs *
+                          static_cast<int64_t>(bytes.size()));
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  state.counters["inline_over_virtual"] = ratios[ratios.size() / 2];
+  state.counters["matches"] = static_cast<double>(expected);
+  state.SetLabel("stack/inline-vs-virtual/markup-dense");
+}
+
 BENCHMARK(BM_ProductBatchStreamingDense);
 BENCHMARK(BM_ProductBatchOneScanDense);
 BENCHMARK(BM_SideCarBatchStreamingDense);
+BENCHMARK(BM_StacklessStreamingDense);
+BENCHMARK(BM_StackStreamingDense);
+BENCHMARK(BM_StackInlineVsVirtualDense);
 
 // --- Stackless fused tier: Lemma 3.8 at byte-table speed ----------------
 // Whitespace-padded compact markup over {a, b, c}: pretty-printed with a

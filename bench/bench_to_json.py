@@ -54,7 +54,8 @@ def compact(raw):
             elif key in ("speedup_vs_rescan", "bytes_rescanned",
                          "rescan_ms", "edit_us"):
                 entry[key] = round(value, 1)
-            elif key in ("spliced_fraction", "pooled_vs_vector"):
+            elif key in ("spliced_fraction", "pooled_vs_vector",
+                         "inline_over_virtual"):
                 entry[key] = round(value, 3)
         out["benchmarks"].append(entry)
     out["benchmarks"].sort(key=lambda entry: entry["name"] or "")

@@ -55,38 +55,6 @@ size_t FindStructural(const char* data, size_t len);
 // 4 GiB — chunked callers are always far below that.
 size_t ExtractStructural(const char* data, size_t len, uint32_t* out);
 
-// Streaming view of the same index for loops that need to break, switch
-// modes mid-scan, or interleave with other state (validators, the chunked
-// scanner): Next() yields structural offsets in increasing order and len
-// when exhausted. One ClassifyBlock call per 64-byte block, one ctz pop
-// per structural byte, no buffer.
-class StructuralIterator {
- public:
-  StructuralIterator(const char* data, size_t len)
-      : data_(data), len_(len) {}
-
-  size_t Next() {
-    while (mask_ == 0) {
-      if (base_ >= len_) return len_;
-      size_t n = len_ - base_ < 64 ? len_ - base_ : 64;
-      next_base_ = base_ + n;
-      mask_ = ClassifyBlock(data_ + base_, n);
-      if (mask_ == 0) base_ = next_base_;
-    }
-    size_t pos = base_ + static_cast<size_t>(std::countr_zero(mask_));
-    mask_ &= mask_ - 1;
-    if (mask_ == 0) base_ = next_base_;
-    return pos;
-  }
-
- private:
-  const char* data_;
-  size_t len_;
-  size_t base_ = 0;
-  size_t next_base_ = 0;
-  uint64_t mask_ = 0;
-};
-
 // Calls fn(offset) for every structural byte of [data, data + len), in
 // order, until fn returns false; returns that offset, or len when fn took
 // every byte. The workhorse of the indexed loops: fully-structural blocks

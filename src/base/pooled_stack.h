@@ -106,6 +106,23 @@ class PooledStack {
     PopChunk();
   }
 
+  // Register-resident view of the head chunk for inline steppers
+  // (eval/stack_evaluator.h): its values, live count and in-place push
+  // bound. A push below `limit` and a pop that leaves at least one live
+  // value may be applied to the cursor alone; any other push or pop, and
+  // anything else that reads the stack, needs Sync first — the cursor's
+  // live count is the one field the stack does not see.
+  struct Cursor {
+    T* values;
+    uint32_t len;
+    uint32_t limit;
+  };
+  Cursor cursor() const {
+    return {head_ != nullptr ? head_->values : nullptr, top_len_,
+            push_limit_};
+  }
+  void Sync(const Cursor& cursor) { top_len_ = cursor.len; }
+
   // Releases the whole live chain into the free list; O(live chunks not
   // shared with snapshots). Slabs are kept, so the next document's pushes
   // allocate nothing.

@@ -56,6 +56,17 @@ ByteDraRunner::ByteDraRunner(const Dra* dra, const Alphabet& alphabet)
   }
 }
 
+__attribute__((noinline)) ByteDraRunner::Armed ByteDraRunner::StepAwake(
+    DraConfig* config, int64_t depth, bool open, Symbol symbol) const {
+  config->depth = depth;
+  if (open) {
+    StepOpen(config, symbol);
+  } else {
+    StepClose(config, symbol < 0 ? 0 : symbol);
+  }
+  return Arm(*config);
+}
+
 template <typename T>
 void ByteDraRunner::FillTables(std::vector<T>* open_next,
                                std::vector<T>* close_next) {

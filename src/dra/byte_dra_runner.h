@@ -172,6 +172,22 @@ class ByteDraRunner {
     return gate;
   }
 
+  // What a scan-loop stepper keeps of a configuration between table steps:
+  // 16 bytes, so the out-of-line step below returns it in registers.
+  struct Armed {
+    int64_t gate;
+    bool asleep;
+    bool accepting;
+  };
+  Armed Arm(const DraConfig& config) const {
+    return {Gate(config), IsSleepy(config.state), IsAccepting(config.state)};
+  }
+  // One table step of `config` from batch depth `depth` (the config's own
+  // depth may be stale while it slept); term's universal close (-1) steps
+  // column 0. Out of line, so a scan loop carries only the sleep compare.
+  Armed StepAwake(DraConfig* config, int64_t depth, bool open,
+                  Symbol symbol) const;
+
   // Symbol of an opening ('a'..'z') or closing ('A'..'Z') letter under the
   // label convention; -1 for any byte that is neither.
   Symbol byte_symbol(unsigned char byte) const { return byte_symbol_[byte]; }

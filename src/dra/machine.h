@@ -14,6 +14,7 @@ namespace sst {
 struct TagDfa;
 struct Dra;
 class ProductStepper;
+class StackQueryEvaluator;
 
 // Full configuration of a depth-register automaton (Definition 2.1):
 // control state, depth counter, register values. This is the unit the
@@ -93,6 +94,12 @@ class StreamMachine {
   // virtual interface, and fold its hit histogram at the end of each
   // chunk (dra/product_stepper.h).
   virtual ProductStepper* ExportProductStepper() { return nullptr; }
+
+  // Stack-tier export: the pooled-stack baseline (eval/stack_evaluator.h)
+  // exposes itself, and scanners step it through a register-resident
+  // StackStepper, storing it back around every event they hand to the
+  // virtual interface.
+  virtual StackQueryEvaluator* ExportStackEvaluator() { return nullptr; }
 
   // Checkpoint protocol (incremental re-evaluation, engine/incremental.h):
   // machines that can serialize their full configuration into a flat word

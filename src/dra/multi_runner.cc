@@ -51,6 +51,16 @@ std::optional<TagDfaProduct> BuildTagDfaProduct(
   return product;
 }
 
+TagDfaProduct EmptyTagDfaProduct(int num_symbols) {
+  TagDfaProduct product;
+  product.narrow = true;
+  product.masks.emplace_back(0);
+  product.mask_words.push_back(0);
+  product.dfa = TagDfa::Create(1, num_symbols);
+  product.rows = ProductRows::Build(product.dfa);
+  return product;
+}
+
 // --- LazyProductCursor ---------------------------------------------------
 
 LazyProductCursor::LazyProductCursor(LazyTagDfaProduct* lazy)
@@ -136,37 +146,37 @@ void LazyProductCursor::AppendSelected(std::vector<int32_t>* out) const {
 
 // --- LazyStepper ---------------------------------------------------------
 
+LazyStepper::LazyStepper(LazyTagDfaProduct* lazy, int64_t* counts,
+                         DraSideCars cars)
+    : cursor(lazy), counts(counts), side_cars(cars) {
+  side_cars.Reset();
+}
+
 void LazyStepper::Reset() {
-  if (cursor) cursor->Reset();
+  cursor.Reset();
   side_cars.Reset();
 }
 
 void LazyStepper::Step(bool open, Symbol symbol) {
-  if (cursor) {
-    if (open) {
-      cursor->Open(symbol);
-      // Pre-selection samples directly after opening tags: accumulate the
-      // new state's mask into the per-query counts.
-      if (cursor->Accepting()) cursor->AccumulateMask(counts);
-    } else {
-      cursor->Close(symbol);
-    }
+  if (open) {
+    cursor.Open(symbol);
+    // Pre-selection samples directly after opening tags: accumulate the
+    // new state's mask into the per-query counts.
+    if (cursor.Accepting()) cursor.AccumulateMask(counts);
+  } else {
+    cursor.Close(symbol);
   }
   side_cars.Step(open, symbol < 0 ? 0 : symbol);
 }
 
 void LazyStepper::Resample() {
-  if (cursor && cursor->Accepting()) cursor->AccumulateMask(counts);
+  if (cursor.Accepting()) cursor.AccumulateMask(counts);
   side_cars.Sample();
 }
 
 void LazyStepper::AppendSelected(std::vector<int32_t>* out) const {
-  int32_t base = 0;
-  if (cursor) {
-    if (cursor->Accepting()) cursor->AppendSelected(out);
-    base = static_cast<int32_t>(cursor->arity());
-  }
-  side_cars.AppendSelected(base, out);
+  if (cursor.Accepting()) cursor.AppendSelected(out);
+  side_cars.AppendSelected(static_cast<int32_t>(cursor.arity()), out);
 }
 
 // --- ProductTagMachine ---------------------------------------------------
@@ -176,16 +186,10 @@ ProductTagMachine::ProductTagMachine(
     std::vector<const ByteDraRunner*> dras,
     std::vector<std::unique_ptr<StreamMachine>> side_cars)
     : eager_(eager), dras_(std::move(dras)), machines_(std::move(side_cars)) {
-  SST_CHECK_MSG(eager == nullptr || lazy == nullptr,
-                "at most one of eager/lazy product");
-  SST_CHECK_MSG(eager != nullptr || lazy != nullptr || has_side_cars(),
-                "a product or at least one side-car member required");
-  if (eager_ != nullptr) {
-    dra_base_ = static_cast<size_t>(eager_->arity);
-  } else if (lazy != nullptr) {
-    lazy_.cursor.emplace(lazy);
-    dra_base_ = static_cast<size_t>(lazy->arity());
-  }
+  SST_CHECK_MSG((eager == nullptr) != (lazy == nullptr),
+                "exactly one of eager/lazy product");
+  dra_base_ = static_cast<size_t>(eager_ != nullptr ? eager_->arity
+                                                    : lazy->arity());
   dra_configs_.resize(dras_.size());
   machine_base_ = dra_base_ + dras_.size();
   for (const auto& machine : machines_) SST_CHECK(machine != nullptr);
@@ -196,9 +200,7 @@ ProductTagMachine::ProductTagMachine(
     hits_.assign(static_cast<size_t>(eager_->rows.num_states()), 0);
     stepper_ = ProductStepper(eager_, counts_.data(), hits_.data(), cars);
   } else {
-    lazy_.counts = counts_.data();
-    lazy_.side_cars = cars;
-    lazy_.Reset();
+    lazy_.emplace(lazy, counts_.data(), cars);
   }
 }
 
@@ -207,7 +209,7 @@ void ProductTagMachine::Reset() {
     stepper_.Reset();
     hits_.assign(hits_.size(), 0);
   } else {
-    lazy_.Reset();
+    lazy_->Reset();
   }
   for (auto& machine : machines_) machine->Reset();
   counts_.assign(counts_.size(), 0);
@@ -217,7 +219,7 @@ void ProductTagMachine::OnOpen(Symbol symbol) {
   if (eager_ != nullptr) {
     stepper_.Step(true, symbol);
   } else {
-    lazy_.Step(true, symbol);
+    lazy_->Step(true, symbol);
   }
   for (size_t k = 0; k < machines_.size(); ++k) {
     machines_[k]->OnOpen(symbol);
@@ -233,13 +235,13 @@ void ProductTagMachine::OnClose(Symbol symbol) {
   if (eager_ != nullptr) {
     stepper_.Step(false, symbol);
   } else {
-    lazy_.Step(false, symbol);
+    lazy_->Step(false, symbol);
   }
   for (auto& machine : machines_) machine->OnClose(symbol);
 }
 
 bool ProductTagMachine::InAcceptingState() const {
-  if (eager_ != nullptr ? stepper_.accepting() : lazy_.accepting()) {
+  if (eager_ != nullptr ? stepper_.accepting() : lazy_->accepting()) {
     return true;
   }
   for (const auto& machine : machines_) {
@@ -253,7 +255,7 @@ void ProductTagMachine::AppendSelectedMembers(
   if (eager_ != nullptr) {
     stepper_.AppendSelected(out);
   } else {
-    lazy_.AppendSelected(out);
+    lazy_->AppendSelected(out);
   }
   for (size_t k = 0; k < machines_.size(); ++k) {
     if (machines_[k]->InAcceptingState()) {
@@ -419,11 +421,7 @@ std::vector<int64_t> MultiTagDfaRunner::CountSelections(
     CountSelectionsWalk(stepper, bytes);
     stepper.Fold();
   } else {
-    LazyStepper stepper;
-    if (lazy_ != nullptr) stepper.cursor.emplace(lazy_);
-    stepper.counts = counts.data();
-    stepper.side_cars = cars;
-    stepper.Reset();
+    LazyStepper stepper(lazy_, counts.data(), cars);
     CountSelectionsWalk(stepper, bytes);
   }
   return counts;

@@ -51,6 +51,11 @@ const char* MultiTierName(MultiTier tier);
 std::optional<TagDfaProduct> BuildTagDfaProduct(
     const std::vector<const TagDfa*>& components, int state_cap);
 
+// The product of no automata: one state, arity 0, selecting nothing. A
+// batch with no registerless member gets it, so every batch without a
+// generic side-car steps the inline ProductStepper.
+TagDfaProduct EmptyTagDfaProduct(int num_symbols);
+
 // The shared lazily materialized product (automata/product.h) over
 // TagDfas. Thread-safe: any number of streams may step it concurrently.
 using LazyTagDfaProduct = LazyPairedProduct<TagDfa>;
@@ -86,20 +91,20 @@ class LazyProductCursor {
   std::vector<int32_t> tuple_;  // wide mode only
 };
 
-// A lazy (or absent) product plus fused-DRA side-cars: the non-eager
-// counterpart of ProductStepper, shared by ProductTagMachine's lazy branch
-// and the one-scan walk. Per-query counts accumulate per open.
+// A lazy product plus fused-DRA side-cars: the non-eager counterpart of
+// ProductStepper, shared by ProductTagMachine's lazy branch and the
+// one-scan walk. Per-query counts accumulate per open.
 struct LazyStepper {
-  std::optional<LazyProductCursor> cursor;  // empty: side-cars only
-  int64_t* counts = nullptr;                // product members' counts
+  LazyStepper(LazyTagDfaProduct* lazy, int64_t* counts, DraSideCars cars);
+
+  LazyProductCursor cursor;
+  int64_t* counts;  // product members' counts
   DraSideCars side_cars;
 
   void Reset();
   void Step(bool open, Symbol symbol);
   void Resample();
-  bool accepting() const {
-    return (cursor && cursor->Accepting()) || side_cars.accepting;
-  }
+  bool accepting() const { return cursor.Accepting() || side_cars.accepting; }
   void AppendSelected(std::vector<int32_t>* out) const;
 };
 
@@ -112,12 +117,12 @@ struct LazyStepper {
 // running this machine counts nodes selected by at least one query.
 class ProductTagMachine final : public StreamMachine {
  public:
-  // At most one of `eager` / `lazy` may be non-null. `dras` adds stackless
+  // Exactly one of `eager` / `lazy` is non-null. `dras` adds stackless
   // members stepped as fused restricted DRAs whose full configurations
   // live in this machine; `side_cars` adds members of any other kind as
   // owned per-stream StreamMachines (unfused stackless evaluators, the
   // stack baseline), which see the raw close symbol — term's OnClose(-1)
-  // reaches them unmapped. At least one source must be present. counts()
+  // reaches them unmapped. counts()
   // reports members in order: product mask bits, then the DRA members,
   // then the side-car machines. Borrowed pointers must outlive the machine.
   ProductTagMachine(const TagDfaProduct* eager, LazyTagDfaProduct* lazy,
@@ -153,7 +158,7 @@ class ProductTagMachine final : public StreamMachine {
     if (eager_ != nullptr) stepper_.Fold();
     return counts_;
   }
-  bool wide() const { return lazy_.cursor && lazy_.cursor->wide(); }
+  bool wide() const { return lazy_ && lazy_->cursor.wide(); }
   // True when any member rides outside the product.
   bool has_side_cars() const { return !dras_.empty() || !machines_.empty(); }
   size_t num_generic_side_cars() const { return machines_.size(); }
@@ -171,7 +176,8 @@ class ProductTagMachine final : public StreamMachine {
   std::vector<int64_t> counts_;
   std::vector<int64_t> hits_;  // eager: the stepper's per-state histogram
   ProductStepper stepper_;     // eager product + DRA side-cars
-  LazyStepper lazy_;           // otherwise: lazy cursor + DRA side-cars
+  // Engaged iff the product is lazy: its cursor + DRA side-cars.
+  std::optional<LazyStepper> lazy_;
 };
 
 // Multi-query front-end over one shared product: a chunk-capable
@@ -187,7 +193,7 @@ class ProductTagMachine final : public StreamMachine {
 // concurrent streams hold K runners and ONE product.
 class MultiTagDfaRunner {
  public:
-  // At most one of `eager` / `lazy` may be non-null; `eager_fused` is
+  // Exactly one of `eager` / `lazy` is non-null; `eager_fused` is
   // the optional fused byte table of the eager product (built by the
   // engine when the alphabet is markup-eligible) and `tables` may be null
   // to build private scanner tables. `mixed_dras` and `side_cars` add the

@@ -17,28 +17,29 @@ void DraSideCars::Rearm(int64_t depth) {
   base = all_asleep ? gate : depth;
 }
 
-DraSideCars DraSideCars::Wake(DraSideCars cars, bool open, Symbol symbol) {
-  const int64_t depth = cars.depth();
-  const int64_t next = depth + (open ? 1 : -1);
-  for (size_t j = 0; j < cars.size; ++j) {
-    const ByteDraRunner& runner = *cars.runners[j];
-    DraConfig& config = cars.configs[j];
+__attribute__((noinline)) DraSideCars::Armed DraSideCars::Wake(
+    bool open, Symbol symbol) {
+  const int64_t now = depth();
+  const int64_t next = now + (open ? 1 : -1);
+  for (size_t j = 0; j < size; ++j) {
+    const ByteDraRunner& runner = *runners[j];
+    DraConfig& config = configs[j];
     if (!runner.IsSleepy(config.state) ||
         (!open && next <= runner.Gate(config))) {
       // Awake, or woken by this close: a sleeping side-car's depth is
       // stale, so resync it before the step.
-      config.depth = depth;
+      config.depth = now;
       if (open) {
         runner.StepOpen(&config, symbol);
       } else {
         runner.StepClose(&config, symbol);
       }
-      cars.counts[j] += static_cast<int64_t>(
+      counts[j] += static_cast<int64_t>(
           open && runner.IsAccepting(config.state));
     }
   }
-  cars.Rearm(next);
-  return cars;
+  Rearm(next);
+  return {slack, accepting};
 }
 
 ProductRows ProductRows::Build(const TagDfa& dfa) {

@@ -95,12 +95,19 @@ struct DraSideCars {
       slack += open ? 1 : -1;
       return;
     }
-    *this = Wake(*this, open, symbol);
+    Wake(open, symbol);
   }
 
+  // The scalars a scan loop keeps of the side-cars: 16 bytes, returned in
+  // registers.
+  struct Armed {
+    int64_t slack;
+    bool accepting;
+  };
   // Step's awake path: steps every side-car that is awake or woken by the
-  // event. Out of line, so the scan loops carry only the compare above.
-  static DraSideCars Wake(DraSideCars cars, bool open, Symbol symbol);
+  // event, in place, and returns the re-armed scalars. Out of line, so the
+  // scan loops carry only the compare above.
+  Armed Wake(bool open, Symbol symbol);
 
   // Counts the accepting side-cars as an open would, with no transition.
   void Sample() {
@@ -125,10 +132,13 @@ struct DraSideCars {
   }
 };
 
+template <bool kSideCars>
+struct ProductLoopStepper;
+
 // One stream's position in an eager product plus its fused-DRA side-cars,
 // stepped without virtual dispatch. It is the single implementation of
 // eager product stepping: ProductTagMachine's eager branch calls it, the
-// streaming scanner runs a register-resident copy of it (synced through
+// streaming scanner runs a ProductLoopStepper over it (synced through
 // StreamMachine::ExportProductStepper), and the one-scan walk drives it
 // over raw bytes.
 //
@@ -168,19 +178,9 @@ class ProductStepper {
   // One tag event. Term's universal close (-1) steps column 0, which the
   // term-blind product rows ignore.
   void Step(bool open, Symbol symbol) {
-    if (has_side_cars()) {
-      StepWith<true>(open, symbol);
-    } else {
-      StepWith<false>(open, symbol);
-    }
-  }
-  // Step with the side-car check resolved at compile time: kSideCars
-  // false steps the product alone (valid only without side-cars).
-  template <bool kSideCars>
-  void StepWith(bool open, Symbol symbol) {
     const Symbol a = symbol < 0 ? 0 : symbol;
     Advance(a + (open ? 0 : num_symbols_), open);
-    if constexpr (kSideCars) side_cars_.Step(open, a);
+    if (has_side_cars()) side_cars_.Step(open, a);
   }
   bool has_side_cars() const { return side_cars_.size != 0; }
 
@@ -199,10 +199,7 @@ class ProductStepper {
   // Members selecting the node just opened: product mask bits, then the
   // side-cars (numbered from the product's arity).
   void AppendSelected(std::vector<int32_t>* out) const {
-    if (accepting_[state_] != 0) {
-      product_->masks[static_cast<size_t>(state_)].AppendSetBits(out);
-    }
-    side_cars_.AppendSelected(static_cast<int32_t>(product_->arity), out);
+    AppendSelectedAt(state_, out);
   }
 
   // Folds the hit histogram into the counts and clears it, and brings the
@@ -223,9 +220,25 @@ class ProductStepper {
   }
 
  private:
+  template <bool>
+  friend struct ProductLoopStepper;
+
   void Advance(int column, bool open) {
     state_ = next_[static_cast<size_t>(state_) * width_ + column];
     hits_[state_] += static_cast<int64_t>(open);
+  }
+
+  void AppendSelectedAt(int state, std::vector<int32_t>* out) const {
+    if (accepting_[state] != 0) {
+      product_->masks[static_cast<size_t>(state)].AppendSetBits(out);
+    }
+    side_cars_.AppendSelected(static_cast<int32_t>(product_->arity), out);
+  }
+
+  // The side-cars' awake path from a scan loop's slack.
+  DraSideCars::Armed WakeSideCars(int64_t slack, bool open, Symbol symbol) {
+    side_cars_.slack = slack;
+    return side_cars_.Wake(open, symbol);
   }
 
   const TagDfaProduct* product_ = nullptr;
@@ -238,6 +251,70 @@ class ProductStepper {
   DraSideCars side_cars_;
   int state_ = 0;
 };
+
+// The copy of a ProductStepper a scan loop carries (the streaming
+// scanner's batch stepper): only the scalars every event touches — the
+// product's rows, width and symbol count, the histogram, the state, and
+// the side-cars' slack and acceptance. The side-car runners,
+// configurations, counts and base stay in the ProductStepper it points
+// at, and their awake path runs out of line. Load/Store sync it with that
+// stepper; Store also folds the hit histogram, so the machine's counts are
+// exact at every chunk end and before any refused token. kSideCars false
+// (a batch without side-cars) carries no side-car code at all.
+template <bool kSideCars>
+struct ProductLoopStepper {
+  static constexpr bool kSingleMember = false;
+  ProductStepper* home;
+  const int32_t* next = nullptr;
+  const uint8_t* accepting = nullptr;
+  size_t width = 0;
+  int num_symbols = 0;
+  int state = 0;
+  int64_t* hits = nullptr;
+  int64_t slack = 0;
+  bool side_accepting = false;
+
+  void Load() {
+    next = home->next_;
+    accepting = home->accepting_;
+    width = home->width_;
+    num_symbols = home->num_symbols_;
+    state = home->state_;
+    hits = home->hits_;
+    slack = home->side_cars_.slack;
+    side_accepting = home->side_cars_.accepting;
+  }
+  void Store() {
+    home->state_ = state;
+    home->side_cars_.slack = slack;
+    home->side_cars_.accepting = side_accepting;
+    home->Fold();
+  }
+  void Step(bool open, Symbol symbol, unsigned char, int64_t) {
+    const Symbol a = symbol < 0 ? 0 : symbol;
+    state = next[static_cast<size_t>(state) * width + a +
+                 (open ? 0 : num_symbols)];
+    hits[state] += static_cast<int64_t>(open);
+    if constexpr (kSideCars) {
+      if (slack + 2 * static_cast<int64_t>(open) > 1) {
+        slack += open ? 1 : -1;
+      } else {
+        const DraSideCars::Armed armed = home->WakeSideCars(slack, open, a);
+        slack = armed.slack;
+        side_accepting = armed.accepting;
+      }
+    }
+  }
+  bool Hit(bool open) const {
+    return open & ((accepting[state] != 0) | side_accepting);
+  }
+  void AppendSelected(std::vector<int32_t>* out) const {
+    home->AppendSelectedAt(state, out);
+  }
+};
+// The scan-loop register budget (dra/streaming.h, EXPERIMENTS.md E24).
+static_assert(sizeof(ProductLoopStepper<true>) <= 64,
+              "scan-loop register budget");
 
 }  // namespace sst
 

@@ -7,6 +7,7 @@
 
 #include "base/byte_scan.h"
 #include "base/check.h"
+#include "eval/stack_evaluator.h"
 
 namespace sst {
 
@@ -152,9 +153,11 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
       fused_dra_ = owned_fused_dra_.get();
     }
   }
-  // A batch machine's stepper rides every format: it is keyed by symbol.
+  // Batch and stack-tier steppers ride every format: they are keyed by
+  // symbol.
   if (fused_ == nullptr && fused_dra_ == nullptr) {
     product_ = machine_->ExportProductStepper();
+    stack_ = machine_->ExportStackEvaluator();
   }
   CheckTableAgreement();
   Reset();
@@ -188,9 +191,11 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
     const Dra* dra = machine_->ExportDra();
     SST_CHECK(dra != nullptr && dra->num_states == fused_dra_->num_states());
   }
-  // A batch machine's stepper rides every format: it is keyed by symbol.
+  // Batch and stack-tier steppers ride every format: they are keyed by
+  // symbol.
   if (fused_ == nullptr && fused_dra_ == nullptr) {
     product_ = machine_->ExportProductStepper();
+    stack_ = machine_->ExportStackEvaluator();
   }
   labels_.assign(kDepthReserve + 2, kNoLabel);
   CheckTableAgreement();
@@ -199,7 +204,7 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
 
 void StreamingSelector::CheckTableAgreement() const {
 #ifndef NDEBUG
-  // The structural index (ClassifyBlock / StructuralIterator) skips
+  // The structural index (ClassifyBlock / ForEachStructuralUntil) skips
   // exactly the bytes the scanner classifies kWs; the scan loops rely on
   // the two definitions agreeing byte for byte (a structural byte must
   // never be classified kWs, and vice versa).
@@ -600,7 +605,7 @@ SST_ALWAYS_INLINE void StreamingSelector::CommitFrame(Frame& frame) {
   saw_root_ = frame.events > 0;
 }
 
-template <bool kUniversalClose, typename Stepper>
+template <bool kUniversalClose, bool kVerdicts, typename Stepper>
 SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
     Frame& frame, Stepper& stepper, bool open, Symbol symbol,
     unsigned char byte, int64_t start, int64_t last) {
@@ -629,13 +634,13 @@ SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
   frame.max_depth = frame.depth > frame.max_depth ? frame.depth
                                                   : frame.max_depth;
   ++frame.events;
-  stepper.Step(open, symbol, byte);
+  stepper.Step(open, symbol, byte, frame.depth);
   const bool hit = stepper.Hit(open);
   frame.matches += static_cast<int64_t>(hit);
-  if constexpr (Stepper::kSingleMember) {
+  if constexpr (kVerdicts) {
     // A verdict-only sink costs a store per token, not a branch per match.
     verdict_starts_[frame.num_verdicts] = start;
-    frame.num_verdicts += static_cast<int64_t>(hit & frame.batch_verdicts);
+    frame.num_verdicts += static_cast<int64_t>(hit);
     if (SST_UNLIKELY(frame.num_verdicts == kVerdictBatch)) {
       FlushVerdicts(kVerdictBatch);
       frame.num_verdicts = 0;
@@ -645,7 +650,7 @@ SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
     // By value: the stepper's address never escapes the scan loop. The
     // callback numbers nodes from 0, so the one just opened is nodes - 1.
     EmitMatch(stepper, frame.nodes() - 1, frame.depth, symbol, start,
-              last + 1, !frame.batch_verdicts);
+              last + 1, !kVerdicts);
   }
   return true;
 }
@@ -706,7 +711,7 @@ bool StreamingSelector::Scan(Stepper stepper, std::string_view chunk) {
   return false;
 }
 
-template <typename Stepper>
+template <bool kVerdicts, typename Stepper>
 SST_NOINLINE size_t StreamingSelector::MarkupRun(std::string_view chunk,
                                                  size_t i, Frame& frame_io,
                                                  Stepper& stepper_io) {
@@ -727,8 +732,9 @@ SST_NOINLINE size_t StreamingSelector::MarkupRun(std::string_view chunk,
     const unsigned char c = static_cast<unsigned char>(bytes[k]);
     const int64_t offset = base + static_cast<int64_t>(k);
     // A bad byte or unknown letter has symbol -1, which the core refuses.
-    return CleanToken<false>(frame, stepper, cls[c] == ScannerTables::kOpen,
-                             sym[c], c, offset, offset);
+    return CleanToken<false, kVerdicts>(frame, stepper,
+                                        cls[c] == ScannerTables::kOpen,
+                                        sym[c], c, offset, offset);
   });
   frame_io = frame;
   stepper_io = stepper;
@@ -759,7 +765,14 @@ bool StreamingSelector::FeedMarkup(std::string_view chunk, Stepper stepper) {
   size_t i = 0;
   while (true) {
     const bool skipping = in_skip_;
-    i = skipping ? MarkupSkip(chunk, i) : MarkupRun(chunk, i, frame, stepper);
+    if (skipping) {
+      i = MarkupSkip(chunk, i);
+    } else if (Stepper::kSingleMember && frame.batch_verdicts) {
+      // Only single-member steppers batch verdicts (see Frame).
+      i = MarkupRun<Stepper::kSingleMember>(chunk, i, frame, stepper);
+    } else {
+      i = MarkupRun<false>(chunk, i, frame, stepper);
+    }
     if (i >= chunk.size()) break;
     const unsigned char c = static_cast<unsigned char>(chunk[i]);
     const int64_t offset = chunk_base_ + static_cast<int64_t>(i);
@@ -794,35 +807,105 @@ bool StreamingSelector::FeedMarkup(std::string_view chunk, Stepper stepper) {
 }
 
 template <typename Stepper>
+SST_NOINLINE size_t StreamingSelector::TermRun(std::string_view chunk,
+                                               size_t i, Frame& frame_io,
+                                               Stepper& stepper_io) {
+  Frame frame = frame_io;
+  Stepper stepper = stepper_io;
+  const uint8_t* cls = tables_->byte_class.data();
+  const Symbol* sym = tables_->byte_symbol.data();
+  const int64_t base = chunk_base_ + static_cast<int64_t>(i);
+  const char* bytes = chunk.data() + i;
+  // The last label byte taken, and whether it still waits for its '{'.
+  // Every token is structural, so whitespace between a label and its
+  // brace never reaches the loop.
+  int64_t label = -1;
+  bool waiting = false;
+  const size_t stop =
+      ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
+        const unsigned char c = static_cast<unsigned char>(bytes[k]);
+        const uint8_t byte_class = cls[c];
+        if (byte_class == ScannerTables::kLabel) {
+          if (waiting) return false;  // a second label: junk
+          label = static_cast<int64_t>(k);
+          waiting = true;
+          return true;
+        }
+        // '{' opens the waiting label and '}' is a close; a stray '{', a
+        // label followed by anything but '{', and junk stop the run. An
+        // unknown label has symbol -1, which the core refuses.
+        const bool open = c == '{';
+        if ((open != waiting) |
+            (!open & (byte_class != ScannerTables::kCloseBrace))) {
+          return false;
+        }
+        const int64_t offset = base + static_cast<int64_t>(k);
+        if (!CleanToken<true, false>(
+                frame, stepper, open,
+                open ? sym[static_cast<unsigned char>(bytes[label])] : -1, c,
+                open ? base + label : offset, offset)) {
+          return false;
+        }
+        waiting = false;
+        return true;
+      });
+  // The pending-label fields end as the exact path leaves them: the last
+  // label taken stays in pending_byte_/pending_offset_ after its '{'
+  // consumed it (checkpoints compare them).
+  if (label >= 0) {
+    pending_byte_ = static_cast<unsigned char>(bytes[label]);
+    pending_offset_ = base + label;
+  }
+  have_pending_ = waiting;
+  frame_io = frame;
+  stepper_io = stepper;
+  return i + stop;
+}
+
+size_t StreamingSelector::TermSkip(std::string_view chunk, size_t i) {
+  const uint8_t* cls = tables_->byte_class.data();
+  const char* bytes = chunk.data() + i;
+  return i + ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
+    const unsigned char c = static_cast<unsigned char>(bytes[k]);
+    if (c == '{') {
+      ++skip_depth_;
+    } else if (cls[c] == ScannerTables::kCloseBrace) {
+      if (skip_depth_ == 0) return false;
+      --skip_depth_;
+    }
+    return true;
+  });
+}
+
+template <typename Stepper>
 bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
   const uint8_t* cls = tables_->byte_class.data();
   const Symbol* sym = tables_->byte_symbol.data();
-  const int64_t base = chunk_base_;
+  const char* bytes = chunk.data();
+  const size_t n = chunk.size();
   Frame frame = LoadFrame(Stepper::kSingleMember);
   auto refuse = [&](auto slow) { return Refuse(frame, stepper, slow); };
-  // Structural-index scan (term delimiters and labels are all structural
-  // bytes); whitespace between tokens never reaches the token logic. The
-  // pending-label reprocess trick keeps its semantics: instead of --i, the
-  // loop simply does not advance the iterator for that round.
-  StructuralIterator structural(chunk.data(), chunk.size());
-  size_t i = structural.Next();
-  while (i < chunk.size()) {
-    const unsigned char c = static_cast<unsigned char>(chunk[i]);
-    const int64_t offset = base + static_cast<int64_t>(i);
-    if (in_skip_) {
-      if (c == '{') {
-        ++skip_depth_;
-      } else if (cls[c] == ScannerTables::kCloseBrace) {
-        if (skip_depth_ > 0) {
-          --skip_depth_;
-        } else if (!refuse([=, this] { return ResyncClose(offset + 1); })) {
-          return false;
-        }
-      }
-      i = structural.Next();
-      continue;
+  size_t i = 0;
+  while (true) {
+    // A label pending from the previous chunk meets its next structural
+    // byte on the exact path; everything else starts in a run.
+    const bool skipping = in_skip_;
+    if (skipping) {
+      i = TermSkip(chunk, i);
+    } else if (have_pending_) {
+      i += FindStructural(bytes + i, n - i);
+    } else {
+      i = TermRun(chunk, i, frame, stepper);
     }
-    if (have_pending_) {
+    if (i >= n) break;
+    const unsigned char c = static_cast<unsigned char>(bytes[i]);
+    const int64_t offset = chunk_base_ + static_cast<int64_t>(i);
+    if (skipping) {
+      // The '}' that ends the innermost open element of the region.
+      if (!refuse([=, this] { return ResyncClose(offset + 1); })) {
+        return false;
+      }
+    } else if (have_pending_) {
       if (c != '{') {
         if (!refuse([=, this] {
               return Recover(MakeError(StreamErrorCode::kBadByte, offset),
@@ -830,14 +913,13 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
             })) {
           return false;
         }
-        // Reprocess this byte under skip framing ('}' must resync): keep
-        // i where it is for the next round.
+        // Reprocess this byte under skip framing ('}' must resync).
         continue;
       }
       have_pending_ = false;
       const Symbol s = sym[pending_byte_];
-      if (!CleanToken<true>(frame, stepper, true, s, c, pending_offset_,
-                            offset) &&
+      if (!CleanToken<true, false>(frame, stepper, true, s, c,
+                                   pending_offset_, offset) &&
           !refuse([=, this] {
             if (s < 0) {
               return Recover(
@@ -848,35 +930,22 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
           })) {
         return false;
       }
-      i = structural.Next();
-      continue;
+    } else if (cls[c] == ScannerTables::kCloseBrace) {
+      // A close the core refused.
+      if (!refuse([=, this] { return EmitClose(-1, offset, offset); })) {
+        return false;
+      }
+    } else if (!refuse([=, this] {
+                 // A stray '{' still opens a frame (its matching '}' will
+                 // close it); any other byte is plain junk.
+                 return Recover(
+                     MakeError(StreamErrorCode::kBadByte, offset),
+                     c == '{' ? ErrorToken::kOpenLike : ErrorToken::kJunk,
+                     offset);
+               })) {
+      return false;
     }
-    switch (cls[c]) {
-      case ScannerTables::kCloseBrace:
-        if (!CleanToken<true>(frame, stepper, false, -1, c, offset, offset) &&
-            !refuse([=, this] { return EmitClose(-1, offset, offset); })) {
-          return false;
-        }
-        break;
-      case ScannerTables::kLabel:
-        pending_byte_ = c;
-        pending_offset_ = offset;
-        have_pending_ = true;
-        break;
-      default:
-        // A stray '{' still opens a frame (its matching '}' will close
-        // it); any other byte is plain junk.
-        if (!refuse([=, this] {
-              return Recover(
-                  MakeError(StreamErrorCode::kBadByte, offset),
-                  c == '{' ? ErrorToken::kOpenLike : ErrorToken::kJunk,
-                  offset);
-            })) {
-          return false;
-        }
-        break;
-    }
-    i = structural.Next();
+    ++i;
   }
   CommitFrame(frame);
   stepper.Store();
@@ -907,13 +976,12 @@ SST_NOINLINE size_t StreamingSelector::XmlRun(std::string_view chunk,
     const InPlaceTag tag = LexInPlace(bytes, n, i);
     if (!tag.complete) break;  // the buffered lexer takes it
     const int64_t start = base + static_cast<int64_t>(i);
-    if (SST_UNLIKELY(!CleanToken<false>(
-            frame, stepper, !tag.closing,
-            LookupTag(*tables_, *alphabet_, bytes + tag.name,
-                      tag.name_end - tag.name),
-            0, start, base + static_cast<int64_t>(tag.name_end)))) {
-      break;
-    }
+    const bool clean = CleanToken<false, false>(
+        frame, stepper, !tag.closing,
+        LookupTag(*tables_, *alphabet_, bytes + tag.name,
+                  tag.name_end - tag.name),
+        0, start, base + static_cast<int64_t>(tag.name_end));
+    if (SST_UNLIKELY(!clean)) break;
     last_start = start;
     last_closing = tag.closing;
     i = tag.name_end + 1;
@@ -1083,8 +1151,8 @@ bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
     }
     const Symbol s = LookupTag(*tables_, *alphabet_, tag_buf_, tag_len_);
     tag_len_ = 0;
-    if (!CleanToken<false>(frame, stepper, !tag_closing_, s, 0, tag_start_,
-                           end_offset) &&
+    if (!CleanToken<false, false>(frame, stepper, !tag_closing_, s, 0,
+                                  tag_start_, end_offset) &&
         !exact_tag(tag_closing_, s, name_end, tag_start_)) {
       return false;
     }
@@ -1113,11 +1181,14 @@ bool StreamingSelector::Feed(std::string_view chunk) {
   if (fused_ != nullptr) {
     ok = Scan(FusedStepper{machine_, fused_}, chunk);
   } else if (fused_dra_ != nullptr) {
-    ok = Scan(DraFusedStepper{machine_, fused_dra_}, chunk);
+    ok = Scan(DraFusedStepper{machine_, fused_dra_, &dra_config_, &depth_},
+              chunk);
   } else if (product_ != nullptr && product_->has_side_cars()) {
-    ok = Scan(ProductLoopStepper<true>{product_, {}}, chunk);
+    ok = Scan(ProductLoopStepper<true>{product_}, chunk);
   } else if (product_ != nullptr) {
-    ok = Scan(ProductLoopStepper<false>{product_, {}}, chunk);
+    ok = Scan(ProductLoopStepper<false>{product_}, chunk);
+  } else if (stack_ != nullptr) {
+    ok = Scan(StackStepper{stack_, &max_depth_}, chunk);
   } else {
     ok = Scan(VirtualStepper{machine_}, chunk);
   }

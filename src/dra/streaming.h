@@ -376,14 +376,23 @@ class StreamingSelector {
   // sync a stepper's register copy with the machine around every token the
   // core refuses (the refused token, and any close recovery synthesizes,
   // runs through the virtual interface) and at the end of the scan.
-  // kSingleMember marks steppers whose acceptance always fans out to
-  // member 0 alone, so match emission skips the member enumeration.
+  // Step receives the frame's depth after the event. kSingleMember marks
+  // steppers whose acceptance always fans out to member 0 alone, so match
+  // emission skips the member enumeration.
+  //
+  // Register budget (DESIGN.md "Scan hot loop", EXPERIMENTS.md E24): a
+  // stepper carries by value only the scalars it touches per event, keeps
+  // everything else behind one pointer, and runs its awake or boundary
+  // work out of line, returning at most 16 bytes. Each stepper's size is
+  // bounded by a static_assert, so a field added to one fails to compile
+  // instead of silently spilling the scan loop's state; raise a bound
+  // only with a per-cell measurement.
   struct VirtualStepper {
     static constexpr bool kSingleMember = false;
     StreamMachine* machine;
     void Load() {}
     void Store() {}
-    void Step(bool open, Symbol s, unsigned char) {
+    void Step(bool open, Symbol s, unsigned char, int64_t) {
       if (open) {
         machine->OnOpen(s);
       } else {
@@ -395,6 +404,7 @@ class StreamingSelector {
       machine->AppendSelectedMembers(out);
     }
   };
+  static_assert(sizeof(VirtualStepper) <= 8, "scan-loop register budget");
   // Keyed by the raw byte: compact markup only.
   struct FusedStepper {
     static constexpr bool kSingleMember = true;
@@ -406,85 +416,55 @@ class StreamingSelector {
     const int32_t* table32 = runner->table32();
     void Load() { state = machine->ExportedState(); }
     void Store() { machine->SyncExportedState(state); }
-    void Step(bool, Symbol, unsigned char byte) {
+    void Step(bool, Symbol, unsigned char byte, int64_t) {
       const size_t index = static_cast<size_t>(state) * 256 + byte;
       state = table16 != nullptr ? table16[index] : table32[index];
     }
     bool Hit(bool open) const { return open & runner->IsAccepting(state); }
     void AppendSelected(std::vector<int32_t>* out) const { out->push_back(0); }
   };
-  // Stackless fused tier: the whole DRA configuration (state, depth,
-  // registers) lives in the stepper for the duration of a chunk; the
-  // runner resolves the 3^r comparison code and the register loads inline.
-  // A sleepy configuration skips the table while the depth stays above its
-  // gate (ByteDraRunner::IsSleepy), so the sleeping path touches only the
-  // scalars below; `config` is current but for its depth, which `depth`
-  // holds.
+  static_assert(sizeof(FusedStepper) <= 40, "scan-loop register budget");
+  // Stackless fused tier: the stepper keeps only the scalars a sleeping
+  // event touches — its wake threshold and acceptance bit — and reads the
+  // depth from the frame (the DRA's depth is the framing depth). The DRA
+  // configuration sits behind one pointer, in selector-owned storage, and
+  // the awake step runs out of line (ByteDraRunner::StepAwake), returning
+  // the re-armed scalars in registers. A sleepy configuration skips the
+  // table while the depth stays above its gate (ByteDraRunner::IsSleepy);
+  // `*config` is current but for its depth.
   struct DraFusedStepper {
     static constexpr bool kSingleMember = true;
     StreamMachine* machine;
     const ByteDraRunner* runner;
-    DraConfig config{};
-    int64_t depth = 0;
-    int64_t gate = 0;
-    bool asleep = false;
+    DraConfig* config;
+    const int64_t* depth;  // the selector's, current whenever Store runs
+    // Events leaving the depth above `threshold` skip the table: the gate
+    // while asleep (an open always clears it, since no register exceeds
+    // the depth), otherwise kAwake, which no depth clears.
+    static constexpr int64_t kAwake = INT64_MAX;
+    int64_t threshold = kAwake;
     bool accepting = false;
     void Load() {
-      config = machine->ExportedDraConfig();
-      depth = config.depth;
-      Rearm();
+      *config = machine->ExportedDraConfig();
+      Arm(runner->Arm(*config));
     }
     void Store() {
-      config.depth = depth;
-      machine->SyncExportedDraConfig(config);
+      config->depth = *depth;
+      machine->SyncExportedDraConfig(*config);
     }
-    void Rearm() {
-      asleep = runner->IsSleepy(config.state);
-      accepting = runner->IsAccepting(config.state);
-      gate = runner->Gate(config);
+    void Arm(ByteDraRunner::Armed armed) {
+      threshold = armed.asleep ? armed.gate : kAwake;
+      accepting = armed.accepting;
     }
-    void Step(bool open, Symbol s, unsigned char) {
-      const int64_t next = depth + (open ? 1 : -1);
-      if (asleep & (open | (next > gate))) {
-        depth = next;
-        return;
+    void Step(bool open, Symbol s, unsigned char, int64_t next) {
+      if (next <= threshold) {
+        Arm(runner->StepAwake(config, next + (open ? -1 : 1), open, s));
       }
-      config.depth = depth;
-      if (open) {
-        runner->StepOpen(&config, s);
-      } else {
-        // Term's universal close (-1) reads column 0.
-        runner->StepClose(&config, s < 0 ? 0 : s);
-      }
-      depth = next;
-      Rearm();
     }
     bool Hit(bool open) const { return open & accepting; }
     void AppendSelected(std::vector<int32_t>* out) const { out->push_back(0); }
   };
-  // A batch's eager product and fused-DRA side-cars (ProductTagMachine's
-  // own stepper, copied into registers). Store folds the hit histogram,
-  // so the machine's counts are exact at every chunk end and before any
-  // refused token. A batch without side-cars runs the kSideCars = false
-  // instantiation, whose loop carries no side-car code at all.
-  template <bool kSideCars>
-  struct ProductLoopStepper {
-    static constexpr bool kSingleMember = false;
-    ProductStepper* home;
-    ProductStepper local;
-    void Load() { local = *home; }
-    void Store() {
-      local.Fold();
-      *home = local;
-    }
-    void Step(bool open, Symbol s, unsigned char) {
-      local.StepWith<kSideCars>(open, s);
-    }
-    bool Hit(bool open) const { return open & local.accepting(); }
-    void AppendSelected(std::vector<int32_t>* out) const {
-      local.AppendSelected(out);
-    }
-  };
+  static_assert(sizeof(DraFusedStepper) <= 48, "scan-loop register budget");
 
   // Verifies (debug builds only) that the shared/owned scanner tables and
   // the fused byte table, built independently from the same Alphabet,
@@ -520,7 +500,9 @@ class StreamingSelector {
   // returns false — leaving both untouched — when any check refuses it.
   // `start` is the token's first byte, `last` the byte that completes it.
   // kUniversalClose: closes carry no label to match (term encoding).
-  template <bool kUniversalClose, typename Stepper>
+  // kVerdicts: the frame batches verdicts (frame.batch_verdicts), so runs
+  // without a verdict-only sink carry no verdict counter.
+  template <bool kUniversalClose, bool kVerdicts, typename Stepper>
   bool CleanToken(Frame& frame, Stepper& stepper, bool open, Symbol symbol,
                   unsigned char byte, int64_t start, int64_t last);
   // `record`: the match goes to the recorder (false when CleanToken
@@ -547,7 +529,7 @@ class StreamingSelector {
   // The clean paths: from chunk index `i`, apply tokens until the chunk
   // ends or one needs the exact path; return where they stopped. Each
   // runs on register copies of the frame and the stepper.
-  template <typename Stepper>
+  template <bool kVerdicts, typename Stepper>
   size_t MarkupRun(std::string_view chunk, size_t i, Frame& frame,
                    Stepper& stepper);
   template <typename Stepper>
@@ -560,6 +542,14 @@ class StreamingSelector {
   bool FeedXml(std::string_view chunk, Stepper stepper);
   template <typename Stepper>
   bool FeedTerm(std::string_view chunk, Stepper stepper);
+  // Term's clean path: an open at each label whose next structural byte
+  // is '{', a close at each '}'. It stops at anything else (a label
+  // followed by another byte, a stray '{', junk) or a refused token, with
+  // a label still waiting for its '{' left in the pending-label fields.
+  template <typename Stepper>
+  size_t TermRun(std::string_view chunk, size_t i, Frame& frame,
+                 Stepper& stepper);
+  size_t TermSkip(std::string_view chunk, size_t i);
 
   // The exact per-event path: every check in spec order, then the event.
   bool EmitOpen(Symbol symbol, int64_t offset, int64_t excise_from);
@@ -612,9 +602,14 @@ class StreamingSelector {
   // budget). Mutually exclusive with fused_; same ownership scheme.
   std::unique_ptr<ByteDraRunner> owned_fused_dra_;
   const ByteDraRunner* fused_dra_ = nullptr;
+  // The fused DRA stepper's configuration, synced with the machine around
+  // every scan and refused token.
+  DraConfig dra_config_;
 
   // The batch stepper the machine exports (ExportProductStepper), if any.
   ProductStepper* product_ = nullptr;
+  // The stack-tier machine (ExportStackEvaluator), if any.
+  StackQueryEvaluator* stack_ = nullptr;
 
   // Well-formedness: the expected closing labels (only the labels, not
   // full automaton states — the library never keeps evaluation state per

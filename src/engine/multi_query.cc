@@ -74,7 +74,9 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
                             plan->machine_slot_.begin(),
                             plan->machine_slot_.end());
 
-  if (!plan->components_.empty()) {
+  if (plan->components_.empty()) {
+    plan->eager_ = EmptyTagDfaProduct(alphabet.size());
+  } else {
     plan->eager_ =
         BuildTagDfaProduct(plan->components_, options.eager_state_cap);
     if (!plan->eager_.has_value()) {

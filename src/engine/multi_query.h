@@ -65,7 +65,8 @@ struct MultiQueryOptions {
 //                   documents reach them, shared by all sessions;
 //   kMixed          some member is not registerless: the registerless
 //                   members form a sub-product (eager within
-//                   eager_state_cap, lazy beyond it) and every other
+//                   eager_state_cap, lazy beyond it; with none, the
+//                   one-state empty product) and every other
 //                   member rides the same scan as a side-car — its fused
 //                   restricted DRA when the plan has one, otherwise a
 //                   per-session machine from QueryPlan::NewMachine() (the

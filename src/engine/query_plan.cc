@@ -35,42 +35,6 @@ bool FusedEligible(const TagDfa& dfa, const Alphabet& alphabet) {
 constexpr int kDraStateBudget = 4096;
 constexpr int64_t kDraTableBudget = int64_t{1} << 22;
 
-// Owning adapter over the plan's minimal DFA for the pushdown baseline
-// tier (StackQueryEvaluator borrows a Dfa*; the plan outlives it via the
-// session's shared_ptr).
-class BorrowingStackMachine final : public StreamMachine {
- public:
-  explicit BorrowingStackMachine(const Dfa* dfa) : inner_(dfa) {}
-
-  void Reset() override { inner_.Reset(); }
-  void OnOpen(Symbol symbol) override { inner_.OnOpen(symbol); }
-  void OnClose(Symbol symbol) override { inner_.OnClose(symbol); }
-  bool InAcceptingState() const override { return inner_.InAcceptingState(); }
-
-  // The checkpoint protocol and stack diagnostics pass straight through —
-  // without these forwards the stack tier would report checkpointing as
-  // unsupported and every edit would fall back to a full rescan.
-  bool SaveConfig(std::vector<int64_t>* out) override {
-    return inner_.SaveConfig(out);
-  }
-  bool RestoreConfig(const std::vector<int64_t>& config) override {
-    return inner_.RestoreConfig(config);
-  }
-  bool ConfigEqualsCurrent(const std::vector<int64_t>& config) const override {
-    return inner_.ConfigEqualsCurrent(config);
-  }
-  void ReleaseConfig(const std::vector<int64_t>& config) override {
-    inner_.ReleaseConfig(config);
-  }
-  int64_t StackDepthPeak() const override { return inner_.StackDepthPeak(); }
-  int64_t StackUnderflowCloses() const override {
-    return inner_.StackUnderflowCloses();
-  }
-
- private:
-  StackQueryEvaluator inner_;
-};
-
 }  // namespace
 
 const char* EvaluatorKindName(EvaluatorKind kind) {
@@ -228,7 +192,7 @@ std::unique_ptr<StreamMachine> QueryPlan::NewMachine() const {
       if (fused_dra_) return std::make_unique<DraRunner>(&*stackless_dra_);
       return std::make_unique<StacklessQueryEvaluator>(&*stackless_);
     case EvaluatorKind::kStackBaseline:
-      return std::make_unique<BorrowingStackMachine>(&minimal_dfa_);
+      return std::make_unique<StackQueryEvaluator>(&minimal_dfa_);
   }
   return nullptr;
 }

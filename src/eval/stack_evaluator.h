@@ -1,6 +1,7 @@
 #ifndef SST_EVAL_STACK_EVALUATOR_H_
 #define SST_EVAL_STACK_EVALUATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -37,8 +38,19 @@ namespace sst {
 // configuration is not O(1).
 class StackQueryEvaluator final : public StreamMachine {
  public:
-  explicit StackQueryEvaluator(const Dfa* dfa) : dfa_(dfa) {
-    state_ = dfa_->initial;
+  explicit StackQueryEvaluator(const Dfa* dfa) {
+    const size_t k = static_cast<size_t>(dfa->num_symbols);
+    rows_.resize(static_cast<size_t>(dfa->num_states) * k);
+    accepting_.assign(rows_.size(), 0);
+    for (int q = 0; q < dfa->num_states; ++q) {
+      for (Symbol a = 0; a < dfa->num_symbols; ++a) {
+        rows_[q * k + static_cast<size_t>(a)] =
+            static_cast<int>(dfa->Next(q, a) * k);
+      }
+      accepting_[q * k] = dfa->accepting[q] ? 1 : 0;
+    }
+    initial_ = static_cast<int>(dfa->initial * k);
+    state_ = initial_;
   }
 
   void Reset() override {
@@ -52,7 +64,7 @@ class StackQueryEvaluator final : public StreamMachine {
     }
     saved_.clear();
     free_slots_.clear();
-    state_ = dfa_->initial;
+    state_ = initial_;
     max_stack_depth_ = 0;
     underflow_closes_ = 0;
   }
@@ -60,7 +72,7 @@ class StackQueryEvaluator final : public StreamMachine {
   void OnOpen(Symbol symbol) override {
     stack_.Push(state_);
     if (stack_.size() > max_stack_depth_) max_stack_depth_ = stack_.size();
-    state_ = dfa_->Next(state_, symbol);
+    state_ = rows_[static_cast<size_t>(state_ + symbol)];
   }
 
   void OnClose(Symbol /*symbol*/) override {
@@ -72,7 +84,10 @@ class StackQueryEvaluator final : public StreamMachine {
     stack_.Pop();
   }
 
-  bool InAcceptingState() const override { return dfa_->accepting[state_]; }
+  bool InAcceptingState() const override { return accepting_[state_] != 0; }
+
+  // Scanners step this machine inline, through a StackStepper.
+  StackQueryEvaluator* ExportStackEvaluator() override { return this; }
 
   // Checkpoint protocol: {state, snapshot slot, underflow count, chain
   // size}. The slot indexes a retained (chunk, index) snapshot in the node
@@ -158,9 +173,35 @@ class StackQueryEvaluator final : public StreamMachine {
   }
 
  private:
+  friend struct StackStepper;
   using Snapshot = PooledStack<int>::Snapshot;
+  using Cursor = PooledStack<int>::Cursor;
 
-  const Dfa* dfa_;
+  // A StackStepper's push or pop that the head chunk cannot take in place
+  // (chunk boundary, shared head chunk, underflow), through the stack's
+  // member path; returns the cursor to continue from.
+  __attribute__((noinline)) Cursor PushAt(Cursor cursor, int value) {
+    stack_.Sync(cursor);
+    stack_.Push(value);
+    return stack_.cursor();
+  }
+  __attribute__((noinline)) Cursor PopAt(Cursor cursor) {
+    stack_.Sync(cursor);
+    if (stack_.empty()) {
+      ++underflow_closes_;
+    } else {
+      stack_.Pop();
+    }
+    return stack_.cursor();
+  }
+
+  // The DFA with every state written as its row offset (state *
+  // num_symbols), here and on the stack, so a transition is one add and
+  // one load: rows_[state_ + symbol] is the next state's offset, and
+  // accepting_ is indexed by offset too.
+  std::vector<int> rows_;
+  std::vector<uint8_t> accepting_;
+  int initial_ = 0;
   PooledStack<int> stack_;
   int state_ = 0;
   uint64_t max_stack_depth_ = 0;
@@ -172,6 +213,56 @@ class StackQueryEvaluator final : public StreamMachine {
   std::vector<Snapshot> saved_;
   std::vector<size_t> free_slots_;
 };
+
+// The stack tier's scan-loop stepper (StreamingSelector): the DFA state
+// (as its row offset), the rows and the one-byte acceptance row, and a
+// cursor on the head chunk of the pooled stack stay in registers, so a
+// push or pop inside the head chunk is a store or load plus an index
+// bump. A chunk boundary, a shared (snapshotted) head chunk and underflow
+// take the stack's member path out of line, and checkpoints keep their
+// O(1) snapshots. No second depth is tracked per event: under the
+// selector the stack depth is the framing depth, so Store folds the
+// selector's peak depth (`*peak`, current whenever Store runs) into the
+// evaluator's.
+struct StackStepper {
+  static constexpr bool kSingleMember = true;
+  StackQueryEvaluator* home;
+  const int64_t* peak;
+  const int* rows = home->rows_.data();
+  const uint8_t* accepting = home->accepting_.data();
+  int state = 0;
+  PooledStack<int>::Cursor cursor{};
+
+  void Load() {
+    state = home->state_;
+    cursor = home->stack_.cursor();
+  }
+  void Store() {
+    home->state_ = state;
+    home->stack_.Sync(cursor);
+    home->max_stack_depth_ =
+        std::max(home->max_stack_depth_, static_cast<uint64_t>(*peak));
+  }
+  void Step(bool open, Symbol symbol, unsigned char, int64_t) {
+    if (open) {
+      if (cursor.len < cursor.limit) {
+        cursor.values[cursor.len++] = state;
+      } else {
+        cursor = home->PushAt(cursor, state);
+      }
+      state = rows[static_cast<size_t>(state + symbol)];
+    } else if (cursor.len > 1) {
+      state = cursor.values[--cursor.len];
+    } else {
+      if (cursor.len == 1) state = cursor.values[0];
+      cursor = home->PopAt(cursor);
+    }
+  }
+  bool Hit(bool open) const { return open & (accepting[state] != 0); }
+  void AppendSelected(std::vector<int32_t>* out) const { out->push_back(0); }
+};
+// The scan-loop register budget (dra/streaming.h, EXPERIMENTS.md E24).
+static_assert(sizeof(StackStepper) <= 56, "scan-loop register budget");
 
 // The previous std::vector implementation, kept verbatim as the parity
 // and throughput baseline for the pooled version (tests/pooled_stack_test,

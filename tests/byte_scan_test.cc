@@ -164,24 +164,6 @@ TEST(ByteScan, ExtractStructuralEdgeCases) {
   EXPECT_EQ(out[0], 257u);
 }
 
-TEST(ByteScan, StructuralIteratorMatchesScalarScan) {
-  Rng rng(405);
-  for (int round = 0; round < 300; ++round) {
-    size_t len = rng.NextBelow(500);
-    std::string s = RandomMixedBuffer(&rng, len);
-    std::vector<uint32_t> expected = ScalarStructuralPositions(s);
-    std::vector<uint32_t> got;
-    StructuralIterator it(s.data(), len);
-    for (size_t i = it.Next(); i < len; i = it.Next()) {
-      got.push_back(static_cast<uint32_t>(i));
-    }
-    EXPECT_EQ(got, expected) << "round " << round << ", len " << len;
-    // Exhausted iterators keep returning len.
-    EXPECT_EQ(it.Next(), len);
-    EXPECT_EQ(it.Next(), len);
-  }
-}
-
 TEST(ByteScan, ForEachStructuralMatchesScalarScan) {
   Rng rng(406);
   for (int round = 0; round < 300; ++round) {

@@ -320,11 +320,13 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
   EXPECT_EQ(capped->mixed_dras().size(), 1u);
 
   // An all-stackless batch is mixed too: no product members, every slot a
-  // fused DRA.
+  // fused DRA, riding the one-state empty product.
   auto all_dra = MultiQueryPlan::Compile(XPathBatch({"/a/b", "/b/*//c"}),
                                          alphabet, MultiQueryOptions{});
   EXPECT_EQ(all_dra->tier(), MultiTier::kMixed);
-  EXPECT_EQ(all_dra->eager(), nullptr);
+  ASSERT_NE(all_dra->eager(), nullptr);
+  EXPECT_EQ(all_dra->eager()->arity, 0);
+  EXPECT_EQ(all_dra->stats().eager_states, 1);
   EXPECT_EQ(all_dra->stats().stackless_members, 2);
 }
 
@@ -536,14 +538,16 @@ TEST(BatchSession, MixedTierMatchesIndependentReference) {
   }
 }
 
-// All-stackless mixed batch: no registerless sub-product at all, every
-// member a fused DRA stepped in the same scan.
+// All-stackless mixed batch: no registerless member, so the product is
+// the one-state empty one, and every member is a fused DRA stepped in the
+// same scan.
 TEST(BatchSession, AllStacklessBatchRunsMixed) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   auto plan = MultiQueryPlan::Compile(XPathBatch({"/a/b", "/b/*//c"}),
                                       alphabet, MultiQueryOptions{});
   ASSERT_EQ(plan->tier(), MultiTier::kMixed);
-  ASSERT_EQ(plan->eager(), nullptr);
+  ASSERT_NE(plan->eager(), nullptr);
+  ASSERT_EQ(plan->eager()->arity, 0);
   BatchSession batch(plan);
 
   IndependentSessions independent(*plan);

@@ -19,8 +19,11 @@
 #include "base/pooled_stack.h"
 #include "base/rng.h"
 #include "dra/streaming.h"
+#include "engine/query_plan.h"
 #include "eval/stack_evaluator.h"
+#include "query/rpq.h"
 #include "test_util.h"
+#include "testing/fault_injection.h"
 #include "trees/encoding.h"
 
 // Global allocation counter so tests can assert that the pooled stack's
@@ -325,6 +328,228 @@ TEST(StackEvaluatorParity, SelectorRunsMatchVectorBaseline) {
       // selector (it never feeds unbalanced closes).
       EXPECT_EQ(ps.max_stack_depth, ps.max_depth);
       EXPECT_EQ(ps.underflow_closes, 0);
+    }
+  }
+}
+
+// --- Inline stack stepper ---------------------------------------------
+
+// Forwards to a stack-tier machine without exporting it, so a selector
+// steps it through the virtual interface. The checkpoint protocol and the
+// stack diagnostics pass through.
+class VirtualStackMachine final : public StreamMachine {
+ public:
+  explicit VirtualStackMachine(StreamMachine* inner) : inner_(inner) {}
+  void Reset() override { inner_->Reset(); }
+  void OnOpen(Symbol symbol) override { inner_->OnOpen(symbol); }
+  void OnClose(Symbol symbol) override { inner_->OnClose(symbol); }
+  bool InAcceptingState() const override {
+    return inner_->InAcceptingState();
+  }
+  bool SaveConfig(std::vector<int64_t>* out) override {
+    return inner_->SaveConfig(out);
+  }
+  bool RestoreConfig(const std::vector<int64_t>& config) override {
+    return inner_->RestoreConfig(config);
+  }
+  bool ConfigEqualsCurrent(const std::vector<int64_t>& config) const override {
+    return inner_->ConfigEqualsCurrent(config);
+  }
+  void ReleaseConfig(const std::vector<int64_t>& config) override {
+    inner_->ReleaseConfig(config);
+  }
+  int64_t StackDepthPeak() const override { return inner_->StackDepthPeak(); }
+  int64_t StackUnderflowCloses() const override {
+    return inner_->StackUnderflowCloses();
+  }
+
+ private:
+  StreamMachine* inner_;
+};
+
+std::string Serialize(StreamFormat format, const Alphabet& alphabet,
+                      const EventStream& events) {
+  switch (format) {
+    case StreamFormat::kCompactMarkup:
+      return ToCompactMarkup(alphabet, events);
+    case StreamFormat::kXmlLite:
+      return ToXmlLite(alphabet, events);
+    case StreamFormat::kCompactTerm:
+      return ToCompactTerm(alphabet, events);
+  }
+  return {};
+}
+
+// A spine `depth` deep whose levels cycle through the alphabet, with a
+// leaf hanging off every third level: it crosses chunk boundaries of the
+// pooled stack on the way down and on the way back up.
+EventStream DeepSpine(int depth, int num_symbols) {
+  EventStream events;
+  for (int d = 0; d < depth; ++d) {
+    const Symbol s = d % num_symbols;
+    events.push_back(TagEvent{true, s});
+    if (d % 3 == 2) {
+      events.push_back(TagEvent{true, (s + 1) % num_symbols});
+      events.push_back(TagEvent{false, (s + 1) % num_symbols});
+    }
+  }
+  for (int d = depth - 1; d >= 0; --d) {
+    events.push_back(TagEvent{false, d % num_symbols});
+  }
+  return events;
+}
+
+// Everything a run exposes: per-Feed results, the outcome, every
+// StreamStats field, the first error, and the match log.
+struct StackRun {
+  std::vector<bool> fed;
+  bool finished = false;
+  int64_t matches = 0;
+  int64_t nodes = 0;
+  StreamError error;
+  std::vector<int64_t> stats;
+  std::vector<MatchEvent> log;
+
+  friend bool operator==(const StackRun&, const StackRun&) = default;
+};
+
+std::vector<int64_t> StatsFields(const StreamStats& s) {
+  return {s.bytes_fed,          s.chunks_fed,           s.events,
+          s.max_depth,          s.matches,              s.errors_recovered,
+          s.subtrees_skipped,   s.error_offset,         s.matches_emitted,
+          s.pending_matches_peak, s.max_stack_depth,    s.underflow_closes};
+}
+
+// Feeds [from, doc.size()) in `chunk`-byte pieces, then finishes. With
+// `checkpoints`, saves one at every Feed boundary (each later push into
+// the snapshotted head chunk copies it on write).
+void FeedRest(StreamingSelector& selector, std::string_view doc, size_t from,
+              size_t chunk, StackRun* run,
+              std::vector<SelectorCheckpoint>* checkpoints) {
+  bool ok = true;
+  for (size_t at = from; ok && at < doc.size(); at += chunk) {
+    ok = selector.Feed(doc.substr(at, chunk));
+    run->fed.push_back(ok);
+    if (ok && checkpoints != nullptr) {
+      checkpoints->emplace_back();
+      ASSERT_TRUE(selector.SaveCheckpoint(&checkpoints->back()));
+    }
+  }
+  run->finished = ok && selector.Finish();
+  run->matches = selector.matches();
+  run->nodes = selector.nodes();
+  run->error = selector.stream_error();
+  run->stats = StatsFields(selector.stats());
+}
+
+// Stack-baseline plans (//a/b and its //x/y, //x/*/y relatives) on the
+// inline StackStepper against the same machine stepped through the
+// virtual interface: counts, match logs, first StreamError, every
+// StreamStats field (max_stack_depth and underflow_closes included) on
+// markup, xml-lite and term × chunks {1, 3, 16, whole} × both recovery
+// policies × LimitSweep, on random trees, spines crossing the pooled
+// stack's chunk capacity (28, 56), and every fault kind. A second pass
+// saves a checkpoint at every Feed boundary and resumes both from the
+// middle one.
+TEST(StackStepperParity, InlineStepperMatchesVirtualStepping) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  Rng rng(61);
+  std::vector<EventStream> trees;
+  for (const Tree& tree : testing::SampleTrees(10, alphabet.size(), &rng)) {
+    trees.push_back(Encode(tree));
+  }
+  const int capacity = static_cast<int>(PooledStack<int>::kChunkCapacity);
+  for (int depth : {capacity - 1, capacity, capacity + 1, 2 * capacity,
+                    2 * capacity + 3}) {
+    trees.push_back(DeepSpine(depth, alphabet.size()));
+  }
+  const RecoveryPolicy kPolicies[] = {RecoveryPolicy::kFailFast,
+                                      RecoveryPolicy::kSkipMalformedSubtree};
+  StreamLimits deep;
+  deep.max_depth = 2 * capacity;
+  std::vector<StreamLimits> limits = testing::LimitSweep();
+  limits.push_back(deep);
+  for (StreamFormat format :
+       {StreamFormat::kCompactMarkup, StreamFormat::kXmlLite,
+        StreamFormat::kCompactTerm}) {
+    PlanOptions options;
+    options.format = format;
+    options.encoding = format == StreamFormat::kCompactTerm
+                           ? StreamEncoding::kTerm
+                           : StreamEncoding::kMarkup;
+    std::vector<std::string> docs;
+    FaultInjector faults(67);
+    for (size_t t = 0; t < trees.size(); ++t) {
+      docs.push_back(Serialize(format, alphabet, trees[t]));
+      std::string faulted = docs.back();
+      faults.Apply(static_cast<FaultKind>(t % kNumFaultKinds), &faulted);
+      docs.push_back(faulted);
+    }
+    for (const char* query : {"//a/b", "//b/c", "//a/*/b"}) {
+      auto plan = QueryPlan::Compile(Rpq::FromXPath(query, alphabet), options);
+      ASSERT_EQ(plan->kind(), EvaluatorKind::kStackBaseline) << query;
+      std::unique_ptr<StreamMachine> inline_machine = plan->NewMachine();
+      ASSERT_NE(inline_machine->ExportStackEvaluator(), nullptr);
+      std::unique_ptr<StreamMachine> inner = plan->NewMachine();
+      VirtualStackMachine virtual_machine(inner.get());
+      StreamingSelector inline_sel(inline_machine.get(), format,
+                                   &plan->alphabet(), &plan->scanner_tables(),
+                                   nullptr);
+      StreamingSelector virtual_sel(&virtual_machine, format,
+                                    &plan->alphabet(), &plan->scanner_tables(),
+                                    nullptr);
+      CollectingSink inline_log;
+      CollectingSink virtual_log;
+      for (const std::string& doc : docs) {
+        for (size_t chunk : {size_t{1}, size_t{3}, size_t{16},
+                             std::max<size_t>(doc.size(), 1)}) {
+          for (RecoveryPolicy policy : kPolicies) {
+            for (const StreamLimits& limit : limits) {
+              const std::string where = std::string(query) + " format " +
+                                        std::to_string(static_cast<int>(format)) +
+                                        " chunk " + std::to_string(chunk) +
+                                        " doc " + doc;
+              StackRun runs[2];
+              StreamingSelector* selectors[2] = {&inline_sel, &virtual_sel};
+              CollectingSink* logs[2] = {&inline_log, &virtual_log};
+              for (int k = 0; k < 2; ++k) {
+                selectors[k]->set_match_sink(logs[k]);
+                selectors[k]->set_recovery_policy(policy);
+                selectors[k]->set_limits(limit);
+                selectors[k]->Reset();
+                logs[k]->Reset();
+                FeedRest(*selectors[k], doc, 0, chunk, &runs[k], nullptr);
+                runs[k].log = logs[k]->matches();
+                runs[k].log.insert(runs[k].log.end(), logs[k]->spans().begin(),
+                                   logs[k]->spans().end());
+              }
+              ASSERT_EQ(runs[0], runs[1]) << where;
+              EXPECT_EQ(runs[0].stats[10], runs[0].stats[3]) << where;
+
+              // Checkpoints: no span sink, one save per Feed boundary,
+              // then both resume from the middle one.
+              StackRun resumed[2];
+              for (int k = 0; k < 2; ++k) {
+                selectors[k]->set_match_sink(nullptr);
+                selectors[k]->Reset();
+                std::vector<SelectorCheckpoint> saved;
+                StackRun first;
+                FeedRest(*selectors[k], doc, 0, chunk, &first, &saved);
+                if (saved.empty()) continue;
+                const size_t mid = saved.size() / 2;
+                ASSERT_TRUE(selectors[k]->RestoreCheckpoint(saved[mid]));
+                FeedRest(*selectors[k], doc,
+                         static_cast<size_t>(saved[mid].bytes_fed), chunk,
+                         &resumed[k], nullptr);
+                for (const SelectorCheckpoint& cp : saved) {
+                  selectors[k]->ReleaseCheckpoint(cp);
+                }
+              }
+              EXPECT_EQ(resumed[0], resumed[1]) << where;
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -307,6 +307,21 @@ std::vector<size_t> RandomSplits(size_t text_size, Rng* rng) {
   return splits;
 }
 
+// Term documents at the edges of the clean term run: a label as the last
+// byte of a 64-byte block (and of a 64-byte chunk), whitespace between a
+// label and its brace, an unknown label before '{', a label followed by
+// '}' or by another label, and a stray '{'.
+std::vector<std::string> TermRunEdgeDocs() {
+  return {"a{" + std::string(61, ' ') + "b{}c" + std::string(60, '\n') +
+              "{}}",
+          "a{" + std::string(61, ' ') + "b}}",
+          "a \n{b\t{}  c {} }",
+          "a{z{}b{}}",
+          "a{b}c{}}",
+          "a{bc{}}",
+          "a{{}b{}}"};
+}
+
 // Valid and malformed documents per format, for the re-split property.
 std::vector<std::string> PropertyCorpus(StreamingSelector::Format format,
                                         const Alphabet& alphabet) {
@@ -344,6 +359,9 @@ std::vector<std::string> PropertyCorpus(StreamingSelector::Format format,
     case StreamingSelector::Format::kCompactTerm:
       for (const char* text : {"a{", "}", "a}", "a{b{}}", "a{} b{}", "a?",
                                "a {b {} c {}}", "a{}}", "x{}", "a"}) {
+        corpus.push_back(text);
+      }
+      for (const std::string& text : TermRunEdgeDocs()) {
         corpus.push_back(text);
       }
       break;
@@ -603,6 +621,9 @@ TEST(StreamingSelector, CheckpointsAtFeedBoundariesAreChunkingInvariant) {
       std::string faulted = text;
       faulted[rng.NextBelow(faulted.size())] = '#';
       docs.push_back(faulted);
+    }
+    if (term) {
+      for (const std::string& text : TermRunEdgeDocs()) docs.push_back(text);
     }
 
     for (const std::string& text : docs) {

@@ -109,7 +109,7 @@ TEST(StructuralIndex, RegisterlessCountsAndFinalStatesMatchPerByte) {
 }
 
 // The generic-tier selector (fused fast path hidden) drives the
-// StructuralIterator; its parity oracle is the per-byte reference
+// structural index; its parity oracle is the per-byte reference
 // validator, which never touches the index.
 class OpaqueForwarder : public StreamMachine {
  public:
@@ -279,7 +279,7 @@ TEST(StructuralIndex, MixedBatchCountsMatchPerByteReferences) {
 }
 
 // ---------------------------------------------------------------------------
-// Selector-level matrix: fused tier (StructuralIterator scanners, byte
+// Selector-level matrix: fused tier (structural-index scanners, byte
 // tables) vs the generic tier pinned by OpaqueForwarder, 30 trees x 3
 // formats x 4 chunkings x all variants, under the recovery policy that
 // resynchronizes mid-run on the fused tier.
