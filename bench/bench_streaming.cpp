@@ -1,17 +1,12 @@
-// Old-vs-new scanner throughput for the StreamingSelector front-end. The
-// "legacy" scanner below is a faithful copy of the seed implementation: one
-// locale-dependent std::isspace call and (for compact markup) one hash-map
-// Alphabet::Find lookup per input byte, a heap-backed std::string for
-// partial tags, and virtual machine dispatch per event. The rebuilt scanner
-// classifies bytes through precomputed 256-entry tables and, for
-// registerless machines on compact markup, runs the fused ByteTagDfaRunner
-// byte→state table. Chunk sizes sweep 64 B … 1 MB to show the per-chunk
-// overhead amortizing away.
+// Scanner throughput for the StreamingSelector front-end and the layers
+// above it. The scanner classifies bytes through precomputed 256-entry
+// tables and, for registerless machines on compact markup, runs the fused
+// ByteTagDfaRunner byte→state table. Chunk sizes sweep 64 B … 1 MB to
+// show the per-chunk overhead amortizing away.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -50,151 +45,6 @@
 
 namespace sst {
 namespace {
-
-// --- Seed scanner (pre-rebuild), kept verbatim as the baseline ----------
-
-class LegacyStreamingSelector {
- public:
-  using Format = StreamingSelector::Format;
-
-  LegacyStreamingSelector(StreamMachine* machine, Format format,
-                          Alphabet* alphabet)
-      : machine_(machine), format_(format), alphabet_(alphabet) {
-    Reset();
-  }
-
-  void Reset() {
-    machine_->Reset();
-    open_labels_.clear();
-    pending_.clear();
-    in_tag_ = false;
-    nodes_ = 0;
-    matches_ = 0;
-    depth_ = 0;
-    saw_root_ = false;
-    failed_ = false;
-  }
-
-  bool Feed(std::string_view chunk) {
-    if (failed_) return false;
-    switch (format_) {
-      case Format::kCompactMarkup:
-        for (char c : chunk) {
-          if (std::isspace(static_cast<unsigned char>(c))) continue;
-          if (c >= 'a' && c <= 'z') {
-            Symbol s = alphabet_->Find(std::string_view(&c, 1));
-            if (s < 0) return Fail();
-            if (!EmitOpen(s)) return false;
-          } else if (c >= 'A' && c <= 'Z') {
-            char lower = static_cast<char>(c - 'A' + 'a');
-            Symbol s = alphabet_->Find(std::string_view(&lower, 1));
-            if (s < 0) return Fail();
-            if (!EmitClose(s)) return false;
-          } else {
-            return Fail();
-          }
-        }
-        return true;
-      case Format::kCompactTerm:
-        for (char c : chunk) {
-          if (std::isspace(static_cast<unsigned char>(c))) continue;
-          if (!pending_.empty()) {
-            if (c != '{') return Fail();
-            Symbol s = alphabet_->Find(pending_);
-            pending_.clear();
-            if (s < 0) return Fail();
-            if (!EmitOpen(s)) return false;
-            continue;
-          }
-          if (c == '}') {
-            if (!EmitClose(-1)) return false;
-          } else if (std::isalnum(static_cast<unsigned char>(c)) ||
-                     c == '_' || c == '-') {
-            if (pending_.size() >= 256) return Fail();
-            pending_.push_back(c);
-          } else {
-            return Fail();
-          }
-        }
-        return true;
-      case Format::kXmlLite:
-        for (char c : chunk) {
-          if (!in_tag_) {
-            if (std::isspace(static_cast<unsigned char>(c))) continue;
-            if (c != '<') return Fail();
-            in_tag_ = true;
-            pending_.clear();
-            continue;
-          }
-          if (c != '>') {
-            if (pending_.size() >= 256) return Fail();
-            pending_.push_back(c);
-            continue;
-          }
-          in_tag_ = false;
-          if (pending_.empty()) return Fail();
-          bool closing = pending_[0] == '/';
-          std::string_view name(pending_);
-          if (closing) name.remove_prefix(1);
-          if (name.empty()) return Fail();
-          Symbol s = alphabet_->Find(name);
-          if (s < 0) return Fail();
-          bool ok = closing ? EmitClose(s) : EmitOpen(s);
-          pending_.clear();
-          if (!ok) return false;
-        }
-        return true;
-    }
-    return Fail();
-  }
-
-  bool Finish() {
-    if (failed_ || in_tag_ || !pending_.empty()) return false;
-    return saw_root_ && depth_ == 0;
-  }
-
-  int64_t matches() const { return matches_; }
-
- private:
-  bool Fail() {
-    failed_ = true;
-    return false;
-  }
-
-  bool EmitOpen(Symbol symbol) {
-    if (depth_ == 0 && saw_root_) return Fail();
-    saw_root_ = true;
-    ++depth_;
-    open_labels_.push_back(symbol);
-    machine_->OnOpen(symbol);
-    if (machine_->InAcceptingState()) ++matches_;
-    ++nodes_;
-    return true;
-  }
-
-  bool EmitClose(Symbol symbol) {
-    if (open_labels_.empty()) return Fail();
-    if (symbol >= 0 && open_labels_.back() != symbol) return Fail();
-    open_labels_.pop_back();
-    --depth_;
-    machine_->OnClose(symbol);
-    return true;
-  }
-
-  StreamMachine* machine_;
-  Format format_;
-  Alphabet* alphabet_;
-  std::vector<Symbol> open_labels_;
-  std::string pending_;
-  bool in_tag_ = false;
-  int64_t nodes_ = 0;
-  int64_t matches_ = 0;
-  int64_t depth_ = 0;
-  bool saw_root_ = false;
-  bool failed_ = false;
-};
-
-// ------------------------------------------------------------------------
 
 using Format = StreamingSelector::Format;
 
@@ -267,7 +117,7 @@ struct BenchSetup {
         machine(&evaluator) {}
 };
 
-void RunScanBench(benchmark::State& state, bool legacy, bool opaque) {
+void RunScanBench(benchmark::State& state, bool opaque) {
   Format format = static_cast<Format>(state.range(0));
   size_t chunk_size = static_cast<size_t>(state.range(1));
   BenchSetup setup(format == Format::kCompactTerm);
@@ -276,18 +126,10 @@ void RunScanBench(benchmark::State& state, bool legacy, bool opaque) {
   StreamMachine* machine =
       opaque ? static_cast<StreamMachine*>(&hidden) : &setup.machine;
   int64_t matches = 0;
-  if (legacy) {
-    LegacyStreamingSelector selector(machine, format, &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
-  } else {
-    StreamingSelector selector(machine, format, &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
+  StreamingSelector selector(machine, format, &setup.alphabet);
+  for (auto _ : state) {
+    matches = DriveChunked(selector, bytes, chunk_size);
+    benchmark::DoNotOptimize(matches);
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(bytes.size()));
@@ -298,18 +140,14 @@ void RunScanBench(benchmark::State& state, bool legacy, bool opaque) {
   state.SetLabel(label);
 }
 
-void BM_LegacyScanner(benchmark::State& state) {
-  RunScanBench(state, /*legacy=*/true, /*opaque=*/false);
-}
-
 void BM_RebuiltScanner(benchmark::State& state) {
-  RunScanBench(state, /*legacy=*/false, /*opaque=*/false);
+  RunScanBench(state, /*opaque=*/false);
 }
 
 // Table-driven lexing only (fused byte table disabled) — how much of the
 // win is the lexer vs. the fused transition table.
 void BM_RebuiltScannerGenericPath(benchmark::State& state) {
-  RunScanBench(state, /*legacy=*/false, /*opaque=*/true);
+  RunScanBench(state, /*opaque=*/true);
 }
 
 // Robustness guards on: finite StreamLimits plus the skip-recovery
@@ -349,16 +187,14 @@ const std::vector<std::vector<int64_t>> kArgs = {
     {64, 1024, 65536, 1 << 20},             // chunk size
 };
 
-BENCHMARK(BM_LegacyScanner)->ArgsProduct(kArgs);
 BENCHMARK(BM_RebuiltScanner)->ArgsProduct(kArgs);
 BENCHMARK(BM_RebuiltScannerGenericPath)
     ->ArgsProduct({{0}, {64, 1024, 65536, 1 << 20}});
 BENCHMARK(BM_RebuiltScannerGuarded)->ArgsProduct(kArgs);
 
 // --- Whitespace-padded XML: the SIMD/SWAR bulk-skip showcase ------------
-// Pretty-printed XML is mostly indentation; the rebuilt scanner jumps
-// whitespace runs 64 bytes at a time (base/byte_scan.h) and memchr-scans
-// tag bodies, while the legacy scanner touches every byte.
+// Pretty-printed XML is mostly indentation; the scanner jumps whitespace
+// runs 64 bytes at a time (base/byte_scan.h) and memchr-scans tag bodies.
 
 std::string PaddedXmlBytes() {
   Alphabet alphabet = Alphabet::FromLetters("abc");
@@ -378,46 +214,26 @@ std::string PaddedXmlBytes() {
   return out;
 }
 
-void RunPaddedXmlBench(benchmark::State& state, bool legacy) {
+void BM_RebuiltScannerPaddedXml(benchmark::State& state) {
   BenchSetup setup(false);
   std::string bytes = PaddedXmlBytes();
   size_t chunk_size = 65536;
   int64_t matches = 0;
-  if (legacy) {
-    LegacyStreamingSelector selector(&setup.machine, Format::kXmlLite,
-                                     &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
-  } else {
-    StreamingSelector selector(&setup.machine, Format::kXmlLite,
-                               &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
+  StreamingSelector selector(&setup.machine, Format::kXmlLite,
+                             &setup.alphabet);
+  for (auto _ : state) {
+    matches = DriveChunked(selector, bytes, chunk_size);
+    benchmark::DoNotOptimize(matches);
   }
   SST_CHECK(matches >= 0);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(bytes.size()));
   state.counters["matches"] = static_cast<double>(matches);
-  std::string label = "xmlpad/";
-  label += legacy ? "legacy" : "rebuilt";
-  label += "/kernel=";
+  std::string label = "xmlpad/rebuilt/kernel=";
   label += ByteScanKernelName();
   state.SetLabel(label);
 }
 
-void BM_LegacyScannerPaddedXml(benchmark::State& state) {
-  RunPaddedXmlBench(state, /*legacy=*/true);
-}
-
-void BM_RebuiltScannerPaddedXml(benchmark::State& state) {
-  RunPaddedXmlBench(state, /*legacy=*/false);
-}
-
-BENCHMARK(BM_LegacyScannerPaddedXml);
 BENCHMARK(BM_RebuiltScannerPaddedXml);
 
 // --- Sequential fused table on large documents -------------------------

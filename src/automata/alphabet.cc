@@ -36,6 +36,16 @@ std::array<Symbol, 256> Alphabet::ByteSymbolTable() const {
   return table;
 }
 
+bool Alphabet::CompactLabels(int count) const {
+  if (count < 0) count = size();
+  if (count > size()) return false;
+  for (Symbol s = 0; s < count; ++s) {
+    const std::string& label = labels_[s];
+    if (label.size() != 1 || label[0] < 'a' || label[0] > 'z') return false;
+  }
+  return true;
+}
+
 Word WordFromString(const Alphabet& alphabet, std::string_view text) {
   Word word;
   word.reserve(text.size());

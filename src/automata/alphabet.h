@@ -35,6 +35,13 @@ class Alphabet {
   // calling Find per input byte.
   std::array<Symbol, 256> ByteSymbolTable() const;
 
+  // True when each of the first `count` symbols (every symbol by default)
+  // is labelled by one lowercase letter 'a'..'z': the compact markup
+  // serialization that the fused byte tables key by the raw byte opens
+  // such a symbol as its letter and closes it as the uppercase form.
+  // False when `count` exceeds size().
+  bool CompactLabels(int count = -1) const;
+
   const std::string& LabelOf(Symbol s) const { return labels_[s]; }
   int size() const { return static_cast<int>(labels_.size()); }
 

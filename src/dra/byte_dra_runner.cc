@@ -25,11 +25,7 @@ ByteDraRunner::ByteDraRunner(const Dra* dra, const Alphabet& alphabet)
     pow3_[static_cast<size_t>(r)] = p;
   }
   byte_symbol_.fill(-1);
-  compact_labels_ = true;
-  for (Symbol a = 0; compact_labels_ && a < num_symbols_; ++a) {
-    const std::string& label = alphabet.LabelOf(a);
-    compact_labels_ = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
-  }
+  compact_labels_ = alphabet.CompactLabels(num_symbols_);
   for (Symbol a = 0; compact_labels_ && a < num_symbols_; ++a) {
     const unsigned char letter =
         static_cast<unsigned char>(alphabet.LabelOf(a)[0]);
@@ -102,33 +98,11 @@ DraConfig ByteDraRunner::InitialConfig() const {
   return config;
 }
 
-DraConfig ByteDraRunner::FinalConfig(std::string_view bytes) const {
-  SST_CHECK_MSG(compact_labels_, kNotCompact);
-  DraConfig config = InitialConfig();
-  ForEachStructural(bytes.data(), bytes.size(),
-                    [&](size_t i) {
-                      Next(&config, static_cast<unsigned char>(bytes[i]));
-                    });
-  return config;
-}
-
 int64_t ByteDraRunner::CountSelectionsPerByte(std::string_view bytes) const {
   SST_CHECK_MSG(compact_labels_, kNotCompact);
   DraConfig config = InitialConfig();
   int64_t selected = 0;
-  for (unsigned char byte : bytes) {
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepOpen(&config, s);
-      // Pre-selection samples after every opening byte — including unknown
-      // lowercase letters, which self-loop but still sample (parity with
-      // ByteTagDfaRunner, whose self-loop rows make the same call).
-      selected += static_cast<int64_t>(accepting_[config.state]);
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepClose(&config, s);
-    }
-  }
+  for (unsigned char byte : bytes) selected += StepByte(&config, byte);
   return selected;
 }
 
@@ -137,106 +111,11 @@ int64_t ByteDraRunner::CountSelections(std::string_view bytes) const {
   DraConfig config = InitialConfig();
   int64_t selected = 0;
   // Structural-index walk: whitespace gaps leave the configuration and the
-  // count untouched (text_run_trivial() by construction), so the automaton
-  // only ever sees structural bytes.
+  // count untouched, so the automaton only ever sees structural bytes.
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepOpen(&config, s);
-      selected += static_cast<int64_t>(accepting_[config.state]);
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepClose(&config, s);
-    }
+    selected += StepByte(&config, static_cast<unsigned char>(bytes[i]));
   });
   return selected;
-}
-
-namespace {
-
-// Shared span-tracking step for the indexed and per-byte collect loops:
-// framing depth counts every tag letter (known or not — the framing view,
-// matching the recorder depths ByteTagDfaRunner::CollectMatches uses),
-// while only known letters step the configuration.
-struct DraCollectState {
-  DraConfig config;
-  int64_t depth = 0;
-  int64_t selected = 0;
-};
-
-}  // namespace
-
-int64_t ByteDraRunner::CollectMatches(std::string_view bytes, MatchSink* sink,
-                                      int64_t max_pending) const {
-  SST_CHECK_MSG(compact_labels_, kNotCompact);
-  MatchRecorder recorder;
-  recorder.set_sink(sink);
-  recorder.set_max_pending(max_pending);
-  DraCollectState st;
-  st.config = InitialConfig();
-  // Structural-index walk is sound unconditionally (text_run_trivial()):
-  // whitespace touches neither the configuration, the framing depth, nor
-  // any event offset.
-  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepOpen(&st.config, s);
-      ++st.depth;
-      if (accepting_[st.config.state]) {
-        ++st.selected;
-        recorder.OnMatch(0, st.depth, static_cast<int64_t>(i),
-                         static_cast<int64_t>(i) + 1);
-      }
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepClose(&st.config, s);
-      if (st.depth > 0) {
-        recorder.OnClose(st.depth, static_cast<int64_t>(i) + 1);
-        --st.depth;
-      }
-    }
-  });
-  recorder.FlushTruncated();
-  return st.selected;
-}
-
-int64_t ByteDraRunner::CollectMatchesPerByte(std::string_view bytes,
-                                             MatchSink* sink,
-                                             int64_t max_pending) const {
-  SST_CHECK_MSG(compact_labels_, kNotCompact);
-  MatchRecorder recorder;
-  recorder.set_sink(sink);
-  recorder.set_max_pending(max_pending);
-  DraCollectState st;
-  st.config = InitialConfig();
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepOpen(&st.config, s);
-      ++st.depth;
-      if (accepting_[st.config.state]) {
-        ++st.selected;
-        recorder.OnMatch(0, st.depth, static_cast<int64_t>(i),
-                         static_cast<int64_t>(i) + 1);
-      }
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepClose(&st.config, s);
-      if (st.depth > 0) {
-        recorder.OnClose(st.depth, static_cast<int64_t>(i) + 1);
-        --st.depth;
-      }
-    }
-  }
-  recorder.FlushTruncated();
-  return st.selected;
-}
-
-bool ByteDraRunner::Accepts(std::string_view bytes) const {
-  return accepting_[FinalConfig(bytes).state] != 0;
 }
 
 }  // namespace sst

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "automata/alphabet.h"
-#include "base/match_sink.h"
 #include "dra/dra.h"
 #include "dra/machine.h"
 #include "dra/stream_error.h"
@@ -21,10 +20,10 @@ namespace sst {
 // <= Dra::kMaxRegisters depth registers, and the 3^r comparison code are
 // all resolved inside the scan loop — no virtual dispatch, no per-event
 // heap traffic. The symbol-level stepping API (StepOpen/StepClose, the
-// sleepy bits) serves every stream format; the byte-level entry points
-// (Next, CountSelections, CollectMatches, FinalConfig, Accepts) read the
-// compact markup serialization ('a'..'z' opening tags, 'A'..'Z' closing
-// tags) and need single-lowercase-letter labels (compact_labels()).
+// sleepy bits) serves every stream format; the two whole-buffer walks
+// (CountSelections, CountSelectionsPerByte) read the compact markup
+// serialization ('a'..'z' opening tags, 'A'..'Z' closing tags) and need
+// single-lowercase-letter labels (compact_labels()).
 //
 // Restrictedness (Section 2.2) is what makes the fusion cheap. In a
 // restricted DRA every transition reloads each register reading strictly
@@ -57,69 +56,33 @@ class ByteDraRunner {
  public:
   // Label-driven convention, matching ByteTagDfaRunner: each symbol of
   // `dra` opens as its single lowercase-letter label in `alphabet` and
-  // closes as the uppercase form; with any other label the byte-level
-  // entry points are unavailable (compact_labels() false) and only
-  // symbol-level stepping remains. Requires IsRestricted(*dra); `dra` is
+  // closes as the uppercase form; with any other label the whole-buffer
+  // walks are unavailable (compact_labels() false) and only symbol-level
+  // stepping remains. Requires IsRestricted(*dra); `dra` is
   // borrowed and must outlive the runner.
   ByteDraRunner(const Dra* dra, const Alphabet& alphabet);
 
-  // True when every label is a single lowercase letter: the byte-level
-  // entry points may be called.
+  // True when every label is a single lowercase letter
+  // (Alphabet::CompactLabels): the whole-buffer walks may be called.
   bool compact_labels() const { return compact_labels_; }
 
   // Streams the bytes; returns the number of pre-selected nodes (acceptance
   // sampled after every opening byte 'a'..'z'). Bytes that are no known tag
-  // letter self-loop and leave the configuration untouched; unknown
-  // *lowercase* letters still sample acceptance — ByteTagDfaRunner parity.
-  // Runs over the SIMD structural index: whitespace gaps are skipped in
-  // bulk (sound unconditionally here — see text_run_trivial()).
+  // letter leave the configuration untouched; unknown *lowercase* letters
+  // still sample acceptance — ByteTagDfaRunner parity. Runs over the SIMD
+  // structural index: whitespace never indexes the table, so skipping it is
+  // sound for every DRA. Like ByteTagDfaRunner::CountSelections this is
+  // the degradation ladder's speed-of-light rung, timed by the end-to-end
+  // benchmark; the engine never calls it.
   int64_t CountSelections(std::string_view bytes) const;
 
   // Per-byte reference loop (no structural index): the oracle the parity
-  // tests diff the indexed path against.
+  // tests diff CountSelections against.
   int64_t CountSelectionsPerByte(std::string_view bytes) const;
 
-  // CountSelections with byte-span position tracking: every pre-selected
-  // node becomes a MatchEvent (query_id 0) in `sink`, emitted just past
-  // its opening letter (the earliest certain offset) and completed at the
-  // matching close; see ByteTagDfaRunner::CollectMatches for the exact
-  // semantics (framing depth counter, truncated spans, `max_pending`
-  // bound). Indexed walk is sound unconditionally here
-  // (text_run_trivial()); CollectMatchesPerByte is the per-byte oracle.
-  int64_t CollectMatches(std::string_view bytes, MatchSink* sink,
-                         int64_t max_pending = MatchRecorder::kUnlimited)
-      const;
-  int64_t CollectMatchesPerByte(std::string_view bytes, MatchSink* sink,
-                                int64_t max_pending =
-                                    MatchRecorder::kUnlimited) const;
-
-  // Text-run closure of this runner, trivially: a whitespace byte is
-  // neither an opening nor a closing letter, so Next() leaves the
-  // configuration untouched (identity fixpoint) and the sampling predicate
-  // ('a'..'z' only) never counts it (zero coefficient). Unlike
-  // ByteTagDfaRunner there is no 256-wide row that could disagree — text
-  // bytes never index the table at all — so the closure is exact and
-  // trivial by construction for every DRA.
-  bool text_run_trivial() const { return true; }
-
-  // Final-configuration acceptance after the whole stream.
-  bool Accepts(std::string_view bytes) const;
-
-  // Configuration reached from the initial configuration.
-  DraConfig FinalConfig(std::string_view bytes) const;
-
-  // Incremental stepping for chunked scanners. The config is the caller's
+  // The configuration a stream starts in. The config is the caller's
   // per-stream state; the runner itself stays immutable and shareable.
   DraConfig InitialConfig() const;
-  void Next(DraConfig* config, unsigned char byte) const {
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepOpen(config, s);
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepClose(config, s);
-    }
-  }
   bool IsAccepting(int state) const { return accepting_[state] != 0; }
 
   // Symbol-level stepping for event-driven callers (the streaming
@@ -200,6 +163,20 @@ class ByteDraRunner {
  private:
   template <typename T>
   void FillTables(std::vector<T>* open_next, std::vector<T>* close_next);
+
+  // One byte of the whole-buffer walks: a known tag letter steps the
+  // configuration; returns 1 when an opening byte samples acceptance —
+  // including unknown lowercase letters, which step nothing but still
+  // sample (parity with ByteTagDfaRunner's self-loop rows).
+  int StepByte(DraConfig* config, unsigned char byte) const {
+    const Symbol s = byte_symbol_[byte];
+    if (byte >= 'a' && byte <= 'z') {
+      if (s >= 0) StepOpen(config, s);
+      return accepting_[config->state];
+    }
+    if (s >= 0) StepClose(config, s);
+    return 0;
+  }
 
   void ApplyLoads(DraConfig* config, uint16_t load_mask) const {
     for (uint32_t mask = load_mask; mask != 0; mask &= mask - 1) {

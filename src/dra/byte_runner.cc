@@ -18,13 +18,9 @@ ByteTagDfaRunner::ByteTagDfaRunner(const TagDfa& dfa)
 
 ByteTagDfaRunner::ByteTagDfaRunner(const TagDfa& dfa, const Alphabet& alphabet)
     : num_states_(dfa.num_states), initial_(dfa.initial) {
+  SST_CHECK_MSG(alphabet.CompactLabels(dfa.num_symbols),
+                "compact markup requires single lowercase-letter labels");
   std::array<Symbol, 256> byte_symbol = alphabet.ByteSymbolTable();
-  for (Symbol a = 0; a < dfa.num_symbols; ++a) {
-    const std::string& label = alphabet.LabelOf(a);
-    SST_CHECK_MSG(
-        label.size() == 1 && label[0] >= 'a' && label[0] <= 'z',
-        "compact markup requires single lowercase-letter labels");
-  }
   // Keep only lowercase-letter entries: other single-byte labels (digits,
   // punctuation) have no uppercase closing form in compact markup.
   for (int byte = 0; byte < 256; ++byte) {
@@ -68,43 +64,15 @@ void ByteTagDfaRunner::BuildTable(const TagDfa& dfa,
   } else {
     FillTable(&table32_, dfa, byte_symbol);
   }
-  ComputeTextClosure();
-}
-
-void ByteTagDfaRunner::ComputeTextClosure() {
-  static constexpr unsigned char kWsProbe[] = {' ', '\t', '\n',
-                                               '\v', '\f', '\r'};
-  text_fix_.assign(static_cast<size_t>(num_states_), 0);
-  text_coeff_.assign(static_cast<size_t>(num_states_), 0);
-  bool uniform = true;
-  text_run_trivial_ = true;
-  for (int q = 0; q < num_states_; ++q) {
-    const int next = Step(q, kWsProbe[0]);
-    // Per-byte selection coefficient of a text byte entered from q: the
-    // sampling predicate counts only opening bytes 'a'..'z', which no
-    // whitespace byte is, so this is derived as zero — derived, not
-    // assumed, so a change to either the table fill or the sampling rule
-    // trips the closure flags instead of silently corrupting gap math.
-    const int coeff = static_cast<int>((kWsProbe[0] >= 'a') &
-                                       (kWsProbe[0] <= 'z') &
-                                       accepting_[static_cast<size_t>(next)]);
-    for (unsigned char w : kWsProbe) {
-      const int step = Step(q, w);
-      const int c = static_cast<int>((w >= 'a') & (w <= 'z') &
-                                     accepting_[static_cast<size_t>(step)]);
-      if (step != next || c != coeff) uniform = false;
+  // Scans skip the bytes the structural index drops (see the class
+  // comment); that is sound only while they self-loop in every row.
+  for (int byte = 0; byte < 256; ++byte) {
+    if (!ByteIsAsciiWs(static_cast<unsigned char>(byte))) continue;
+    for (int q = 0; q < num_states_; ++q) {
+      SST_CHECK_MSG(Step(q, static_cast<unsigned char>(byte)) == q,
+                    "whitespace must self-loop in the fused table");
     }
-    text_fix_[static_cast<size_t>(q)] = next;
-    text_coeff_[static_cast<size_t>(q)] = coeff;
-    if (next != q || coeff != 0) text_run_trivial_ = false;
   }
-  bool idempotent = true;
-  for (int q = 0; q < num_states_; ++q) {
-    const int f = text_fix_[static_cast<size_t>(q)];
-    if (text_fix_[static_cast<size_t>(f)] != f) idempotent = false;
-  }
-  text_run_exact_ = uniform && idempotent;
-  if (!text_run_exact_) text_run_trivial_ = false;
 }
 
 template <typename T>
@@ -134,161 +102,20 @@ int64_t ByteTagDfaRunner::CountSelectionsIndexed(const T* table,
                                                  std::string_view bytes) const {
   int state = initial_;
   int64_t selected = 0;
-  if (text_run_trivial_) {
-    // Whitespace gaps are full no-ops: the stage-1 index walks straight to
-    // the structural bytes and the automaton never sees the rest.
-    ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-      unsigned char byte = static_cast<unsigned char>(bytes[i]);
-      state = table[static_cast<size_t>(state) * 256 + byte];
-      selected += static_cast<int64_t>((byte >= 'a') & (byte <= 'z') &
-                                       accepting_[state]);
-    });
-    return selected;
-  }
-  // Exact but non-trivial closure: each gap of g text bytes collapses to
-  // one fixpoint step and a multiplied coefficient.
-  size_t prev = static_cast<size_t>(-1);
+  // Whitespace self-loops, so the stage-1 index walks straight to the
+  // structural bytes and the table never sees the rest.
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    size_t gap = i - prev - 1;
-    if (gap > 0) {
-      selected += text_coeff_[state];
-      state = text_fix_[state];
-      selected += static_cast<int64_t>(gap - 1) * text_coeff_[state];
-    }
-    prev = i;
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     state = table[static_cast<size_t>(state) * 256 + byte];
     selected += static_cast<int64_t>((byte >= 'a') & (byte <= 'z') &
                                      accepting_[state]);
   });
-  size_t tail = bytes.size() - prev - 1;
-  if (tail > 0) {
-    selected += text_coeff_[state];
-    state = text_fix_[state];
-    selected += static_cast<int64_t>(tail - 1) * text_coeff_[state];
-  }
   return selected;
 }
 
 int64_t ByteTagDfaRunner::CountSelections(std::string_view bytes) const {
-  if (!text_run_exact_) return CountSelectionsPerByte(bytes);
   return uses_compact_table() ? CountSelectionsIndexed(table16_.data(), bytes)
                               : CountSelectionsIndexed(table32_.data(), bytes);
-}
-
-template <typename T>
-int64_t ByteTagDfaRunner::CollectMatchesImpl(const T* table,
-                                             std::string_view bytes,
-                                             MatchRecorder* recorder,
-                                             bool indexed) const {
-  int state = initial_;
-  int64_t depth = 0;
-  int64_t selected = 0;
-  // Span bookkeeping rides the same fused walk as selection counting: a
-  // depth counter frames opens/closes (no validation — CountSelections
-  // semantics), matches arm a pending span at the opening letter and the
-  // close at the same depth completes it.
-  auto step = [&](size_t i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    state = table[static_cast<size_t>(state) * 256 + byte];
-    if (byte >= 'a' && byte <= 'z') {
-      ++depth;
-      if (accepting_[state]) {
-        ++selected;
-        recorder->OnMatch(0, depth, static_cast<int64_t>(i),
-                          static_cast<int64_t>(i) + 1);
-      }
-    } else if (byte >= 'A' && byte <= 'Z') {
-      if (depth > 0) {
-        recorder->OnClose(depth, static_cast<int64_t>(i) + 1);
-        --depth;
-      }
-    }
-  };
-  if (indexed) {
-    // Sound only under a trivial text-run closure (the gate in
-    // CollectMatches): whitespace gaps touch neither the state nor the
-    // framing, so skipping them changes no event and no offset.
-    ForEachStructural(bytes.data(), bytes.size(), step);
-  } else {
-    for (size_t i = 0; i < bytes.size(); ++i) step(i);
-  }
-  // Spans still open at end of input have no close in the bytes: report
-  // them truncated (end_offset -1), never drop them.
-  recorder->FlushTruncated();
-  return selected;
-}
-
-int64_t ByteTagDfaRunner::CollectMatches(std::string_view bytes,
-                                         MatchSink* sink,
-                                         int64_t max_pending) const {
-  MatchRecorder recorder;
-  recorder.set_sink(sink);
-  recorder.set_max_pending(max_pending);
-  const bool indexed = text_run_trivial_;
-  return uses_compact_table()
-             ? CollectMatchesImpl(table16_.data(), bytes, &recorder, indexed)
-             : CollectMatchesImpl(table32_.data(), bytes, &recorder, indexed);
-}
-
-int64_t ByteTagDfaRunner::CollectMatchesPerByte(std::string_view bytes,
-                                                MatchSink* sink,
-                                                int64_t max_pending) const {
-  MatchRecorder recorder;
-  recorder.set_sink(sink);
-  recorder.set_max_pending(max_pending);
-  return uses_compact_table()
-             ? CollectMatchesImpl(table16_.data(), bytes, &recorder, false)
-             : CollectMatchesImpl(table32_.data(), bytes, &recorder, false);
-}
-
-template <typename T>
-int ByteTagDfaRunner::FinalStateImpl(const T* table,
-                                     std::string_view bytes) const {
-  int state = initial_;
-  for (unsigned char byte : bytes) {
-    state = table[static_cast<size_t>(state) * 256 + byte];
-  }
-  return state;
-}
-
-int ByteTagDfaRunner::FinalStatePerByte(std::string_view bytes) const {
-  return uses_compact_table() ? FinalStateImpl(table16_.data(), bytes)
-                              : FinalStateImpl(table32_.data(), bytes);
-}
-
-int ByteTagDfaRunner::FinalState(std::string_view bytes) const {
-  if (!text_run_exact_) return FinalStatePerByte(bytes);
-  int state = initial_;
-  size_t prev = static_cast<size_t>(-1);
-  if (text_run_trivial_) {
-    // Gaps are identity on the state; only structural bytes step.
-    if (uses_compact_table()) {
-      const uint16_t* table = table16_.data();
-      ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-        state = table[static_cast<size_t>(state) * 256 +
-                      static_cast<unsigned char>(bytes[i])];
-      });
-    } else {
-      const int32_t* table = table32_.data();
-      ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-        state = table[static_cast<size_t>(state) * 256 +
-                      static_cast<unsigned char>(bytes[i])];
-      });
-    }
-    return state;
-  }
-  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    if (i - prev - 1 > 0) state = text_fix_[state];
-    prev = i;
-    state = Step(state, static_cast<unsigned char>(bytes[i]));
-  });
-  if (bytes.size() - prev - 1 > 0) state = text_fix_[state];
-  return state;
-}
-
-bool ByteTagDfaRunner::Accepts(std::string_view bytes) const {
-  return accepting_[FinalState(bytes)] != 0;
 }
 
 ByteStackRunner::ByteStackRunner(const Dfa& dfa)

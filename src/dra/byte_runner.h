@@ -8,8 +8,6 @@
 
 #include "automata/alphabet.h"
 #include "automata/dfa.h"
-#include "base/match_sink.h"
-#include "dra/stream_error.h"
 #include "dra/tag_dfa.h"
 
 namespace sst {
@@ -24,14 +22,19 @@ namespace sst {
 
 // Fused byte-table runner for a TagDfa. The table maps (state, byte) to the
 // next state; a parallel bitset marks states that pre-select on the byte
-// just consumed (only meaningful after opening bytes). Besides the batch
-// entry points, the runner exposes incremental stepping so streaming
-// scanners (StreamingSelector) can drive it chunk by chunk.
+// just consumed (only meaningful after opening bytes). Streaming scanners
+// (StreamingSelector's FusedStepper, the batch product loop) read the raw
+// table and step it themselves; the runner's own whole-buffer walks are
+// references only (see CountSelections and CountSelectionsPerByte).
+//
+// Every byte that is not a known tag letter self-loops in every row. In
+// particular each whitespace byte leaves every state unchanged and never
+// counts, so a scan may skip whitespace runs wholesale; the constructor
+// checks this for the six ASCII whitespace bytes.
 //
 // Storage is uint16_t when the machine has fewer than 65536 states (the
 // overwhelmingly common case — halves the cache footprint of the hot
-// table) and int32_t otherwise. Batch loops dispatch on the width once per
-// call; the incremental Next() pays one well-predicted branch per event.
+// table) and int32_t otherwise; exactly one of table16()/table32() is set.
 class ByteTagDfaRunner {
  public:
   // Positional convention: symbol s opens as byte 'a' + s and closes as
@@ -40,71 +43,24 @@ class ByteTagDfaRunner {
 
   // Label-driven convention: each symbol of `dfa` opens as its single
   // lowercase-letter label in `alphabet` and closes as the uppercase form.
-  // Every symbol in [0, dfa.num_symbols) must have such a label.
+  // Every symbol in [0, dfa.num_symbols) must have such a label
+  // (Alphabet::CompactLabels).
   ByteTagDfaRunner(const TagDfa& dfa, const Alphabet& alphabet);
 
-  // Streams the bytes; returns the number of pre-selected nodes (accepting
-  // states entered on opening bytes 'a'..'z'; all other bytes self-loop and
-  // never count). Runs over the structural index when the text-run closure
-  // allows (see below): the SIMD stage-1 scan classifies 64 bytes at a
-  // time and the table walk touches only structural bytes, advancing each
-  // whitespace gap in O(1) with the per-state closure.
+  // Streams the bytes over the SIMD structural index; returns the number
+  // of pre-selected nodes (accepting states entered on opening bytes
+  // 'a'..'z'; all other bytes self-loop and never count). No framing is
+  // validated. This is the degradation ladder's speed-of-light rung: the
+  // end-to-end benchmark times it as the fused single-query walk that the
+  // streaming tiers are measured against. The engine never calls it.
   int64_t CountSelections(std::string_view bytes) const;
 
   // The per-byte reference loop (one table load per input byte, no
-  // structural index). This is both the fallback for tables whose text-run
-  // closure is not exact and the oracle the parity tests diff the indexed
-  // paths against.
+  // structural index): the oracle the parity tests diff CountSelections
+  // and the streaming tiers against.
   int64_t CountSelectionsPerByte(std::string_view bytes) const;
 
-  // CountSelections with byte-span position tracking: every pre-selected
-  // node is pushed into `sink` as a MatchEvent (query_id 0) at its
-  // earliest certain offset — just past the opening letter — and its span
-  // completes at the matching closing letter (tracked with a depth
-  // counter; the pending buffer is bounded by `max_pending`, overflow and
-  // end-of-input spans report end_offset -1). Runs over the structural
-  // index when the text-run closure is trivial and falls back to the
-  // per-byte oracle loop otherwise; CollectMatchesPerByte is that oracle,
-  // exposed for the differential tests. Both produce the same events at
-  // the same offsets in the same order, and the same count as
-  // CountSelections. Framing is not validated (CountSelections
-  // semantics): unmatched closes at depth 0 are ignored.
-  int64_t CollectMatches(std::string_view bytes, MatchSink* sink,
-                         int64_t max_pending = MatchRecorder::kUnlimited)
-      const;
-  int64_t CollectMatchesPerByte(std::string_view bytes, MatchSink* sink,
-                                int64_t max_pending =
-                                    MatchRecorder::kUnlimited) const;
-
-  // Final-state acceptance after the whole stream.
-  bool Accepts(std::string_view bytes) const;
-
-  // State reached from the initial state after the whole stream;
-  // FinalStatePerByte is its per-byte oracle (no structural index).
-  int FinalState(std::string_view bytes) const;
-  int FinalStatePerByte(std::string_view bytes) const;
-
-  // Text-run closure (computed from the table at construction, not
-  // assumed): for each state q, the fixpoint state text_fixpoint(q) that a
-  // run of non-structural (whitespace) bytes converges to, and the
-  // per-byte selection coefficient text_coeff(q) such a run accrues. The
-  // closure is *exact* when every state steps uniformly across the six
-  // whitespace bytes and the step is idempotent — then a gap of g > 0 text
-  // bytes is equivalent to: count += coeff(q) + (g-1)*coeff(fix(q));
-  // q = fix(q). It is *trivial* when additionally fix(q) == q and the
-  // coefficient is zero for every q — then gaps need no work at all. The
-  // tables this runner builds are trivial by construction (non-letter
-  // bytes self-loop and only 'a'..'z' samples acceptance); the flags keep
-  // that a checked property rather than a silent assumption, and the
-  // indexed fast paths gate on them with the per-byte loop as fallback.
-  bool text_run_trivial() const { return text_run_trivial_; }
-  bool text_run_exact() const { return text_run_exact_; }
-  int text_fixpoint(int state) const { return text_fix_[state]; }
-  int text_coeff(int state) const { return text_coeff_[state]; }
-
-  // Incremental stepping for chunked scanners.
   int initial_state() const { return initial_; }
-  int Next(int state, unsigned char byte) const { return Step(state, byte); }
   bool IsAccepting(int state) const { return accepting_[state] != 0; }
 
   // Symbol of an opening ('a'..'z') or closing ('A'..'Z') letter under this
@@ -126,7 +82,6 @@ class ByteTagDfaRunner {
 
  private:
   void BuildTable(const TagDfa& dfa, const Symbol* byte_symbol);
-  void ComputeTextClosure();
 
   int Step(int state, unsigned char byte) const {
     size_t index = static_cast<size_t>(state) * 256 + byte;
@@ -140,22 +95,12 @@ class ByteTagDfaRunner {
   int64_t CountSelectionsImpl(const T* table, std::string_view bytes) const;
   template <typename T>
   int64_t CountSelectionsIndexed(const T* table, std::string_view bytes) const;
-  template <typename T>
-  int64_t CollectMatchesImpl(const T* table, std::string_view bytes,
-                             MatchRecorder* recorder, bool indexed) const;
-  template <typename T>
-  int FinalStateImpl(const T* table, std::string_view bytes) const;
 
   int num_states_;
   int initial_;
   std::vector<uint16_t> table16_;  // num_states * 256 when < 65536 states
   std::vector<int32_t> table32_;   // num_states * 256 otherwise
   std::vector<uint8_t> accepting_;
-  // Text-run closure, indexed by state (see the accessors above).
-  std::vector<int32_t> text_fix_;
-  std::vector<int32_t> text_coeff_;
-  bool text_run_trivial_ = false;
-  bool text_run_exact_ = false;
   // byte → symbol of the construction convention; -1 for bytes that are
   // not a known opening/closing letter. QueryPlan and StreamingSelector
   // read it (byte_symbol()) to cross-check their own letter tables.

@@ -305,13 +305,8 @@ MultiTagDfaRunner::MultiTagDfaRunner(
   // letter (same eligibility rule as the fused single-query byte table)
   // and every member in table form: a generic side-car has none.
   byte_symbol_.fill(-1);
-  byte_api_ok_ = machine_.num_generic_side_cars() == 0;
-  for (Symbol s = 0; byte_api_ok_ && s < alphabet->size(); ++s) {
-    const std::string& label = alphabet->LabelOf(s);
-    if (label.size() != 1 || label[0] < 'a' || label[0] > 'z') {
-      byte_api_ok_ = false;
-    }
-  }
+  byte_api_ok_ =
+      machine_.num_generic_side_cars() == 0 && alphabet->CompactLabels();
   if (byte_api_ok_) {
     for (Symbol s = 0; s < alphabet->size(); ++s) {
       unsigned char open = static_cast<unsigned char>(alphabet->LabelOf(s)[0]);
@@ -328,7 +323,11 @@ void MultiTagDfaRunner::CountSelectionsFused(
   const uint64_t* mask_words = eager_->mask_words.data();
   int64_t* out = counts->data();
   int state = eager_fused_->initial_state();
-  auto accumulate = [&](unsigned char byte) {
+  // Structural-index walk: the product table's whitespace rows self-loop
+  // and never count (checked when the runner is built), so the stage-1
+  // scan drops every text byte before the table walk.
+  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
+    const unsigned char byte = static_cast<unsigned char>(bytes[i]);
     state = table[static_cast<size_t>(state) * 256 + byte];
     if (byte >= 'a' && byte <= 'z') {
       uint64_t mask = mask_words[state];
@@ -343,27 +342,7 @@ void MultiTagDfaRunner::CountSelectionsFused(
 #endif
       }
     }
-  };
-  if (eager_fused_->text_run_trivial()) {
-    // Structural-index walk: the product table's whitespace rows self-loop
-    // and never count (trivial text-run closure, checked at construction),
-    // so the stage-1 scan drops every text byte before the table walk.
-    ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-      accumulate(static_cast<unsigned char>(bytes[i]));
-    });
-    return;
-  }
-  // Per-byte fallback for a non-trivial closure (also the reference the
-  // parity tests run against): whitespace runs are still jumped with the
-  // SWAR/SIMD kernel, but every structural byte costs a table load.
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (ByteIsAsciiWs(byte)) {
-      i += FindStructural(bytes.data() + i + 1, bytes.size() - i - 1);
-      continue;
-    }
-    accumulate(byte);
-  }
+  });
 }
 
 template <typename Stepper>

@@ -247,7 +247,10 @@ class MultiTagDfaRunner {
   bool one_scan_eligible() const { return byte_api_ok_; }
 
   // ByteTagDfaRunner::CountSelections semantics, per query: one table
-  // walk over the bytes, whitespace runs bulk-skipped.
+  // walk over the bytes, whitespace runs bulk-skipped. Like that walk it is
+  // the ladder's speed-of-light reference for a batch (the end-to-end
+  // benchmark times it through BatchSession::CountSelections); the
+  // streaming tiers never call it.
   std::vector<int64_t> CountSelections(std::string_view bytes) const;
 
  private:

@@ -129,13 +129,8 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
     // The fused table is keyed by the raw byte, so the format must be
     // compact markup and every symbol the stream can mention a single
     // lowercase letter covered by the automaton.
-    bool compact = format_ == Format::kCompactMarkup &&
-                   alphabet_->size() <= dfa->num_symbols;
-    for (Symbol s = 0; compact && s < alphabet_->size(); ++s) {
-      const std::string& label = alphabet_->LabelOf(s);
-      compact = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
-    }
-    if (compact) {
+    if (format_ == Format::kCompactMarkup &&
+        alphabet_->size() <= dfa->num_symbols && alphabet_->CompactLabels()) {
       owned_fused_ = std::make_unique<ByteTagDfaRunner>(*dfa, *alphabet_);
       fused_ = owned_fused_.get();
     }

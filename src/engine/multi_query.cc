@@ -7,20 +7,6 @@
 
 namespace sst {
 
-namespace {
-
-// Same eligibility rule as QueryPlan's fused byte table: one lowercase
-// letter per symbol.
-bool MarkupEligible(const Alphabet& alphabet) {
-  for (Symbol s = 0; s < alphabet.size(); ++s) {
-    const std::string& label = alphabet.LabelOf(s);
-    if (label.size() != 1 || label[0] < 'a' || label[0] > 'z') return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
     const std::vector<BatchQuery>& queries, const Alphabet& alphabet,
     const MultiQueryOptions& options, PlanCache* cache) {
@@ -89,7 +75,7 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
   } else if (plan->eager_.has_value()) {
     plan->tier_ = MultiTier::kFusedProduct;
     if (options.plan.format == StreamFormat::kCompactMarkup &&
-        MarkupEligible(alphabet)) {
+        alphabet.CompactLabels()) {
       plan->eager_fused_ =
           std::make_unique<ByteTagDfaRunner>(plan->eager_->dfa, alphabet);
     }

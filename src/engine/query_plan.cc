@@ -11,21 +11,10 @@ namespace sst {
 
 namespace {
 
-// Compact-markup label eligibility of the fused byte table: every
-// document label must be a single lowercase letter so the table can be
-// keyed by the raw byte.
-bool CompactLabels(const Alphabet& alphabet) {
-  for (Symbol s = 0; s < alphabet.size(); ++s) {
-    const std::string& label = alphabet.LabelOf(s);
-    if (label.size() != 1 || label[0] < 'a' || label[0] > 'z') return false;
-  }
-  return true;
-}
-
 // True when the fused byte→state rung of the degradation ladder exists:
 // compact labels, all covered by the TagDfa.
 bool FusedEligible(const TagDfa& dfa, const Alphabet& alphabet) {
-  return alphabet.size() <= dfa.num_symbols && CompactLabels(alphabet);
+  return alphabet.size() <= dfa.num_symbols && alphabet.CompactLabels();
 }
 
 // Budgets for materializing a stackless query into an explicit DRA at
@@ -89,25 +78,6 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
                 static_cast<unsigned char>(b - 'a' + 'A')) ==
             plan->scanner_tables_.byte_symbol[b - 'a' + 'A']);
       }
-      // Text-run closure cross-check: the structural-index fast paths skip
-      // whitespace wholesale, which is sound iff every state self-loops on
-      // every whitespace byte without counting. The runner derives that as
-      // its closure flags; re-derive it here through the public stepping
-      // API and require agreement (a table-fill change that gave
-      // whitespace a real transition would trip this, not silently skip).
-      {
-        static constexpr unsigned char kWsProbe[] = {' ',  '\t', '\n',
-                                                     '\v', '\f', '\r'};
-        bool trivial = true;
-        for (int q = 0; q < plan->fused_->num_states(); ++q) {
-          for (unsigned char w : kWsProbe) {
-            if (plan->fused_->Next(q, w) != q) trivial = false;
-          }
-        }
-        SST_CHECK(trivial == plan->fused_->text_run_trivial());
-        SST_CHECK(plan->fused_->text_run_exact() ||
-                  !plan->fused_->text_run_trivial());
-      }
 #endif
     }
   } else if (stackless) {
@@ -151,20 +121,6 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
                           static_cast<unsigned char>(b - 'a' + 'A')) ==
                       plan->scanner_tables_.byte_symbol[b - 'a' + 'A']);
           }
-          // Text-run closure cross-check for the stackless rung:
-          // whitespace must leave the full (state, depth, registers)
-          // configuration untouched for the structural-index walk to skip
-          // it.
-          static constexpr unsigned char kWsProbe[] = {' ',  '\t', '\n',
-                                                       '\v', '\f', '\r'};
-          DraConfig probe = plan->fused_dra_->InitialConfig();
-          const DraConfig before = probe;
-          for (unsigned char w : kWsProbe) {
-            plan->fused_dra_->Next(&probe, w);
-            SST_CHECK(probe.state == before.state &&
-                      probe.depth == before.depth);
-          }
-          SST_CHECK(plan->fused_dra_->text_run_trivial());
         }
 #endif
       }

@@ -7,10 +7,14 @@ namespace sst::testing {
 ValidatedRun ReferenceValidate(StreamMachine* machine,
                                const Alphabet& alphabet,
                                std::string_view bytes,
-                               const StreamLimits& limits) {
+                               const StreamLimits& limits,
+                               std::vector<MatchEvent>* log) {
   ValidatedRun run;
   machine->Reset();
   std::vector<Symbol> open;
+  // Per open element, the index of its entry in `log`, or -1.
+  std::vector<int64_t> open_match;
+  if (log != nullptr) log->clear();
   bool saw_root = false;
   auto fail = [&](StreamErrorCode code, int64_t offset, Symbol expected,
                   Symbol got) {
@@ -49,7 +53,15 @@ ValidatedRun ReferenceValidate(StreamMachine* machine,
       }
       machine->OnOpen(s);
       ++run.events;
-      if (machine->InAcceptingState()) ++run.matches;
+      int64_t match = -1;
+      if (machine->InAcceptingState()) {
+        ++run.matches;
+        if (log != nullptr) {
+          match = static_cast<int64_t>(log->size());
+          log->push_back({0, offset, -1, offset + 1});
+        }
+      }
+      open_match.push_back(match);
       ++run.nodes;
     } else if (c >= 'A' && c <= 'Z') {
       Symbol s = label(static_cast<char>(c - 'A' + 'a'));
@@ -64,6 +76,10 @@ ValidatedRun ReferenceValidate(StreamMachine* machine,
         return fail(StreamErrorCode::kEventLimitExceeded, offset, -1, -1);
       }
       open.pop_back();
+      if (open_match.back() >= 0) {
+        (*log)[static_cast<size_t>(open_match.back())].end_offset = offset + 1;
+      }
+      open_match.pop_back();
       machine->OnClose(s);
       ++run.events;
     } else if (c != ' ' && c != '\t' && c != '\n' && c != '\v' &&

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "automata/alphabet.h"
+#include "base/match_sink.h"
 #include "dra/machine.h"
 #include "dra/stream_error.h"
 
@@ -47,10 +49,17 @@ struct ValidatedRun {
 //                   scanned), and an empty or unclosed one with
 //                   kTruncatedDocument at its end.
 // Labels resolve through `alphabet`: 'x' and 'X' both name the label "x".
+//
+// With `log`, it is cleared and receives one MatchEvent per pre-selected
+// node, in document order of the opening letters: query_id 0, the
+// letter's offset as start_offset, the byte after it as certainty_offset,
+// and the byte after the matching close as end_offset — or -1 when no
+// close comes before the error or the end of the bytes.
 ValidatedRun ReferenceValidate(StreamMachine* machine,
                                const Alphabet& alphabet,
                                std::string_view bytes,
-                               const StreamLimits& limits = {});
+                               const StreamLimits& limits = {},
+                               std::vector<MatchEvent>* log = nullptr);
 
 }  // namespace sst::testing
 

@@ -2,10 +2,12 @@
 
 #include "automata/alphabet.h"
 #include "automata/minimize.h"
+#include "base/match_sink.h"
 #include "base/rng.h"
 #include "dra/machine.h"
 #include "dra/tag_dfa.h"
 #include "dra/byte_runner.h"
+#include "dra/streaming.h"
 #include "eval/registerless_query.h"
 #include "eval/stack_evaluator.h"
 #include "test_util.h"
@@ -29,8 +31,6 @@ TEST(ByteRunner, MatchesEventLevelMachine) {
     int64_t expected_count = 0;
     for (bool b : expected) expected_count += b ? 1 : 0;
     EXPECT_EQ(byte_runner.CountSelections(bytes), expected_count);
-    EXPECT_EQ(byte_runner.Accepts(bytes),
-              RunAcceptor(&event_machine, events));
   }
 }
 
@@ -110,13 +110,42 @@ TEST(ByteRunner, AlphabetAwareTableFollowsTheLabels) {
   }
 }
 
+// One streaming run's observable output: the verdict, the match log and
+// every StreamStats field.
+struct FusedRun {
+  bool finished = false;
+  std::vector<MatchEvent> matches;
+  std::vector<int64_t> stats;
+
+  friend bool operator==(const FusedRun&, const FusedRun&) = default;
+};
+
+FusedRun StreamFused(StreamingSelector& selector, std::string_view bytes,
+                     size_t chunk) {
+  CollectingSink sink;
+  selector.set_match_sink(&sink);
+  selector.Reset();
+  bool ok = true;
+  for (size_t at = 0; ok && at < bytes.size(); at += chunk) {
+    ok = selector.Feed(bytes.substr(at, chunk));
+  }
+  FusedRun run;
+  run.finished = ok && selector.Finish();
+  run.matches = sink.matches();
+  run.stats = testing::StatsFields(selector.stats());
+  selector.set_match_sink(nullptr);
+  return run;
+}
+
 // Small machines compact the fused table to uint16_t (half the cache
 // footprint); machines with >= 65536 states keep int32_t entries. Both
-// storages must agree byte for byte with the event-level machine.
+// storages must agree byte for byte, in the ladder walk and in the
+// streaming fused tier, whose stepper reads the table itself.
 TEST(ByteRunner, CompactAndWideTablesAgree) {
   Alphabet alphabet = Alphabet::FromLetters("ab");
   Dfa dfa = CompileRegex("a.*b", alphabet);
-  ByteTagDfaRunner small(BuildRegisterlessQueryAutomaton(dfa, false));
+  TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, false);
+  ByteTagDfaRunner small(evaluator);
   EXPECT_TRUE(small.uses_compact_table());
   EXPECT_NE(small.table16(), nullptr);
   EXPECT_EQ(small.table32(), nullptr);
@@ -124,7 +153,6 @@ TEST(ByteRunner, CompactAndWideTablesAgree) {
   // A wide machine that embeds the small one in its low states: states
   // [0, n) of `wide` replicate `small`'s automaton, so runs agree while
   // exercising the int32 storage.
-  TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, false);
   const int wide_states = 65536 + evaluator.num_states;
   TagDfa padded = TagDfa::Create(wide_states, evaluator.num_symbols);
   padded.initial = evaluator.initial;
@@ -141,12 +169,32 @@ TEST(ByteRunner, CompactAndWideTablesAgree) {
   EXPECT_EQ(wide.table16(), nullptr);
   EXPECT_NE(wide.table32(), nullptr);
 
+  // One streaming run per table, sharing the runner (the 6-argument
+  // constructor builds no table of its own).
+  const ScannerTables tables =
+      ScannerTables::Build(StreamFormat::kCompactMarkup, alphabet);
+  TagDfaMachine small_machine(&evaluator);
+  TagDfaMachine wide_machine(&padded);
+  StreamingSelector small_selector(&small_machine,
+                                   StreamFormat::kCompactMarkup, &alphabet,
+                                   &tables, &small);
+  StreamingSelector wide_selector(&wide_machine, StreamFormat::kCompactMarkup,
+                                  &alphabet, &tables, &wide);
+  ASSERT_TRUE(small_selector.using_fused_fast_path());
+  ASSERT_TRUE(wide_selector.using_fused_fast_path());
   Rng rng(79);
   for (const Tree& tree : testing::SampleTrees(40, 2, &rng)) {
     std::string bytes = ToCompactMarkup(alphabet, Encode(tree));
-    EXPECT_EQ(wide.CountSelections(bytes), small.CountSelections(bytes));
-    EXPECT_EQ(wide.FinalState(bytes), small.FinalState(bytes));
-    EXPECT_EQ(wide.Accepts(bytes), small.Accepts(bytes));
+    const int64_t expected = small.CountSelectionsPerByte(bytes);
+    EXPECT_EQ(wide.CountSelections(bytes), expected);
+    EXPECT_EQ(small.CountSelections(bytes), expected);
+    for (size_t chunk : {size_t{1}, size_t{7}, bytes.size()}) {
+      FusedRun small_run = StreamFused(small_selector, bytes, chunk);
+      FusedRun wide_run = StreamFused(wide_selector, bytes, chunk);
+      ASSERT_TRUE(small_run.finished) << bytes;
+      EXPECT_EQ(static_cast<int64_t>(small_run.matches.size()), expected);
+      EXPECT_EQ(wide_run, small_run) << bytes << " chunk=" << chunk;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "server/protocol.h"
 #include "test_util.h"
 #include "testing/fault_injection.h"
+#include "testing/reference_validator.h"
 #include "trees/encoding.h"
 #include "trees/ground_truth.h"
 
@@ -638,12 +640,51 @@ TEST(MatchEvents, CountingSinkMatchesLegacyCounts) {
   }
 }
 
-// --- Whole-document runner parity -----------------------------------------
+// --- Reference match log ----------------------------------------------------
 
-// ByteTagDfaRunner::CollectMatches (structural-index walk) vs its per-byte
-// oracle vs the streaming fused tier: identical logs, identical counts,
-// count == CountSelections — with and without whitespace runs.
-TEST(MatchEvents, ByteTagDfaRunnerCollectMatchesParity) {
+// A clean document, a whitespace-padded copy (every offset shifts), and
+// the padded copy cut in half (spans left open end truncated, -1).
+std::vector<std::string> ReferenceLogVariants(const std::string& text) {
+  std::string padded;
+  for (size_t i = 0; i < text.size(); ++i) {
+    padded += text[i];
+    if (i % 3 == 1) padded += "  \n";
+  }
+  std::string cut = padded.substr(0, padded.size() / 2);
+  return {text, padded, cut};
+}
+
+// Streams `doc` and diffs the run against the reference validator's
+// match log: the OnMatch events in document order with their spans still
+// open, every resolved span (compared in start order — the sink receives
+// them in close order), the count, and the first error.
+void ExpectReferenceLog(StreamingSelector* selector, StreamMachine* reference,
+                        const Alphabet& alphabet, const std::string& doc,
+                        size_t chunk, const std::string& what) {
+  std::vector<MatchEvent> log;
+  testing::ValidatedRun run =
+      testing::ReferenceValidate(reference, alphabet, doc, {}, &log);
+  CollectingSink sink;
+  EventLog streamed = CollectChunked(selector, &sink, doc, chunk);
+  EXPECT_EQ(streamed.finished, run.ok()) << what;
+  EXPECT_EQ(streamed.error_code, run.error.code) << what;
+  EXPECT_EQ(streamed.error_offset, run.error.offset) << what;
+  EXPECT_EQ(streamed.count, run.matches) << what;
+  std::vector<MatchEvent> opened = log;
+  for (MatchEvent& event : opened) event.end_offset = -1;
+  EXPECT_EQ(streamed.matches, opened) << what;
+  std::vector<MatchEvent> spans = streamed.spans;
+  std::sort(spans.begin(), spans.end(),
+            [](const MatchEvent& x, const MatchEvent& y) {
+              return x.start_offset < y.start_offset;
+            });
+  EXPECT_EQ(spans, log) << what;
+}
+
+// The fused byte tier emits every pre-selected node at the reference's
+// start and certainty offsets and closes its span where the reference
+// does, truncated spans included; its count is the ladder walk's.
+TEST(MatchEvents, FusedByteTierMatchesReferenceLog) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(67);
   std::vector<Tree> trees = testing::SampleTrees(25, 3, &rng);
@@ -652,41 +693,22 @@ TEST(MatchEvents, ByteTagDfaRunnerCollectMatchesParity) {
     TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
     ByteTagDfaRunner runner(evaluator, alphabet);
     TagDfaMachine machine(&evaluator);
+    TagDfaMachine reference(&evaluator);
     StreamingSelector selector(&machine, StreamFormat::kCompactMarkup,
                                &alphabet);
     ASSERT_TRUE(selector.using_fused_fast_path());
-    CollectingSink sink;
     for (const Tree& tree : trees) {
-      std::string text = ToCompactMarkup(alphabet, Encode(tree));
-      // A whitespace-padded variant shifts every offset but must stay
-      // internally consistent across all three paths.
-      std::string padded;
-      for (size_t i = 0; i < text.size(); ++i) {
-        padded += text[i];
-        if (i % 3 == 1) padded += "  \n";
-      }
-      for (const std::string& doc : {text, padded}) {
-        CollectingSink indexed;
-        CollectingSink per_byte;
-        int64_t indexed_count = runner.CollectMatches(doc, &indexed);
-        int64_t per_byte_count = runner.CollectMatchesPerByte(doc, &per_byte);
-        EXPECT_EQ(indexed_count, per_byte_count) << regex;
-        EXPECT_EQ(indexed_count, runner.CountSelections(doc)) << regex;
-        EXPECT_EQ(indexed.matches(), per_byte.matches()) << regex;
-        EXPECT_EQ(indexed.spans(), per_byte.spans()) << regex;
-
-        EventLog streamed = CollectChunked(&selector, &sink, doc, 7);
-        ASSERT_TRUE(streamed.finished) << regex;
-        EXPECT_EQ(streamed.matches, indexed.matches()) << regex;
-        EXPECT_EQ(streamed.spans, indexed.spans()) << regex;
-        EXPECT_EQ(streamed.count, indexed_count) << regex;
+      for (const std::string& doc :
+           ReferenceLogVariants(ToCompactMarkup(alphabet, Encode(tree)))) {
+        ExpectReferenceLog(&selector, &reference, alphabet, doc, 7, regex);
+        EXPECT_EQ(runner.CountSelections(doc), selector.matches()) << regex;
       }
     }
   }
 }
 
-// Same triangle for the stackless fused rung (ByteDraRunner).
-TEST(MatchEvents, ByteDraRunnerCollectMatchesParity) {
+// Same for the fused-DRA Session of each stackless query.
+TEST(MatchEvents, FusedDraSessionMatchesReferenceLog) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   std::vector<std::string> xpaths = StacklessFusedXPaths(alphabet);
   ASSERT_GE(xpaths.size(), 2u);
@@ -697,24 +719,17 @@ TEST(MatchEvents, ByteDraRunnerCollectMatchesParity) {
     const ByteDraRunner* runner = plan->fused_dra();
     ASSERT_NE(runner, nullptr);
     Session session(plan);
-    CollectingSink sink;
+    ASSERT_EQ(session.selector().active_tier(),
+              StreamingSelector::Tier::kFusedDraTable);
+    std::unique_ptr<StreamMachine> reference = plan->NewMachine();
     for (const Tree& tree : trees) {
-      std::string text = ToCompactMarkup(alphabet, Encode(tree));
-      CollectingSink indexed;
-      CollectingSink per_byte;
-      int64_t indexed_count = runner->CollectMatches(text, &indexed);
-      int64_t per_byte_count = runner->CollectMatchesPerByte(text, &per_byte);
-      EXPECT_EQ(indexed_count, per_byte_count) << xpath;
-      EXPECT_EQ(indexed_count, runner->CountSelections(text)) << xpath;
-      EXPECT_EQ(indexed.matches(), per_byte.matches()) << xpath;
-      EXPECT_EQ(indexed.spans(), per_byte.spans()) << xpath;
-
-      EventLog streamed =
-          CollectChunked(&session.selector(), &sink, text, 5);
-      ASSERT_TRUE(streamed.finished) << xpath;
-      EXPECT_EQ(streamed.matches, indexed.matches()) << xpath;
-      EXPECT_EQ(streamed.spans, indexed.spans()) << xpath;
-      EXPECT_EQ(streamed.count, indexed_count) << xpath;
+      for (const std::string& doc :
+           ReferenceLogVariants(ToCompactMarkup(alphabet, Encode(tree)))) {
+        ExpectReferenceLog(&session.selector(), reference.get(), alphabet,
+                           doc, 5, xpath);
+        EXPECT_EQ(runner->CountSelections(doc), session.selector().matches())
+            << xpath;
+      }
     }
   }
 }

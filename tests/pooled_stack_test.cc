@@ -413,13 +413,6 @@ struct StackRun {
   friend bool operator==(const StackRun&, const StackRun&) = default;
 };
 
-std::vector<int64_t> StatsFields(const StreamStats& s) {
-  return {s.bytes_fed,          s.chunks_fed,           s.events,
-          s.max_depth,          s.matches,              s.errors_recovered,
-          s.subtrees_skipped,   s.error_offset,         s.matches_emitted,
-          s.pending_matches_peak, s.max_stack_depth,    s.underflow_closes};
-}
-
 // Feeds [from, doc.size()) in `chunk`-byte pieces, then finishes. With
 // `checkpoints`, saves one at every Feed boundary (each later push into
 // the snapshotted head chunk copies it on write).
@@ -439,7 +432,7 @@ void FeedRest(StreamingSelector& selector, std::string_view doc, size_t from,
   run->matches = selector.matches();
   run->nodes = selector.nodes();
   run->error = selector.stream_error();
-  run->stats = StatsFields(selector.stats());
+  run->stats = testing::StatsFields(selector.stats());
 }
 
 // Stack-baseline plans (//a/b and its //x/y, //x/*/y relatives) on the

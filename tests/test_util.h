@@ -10,6 +10,7 @@
 #include "base/rng.h"
 #include "classes/syntactic_classes.h"
 #include "dra/stream_error.h"
+#include "dra/streaming.h"
 #include "trees/generators.h"
 #include "trees/tree.h"
 
@@ -59,6 +60,15 @@ inline std::vector<Tree> SampleTrees(int count, int num_symbols, Rng* rng) {
     trees.push_back(RandomTree(nodes, num_symbols, rng->NextDouble(), rng));
   }
   return trees;
+}
+
+// Every StreamStats field, in declaration order, for whole-record
+// comparison of two runs.
+inline std::vector<int64_t> StatsFields(const StreamStats& s) {
+  return {s.bytes_fed,          s.chunks_fed,           s.events,
+          s.max_depth,          s.matches,              s.errors_recovered,
+          s.subtrees_skipped,   s.error_offset,         s.matches_emitted,
+          s.pending_matches_peak, s.max_stack_depth,    s.underflow_closes};
 }
 
 // StreamLimits sweep of the reference-validator differentials: no limits,
