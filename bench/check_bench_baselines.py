@@ -20,7 +20,7 @@ benchmark computes itself, like bench_incremental's speedup_vs_rescan
 be absent; a file may carry only counter_floors.
 
 Usage:
-  check_bench_baselines.py [--artifact BENCH_streaming.json]
+  check_bench_baselines.py [--artifact build/BENCH_streaming.json]
                            [--baselines bench/bench_baselines.json]
                            [--tolerance 0.30]
 """
@@ -32,7 +32,7 @@ import sys
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--artifact", default="BENCH_streaming.json")
+    parser.add_argument("--artifact", default="build/BENCH_streaming.json")
     parser.add_argument("--baselines", default="bench/bench_baselines.json")
     parser.add_argument("--tolerance", type=float, default=0.30)
     args = parser.parse_args()

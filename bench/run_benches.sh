@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs the streaming benchmark suite and refreshes the BENCH_streaming.json
-# perf-trajectory artifact at the repo root. Usage:
+# Runs the streaming benchmark suite and writes the BENCH_streaming.json
+# artifact into the build directory (untracked, like every build output).
+# Usage:
 #
 #   bench/run_benches.sh [--build-dir DIR] [--min-time SECONDS] [--filter RE]
 #
@@ -36,5 +37,5 @@ if ! "$bin" --benchmark_format=json --benchmark_min_time="${MIN_TIME}s" \
      --benchmark_filter="$FILTER" > "$raw"
 fi
 
-python3 bench/bench_to_json.py "$raw" > BENCH_streaming.json
-echo "wrote $repo_root/BENCH_streaming.json"
+python3 bench/bench_to_json.py "$raw" > "$BUILD_DIR/BENCH_streaming.json"
+echo "wrote $BUILD_DIR/BENCH_streaming.json"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs the incremental-reevaluation benchmark and refreshes the
-# BENCH_incremental.json perf-trajectory artifact at the repo root. Usage:
+# Runs the incremental-reevaluation benchmark and writes the
+# BENCH_incremental.json artifact into the build directory. Usage:
 #
 #   bench/run_incremental_bench.sh [--build-dir DIR] [--min-time SECONDS]
 #                                  [--filter RE]
@@ -39,5 +39,5 @@ if ! "$bin" --benchmark_format=json --benchmark_min_time="${MIN_TIME}s" \
      --benchmark_filter="$FILTER" > "$raw"
 fi
 
-python3 bench/bench_to_json.py "$raw" > BENCH_incremental.json
-echo "wrote $repo_root/BENCH_incremental.json"
+python3 bench/bench_to_json.py "$raw" > "$BUILD_DIR/BENCH_incremental.json"
+echo "wrote $BUILD_DIR/BENCH_incremental.json"

@@ -2,7 +2,7 @@
 # Closed-loop serving benchmark: boots examples/query_server, drives it
 # with examples/load_client over loopback, drains the server with SIGTERM
 # (so every bench run also exercises the graceful-drain path), and writes
-# the BENCH_serving.json perf-trajectory artifact at the repo root.
+# the BENCH_serving.json artifact into the build directory.
 #
 #   bench/run_serving_bench.sh [--build-dir DIR] [--connections N]
 #                              [--docs N] [--chunk-size BYTES] [--batch Q]
@@ -67,5 +67,5 @@ kill -TERM "$server_pid"
 wait "$server_pid"
 server_pid=
 
-python3 bench/bench_to_json.py "$raw" > BENCH_serving.json
-echo "wrote $repo_root/BENCH_serving.json"
+python3 bench/bench_to_json.py "$raw" > "$BUILD_DIR/BENCH_serving.json"
+echo "wrote $BUILD_DIR/BENCH_serving.json"

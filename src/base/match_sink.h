@@ -27,8 +27,8 @@ namespace sst {
 //                     (no suffix can change it)
 //
 // query_id is the consumer-defined stream the event belongs to: 0 for
-// single-query runs, the product-member index inside MultiTagDfaRunner,
-// and the submission-order query index at the BatchSession/server surface.
+// single-query runs, the member index inside ProductTagMachine, and the
+// submission-order query index at the BatchSession/server surface.
 struct MatchEvent {
   int32_t query_id = 0;
   int64_t start_offset = 0;

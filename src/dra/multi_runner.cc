@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/byte_scan.h"
 #include "base/check.h"
 
 namespace sst {
@@ -278,132 +277,6 @@ int64_t ProductTagMachine::StackUnderflowCloses() const {
     total += machine->StackUnderflowCloses();
   }
   return total;
-}
-
-// --- MultiTagDfaRunner ---------------------------------------------------
-
-MultiTagDfaRunner::MultiTagDfaRunner(
-    StreamFormat format, const Alphabet* alphabet,
-    const ScannerTables* tables, const TagDfaProduct* eager,
-    const ByteTagDfaRunner* eager_fused, LazyTagDfaProduct* lazy,
-    std::vector<const ByteDraRunner*> mixed_dras,
-    std::vector<std::unique_ptr<StreamMachine>> side_cars)
-    : eager_(eager),
-      eager_fused_(eager_fused),
-      lazy_(lazy),
-      mixed_dras_(std::move(mixed_dras)),
-      machine_(eager, lazy, mixed_dras_, std::move(side_cars)),
-      owned_tables_(tables == nullptr
-                        ? std::make_unique<ScannerTables>(
-                              ScannerTables::Build(format, *alphabet))
-                        : nullptr),
-      selector_(&machine_, format, alphabet,
-                tables != nullptr ? tables : owned_tables_.get(),
-                /*fused=*/nullptr) {
-  SST_CHECK(eager_fused_ == nullptr || eager_ != nullptr);
-  // The one-scan markup APIs need every label to be a single lowercase
-  // letter (same eligibility rule as the fused single-query byte table)
-  // and every member in table form: a generic side-car has none.
-  byte_symbol_.fill(-1);
-  byte_api_ok_ =
-      machine_.num_generic_side_cars() == 0 && alphabet->CompactLabels();
-  if (byte_api_ok_) {
-    for (Symbol s = 0; s < alphabet->size(); ++s) {
-      unsigned char open = static_cast<unsigned char>(alphabet->LabelOf(s)[0]);
-      byte_symbol_[open] = s;
-      byte_symbol_[open - 'a' + 'A'] = s;
-    }
-  }
-}
-
-template <typename T>
-void MultiTagDfaRunner::CountSelectionsFused(
-    const T* table, std::string_view bytes,
-    std::vector<int64_t>* counts) const {
-  const uint64_t* mask_words = eager_->mask_words.data();
-  int64_t* out = counts->data();
-  int state = eager_fused_->initial_state();
-  // Structural-index walk: the product table's whitespace rows self-loop
-  // and never count (checked when the runner is built), so the stage-1
-  // scan drops every text byte before the table walk.
-  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    const unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    state = table[static_cast<size_t>(state) * 256 + byte];
-    if (byte >= 'a' && byte <= 'z') {
-      uint64_t mask = mask_words[state];
-      for (; mask != 0; mask &= mask - 1) {
-#if defined(__GNUC__) || defined(__clang__)
-        ++out[__builtin_ctzll(mask)];
-#else
-        uint64_t low = mask & (~mask + 1);
-        int bit = 0;
-        while ((low >> bit) != 1) ++bit;
-        ++out[bit];
-#endif
-      }
-    }
-  });
-}
-
-template <typename Stepper>
-void MultiTagDfaRunner::CountSelectionsWalk(Stepper& stepper,
-                                            std::string_view bytes) const {
-  // The product and every DRA side-car step only on tag letters, so
-  // whitespace is identity on all of them at once and the structural index
-  // is sound unconditionally (including across a lazy cursor's mid-scan
-  // wide-mode demotion: the latched state rides along through every gap).
-  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      // Unknown lowercase letters self-loop but still sample acceptance
-      // (ByteTagDfaRunner parity).
-      if (s >= 0) {
-        stepper.Step(true, s);
-      } else {
-        stepper.Resample();
-      }
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) stepper.Step(false, s);
-    }
-    // All other structural bytes self-loop and never count.
-  });
-}
-
-std::vector<int64_t> MultiTagDfaRunner::CountSelections(
-    std::string_view bytes) const {
-  SST_CHECK_MSG(byte_api_ok_,
-                "one-scan byte APIs require single-letter labels and no "
-                "generic side-car");
-  std::vector<int64_t> counts(static_cast<size_t>(num_queries()), 0);
-  if (eager_fused_ != nullptr && eager_->narrow && mixed_dras_.empty()) {
-    if (eager_fused_->uses_compact_table()) {
-      CountSelectionsFused(eager_fused_->table16(), bytes, &counts);
-    } else {
-      CountSelectionsFused(eager_fused_->table32(), bytes, &counts);
-    }
-    return counts;
-  }
-  // Everything else (a mixed batch, the lazy product, an eager product
-  // without a byte table or wider than 64 queries) walks the automata
-  // directly over the structural index, on a private copy of the steppers
-  // the streaming machine uses.
-  std::vector<DraConfig> configs(mixed_dras_.size());
-  DraSideCars cars{mixed_dras_.data(), configs.data(),
-                   counts.data() + (counts.size() - mixed_dras_.size()),
-                   mixed_dras_.size()};
-  if (eager_ != nullptr) {
-    std::vector<int64_t> hits(static_cast<size_t>(eager_->rows.num_states()),
-                              0);
-    ProductStepper stepper(eager_, counts.data(), hits.data(), cars);
-    CountSelectionsWalk(stepper, bytes);
-    stepper.Fold();
-  } else {
-    LazyStepper stepper(lazy_, counts.data(), cars);
-    CountSelectionsWalk(stepper, bytes);
-  }
-  return counts;
 }
 
 }  // namespace sst

@@ -1,22 +1,17 @@
 #ifndef SST_DRA_MULTI_RUNNER_H_
 #define SST_DRA_MULTI_RUNNER_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "automata/alphabet.h"
 #include "automata/product.h"
 #include "automata/selection_mask.h"
 #include "dra/byte_dra_runner.h"
-#include "dra/byte_runner.h"
 #include "dra/machine.h"
 #include "dra/product_stepper.h"
-#include "dra/stream_error.h"
-#include "dra/streaming.h"
 #include "dra/tag_dfa.h"
 
 namespace sst {
@@ -178,101 +173,6 @@ class ProductTagMachine final : public StreamMachine {
   ProductStepper stepper_;     // eager product + DRA side-cars
   // Engaged iff the product is lazy: its cursor + DRA side-cars.
   std::optional<LazyStepper> lazy_;
-};
-
-// Multi-query front-end over one shared product: a chunk-capable
-// StreamingSelector (any format, full StreamError / recovery-policy
-// parity with single-query sessions) around a ProductTagMachine, plus
-// one-scan byte-table entry points for compact markup that reuse the
-// fused ByteTagDfaRunner machinery (uint16/uint32 compaction, SWAR/SIMD
-// whitespace bulk-skip) to emit every query's selection count in a single
-// table walk.
-//
-// The runner holds only per-stream state; the product artifacts are
-// shared, immutable (eager) or internally synchronized (lazy), so K
-// concurrent streams hold K runners and ONE product.
-class MultiTagDfaRunner {
- public:
-  // Exactly one of `eager` / `lazy` is non-null; `eager_fused` is
-  // the optional fused byte table of the eager product (built by the
-  // engine when the alphabet is markup-eligible) and `tables` may be null
-  // to build private scanner tables. `mixed_dras` and `side_cars` add the
-  // members outside the product (mixed tier; see ProductTagMachine),
-  // reported after the product bits in member order. Borrowed pointers
-  // must outlive the runner.
-  MultiTagDfaRunner(StreamFormat format, const Alphabet* alphabet,
-                    const ScannerTables* tables, const TagDfaProduct* eager,
-                    const ByteTagDfaRunner* eager_fused,
-                    LazyTagDfaProduct* lazy,
-                    std::vector<const ByteDraRunner*> mixed_dras = {},
-                    std::vector<std::unique_ptr<StreamMachine>> side_cars =
-                        {});
-
-  int num_queries() const { return machine_.arity(); }
-
-  // The strongest tier this runner was built with; active_tier() reports
-  // the rung actually executing (kIndependent once a lazy stream demoted
-  // to wide mode).
-  MultiTier tier() const {
-    if (machine_.has_side_cars()) return MultiTier::kMixed;
-    return eager_ != nullptr ? MultiTier::kFusedProduct
-                             : MultiTier::kLazyProduct;
-  }
-  MultiTier active_tier() const {
-    return machine_.wide() ? MultiTier::kIndependent : tier();
-  }
-
-  // --- Chunked streaming (any format) -----------------------------------
-  bool Feed(std::string_view chunk) { return selector_.Feed(chunk); }
-  bool Finish() { return selector_.Finish(); }
-  void Reset() { selector_.Reset(); }
-
-  // Per-query selection counts, in batch order.
-  const std::vector<int64_t>& query_matches() const {
-    return machine_.counts();
-  }
-  StreamStats stats() const { return selector_.stats(); }
-  bool failed() const { return selector_.failed(); }
-  const StreamError& stream_error() const {
-    return selector_.stream_error();
-  }
-  // Policy / limits / observability surface of the underlying scanner.
-  StreamingSelector& selector() { return selector_; }
-  const StreamingSelector& selector() const { return selector_; }
-
-  // --- One-scan byte entry points (compact markup) ----------------------
-  // Whether the one-scan APIs below may be called: every label a single
-  // lowercase letter, and no generic side-car (a per-stream machine has no
-  // byte-table form to walk).
-  bool one_scan_eligible() const { return byte_api_ok_; }
-
-  // ByteTagDfaRunner::CountSelections semantics, per query: one table
-  // walk over the bytes, whitespace runs bulk-skipped. Like that walk it is
-  // the ladder's speed-of-light reference for a batch (the end-to-end
-  // benchmark times it through BatchSession::CountSelections); the
-  // streaming tiers never call it.
-  std::vector<int64_t> CountSelections(std::string_view bytes) const;
-
- private:
-  template <typename T>
-  void CountSelectionsFused(const T* table, std::string_view bytes,
-                            std::vector<int64_t>* counts) const;
-  template <typename Stepper>
-  void CountSelectionsWalk(Stepper& stepper, std::string_view bytes) const;
-
-  const TagDfaProduct* eager_;
-  const ByteTagDfaRunner* eager_fused_;
-  LazyTagDfaProduct* lazy_;
-  std::vector<const ByteDraRunner*> mixed_dras_;
-
-  ProductTagMachine machine_;
-  std::unique_ptr<ScannerTables> owned_tables_;
-  StreamingSelector selector_;
-
-  // byte → symbol for the one-scan markup APIs; -1 when the alphabet is
-  // not markup-eligible or the byte is no tag letter.
-  std::array<Symbol, 256> byte_symbol_;
-  bool byte_api_ok_ = false;
 };
 
 }  // namespace sst

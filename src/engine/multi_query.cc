@@ -1,8 +1,10 @@
 #include "engine/multi_query.h"
 
+#include <array>
 #include <unordered_map>
 #include <utility>
 
+#include "base/byte_scan.h"
 #include "base/check.h"
 
 namespace sst {
@@ -40,12 +42,13 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
 
   // Member order: registerless slots (the product's mask bits), then
   // slots with a fused DRA, then every other slot (generic side-cars).
+  std::vector<int> member_slot;
   std::vector<int> dra_slot;
   for (int slot = 0; slot < plan->num_slots(); ++slot) {
     const QueryPlan& slot_plan = *plan->slot_plans_[static_cast<size_t>(slot)];
     plan->exact_ = plan->exact_ && slot_plan.exact();
     if (slot_plan.tag_dfa() != nullptr) {
-      plan->member_slot_.push_back(slot);
+      member_slot.push_back(slot);
       plan->components_.push_back(slot_plan.tag_dfa());
     } else if (slot_plan.fused_dra() != nullptr) {
       dra_slot.push_back(slot);
@@ -54,11 +57,25 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
       plan->machine_slot_.push_back(slot);
     }
   }
-  plan->member_slot_.insert(plan->member_slot_.end(), dra_slot.begin(),
-                            dra_slot.end());
-  plan->member_slot_.insert(plan->member_slot_.end(),
-                            plan->machine_slot_.begin(),
-                            plan->machine_slot_.end());
+  member_slot.insert(member_slot.end(), dra_slot.begin(), dra_slot.end());
+  member_slot.insert(member_slot.end(), plan->machine_slot_.begin(),
+                     plan->machine_slot_.end());
+  std::vector<std::vector<int32_t>> slot_queries(plan->slot_plans_.size());
+  for (size_t i = 0; i < plan->slot_of_.size(); ++i) {
+    slot_queries[static_cast<size_t>(plan->slot_of_[i])].push_back(
+        static_cast<int32_t>(i));
+  }
+  for (int slot : member_slot) {
+    plan->member_queries_.push_back(
+        std::move(slot_queries[static_cast<size_t>(slot)]));
+  }
+  // The fused byte table and the one-scan walk key the automata by raw
+  // letter bytes, which name tags only in compact markup with single-letter
+  // labels.
+  const bool letter_bytes =
+      options.plan.format == StreamFormat::kCompactMarkup &&
+      alphabet.CompactLabels();
+  plan->one_scan_eligible_ = letter_bytes && plan->machine_slot_.empty();
 
   if (plan->components_.empty()) {
     plan->eager_ = EmptyTagDfaProduct(alphabet.size());
@@ -74,8 +91,9 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
     plan->tier_ = MultiTier::kMixed;
   } else if (plan->eager_.has_value()) {
     plan->tier_ = MultiTier::kFusedProduct;
-    if (options.plan.format == StreamFormat::kCompactMarkup &&
-        alphabet.CompactLabels()) {
+    // The table's walk counts through one mask word per state, so only
+    // narrow (at most 64-query) products get one.
+    if (letter_bytes && plan->eager_->narrow) {
       plan->eager_fused_ =
           std::make_unique<ByteTagDfaRunner>(plan->eager_->dfa, alphabet);
     }
@@ -85,39 +103,16 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
   return plan;
 }
 
-std::vector<int64_t> MultiQueryPlan::ExpandCounts(
-    const std::vector<int64_t>& slot_counts) const {
-  SST_CHECK(static_cast<int>(slot_counts.size()) == num_slots());
+std::vector<int64_t> MultiQueryPlan::QueryCounts(
+    const std::vector<int64_t>& member_counts) const {
+  SST_CHECK(member_counts.size() == member_queries_.size());
   std::vector<int64_t> counts(slot_of_.size());
-  for (size_t i = 0; i < slot_of_.size(); ++i) {
-    counts[i] = slot_counts[static_cast<size_t>(slot_of_[i])];
+  for (size_t m = 0; m < member_queries_.size(); ++m) {
+    for (int32_t query : member_queries_[m]) {
+      counts[static_cast<size_t>(query)] = member_counts[m];
+    }
   }
   return counts;
-}
-
-std::vector<int64_t> MultiQueryPlan::MemberCountsToSlots(
-    const std::vector<int64_t>& member_counts) const {
-  SST_CHECK(member_counts.size() == member_slot_.size());
-  std::vector<int64_t> slot_counts(member_slot_.size(), 0);
-  for (size_t i = 0; i < member_slot_.size(); ++i) {
-    slot_counts[static_cast<size_t>(member_slot_[i])] = member_counts[i];
-  }
-  return slot_counts;
-}
-
-std::vector<std::vector<int32_t>> MultiQueryPlan::MemberQueryIds() const {
-  std::vector<std::vector<int32_t>> by_slot(
-      static_cast<size_t>(num_slots()));
-  for (size_t i = 0; i < slot_of_.size(); ++i) {
-    by_slot[static_cast<size_t>(slot_of_[i])].push_back(
-        static_cast<int32_t>(i));
-  }
-  std::vector<std::vector<int32_t>> by_member;
-  by_member.reserve(by_slot.size());
-  for (int slot : member_slot_) {
-    by_member.push_back(std::move(by_slot[static_cast<size_t>(slot)]));
-  }
-  return by_member;
 }
 
 std::vector<std::unique_ptr<StreamMachine>> MultiQueryPlan::NewSideCars()
@@ -146,111 +141,112 @@ MultiQueryPlan::Stats MultiQueryPlan::stats() const {
   return stats;
 }
 
+template <typename T>
+void MultiQueryPlan::CountSelectionsFused(const T* table,
+                                          std::string_view bytes,
+                                          int64_t* counts) const {
+  const uint64_t* mask_words = eager_->mask_words.data();
+  int state = eager_fused_->initial_state();
+  // Structural-index walk: the product table's whitespace rows self-loop
+  // and never count (checked when the table is built), so the stage-1
+  // scan drops every text byte before the table walk.
+  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
+    const unsigned char byte = static_cast<unsigned char>(bytes[i]);
+    state = table[static_cast<size_t>(state) * 256 + byte];
+    if (byte >= 'a' && byte <= 'z') {
+      uint64_t mask = mask_words[state];
+      for (; mask != 0; mask &= mask - 1) {
+#if defined(__GNUC__) || defined(__clang__)
+        ++counts[__builtin_ctzll(mask)];
+#else
+        uint64_t low = mask & (~mask + 1);
+        int bit = 0;
+        while ((low >> bit) != 1) ++bit;
+        ++counts[bit];
+#endif
+      }
+    }
+  });
+}
+
+template <typename Stepper>
+void MultiQueryPlan::CountSelectionsWalk(Stepper& stepper,
+                                         std::string_view bytes) const {
+  const std::array<Symbol, 256>& byte_symbol = scanner_tables_.byte_symbol;
+  // The product and every DRA side-car step only on tag letters, so
+  // whitespace is identity on all of them at once and the structural index
+  // is sound unconditionally (including across a lazy cursor's mid-scan
+  // wide-mode demotion: the latched state rides along through every gap).
+  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
+    unsigned char byte = static_cast<unsigned char>(bytes[i]);
+    if (byte >= 'a' && byte <= 'z') {
+      Symbol s = byte_symbol[byte];
+      // Unknown lowercase letters self-loop but still sample acceptance
+      // (ByteTagDfaRunner parity).
+      if (s >= 0) {
+        stepper.Step(true, s);
+      } else {
+        stepper.Resample();
+      }
+    } else if (byte >= 'A' && byte <= 'Z') {
+      Symbol s = byte_symbol[byte];
+      if (s >= 0) stepper.Step(false, s);
+    }
+    // All other structural bytes self-loop and never count.
+  });
+}
+
+std::vector<int64_t> MultiQueryPlan::CountSelections(
+    std::string_view bytes) const {
+  SST_CHECK_MSG(one_scan_eligible_,
+                "one-scan counting requires compact markup, single-letter "
+                "labels and no generic side-car");
+  std::vector<int64_t> counts(member_queries_.size(), 0);  // member order
+  // The byte table exists only for narrow kFusedProduct batches.
+  if (eager_fused_ != nullptr) {
+    if (eager_fused_->uses_compact_table()) {
+      CountSelectionsFused(eager_fused_->table16(), bytes, counts.data());
+    } else {
+      CountSelectionsFused(eager_fused_->table32(), bytes, counts.data());
+    }
+    return QueryCounts(counts);
+  }
+  // Everything else (a mixed batch, the lazy product, an eager product
+  // wider than 64 queries) walks the automata directly over the structural
+  // index, on private copies of the steppers the streaming machine uses.
+  std::vector<DraConfig> configs(mixed_dras_.size());
+  DraSideCars cars{mixed_dras_.data(), configs.data(),
+                   counts.data() + (counts.size() - mixed_dras_.size()),
+                   mixed_dras_.size()};
+  if (eager_) {
+    std::vector<int64_t> hits(static_cast<size_t>(eager_->rows.num_states()),
+                              0);
+    ProductStepper stepper(&*eager_, counts.data(), hits.data(), cars);
+    CountSelectionsWalk(stepper, bytes);
+    stepper.Fold();
+  } else {
+    LazyStepper stepper(lazy_.get(), counts.data(), cars);
+    CountSelectionsWalk(stepper, bytes);
+  }
+  return QueryCounts(counts);
+}
+
 // --- BatchSession --------------------------------------------------------
 
 BatchSession::BatchSession(std::shared_ptr<const MultiQueryPlan> plan)
     : plan_(std::move(plan)),
-      runner_(plan_->options().plan.format, &plan_->alphabet(),
-              &plan_->scanner_tables(), plan_->eager(), plan_->eager_fused(),
-              plan_->lazy(), plan_->mixed_dras(), plan_->NewSideCars()) {}
-
-bool BatchSession::Feed(std::string_view chunk) {
-  return runner_.Feed(chunk);
-}
-
-bool BatchSession::Finish() { return runner_.Finish(); }
-
-void BatchSession::Reset() { runner_.Reset(); }
-
-void BatchSession::set_limits(const StreamLimits& limits) {
-  runner_.selector().set_limits(limits);
-}
-
-void BatchSession::set_recovery_policy(RecoveryPolicy policy) {
-  runner_.selector().set_recovery_policy(policy);
-}
+      machine_(plan_->eager(), plan_->lazy(), plan_->mixed_dras(),
+               plan_->NewSideCars()),
+      selector_(&machine_, plan_->options().plan.format, &plan_->alphabet(),
+                &plan_->scanner_tables(), /*fused=*/nullptr) {}
 
 void BatchSession::set_match_sink(MatchSink* sink) {
   if (sink == nullptr) {
-    runner_.selector().set_match_sink(nullptr);
+    selector_.set_match_sink(nullptr);
     return;
   }
-  fan_out_ = MatchFanOutSink(sink, plan_->MemberQueryIds());
-  runner_.selector().set_match_sink(&fan_out_);
-}
-
-std::vector<int64_t> BatchSession::query_matches() const {
-  return plan_->ExpandCounts(
-      plan_->MemberCountsToSlots(runner_.query_matches()));
-}
-
-bool BatchSession::failed() const { return runner_.failed(); }
-
-const StreamError& BatchSession::stream_error() const {
-  return runner_.stream_error();
-}
-
-MultiTier BatchSession::active_tier() const { return runner_.active_tier(); }
-
-bool BatchSession::one_scan_eligible() const {
-  return runner_.one_scan_eligible();
-}
-
-std::vector<int64_t> BatchSession::CountSelections(
-    std::string_view bytes) const {
-  return plan_->ExpandCounts(
-      plan_->MemberCountsToSlots(runner_.CountSelections(bytes)));
-}
-
-// --- BatchSessionPool ----------------------------------------------------
-
-BatchSessionPool::BatchSessionPool(std::shared_ptr<const MultiQueryPlan> plan,
-                                   size_t max_idle)
-    : plan_(std::move(plan)), max_idle_(max_idle) {}
-
-std::unique_ptr<BatchSession> BatchSessionPool::Acquire() {
-  std::unique_ptr<BatchSession> session;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!idle_.empty()) {
-      session = std::move(idle_.back());
-      idle_.pop_back();
-      ++stats_.reused;
-    } else {
-      ++stats_.created;
-    }
-    ++stats_.outstanding;
-    if (stats_.outstanding > stats_.peak_outstanding) {
-      stats_.peak_outstanding = stats_.outstanding;
-    }
-  }
-  if (session == nullptr) return std::make_unique<BatchSession>(plan_);
-  session->Reset();
-  return session;
-}
-
-void BatchSessionPool::Release(std::unique_ptr<BatchSession> session) {
-  if (session == nullptr) return;
-  SST_CHECK(session->plan_ptr() == plan_);
-  std::lock_guard<std::mutex> lock(mu_);
-  --stats_.outstanding;
-  if (idle_.size() < max_idle_) {
-    idle_.push_back(std::move(session));
-  } else {
-    ++stats_.destroyed;
-  }
-}
-
-SessionPool::Stats BatchSessionPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SessionPool::Stats snapshot = stats_;
-  snapshot.idle = static_cast<int64_t>(idle_.size());
-  return snapshot;
-}
-
-size_t BatchSessionPool::idle() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return idle_.size();
+  fan_out_ = MatchFanOutSink(sink, &plan_->member_queries());
+  selector_.set_match_sink(&fan_out_);
 }
 
 }  // namespace sst

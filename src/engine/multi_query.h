@@ -3,13 +3,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "dra/byte_runner.h"
 #include "dra/multi_runner.h"
+#include "dra/streaming.h"
 #include "engine/plan_cache.h"
 #include "engine/query_plan.h"
 #include "engine/session.h"
@@ -58,8 +59,8 @@ struct MultiQueryOptions {
 // that scan steps:
 //   kFusedProduct   every unique query registerless and the reachable
 //                   product fit eager_state_cap — plus, on markup-
-//                   eligible alphabets, ONE fused byte table for the
-//                   whole batch;
+//                   eligible alphabets and at most 64 unique queries,
+//                   ONE fused byte table for the whole batch;
 //   kLazyProduct    every unique query registerless but the product is
 //                   too big to materialize up front — states appear as
 //                   documents reach them, shared by all sessions;
@@ -79,7 +80,7 @@ class MultiQueryPlan {
     int num_queries = 0;  // batch size as submitted
     int num_slots = 0;    // unique queries after canonical-key dedup
     MultiTier tier = MultiTier::kFusedProduct;
-    bool fused_byte_table = false;  // eager product fused to 256-entry table
+    bool fused_byte_table = false;  // narrow eager product's 256-entry table
     int eager_states = 0;           // eager (sub-)product size
     int lazy_states = 0;            // lazy states materialized so far (live)
     bool lazy_overflowed = false;   // some stream hit lazy_state_cap
@@ -121,7 +122,6 @@ class MultiQueryPlan {
   const TagDfaProduct* eager() const {
     return eager_ ? &*eager_ : nullptr;
   }
-  const ByteTagDfaRunner* eager_fused() const { return eager_fused_.get(); }
   // Internally synchronized; safe to step from any number of sessions.
   LazyTagDfaProduct* lazy() const { return lazy_.get(); }
   // Mixed tier: the fused DRA of every DRA side-car, in member order
@@ -135,30 +135,44 @@ class MultiQueryPlan {
   // borrows its slot plan, which this plan keeps alive. Requires exact().
   std::vector<std::unique_ptr<StreamMachine>> NewSideCars() const;
 
-  // Expands per-slot counts (product/bitmask order) to per-query counts
-  // (submission order); duplicates of one query report the same count.
-  std::vector<int64_t> ExpandCounts(
-      const std::vector<int64_t>& slot_counts) const;
+  // Member index -> submission-order query ids. Members are the product
+  // machine's counts() order: product mask bits, then DRA side-cars, then
+  // generic side-cars. Textual duplicates of one query all appear under
+  // their shared member.
+  const std::vector<std::vector<int32_t>>& member_queries() const {
+    return member_queries_;
+  }
 
-  // Reorders MultiTagDfaRunner member-order counts (product mask bits,
-  // then DRA side-cars, then generic side-cars) into slot order for
-  // ExpandCounts. Identity outside kMixed, where member order IS slot
-  // order.
-  std::vector<int64_t> MemberCountsToSlots(
+  // Per-member counts (member order) to per-query counts (submission
+  // order); duplicates of one query report the same count.
+  std::vector<int64_t> QueryCounts(
       const std::vector<int64_t>& member_counts) const;
 
-  // Member index -> submission-order query ids, for fanning the product
-  // machine's MatchEvents (whose query_id is a member index, in counts()
-  // order: product mask bits, DRA side-cars, generic side-cars) out to
-  // the queries as submitted. Textual duplicates of one query all appear
-  // under their shared member, so a CountingSink fed through this mapping
-  // reports exactly query_matches().
-  std::vector<std::vector<int32_t>> MemberQueryIds() const;
+  // --- One-scan counting -------------------------------------------------
+  // Whether CountSelections may be called: compact markup, every label a
+  // single lowercase letter, and no generic side-car (a per-stream machine
+  // has no table form to walk).
+  bool one_scan_eligible() const { return one_scan_eligible_; }
+
+  // ByteTagDfaRunner::CountSelections semantics, per submitted query: one
+  // walk over the bytes' structural index, through the fused product byte
+  // table when the batch has one (at most 64 registerless members) and
+  // through the product (eager or lazy) and DRA tables otherwise. It is
+  // the ladder's speed-of-light reference for a batch (the end-to-end
+  // benchmark times it through BatchSession::CountSelections); the
+  // streaming tiers never call it. Thread-safe like the plan.
+  std::vector<int64_t> CountSelections(std::string_view bytes) const;
 
   Stats stats() const;
 
  private:
   MultiQueryPlan() = default;
+
+  template <typename T>
+  void CountSelectionsFused(const T* table, std::string_view bytes,
+                            int64_t* counts) const;
+  template <typename Stepper>
+  void CountSelectionsWalk(Stepper& stepper, std::string_view bytes) const;
 
   MultiQueryOptions options_;
   Alphabet alphabet_;
@@ -174,23 +188,23 @@ class MultiQueryPlan {
   std::unique_ptr<ByteTagDfaRunner> eager_fused_;
   std::unique_ptr<LazyTagDfaProduct> lazy_;
 
-  // Member index -> slot: the product members (in mask-bit order), then
-  // the DRA side-cars, then the generic side-cars.
-  std::vector<int> member_slot_;
+  bool one_scan_eligible_ = false;
+  std::vector<std::vector<int32_t>> member_queries_;
   std::vector<const ByteDraRunner*> mixed_dras_;  // borrowed from slot_plans_
   std::vector<int> machine_slot_;  // generic side-car slots, member order
 };
 
-// Remaps MatchEvents whose query_id indexes an internal id space (product
-// machine members, or a single-slot session's constant 0) onto
-// submission-order query ids, duplicating each event for every textual
-// duplicate of the query. Events pass through in arrival order with their
-// offsets untouched; ids outside the mapping are dropped.
+// Remaps MatchEvents whose query_id is a member index onto
+// submission-order query ids (MultiQueryPlan::member_queries()),
+// duplicating each event for every textual duplicate of the query. Events
+// pass through in arrival order with their offsets untouched; ids outside
+// the mapping are dropped. The mapping is borrowed.
 class MatchFanOutSink : public MatchSink {
  public:
   MatchFanOutSink() = default;
-  MatchFanOutSink(MatchSink* sink, std::vector<std::vector<int32_t>> ids)
-      : sink_(sink), ids_(std::move(ids)) {}
+  MatchFanOutSink(MatchSink* sink,
+                  const std::vector<std::vector<int32_t>>* ids)
+      : sink_(sink), ids_(ids) {}
 
   void OnMatch(const MatchEvent& event) override {
     Fire(event, /*close=*/false);
@@ -206,8 +220,8 @@ class MatchFanOutSink : public MatchSink {
   void Fire(const MatchEvent& event, bool close) {
     if (sink_ == nullptr) return;
     const size_t member = static_cast<size_t>(event.query_id);
-    if (member >= ids_.size()) return;
-    for (int32_t query : ids_[member]) {
+    if (member >= ids_->size()) return;
+    for (int32_t query : (*ids_)[member]) {
       MatchEvent remapped = event;
       remapped.query_id = query;
       if (close) {
@@ -219,13 +233,15 @@ class MatchFanOutSink : public MatchSink {
   }
 
   MatchSink* sink_ = nullptr;
-  std::vector<std::vector<int32_t>> ids_;
+  const std::vector<std::vector<int32_t>>* ids_ = nullptr;
 };
 
 // The run-many half: one document stream answering the whole batch with
-// ONE scanner + product machine (a MultiTagDfaRunner) on every tier.
-// Single-threaded like Session; concurrency comes from many BatchSessions
-// sharing the plan (and, with a lazy (sub-)product, the product).
+// ONE StreamingSelector over ONE ProductTagMachine on every tier, both
+// built from the plan's shared artifacts (scanner tables, eager or lazy
+// product, fused DRAs). Single-threaded like Session; concurrency comes
+// from many BatchSessions sharing the plan (and, with a lazy
+// (sub-)product, the product).
 class BatchSession {
  public:
   // `plan` must be exact() — a member with no machine cannot stream.
@@ -241,16 +257,18 @@ class BatchSession {
 
   // Streaming interface (StreamingSelector semantics; fail-fast parity
   // with independent per-query sessions over the same bytes).
-  bool Feed(std::string_view chunk);
-  bool Finish();
-  void Reset();
+  bool Feed(std::string_view chunk) { return selector_.Feed(chunk); }
+  bool Finish() { return selector_.Finish(); }
+  void Reset() { selector_.Reset(); }
 
   // Policy/limits surface of the batch's one scanner. Limits must pass
   // StreamLimits::Validate(); both must be set before the first Feed of a
   // document and survive Reset(), so a pooled session keeps its serving
   // configuration across documents.
-  void set_limits(const StreamLimits& limits);
-  void set_recovery_policy(RecoveryPolicy policy);
+  void set_limits(const StreamLimits& limits) { selector_.set_limits(limits); }
+  void set_recovery_policy(RecoveryPolicy policy) {
+    selector_.set_recovery_policy(policy);
+  }
 
   // Streams every pre-selected node into `sink` as a MatchEvent whose
   // query_id is the submission-order query index, at its earliest certain
@@ -261,55 +279,42 @@ class BatchSession {
   void set_match_sink(MatchSink* sink);
 
   // Selection counts per submitted query, in submission order.
-  std::vector<int64_t> query_matches() const;
+  std::vector<int64_t> query_matches() const {
+    return plan_->QueryCounts(machine_.counts());
+  }
 
-  bool failed() const;
-  const StreamError& stream_error() const;
+  bool failed() const { return selector_.failed(); }
+  const StreamError& stream_error() const { return selector_.stream_error(); }
   // The scanner's stats; max_stack_depth / underflow_closes come from the
   // stack-baseline side-cars (see ProductTagMachine).
-  StreamStats stats() const { return runner_.stats(); }
+  StreamStats stats() const { return selector_.stats(); }
 
   // The rung actually executing for THIS stream (a session over a lazy
   // (sub-)product demotes to kIndependent when materialization hits the
   // state cap).
-  MultiTier active_tier() const;
+  MultiTier active_tier() const {
+    return machine_.wide() ? MultiTier::kIndependent : plan_->tier();
+  }
 
-  // One-scan whole-document counting (compact markup, single-letter
-  // labels, no generic side-car): per-query counts via the fused product
-  // byte table or a walk of the product and DRA tables, without touching
-  // this session's streaming state.
-  bool one_scan_eligible() const;
-  std::vector<int64_t> CountSelections(std::string_view bytes) const;
+  // The plan's one-scan counting (see MultiQueryPlan::CountSelections);
+  // it does not touch this session's streaming state.
+  bool one_scan_eligible() const { return plan_->one_scan_eligible(); }
+  std::vector<int64_t> CountSelections(std::string_view bytes) const {
+    return plan_->CountSelections(bytes);
+  }
 
  private:
   std::shared_ptr<const MultiQueryPlan> plan_;
-  MultiTagDfaRunner runner_;
+  ProductTagMachine machine_;
+  StreamingSelector selector_;
   // Member -> query-id remapping in front of the user's sink (stable
   // address: the selector holds a raw pointer to it).
   MatchFanOutSink fan_out_;
 };
 
-// Bounded free-list of idle BatchSessions over one shared plan; the batch
-// analogue of SessionPool (acquire = free-list pop + Reset).
-class BatchSessionPool {
- public:
-  explicit BatchSessionPool(std::shared_ptr<const MultiQueryPlan> plan,
-                            size_t max_idle = 64);
-
-  std::unique_ptr<BatchSession> Acquire();
-  void Release(std::unique_ptr<BatchSession> session);
-
-  const std::shared_ptr<const MultiQueryPlan>& plan() const { return plan_; }
-  SessionPool::Stats stats() const;
-  size_t idle() const;
-
- private:
-  std::shared_ptr<const MultiQueryPlan> plan_;
-  size_t max_idle_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<BatchSession>> idle_;
-  SessionPool::Stats stats_;
-};
+// Bounded free-list of idle BatchSessions over one shared plan (see
+// SessionPoolOf).
+using BatchSessionPool = SessionPoolOf<BatchSession, MultiQueryPlan>;
 
 }  // namespace sst
 

@@ -62,23 +62,6 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
         FusedEligible(*plan->tag_dfa_, plan->alphabet_)) {
       plan->fused_ = std::make_unique<ByteTagDfaRunner>(*plan->tag_dfa_,
                                                         plan->alphabet_);
-#ifndef NDEBUG
-      // The fused byte→state table and the scanner's byte-class/byte→
-      // symbol tables are derived independently from the same Alphabet;
-      // the plan is the one place both exist, so cross-check them here
-      // (previously each layer rebuilt its own copy with no such check).
-      for (int b = 'a'; b <= 'z'; ++b) {
-        SST_CHECK(plan->scanner_tables_.byte_class[b] == ScannerTables::kOpen);
-        SST_CHECK(plan->scanner_tables_.byte_class[b - 'a' + 'A'] ==
-                  ScannerTables::kClose);
-        SST_CHECK(plan->fused_->byte_symbol(static_cast<unsigned char>(b)) ==
-                  plan->scanner_tables_.byte_symbol[b]);
-        SST_CHECK(
-            plan->fused_->byte_symbol(
-                static_cast<unsigned char>(b - 'a' + 'A')) ==
-            plan->scanner_tables_.byte_symbol[b - 'a' + 'A']);
-      }
-#endif
     }
   } else if (stackless) {
     plan->kind_ = EvaluatorKind::kStackless;
@@ -106,23 +89,6 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
       if (plan->stackless_dra_) {
         plan->fused_dra_ = std::make_unique<ByteDraRunner>(
             &*plan->stackless_dra_, plan->alphabet_);
-#ifndef NDEBUG
-        if (options.format == StreamFormat::kCompactMarkup &&
-            plan->fused_dra_->compact_labels()) {
-          // Same cross-check as the registerless rung: the fused DRA's
-          // byte entry points and the scanner tables are derived
-          // independently from the same Alphabet and must agree on every
-          // letter byte.
-          for (int b = 'a'; b <= 'z'; ++b) {
-            SST_CHECK(plan->fused_dra_->byte_symbol(
-                          static_cast<unsigned char>(b)) ==
-                      plan->scanner_tables_.byte_symbol[b]);
-            SST_CHECK(plan->fused_dra_->byte_symbol(
-                          static_cast<unsigned char>(b - 'a' + 'A')) ==
-                      plan->scanner_tables_.byte_symbol[b - 'a' + 'A']);
-          }
-        }
-#endif
       }
     }
   } else if (options.allow_stack_fallback) {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/check.h"
 #include "dra/stream_error.h"
 #include "dra/streaming.h"
 #include "engine/query_plan.h"
@@ -63,46 +64,94 @@ class Session {
   StreamingSelector selector_;
 };
 
-// A bounded free-list of idle Sessions over one shared plan. Acquire()
+// Occupancy-observable pool counters: serving layers drive admission
+// control and load shedding off `outstanding` (leases currently live) and
+// `peak_outstanding` (the high-watermark since construction), and export
+// the whole snapshot through their metrics endpoint.
+struct SessionPoolStats {
+  int64_t created = 0;    // sessions constructed from scratch
+  int64_t reused = 0;     // acquisitions served from the free list
+  int64_t destroyed = 0;  // releases dropped because the free list was full
+  int64_t outstanding = 0;       // acquired and not yet released
+  int64_t peak_outstanding = 0;  // occupancy high-watermark
+  int64_t idle = 0;              // free-list size at snapshot time
+
+  friend bool operator==(const SessionPoolStats&,
+                         const SessionPoolStats&) = default;
+};
+
+// A bounded free-list of idle sessions over one shared plan. Acquire()
 // reuses an idle session (a Reset, zero heap allocations) or creates a
 // fresh one; Release() returns it. Thread-safe; typical use is one pool
-// per served query with worker threads acquiring per request.
-class SessionPool {
+// per served query (SessionPool) or batch (BatchSessionPool) with worker
+// threads acquiring per request.
+template <typename SessionT, typename PlanT>
+class SessionPoolOf {
  public:
-  // Occupancy-observable pool counters: serving layers drive admission
-  // control and load shedding off `outstanding` (leases currently live)
-  // and `peak_outstanding` (the high-watermark since construction), and
-  // export the whole snapshot through their metrics endpoint.
-  struct Stats {
-    int64_t created = 0;    // sessions constructed from scratch
-    int64_t reused = 0;     // acquisitions served from the free list
-    int64_t destroyed = 0;  // releases dropped because the free list was full
-    int64_t outstanding = 0;       // acquired and not yet released
-    int64_t peak_outstanding = 0;  // occupancy high-watermark
-    int64_t idle = 0;              // free-list size at snapshot time
-
-    friend bool operator==(const Stats&, const Stats&) = default;
-  };
+  using Stats = SessionPoolStats;
 
   // `max_idle` bounds the free list; releases beyond it destroy the
   // session instead (bounding memory under bursty load).
-  explicit SessionPool(std::shared_ptr<const QueryPlan> plan,
-                       size_t max_idle = 64);
+  explicit SessionPoolOf(std::shared_ptr<const PlanT> plan,
+                         size_t max_idle = 64)
+      : plan_(std::move(plan)), max_idle_(max_idle) {}
 
-  std::unique_ptr<Session> Acquire();
-  void Release(std::unique_ptr<Session> session);
+  std::unique_ptr<SessionT> Acquire() {
+    std::unique_ptr<SessionT> session;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!idle_.empty()) {
+        session = std::move(idle_.back());
+        idle_.pop_back();
+        ++stats_.reused;
+      } else {
+        ++stats_.created;
+      }
+      ++stats_.outstanding;
+      if (stats_.outstanding > stats_.peak_outstanding) {
+        stats_.peak_outstanding = stats_.outstanding;
+      }
+    }
+    if (session == nullptr) return std::make_unique<SessionT>(plan_);
+    session->Reset();
+    return session;
+  }
 
-  const std::shared_ptr<const QueryPlan>& plan() const { return plan_; }
-  Stats stats() const;
-  size_t idle() const;
+  void Release(std::unique_ptr<SessionT> session) {
+    if (session == nullptr) return;
+    SST_CHECK(session->plan_ptr() == plan_);
+    std::lock_guard<std::mutex> lock(mu_);
+    --stats_.outstanding;
+    if (idle_.size() < max_idle_) {
+      idle_.push_back(std::move(session));
+    } else {
+      ++stats_.destroyed;
+    }
+  }
+
+  const std::shared_ptr<const PlanT>& plan() const { return plan_; }
+
+  Stats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    Stats snapshot = stats_;
+    snapshot.idle = static_cast<int64_t>(idle_.size());
+    return snapshot;
+  }
+
+  size_t idle() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return idle_.size();
+  }
 
  private:
-  std::shared_ptr<const QueryPlan> plan_;
+  std::shared_ptr<const PlanT> plan_;
   size_t max_idle_;
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Session>> idle_;
+  std::vector<std::unique_ptr<SessionT>> idle_;
   Stats stats_;
 };
+
+using SessionPool = SessionPoolOf<Session, QueryPlan>;
 
 // RAII lease: a Session that returns itself to its pool on destruction.
 class SessionLease {

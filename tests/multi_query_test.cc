@@ -184,14 +184,14 @@ class GenericBatch {
     selector_.set_limits(limits);
   }
   void set_match_sink(MatchSink* sink) {
-    fan_out_ = MatchFanOutSink(sink, plan_.MemberQueryIds());
+    fan_out_ = MatchFanOutSink(sink, &plan_.member_queries());
     selector_.set_match_sink(sink == nullptr ? nullptr : &fan_out_);
   }
   void Reset() { selector_.Reset(); }
   bool Feed(std::string_view chunk) { return selector_.Feed(chunk); }
   bool Finish() { return selector_.Finish(); }
   std::vector<int64_t> query_matches() const {
-    return plan_.ExpandCounts(plan_.MemberCountsToSlots(machine_.counts()));
+    return plan_.QueryCounts(machine_.counts());
   }
   const StreamError& stream_error() const { return selector_.stream_error(); }
   StreamStats stats() const { return selector_.stats(); }
@@ -260,10 +260,17 @@ TEST(MultiQueryPlan, DedupsEquivalentQueriesThroughCanonicalKeys) {
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().hits, 0);
 
-  // Duplicates answer identically through the expansion.
-  std::vector<int64_t> slot_counts = {7, 9};
-  EXPECT_EQ(plan->ExpandCounts(slot_counts),
-            (std::vector<int64_t>{7, 7, 9, 7}));
+  // Duplicates answer identically on a real document, through the
+  // counts, the one-scan walk and the match-event fan-out.
+  const std::string doc = "abBcCacCAA";  // a(b, c, a(c))
+  const std::vector<int64_t> want = {1, 1, 2, 1};
+  BatchSession session(plan);
+  CountingSink sink(plan->num_queries());
+  session.set_match_sink(&sink);
+  ASSERT_TRUE(session.Feed(doc) && session.Finish());
+  EXPECT_EQ(session.query_matches(), want);
+  EXPECT_EQ(sink.counts(), want);
+  EXPECT_EQ(session.CountSelections(doc), want);
 }
 
 TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
@@ -273,7 +280,6 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
                                        MultiQueryOptions{});
   EXPECT_EQ(fused->tier(), MultiTier::kFusedProduct);
   ASSERT_NE(fused->eager(), nullptr);
-  EXPECT_NE(fused->eager_fused(), nullptr);
   EXPECT_EQ(fused->lazy(), nullptr);
   EXPECT_GT(fused->stats().eager_states, 0);
   EXPECT_TRUE(fused->stats().fused_byte_table);
@@ -610,6 +616,20 @@ TEST(BatchSession, OneScanCountsMatchStreaming) {
     ASSERT_TRUE(streamed.ok);
     EXPECT_EQ(batch.CountSelections(doc), streamed.matches) << doc;
   }
+
+  // Letters name tags only in compact markup: xml-lite and term batches
+  // over single-letter labels are not eligible, whatever their members.
+  for (StreamFormat format :
+       {StreamFormat::kXmlLite, StreamFormat::kCompactTerm}) {
+    BatchSession other(MultiQueryPlan::Compile(
+        XPathBatch({"/a//b", "/a//c"}), alphabet, OptionsFor(format)));
+    EXPECT_FALSE(other.one_scan_eligible()) << static_cast<int>(format);
+  }
+  BatchSession xml(MultiQueryPlan::Compile(XPathBatch({"/a//b", "/a//c"}),
+                                           alphabet,
+                                           OptionsFor(StreamFormat::kXmlLite)));
+  ASSERT_TRUE(xml.Feed("<a><b></b><c><b></b></c></a>") && xml.Finish());
+  EXPECT_EQ(xml.query_matches(), (std::vector<int64_t>{2, 1}));
 }
 
 // 8 threads stream the same documents through their own BatchSessions
@@ -635,6 +655,10 @@ void ExpectConcurrentParity(const std::shared_ptr<const MultiQueryPlan>& plan,
       for (const std::string& doc : documents) {
         concurrent[t].push_back(
             DriveBatch(&session, doc, static_cast<size_t>(t) + 1));
+        // The one-scan walk races the streams on the shared lazy product.
+        if (session.one_scan_eligible() && concurrent[t].back().ok) {
+          EXPECT_EQ(session.CountSelections(doc), concurrent[t].back().matches);
+        }
       }
     });
   }

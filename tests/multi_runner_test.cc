@@ -1,18 +1,24 @@
+// The product tier of batch evaluation (dra/multi_runner.h) driven through
+// its public path, MultiQueryPlan + BatchSession: selection masks, the
+// eager and lazy products, the one-scan walk's three branches (fused
+// product byte table, eager rows, lazy product) and streaming parity with
+// each member's own reference run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "automata/alphabet.h"
-#include "automata/product.h"
 #include "automata/selection_mask.h"
 #include "base/rng.h"
 #include "dra/multi_runner.h"
 #include "dra/stream_error.h"
+#include "engine/multi_query.h"
 #include "engine/query_plan.h"
 #include "engine/session.h"
 #include "query/rpq.h"
@@ -24,34 +30,52 @@
 namespace sst {
 namespace {
 
-std::shared_ptr<const QueryPlan> CompileXPath(const std::string& xpath,
-                                              const Alphabet& alphabet,
-                                              PlanOptions options = {}) {
-  return QueryPlan::Compile(Rpq::FromXPath(xpath, alphabet), options);
+BatchQuery XPath(std::string text) {
+  return BatchQuery{QuerySyntax::kXPath, std::move(text)};
 }
 
-// Registerless plans over {a, b, c}: the candidates every other test draws
+std::shared_ptr<const QueryPlan> CompileXPath(const std::string& xpath,
+                                              const Alphabet& alphabet) {
+  return QueryPlan::Compile(Rpq::FromXPath(xpath, alphabet), {});
+}
+
+// Registerless queries over {a, b, c}: the members every other test draws
 // its batches from. Filtered by verdict so the suite never depends on the
 // exact classification of any one query shape.
-std::vector<std::shared_ptr<const QueryPlan>> RegisterlessPlans(
-    const Alphabet& alphabet) {
-  std::vector<std::shared_ptr<const QueryPlan>> plans;
+std::vector<BatchQuery> RegisterlessQueries(const Alphabet& alphabet) {
+  std::vector<BatchQuery> queries;
   for (const char* xpath :
        {"/a//b", "/a//c", "/b//a", "/b//c", "/c//a", "/c//b", "/a", "/b"}) {
     auto plan = CompileXPath(xpath, alphabet);
     if (plan->kind() == EvaluatorKind::kRegisterless &&
         plan->tag_dfa() != nullptr && plan->fused() != nullptr) {
-      plans.push_back(std::move(plan));
+      queries.push_back(XPath(xpath));
     }
   }
-  return plans;
+  return queries;
 }
 
-std::vector<const TagDfa*> Components(
-    const std::vector<std::shared_ptr<const QueryPlan>>& plans) {
-  std::vector<const TagDfa*> components;
-  for (const auto& plan : plans) components.push_back(plan->tag_dfa());
-  return components;
+std::shared_ptr<const MultiQueryPlan> CompileBatch(
+    const std::vector<BatchQuery>& queries, const Alphabet& alphabet,
+    int eager_state_cap = MultiQueryOptions{}.eager_state_cap,
+    int lazy_state_cap = MultiQueryOptions{}.lazy_state_cap) {
+  MultiQueryOptions options;
+  options.eager_state_cap = eager_state_cap;
+  options.lazy_state_cap = lazy_state_cap;
+  return MultiQueryPlan::Compile(queries, alphabet, options);
+}
+
+// Each registerless query's own fused count, in submission order.
+std::vector<int64_t> ScalarCounts(const MultiQueryPlan& plan,
+                                  const std::string& doc) {
+  std::vector<int64_t> counts;
+  for (int q = 0; q < plan.num_queries(); ++q) {
+    counts.push_back(
+        plan.slot_plans()[static_cast<size_t>(plan.slot_of(q))]
+            ->fused()
+            ->CountSelections(doc));
+  }
+  return counts;
 }
 
 std::vector<std::string> MarkupDocuments(const Alphabet& alphabet, int count,
@@ -80,36 +104,51 @@ std::vector<std::string> FaultedMarkupDocuments(const Alphabet& alphabet,
   return documents;
 }
 
-// Streams `doc` through a batch runner under `limits` and checks the
-// outcome against one reference run per member: `references[q]` is member
-// q's own machine. Every member must see the batch's first StreamError,
+bool Drive(BatchSession* session, const std::string& doc, size_t chunk) {
+  session->Reset();
+  bool ok = true;
+  for (size_t i = 0; i < doc.size() && ok; i += chunk) {
+    ok = session->Feed(std::string_view(doc).substr(i, chunk));
+  }
+  return ok && session->Finish();
+}
+
+// Streams `doc` through a batch session under `limits` and checks the
+// outcome against one reference run per query: `references[q]` is query
+// q's own machine. Every query must see the batch's first StreamError,
 // its counters, and its own selection count. Returns whether the batch
 // finished cleanly.
 bool ExpectBatchMatchesReference(
-    MultiTagDfaRunner* runner, const Alphabet& alphabet,
+    BatchSession* session, const Alphabet& alphabet,
     const std::vector<std::unique_ptr<StreamMachine>>& references,
     const std::string& doc, const StreamLimits& limits, size_t chunk) {
-  runner->selector().set_limits(limits);
-  runner->Reset();
-  bool ok = true;
-  for (size_t i = 0; i < doc.size() && ok; i += chunk) {
-    ok = runner->Feed(std::string_view(doc).substr(i, chunk));
-  }
-  ok = ok && runner->Finish();
-  EXPECT_EQ(static_cast<size_t>(runner->num_queries()), references.size());
+  session->set_limits(limits);
+  const bool ok = Drive(session, doc, chunk);
+  EXPECT_EQ(static_cast<size_t>(session->plan().num_queries()),
+            references.size());
   for (size_t q = 0; q < references.size(); ++q) {
     testing::ValidatedRun single = testing::ReferenceValidate(
         references[q].get(), alphabet, doc, limits);
-    EXPECT_EQ(ok, single.ok()) << "member " << q << ": " << doc;
-    EXPECT_EQ(runner->stream_error(), single.error)
-        << "member " << q << ": " << doc;
-    EXPECT_EQ(runner->query_matches()[q], single.matches)
-        << "member " << q << ": " << doc;
-    EXPECT_EQ(runner->selector().nodes(), single.nodes) << doc;
-    EXPECT_EQ(runner->stats().events, single.events) << doc;
-    EXPECT_EQ(runner->stats().max_depth, single.max_depth) << doc;
+    EXPECT_EQ(ok, single.ok()) << "query " << q << ": " << doc;
+    EXPECT_EQ(session->stream_error(), single.error)
+        << "query " << q << ": " << doc;
+    EXPECT_EQ(session->query_matches()[q], single.matches)
+        << "query " << q << ": " << doc;
+    EXPECT_EQ(session->stats().events, single.events) << doc;
+    EXPECT_EQ(session->stats().max_depth, single.max_depth) << doc;
   }
   return ok;
+}
+
+std::vector<std::unique_ptr<StreamMachine>> ReferenceMachines(
+    const MultiQueryPlan& plan) {
+  std::vector<std::unique_ptr<StreamMachine>> references;
+  for (int q = 0; q < plan.num_queries(); ++q) {
+    references.push_back(
+        plan.slot_plans()[static_cast<size_t>(plan.slot_of(q))]
+            ->NewMachine());
+  }
+  return references;
 }
 
 TEST(SelectionMask, NarrowBasics) {
@@ -219,245 +258,168 @@ TEST(SelectionMask, BoundaryWidthsMatchScalarReference) {
   }
 }
 
-// The same boundary, end to end: batches of exactly 64, 65, and 128
-// queries through the product runner, checked per query against the
-// independent scalar (single-query fused) counts.
-TEST(MultiTagDfaRunner, BatchWidth64And65And128MatchScalarReference) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto base = RegisterlessPlans(alphabet);
-  ASSERT_GE(base.size(), 4u);
-  for (int width : {64, 65, 128}) {
-    std::vector<std::shared_ptr<const QueryPlan>> plans;
-    for (int i = 0; i < width; ++i) {
-      plans.push_back(base[static_cast<size_t>(i) % base.size()]);
-    }
-    auto product = BuildTagDfaProduct(Components(plans), 1 << 16);
-    ASSERT_TRUE(product.has_value()) << width;
-    EXPECT_EQ(product->arity, width);
-    EXPECT_EQ(product->narrow, width <= 64);
-
-    MultiTagDfaRunner runner(StreamFormat::kCompactMarkup, &alphabet,
-                             nullptr, &*product, nullptr, nullptr);
-    for (const std::string& doc :
-         MarkupDocuments(alphabet, 10, 200 + static_cast<uint64_t>(width))) {
-      std::vector<int64_t> counts = runner.CountSelections(doc);
-      ASSERT_EQ(counts.size(), static_cast<size_t>(width));
-      for (size_t q = 0; q < counts.size(); ++q) {
-        EXPECT_EQ(counts[q], plans[q]->fused()->CountSelections(doc))
-            << "width " << width << " query " << q << ": " << doc;
-      }
+// The same boundary, end to end: batches of exactly 64, 65, 70 and 128
+// distinct /x//y queries over twelve letters (canonical-key dedup would
+// merge repeats), checked per query against the independent scalar
+// (single-query fused) counts. 64 walks the fused product byte table;
+// wider batches walk the eager product rows with wide masks.
+TEST(BatchSession, WidthBoundaryMatchesScalarReference) {
+  Alphabet alphabet = Alphabet::FromLetters("abcdefghijkl");
+  std::vector<BatchQuery> all;
+  for (char x = 'a'; x <= 'l'; ++x) {
+    for (char y = 'a'; y <= 'l'; ++y) {
+      all.push_back(XPath(std::string("/") + x + "//" + y));
     }
   }
-}
-
-TEST(TagDfaProduct, EagerCountsMatchComponentsOnRandomTrees) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 4u);
-  auto product = BuildTagDfaProduct(Components(plans), 1 << 16);
-  ASSERT_TRUE(product.has_value());
-  EXPECT_EQ(product->arity, static_cast<int>(plans.size()));
-  EXPECT_TRUE(product->narrow);
-
-  MultiTagDfaRunner runner(StreamFormat::kCompactMarkup, &alphabet,
-                           /*tables=*/nullptr, &*product,
-                           /*eager_fused=*/nullptr, /*lazy=*/nullptr);
-  ASSERT_TRUE(runner.one_scan_eligible());
-  EXPECT_EQ(runner.tier(), MultiTier::kFusedProduct);
-  for (const std::string& doc : MarkupDocuments(alphabet, 30, 17)) {
-    std::vector<int64_t> counts = runner.CountSelections(doc);
-    ASSERT_EQ(counts.size(), plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      EXPECT_EQ(counts[i], plans[i]->fused()->CountSelections(doc)) << doc;
+  for (size_t width : {64u, 65u, 70u, 128u}) {
+    auto plan = CompileBatch(
+        std::vector<BatchQuery>(all.begin(), all.begin() + width), alphabet);
+    ASSERT_EQ(plan->tier(), MultiTier::kFusedProduct) << width;
+    ASSERT_EQ(plan->num_slots(), static_cast<int>(width));
+    EXPECT_EQ(plan->eager()->arity, static_cast<int>(width));
+    EXPECT_EQ(plan->eager()->narrow, width <= 64);
+    EXPECT_EQ(plan->stats().fused_byte_table, width <= 64);
+    ASSERT_TRUE(plan->one_scan_eligible());
+    BatchSession session(plan);
+    for (const std::string& doc : MarkupDocuments(alphabet, 10, 200 + width)) {
+      std::vector<int64_t> counts = plan->CountSelections(doc);
+      EXPECT_EQ(counts, ScalarCounts(*plan, doc))
+          << "width " << width << ": " << doc;
+      ASSERT_TRUE(Drive(&session, doc, 7)) << doc;
+      EXPECT_EQ(session.query_matches(), counts) << doc;
     }
-  }
-}
-
-TEST(TagDfaProduct, EagerFusedByteTableMatchesTableFreeWalk) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 2u);
-  auto product = BuildTagDfaProduct(Components(plans), 1 << 16);
-  ASSERT_TRUE(product.has_value());
-  ByteTagDfaRunner fused(product->dfa, alphabet);
-
-  MultiTagDfaRunner with_table(StreamFormat::kCompactMarkup, &alphabet,
-                               nullptr, &*product, &fused, nullptr);
-  MultiTagDfaRunner without_table(StreamFormat::kCompactMarkup, &alphabet,
-                                  nullptr, &*product, nullptr, nullptr);
-  for (const std::string& doc : MarkupDocuments(alphabet, 20, 23)) {
-    EXPECT_EQ(with_table.CountSelections(doc),
-              without_table.CountSelections(doc));
-  }
-  // Junk bytes self-loop in the fused table; both paths must agree there
-  // too (unknown lowercase letters still sample acceptance).
-  for (const char* doc : {"a zb BA", "aq b BA", "a!bB?A"}) {
-    EXPECT_EQ(with_table.CountSelections(doc),
-              without_table.CountSelections(doc))
-        << doc;
   }
 }
 
 TEST(TagDfaProduct, EagerRespectsStateCap) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 2u);
-  EXPECT_FALSE(BuildTagDfaProduct(Components(plans), 1).has_value());
-  EXPECT_TRUE(BuildTagDfaProduct(Components(plans), 1 << 16).has_value());
+  auto plan = CompileBatch(RegisterlessQueries(alphabet), alphabet);
+  ASSERT_GE(plan->num_slots(), 2);
+  std::vector<const TagDfa*> components;
+  for (const auto& slot : plan->slot_plans()) {
+    components.push_back(slot->tag_dfa());
+  }
+  EXPECT_FALSE(BuildTagDfaProduct(components, 1).has_value());
+  EXPECT_TRUE(BuildTagDfaProduct(components, 1 << 16).has_value());
 }
 
-TEST(LazyProduct, MatchesEagerOnRandomTrees) {
+// The one-scan walk's three branches agree with the members' own fused
+// runners on the same registerless queries: the fused product byte table
+// (kFusedProduct), the eager product rows walked beside a DRA side-car
+// (kMixed), and the lazy product. Junk bytes self-loop in the fused table;
+// every branch must agree there too (unknown lowercase letters still
+// sample acceptance).
+TEST(BatchSession, OneScanBranchesMatchComponents) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 4u);
-  auto eager = BuildTagDfaProduct(Components(plans), 1 << 16);
-  ASSERT_TRUE(eager.has_value());
-  LazyTagDfaProduct lazy(Components(plans), 1 << 16);
+  std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
+  ASSERT_GE(queries.size(), 4u);
+  std::vector<BatchQuery> with_dra = queries;
+  with_dra.push_back(XPath("/a/b"));
+  auto fused = CompileBatch(queries, alphabet);
+  auto rows = CompileBatch(with_dra, alphabet);
+  auto lazy = CompileBatch(queries, alphabet, /*eager_state_cap=*/1);
+  ASSERT_TRUE(fused->stats().fused_byte_table);
+  ASSERT_TRUE(fused->eager()->narrow);
+  ASSERT_EQ(rows->tier(), MultiTier::kMixed);
+  ASSERT_NE(rows->eager(), nullptr);
+  ASSERT_EQ(lazy->tier(), MultiTier::kLazyProduct);
+  for (const auto& plan : {fused, rows, lazy}) {
+    ASSERT_TRUE(plan->one_scan_eligible());
+  }
 
-  MultiTagDfaRunner eager_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                 nullptr, &*eager, nullptr, nullptr);
-  MultiTagDfaRunner lazy_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                nullptr, nullptr, nullptr, &lazy);
-  EXPECT_EQ(lazy_runner.tier(), MultiTier::kLazyProduct);
-  for (const std::string& doc : MarkupDocuments(alphabet, 30, 31)) {
-    EXPECT_EQ(eager_runner.CountSelections(doc),
-              lazy_runner.CountSelections(doc))
-        << doc;
+  std::vector<std::string> documents = MarkupDocuments(alphabet, 30, 17);
+  for (const char* doc : {"a zb BA", "aq b BA", "a!bB?A"}) {
+    documents.push_back(doc);
+  }
+  for (const std::string& doc : documents) {
+    std::vector<int64_t> want = ScalarCounts(*fused, doc);
+    EXPECT_EQ(fused->CountSelections(doc), want) << doc;
+    std::vector<int64_t> beside_dra = rows->CountSelections(doc);
+    beside_dra.pop_back();  // the DRA member
+    EXPECT_EQ(beside_dra, want) << doc;
+    EXPECT_EQ(lazy->CountSelections(doc), want) << doc;
   }
   // Only reached states materialized, and never more than the full product.
-  EXPECT_GT(lazy.num_states(), 0);
-  EXPECT_LE(lazy.num_states(), eager->dfa.num_states);
-  EXPECT_FALSE(lazy.overflowed());
+  EXPECT_GT(lazy->stats().lazy_states, 0);
+  EXPECT_LE(lazy->stats().lazy_states, fused->stats().eager_states);
+  EXPECT_FALSE(lazy->stats().lazy_overflowed);
 }
 
 TEST(LazyProduct, OverflowDemotesToWideModeWithIdenticalCounts) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 4u);
-  auto eager = BuildTagDfaProduct(Components(plans), 1 << 16);
-  ASSERT_TRUE(eager.has_value());
-  ASSERT_GT(eager->dfa.num_states, 2);
-
+  std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
+  ASSERT_GE(queries.size(), 4u);
+  auto eager = CompileBatch(queries, alphabet);
+  ASSERT_GT(eager->stats().eager_states, 2);
   // A cap below the reachable product forces mid-stream demotion.
-  LazyTagDfaProduct lazy(Components(plans), 2);
-  MultiTagDfaRunner eager_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                 nullptr, &*eager, nullptr, nullptr);
-  MultiTagDfaRunner lazy_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                nullptr, nullptr, nullptr, &lazy);
+  auto lazy = CompileBatch(queries, alphabet, /*eager_state_cap=*/1,
+                           /*lazy_state_cap=*/2);
   for (const std::string& doc : MarkupDocuments(alphabet, 30, 37)) {
-    EXPECT_EQ(eager_runner.CountSelections(doc),
-              lazy_runner.CountSelections(doc))
+    EXPECT_EQ(eager->CountSelections(doc), lazy->CountSelections(doc))
         << doc;
   }
-  EXPECT_TRUE(lazy.overflowed());
-  EXPECT_LE(lazy.num_states(), 2);
+  EXPECT_TRUE(lazy->stats().lazy_overflowed);
+  EXPECT_LE(lazy->stats().lazy_states, 2);
 
-  // The chunked front-end latches wide mode per stream and reports it.
+  // The streaming session latches wide mode per stream and reports it.
+  BatchSession session(lazy);
   std::string doc = MarkupDocuments(alphabet, 1, 41).front();
-  ASSERT_TRUE(lazy_runner.Feed(doc) && lazy_runner.Finish());
-  EXPECT_EQ(lazy_runner.active_tier(), MultiTier::kIndependent);
-  lazy_runner.Reset();
-  EXPECT_EQ(lazy_runner.active_tier(), MultiTier::kLazyProduct);
+  ASSERT_TRUE(Drive(&session, doc, doc.size()));
+  EXPECT_EQ(session.active_tier(), MultiTier::kIndependent);
+  session.Reset();
+  EXPECT_EQ(session.active_tier(), MultiTier::kLazyProduct);
 }
 
-TEST(MultiTagDfaRunner, ChunkedFeedMatchesIndependentSelectors) {
+TEST(BatchSession, EagerAndLazyStreamingMatchPerMemberReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 4u);
-  auto eager = BuildTagDfaProduct(Components(plans), 1 << 16);
-  ASSERT_TRUE(eager.has_value());
-  MultiTagDfaRunner runner(StreamFormat::kCompactMarkup, &alphabet, nullptr,
-                           &*eager, nullptr, nullptr);
-
-  std::vector<std::unique_ptr<Session>> sessions;
-  for (const auto& plan : plans) {
-    sessions.push_back(std::make_unique<Session>(plan));
-  }
-
-  for (const std::string& doc : MarkupDocuments(alphabet, 30, 43)) {
-    for (size_t chunk : {size_t{1}, size_t{3}, size_t{16}}) {
-      runner.Reset();
-      bool ok = true;
-      for (size_t i = 0; i < doc.size() && ok; i += chunk) {
-        ok = runner.Feed(std::string_view(doc).substr(i, chunk));
-      }
-      if (ok) ok = runner.Finish();
-      ASSERT_TRUE(ok) << doc;
-      for (size_t q = 0; q < plans.size(); ++q) {
-        sessions[q]->Reset();
-        bool session_ok = true;
-        for (size_t i = 0; i < doc.size() && session_ok; i += chunk) {
-          session_ok =
-              sessions[q]->Feed(std::string_view(doc).substr(i, chunk));
-        }
-        ASSERT_TRUE(session_ok && sessions[q]->Finish());
-        EXPECT_EQ(runner.query_matches()[q], sessions[q]->matches())
-            << "query " << q << " chunk " << chunk << " doc " << doc;
-      }
-    }
-  }
-}
-
-TEST(MultiTagDfaRunner, EagerAndLazyStreamingMatchPerMemberReference) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 4u);
-  auto eager = BuildTagDfaProduct(Components(plans), 1 << 16);
-  ASSERT_TRUE(eager.has_value());
-  ByteTagDfaRunner fused(eager->dfa, alphabet);
-  LazyTagDfaProduct lazy(Components(plans), 1 << 16);
-  MultiTagDfaRunner eager_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                 nullptr, &*eager, &fused, nullptr);
-  MultiTagDfaRunner lazy_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                nullptr, nullptr, nullptr, &lazy);
-  ASSERT_EQ(eager_runner.tier(), MultiTier::kFusedProduct);
-  ASSERT_EQ(lazy_runner.tier(), MultiTier::kLazyProduct);
-  std::vector<std::unique_ptr<StreamMachine>> references;
-  for (const auto& plan : plans) references.push_back(plan->NewMachine());
+  std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
+  ASSERT_GE(queries.size(), 4u);
+  auto eager_plan = CompileBatch(queries, alphabet);
+  auto lazy_plan = CompileBatch(queries, alphabet, /*eager_state_cap=*/1);
+  ASSERT_EQ(eager_plan->tier(), MultiTier::kFusedProduct);
+  ASSERT_EQ(lazy_plan->tier(), MultiTier::kLazyProduct);
+  BatchSession eager(eager_plan);
+  BatchSession lazy(lazy_plan);
+  std::vector<std::unique_ptr<StreamMachine>> references =
+      ReferenceMachines(*eager_plan);
 
   for (const StreamLimits& limits : testing::LimitSweep()) {
     for (const std::string& doc : FaultedMarkupDocuments(alphabet, 30, 59)) {
       for (size_t chunk : {size_t{3}, std::max<size_t>(doc.size(), 1)}) {
-        ExpectBatchMatchesReference(&eager_runner, alphabet, references, doc,
-                                    limits, chunk);
-        ExpectBatchMatchesReference(&lazy_runner, alphabet, references, doc,
-                                    limits, chunk);
+        ExpectBatchMatchesReference(&eager, alphabet, references, doc, limits,
+                                    chunk);
+        ExpectBatchMatchesReference(&lazy, alphabet, references, doc, limits,
+                                    chunk);
       }
     }
   }
 }
 
-// Satellite audit: a stream that demotes to wide mode MID-chunk must
-// report the same first StreamError (code + offset) as a run that was
-// wide from its very first event, and as the independent per-query
-// sessions — demotion may never move or change the error.
-TEST(MultiTagDfaRunner, WideDemotionMidChunkKeepsFirstErrorParity) {
+// A stream that demotes to wide mode MID-chunk must report the same first
+// StreamError (code + offset) as a run that was wide from its very first
+// event, and as the independent per-query sessions — demotion may never
+// move or change the error.
+TEST(BatchSession, WideDemotionMidChunkKeepsFirstErrorParity) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 4u);
+  std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
+  ASSERT_GE(queries.size(), 4u);
   // Cap 2: the stream runs dense for a couple of states, then demotes
   // mid-document. Cap 1: the very first transition overflows, so the
   // stream is effectively wide from scratch.
-  LazyTagDfaProduct lazy_mid(Components(plans), 2);
-  LazyTagDfaProduct lazy_scratch(Components(plans), 1);
-  MultiTagDfaRunner mid(StreamFormat::kCompactMarkup, &alphabet, nullptr,
-                        nullptr, nullptr, &lazy_mid);
-  MultiTagDfaRunner scratch(StreamFormat::kCompactMarkup, &alphabet, nullptr,
-                            nullptr, nullptr, &lazy_scratch);
+  auto mid_plan = CompileBatch(queries, alphabet, 1, /*lazy_state_cap=*/2);
+  auto scratch_plan = CompileBatch(queries, alphabet, 1, /*lazy_state_cap=*/1);
+  BatchSession mid(mid_plan);
+  BatchSession scratch(scratch_plan);
+  Session first(mid_plan->slot_plans().front());
 
-  std::vector<std::unique_ptr<Session>> sessions;
-  for (const auto& plan : plans) {
-    sessions.push_back(std::make_unique<Session>(plan));
-  }
-
-  auto drive = [](auto* target, const std::string& doc, size_t chunk) {
+  auto drive_session = [](Session* target, const std::string& doc,
+                          size_t chunk) {
     target->Reset();
     bool ok = true;
     for (size_t i = 0; i < doc.size() && ok; i += chunk) {
       ok = target->Feed(std::string_view(doc).substr(i, chunk));
     }
-    if (ok) ok = target->Finish();
-    return ok;
+    return ok && target->Finish();
   };
 
   FaultInjector injector(73);
@@ -467,153 +429,57 @@ TEST(MultiTagDfaRunner, WideDemotionMidChunkKeepsFirstErrorParity) {
       std::string mutated = doc;
       injector.Apply(static_cast<FaultKind>(kind), &mutated);
       for (size_t chunk : {size_t{3}, size_t{16}}) {
-        bool mid_ok = drive(&mid, mutated, chunk);
-        bool scratch_ok = drive(&scratch, mutated, chunk);
+        bool mid_ok = Drive(&mid, mutated, chunk);
+        bool scratch_ok = Drive(&scratch, mutated, chunk);
         EXPECT_EQ(mid_ok, scratch_ok) << mutated;
-        EXPECT_EQ(mid.stream_error().code, scratch.stream_error().code)
-            << mutated;
-        EXPECT_EQ(mid.stream_error().offset, scratch.stream_error().offset)
-            << mutated;
+        EXPECT_EQ(mid.stream_error(), scratch.stream_error()) << mutated;
         EXPECT_EQ(mid.query_matches(), scratch.query_matches()) << mutated;
-        saw_mid_demotion |=
-            mid.active_tier() == MultiTier::kIndependent;
+        saw_mid_demotion |= mid.active_tier() == MultiTier::kIndependent;
 
         // And both agree with the per-query reference sessions.
-        bool session_ok = drive(sessions.front().get(), mutated, chunk);
-        EXPECT_EQ(mid_ok, session_ok) << mutated;
-        EXPECT_EQ(mid.stream_error().code,
-                  sessions.front()->stream_error().code)
-            << mutated;
-        EXPECT_EQ(mid.stream_error().offset,
-                  sessions.front()->stream_error().offset)
-            << mutated;
+        EXPECT_EQ(mid_ok, drive_session(&first, mutated, chunk)) << mutated;
+        EXPECT_EQ(mid.stream_error(), first.stream_error()) << mutated;
       }
     }
   }
   EXPECT_TRUE(saw_mid_demotion);
-  EXPECT_TRUE(lazy_mid.overflowed());
+  EXPECT_TRUE(mid_plan->stats().lazy_overflowed);
 }
 
 // Mixed batch (registerless product + fused DRAs) streaming: same first
-// error, same counters, and per-member counts equal to each member's own
-// reference run; clean documents also agree with the one-scan entry point.
-TEST(MultiTagDfaRunner, MixedBatchStreamingMatchesPerMemberReference) {
+// error, same counters, and per-query counts equal to each query's own
+// reference run; clean documents also agree with the one-scan walk.
+TEST(BatchSession, MixedBatchStreamingMatchesPerMemberReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto product_plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(product_plans.size(), 2u);
-  product_plans.resize(2);
-  std::vector<std::shared_ptr<const QueryPlan>> dra_plans;
+  std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
+  ASSERT_GE(queries.size(), 2u);
+  queries.resize(2);
   for (const char* xpath : {"/a/b", "/b/*//c"}) {
     auto plan = CompileXPath(xpath, alphabet);
     ASSERT_EQ(plan->kind(), EvaluatorKind::kStackless) << xpath;
     ASSERT_NE(plan->fused_dra(), nullptr) << xpath;
-    dra_plans.push_back(std::move(plan));
+    queries.push_back(XPath(xpath));
   }
-  auto eager = BuildTagDfaProduct(Components(product_plans), 1 << 16);
-  ASSERT_TRUE(eager.has_value());
-  std::vector<const ByteDraRunner*> dras;
-  for (const auto& plan : dra_plans) dras.push_back(plan->fused_dra());
-
-  MultiTagDfaRunner runner(StreamFormat::kCompactMarkup, &alphabet, nullptr,
-                           &*eager, nullptr, nullptr, dras);
-  EXPECT_EQ(runner.tier(), MultiTier::kMixed);
-  ASSERT_TRUE(runner.one_scan_eligible());
-  // Members in batch order: product bits first, then the DRA members.
-  std::vector<std::unique_ptr<StreamMachine>> references;
-  for (const auto& plan : product_plans) {
-    references.push_back(plan->NewMachine());
-  }
-  for (const auto& plan : dra_plans) references.push_back(plan->NewMachine());
+  auto plan = CompileBatch(queries, alphabet);
+  ASSERT_EQ(plan->tier(), MultiTier::kMixed);
+  ASSERT_EQ(plan->stats().stackless_members, 2);
+  ASSERT_TRUE(plan->one_scan_eligible());
+  BatchSession session(plan);
+  std::vector<std::unique_ptr<StreamMachine>> references =
+      ReferenceMachines(*plan);
 
   for (const StreamLimits& limits : testing::LimitSweep()) {
     for (const std::string& doc : FaultedMarkupDocuments(alphabet, 30, 79)) {
       for (size_t chunk : {size_t{3}, std::max<size_t>(doc.size(), 1)}) {
-        bool ok = ExpectBatchMatchesReference(&runner, alphabet, references,
+        bool ok = ExpectBatchMatchesReference(&session, alphabet, references,
                                               doc, limits, chunk);
         if (ok) {
-          EXPECT_EQ(runner.CountSelections(doc), runner.query_matches())
+          EXPECT_EQ(session.CountSelections(doc), session.query_matches())
               << doc;
         }
       }
     }
   }
-}
-
-TEST(MultiTagDfaRunner, WideBatchesBeyond64Queries) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto base = RegisterlessPlans(alphabet);
-  ASSERT_GE(base.size(), 4u);
-  // 70 queries cycling the base set: duplicated components stay in
-  // lockstep, so the product stays small while the masks go wide.
-  std::vector<std::shared_ptr<const QueryPlan>> plans;
-  for (int i = 0; i < 70; ++i) plans.push_back(base[i % base.size()]);
-  auto product = BuildTagDfaProduct(Components(plans), 1 << 16);
-  ASSERT_TRUE(product.has_value());
-  EXPECT_EQ(product->arity, 70);
-  EXPECT_FALSE(product->narrow);
-
-  MultiTagDfaRunner runner(StreamFormat::kCompactMarkup, &alphabet, nullptr,
-                           &*product, nullptr, nullptr);
-  for (const std::string& doc : MarkupDocuments(alphabet, 10, 61)) {
-    std::vector<int64_t> counts = runner.CountSelections(doc);
-    ASSERT_EQ(counts.size(), 70u);
-    for (size_t q = 0; q < counts.size(); ++q) {
-      EXPECT_EQ(counts[q],
-                plans[q]->fused()->CountSelections(doc))
-          << "query " << q << ": " << doc;
-    }
-  }
-}
-
-TEST(MultiTagDfaRunner, ConcurrentStreamsShareOneLazyProduct) {
-  constexpr int kThreads = 8;
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  auto plans = RegisterlessPlans(alphabet);
-  ASSERT_GE(plans.size(), 4u);
-  LazyTagDfaProduct lazy(Components(plans), 1 << 16);
-  std::vector<std::string> documents = MarkupDocuments(alphabet, 40, 67);
-
-  // Per-query reference from the independent fused runners.
-  std::vector<std::vector<int64_t>> expected;
-  for (const std::string& doc : documents) {
-    std::vector<int64_t> counts;
-    for (const auto& plan : plans) {
-      counts.push_back(plan->fused()->CountSelections(doc));
-    }
-    expected.push_back(std::move(counts));
-  }
-
-  // Every thread streams the whole corpus, racing to materialize product
-  // states; each must still see exact per-query counts.
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      MultiTagDfaRunner runner(StreamFormat::kCompactMarkup, &alphabet,
-                               nullptr, nullptr, nullptr, &lazy);
-      size_t chunk = static_cast<size_t>(t) + 1;
-      for (size_t d = 0; d < documents.size(); ++d) {
-        const std::string& doc = documents[d];
-        runner.Reset();
-        bool ok = true;
-        for (size_t i = 0; i < doc.size() && ok; i += chunk) {
-          ok = runner.Feed(std::string_view(doc).substr(i, chunk));
-        }
-        if (!(ok && runner.Finish()) ||
-            runner.query_matches() != expected[d]) {
-          ++mismatches[static_cast<size_t>(t)];
-        }
-        if (runner.CountSelections(doc) != expected[d]) {
-          ++mismatches[static_cast<size_t>(t)];
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
-  }
-  EXPECT_FALSE(lazy.overflowed());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -21,9 +22,9 @@
 #include "dra/byte_dra_runner.h"
 #include "dra/byte_runner.h"
 #include "dra/machine.h"
-#include "dra/multi_runner.h"
 #include "dra/streaming.h"
 #include "dra/tag_dfa.h"
+#include "engine/multi_query.h"
 #include "engine/query_plan.h"
 #include "eval/registerless_query.h"
 #include "query/rpq.h"
@@ -181,92 +182,83 @@ TEST(StructuralIndex, StacklessDraCountsMatchPerByte) {
 // Multi-query tiers: every rung's one-scan counts vs N independent
 // per-byte runners over the same bytes.
 
-TEST(StructuralIndex, MultiQueryCountsMatchIndependentPerByteRunners) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  std::vector<std::shared_ptr<const QueryPlan>> plans;
-  for (const char* xpath : {"/a//b", "/b//c", "/c//a", "/a", "/b"}) {
+// The XPaths among `xpaths` whose own plan has `kind` and a fused runner
+// (ByteTagDfaRunner for registerless, ByteDraRunner for stackless).
+std::vector<BatchQuery> FusedQueries(std::initializer_list<const char*> xpaths,
+                                     EvaluatorKind kind,
+                                     const Alphabet& alphabet) {
+  std::vector<BatchQuery> queries;
+  for (const char* xpath : xpaths) {
     auto plan = QueryPlan::Compile(Rpq::FromXPath(xpath, alphabet), {});
-    if (plan->kind() == EvaluatorKind::kRegisterless &&
-        plan->tag_dfa() != nullptr && plan->fused() != nullptr) {
-      plans.push_back(std::move(plan));
+    if (plan->kind() == kind &&
+        (plan->fused() != nullptr || plan->fused_dra() != nullptr)) {
+      queries.push_back(BatchQuery{QuerySyntax::kXPath, xpath});
     }
   }
-  ASSERT_GE(plans.size(), 3u);
-  std::vector<const TagDfa*> components;
-  for (const auto& plan : plans) components.push_back(plan->tag_dfa());
+  return queries;
+}
 
-  auto eager = BuildTagDfaProduct(components, /*state_cap=*/4096);
-  ASSERT_TRUE(eager.has_value());
-  ByteTagDfaRunner eager_fused(eager->dfa, alphabet);
-  MultiTagDfaRunner fused_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                 nullptr, &*eager, &eager_fused, nullptr);
-  ASSERT_TRUE(fused_runner.one_scan_eligible());
+// Each member's per-byte count over `bytes`, in submission order.
+std::vector<int64_t> PerByteCounts(const MultiQueryPlan& batch,
+                                   const std::string& bytes) {
+  std::vector<int64_t> counts;
+  for (int q = 0; q < batch.num_queries(); ++q) {
+    const QueryPlan& plan =
+        *batch.slot_plans()[static_cast<size_t>(batch.slot_of(q))];
+    counts.push_back(plan.fused() != nullptr
+                         ? plan.fused()->CountSelectionsPerByte(bytes)
+                         : plan.fused_dra()->CountSelectionsPerByte(bytes));
+  }
+  return counts;
+}
 
-  LazyTagDfaProduct lazy(components, /*state_cap=*/4096);
-  MultiTagDfaRunner lazy_runner(StreamFormat::kCompactMarkup, &alphabet,
-                                nullptr, nullptr, nullptr, &lazy);
+TEST(StructuralIndex, MultiQueryCountsMatchIndependentPerByteRunners) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  std::vector<BatchQuery> queries =
+      FusedQueries({"/a//b", "/b//c", "/c//a", "/a", "/b"},
+                   EvaluatorKind::kRegisterless, alphabet);
+  ASSERT_GE(queries.size(), 3u);
+  MultiQueryOptions lazy_options;
+  lazy_options.eager_state_cap = 1;
+  auto fused = MultiQueryPlan::Compile(queries, alphabet, {});
+  auto lazy = MultiQueryPlan::Compile(queries, alphabet, lazy_options);
+  ASSERT_TRUE(fused->stats().fused_byte_table);
+  ASSERT_TRUE(fused->one_scan_eligible());
+  ASSERT_EQ(lazy->tier(), MultiTier::kLazyProduct);
 
   Rng rng(2213);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
   for (size_t t = 0; t < trees.size(); ++t) {
     std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
     for (const std::string& bytes : Variants(doc, t * 1543 + 41)) {
-      std::vector<int64_t> expected;
-      for (const auto& plan : plans) {
-        expected.push_back(plan->fused()->CountSelectionsPerByte(bytes));
-      }
-      EXPECT_EQ(fused_runner.CountSelections(bytes), expected)
-          << "tree=" << t;
-      EXPECT_EQ(lazy_runner.CountSelections(bytes), expected) << "tree=" << t;
+      std::vector<int64_t> expected = PerByteCounts(*fused, bytes);
+      EXPECT_EQ(fused->CountSelections(bytes), expected) << "tree=" << t;
+      EXPECT_EQ(lazy->CountSelections(bytes), expected) << "tree=" << t;
     }
   }
 }
 
 TEST(StructuralIndex, MixedBatchCountsMatchPerByteReferences) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  std::vector<std::shared_ptr<const QueryPlan>> reg_plans;
-  for (const char* xpath : {"/a//b", "/b//c"}) {
-    auto plan = QueryPlan::Compile(Rpq::FromXPath(xpath, alphabet), {});
-    if (plan->kind() == EvaluatorKind::kRegisterless &&
-        plan->fused() != nullptr) {
-      reg_plans.push_back(std::move(plan));
-    }
-  }
-  std::vector<std::shared_ptr<const QueryPlan>> dra_plans;
-  for (const char* xpath : {"/a/b", "/a/b//c", "/c/a"}) {
-    auto plan = QueryPlan::Compile(Rpq::FromXPath(xpath, alphabet), {});
-    if (plan->kind() == EvaluatorKind::kStackless &&
-        plan->fused_dra() != nullptr) {
-      dra_plans.push_back(std::move(plan));
-    }
-  }
-  if (reg_plans.size() < 2 || dra_plans.empty()) {
+  std::vector<BatchQuery> reg = FusedQueries(
+      {"/a//b", "/b//c"}, EvaluatorKind::kRegisterless, alphabet);
+  std::vector<BatchQuery> dra = FusedQueries(
+      {"/a/b", "/a/b//c", "/c/a"}, EvaluatorKind::kStackless, alphabet);
+  if (reg.size() < 2 || dra.empty()) {
     GTEST_SKIP() << "query shapes reclassified; mixed batch unavailable";
   }
-  std::vector<const TagDfa*> components;
-  for (const auto& plan : reg_plans) components.push_back(plan->tag_dfa());
-  auto eager = BuildTagDfaProduct(components, /*state_cap=*/4096);
-  ASSERT_TRUE(eager.has_value());
-  ByteTagDfaRunner eager_fused(eager->dfa, alphabet);
-  std::vector<const ByteDraRunner*> dras;
-  for (const auto& plan : dra_plans) dras.push_back(plan->fused_dra());
-  MultiTagDfaRunner mixed(StreamFormat::kCompactMarkup, &alphabet, nullptr,
-                          &*eager, &eager_fused, nullptr, dras);
-  ASSERT_EQ(mixed.tier(), MultiTier::kMixed);
+  reg.insert(reg.end(), dra.begin(), dra.end());
+  auto mixed = MultiQueryPlan::Compile(reg, alphabet, {});
+  ASSERT_EQ(mixed->tier(), MultiTier::kMixed);
+  ASSERT_TRUE(mixed->one_scan_eligible());
 
   Rng rng(2217);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
   for (size_t t = 0; t < trees.size(); ++t) {
     std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
     for (const std::string& bytes : Variants(doc, t * 2689 + 13)) {
-      std::vector<int64_t> expected;
-      for (const auto& plan : reg_plans) {
-        expected.push_back(plan->fused()->CountSelectionsPerByte(bytes));
-      }
-      for (const ByteDraRunner* dra : dras) {
-        expected.push_back(dra->CountSelectionsPerByte(bytes));
-      }
-      EXPECT_EQ(mixed.CountSelections(bytes), expected) << "tree=" << t;
+      EXPECT_EQ(mixed->CountSelections(bytes), PerByteCounts(*mixed, bytes))
+          << "tree=" << t;
     }
   }
 }
