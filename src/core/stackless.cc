@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "base/check.h"
 #include "eval/adapters.h"
 #include "eval/al_recognizer.h"
 #include "eval/el_synopsis.h"
@@ -50,43 +51,22 @@ class OwningStackMachine final : public StreamMachine {
   void OnClose(Symbol symbol) override { inner_.OnClose(symbol); }
   bool InAcceptingState() const override { return inner_.InAcceptingState(); }
 
-  // Checkpoint protocol and stack diagnostics pass through to the pooled
-  // evaluator (see BorrowingStackMachine in engine/query_plan.cc).
-  bool SaveConfig(std::vector<int64_t>* out) override {
-    return inner_.SaveConfig(out);
-  }
-  bool RestoreConfig(const std::vector<int64_t>& config) override {
-    return inner_.RestoreConfig(config);
-  }
-  bool ConfigEqualsCurrent(const std::vector<int64_t>& config) const override {
-    return inner_.ConfigEqualsCurrent(config);
-  }
-  void ReleaseConfig(const std::vector<int64_t>& config) override {
-    inner_.ReleaseConfig(config);
-  }
-  int64_t StackDepthPeak() const override { return inner_.StackDepthPeak(); }
-  int64_t StackUnderflowCloses() const override {
-    return inner_.StackUnderflowCloses();
-  }
-
  private:
   Dfa dfa_;
   StackQueryEvaluator inner_;
 };
 
+// The query machine an ExistsAdapter/ForallAdapter wraps: the stackless
+// evaluator or the stack baseline (the registerless tier materializes its
+// recognizer directly).
 std::unique_ptr<StreamMachine> MakeQueryMachine(const Dfa& minimal,
                                                 EvaluatorKind kind,
                                                 bool blind) {
-  switch (kind) {
-    case EvaluatorKind::kRegisterless:
-      return std::make_unique<OwningTagDfaMachine>(
-          BuildRegisterlessQueryAutomaton(minimal, blind));
-    case EvaluatorKind::kStackless:
-      return std::make_unique<StacklessQueryEvaluator>(minimal, blind);
-    case EvaluatorKind::kStackBaseline:
-      return std::make_unique<OwningStackMachine>(minimal);
+  if (kind == EvaluatorKind::kStackless) {
+    return std::make_unique<StacklessQueryEvaluator>(minimal, blind);
   }
-  return nullptr;
+  SST_CHECK(kind == EvaluatorKind::kStackBaseline);
+  return std::make_unique<OwningStackMachine>(minimal);
 }
 
 }  // namespace

@@ -118,6 +118,12 @@ ScannerTables ScannerTables::Build(StreamFormat format,
   return tables;
 }
 
+bool FusedByteTableEligible(StreamFormat format, const TagDfa& dfa,
+                            const Alphabet& alphabet) {
+  return format == StreamFormat::kCompactMarkup &&
+         alphabet.size() <= dfa.num_symbols && alphabet.CompactLabels();
+}
+
 StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
                                      const Alphabet* alphabet)
     : machine_(machine), format_(format), alphabet_(alphabet) {
@@ -126,11 +132,7 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
   tables_ = owned_tables_.get();
   labels_.assign(kDepthReserve + 2, kNoLabel);
   if (const TagDfa* dfa = machine_->ExportTagDfa()) {
-    // The fused table is keyed by the raw byte, so the format must be
-    // compact markup and every symbol the stream can mention a single
-    // lowercase letter covered by the automaton.
-    if (format_ == Format::kCompactMarkup &&
-        alphabet_->size() <= dfa->num_symbols && alphabet_->CompactLabels()) {
+    if (FusedByteTableEligible(format_, *dfa, *alphabet_)) {
       owned_fused_ = std::make_unique<ByteTagDfaRunner>(*dfa, *alphabet_);
       fused_ = owned_fused_.get();
     }
@@ -249,35 +251,16 @@ void StreamingSelector::RecordMatch(int64_t start, int64_t certainty) {
   member_scratch_.clear();
   machine_->AppendSelectedMembers(&member_scratch_);
   for (int32_t member : member_scratch_) {
-    recorder_.OnMatch(member, depth_, start, certainty);
+    recorder_.OnMatch(member, run_.depth, start, certainty);
   }
 }
 
 void StreamingSelector::Reset() {
   machine_->Reset();
-  tag_len_ = 0;
-  in_tag_ = false;
-  tag_first_ = false;
-  tag_closing_ = false;
-  have_pending_ = false;
-  pending_byte_ = 0;
-  pending_offset_ = -1;
-  tag_start_ = -1;
-  in_skip_ = false;
-  skip_depth_ = 0;
-  chunk_base_ = 0;
-  bytes_fed_ = 0;
-  chunks_fed_ = 0;
-  events_ = 0;
-  nodes_ = 0;
-  matches_ = 0;
-  depth_ = 0;
-  max_depth_ = 0;
-  errors_recovered_ = 0;
-  subtrees_skipped_ = 0;
-  error_offset_ = -1;
-  saw_root_ = false;
+  run_ = RunState{};
   failed_ = false;
+  // The error history is cleared in place, so a pooled selector's Reset
+  // keeps its capacity and allocates nothing.
   stream_error_ = StreamError{};
   error_.clear();
   recovered_errors_.clear();
@@ -292,28 +275,11 @@ bool StreamingSelector::SaveCheckpoint(SelectorCheckpoint* out) {
   // never buffer, so this rejects only span-collecting configurations.
   if (recorder_.pending() > 0) return false;
   if (!machine_->SaveConfig(&out->machine_config)) return false;
-  out->open_labels.assign(labels_.begin() + 1, labels_.begin() + 1 + depth_);
-  out->tag_buf.assign(tag_buf_, tag_len_);
-  out->in_tag = in_tag_;
-  out->tag_first = tag_first_;
-  out->tag_closing = tag_closing_;
-  out->have_pending = have_pending_;
-  out->pending_byte = pending_byte_;
-  out->pending_offset = pending_offset_;
-  out->tag_start = tag_start_;
-  out->in_skip = in_skip_;
-  out->skip_depth = skip_depth_;
-  out->bytes_fed = bytes_fed_;
-  out->chunks_fed = chunks_fed_;
-  out->events = events_;
-  out->nodes = nodes_;
-  out->matches = matches_;
-  out->depth = depth_;
-  out->errors_recovered = errors_recovered_;
-  out->subtrees_skipped = subtrees_skipped_;
-  out->error_offset = error_offset_;
-  out->saw_root = saw_root_;
-  out->machine_underflows = machine_->StackUnderflowCloses();
+  out->open_labels.assign(labels_.begin() + 1,
+                          labels_.begin() + 1 + run_.depth);
+  out->run = run_;
+  if (!run_.token.open) out->run.token = PartialToken{};
+  out->token_bytes.assign(token_buf_, out->run.token.len);
   out->stream_error = stream_error_;
   out->recovered = recovered_errors_;
   return true;
@@ -321,35 +287,18 @@ bool StreamingSelector::SaveCheckpoint(SelectorCheckpoint* out) {
 
 bool StreamingSelector::RestoreCheckpoint(const SelectorCheckpoint& cp) {
   if (!machine_->RestoreConfig(cp.machine_config)) return false;
-  SST_CHECK(static_cast<int64_t>(cp.open_labels.size()) == cp.depth);
+  SST_CHECK(static_cast<int64_t>(cp.open_labels.size()) == cp.run.depth);
+  SST_CHECK(cp.token_bytes.size() == cp.run.token.len &&
+            cp.run.token.len <= kMaxTagBytes);
   if (labels_.size() < cp.open_labels.size() + 2) {
     labels_.resize(cp.open_labels.size() + 2);
   }
   std::copy(cp.open_labels.begin(), cp.open_labels.end(), labels_.begin() + 1);
-  SST_CHECK(cp.tag_buf.size() <= kMaxTagBytes);
-  std::memcpy(tag_buf_, cp.tag_buf.data(), cp.tag_buf.size());
-  tag_len_ = static_cast<uint32_t>(cp.tag_buf.size());
-  in_tag_ = cp.in_tag;
-  tag_first_ = cp.tag_first;
-  tag_closing_ = cp.tag_closing;
-  have_pending_ = cp.have_pending;
-  pending_byte_ = cp.pending_byte;
-  pending_offset_ = cp.pending_offset;
-  tag_start_ = cp.tag_start;
-  in_skip_ = cp.in_skip;
-  skip_depth_ = cp.skip_depth;
-  chunk_base_ = cp.bytes_fed;
-  bytes_fed_ = cp.bytes_fed;
-  chunks_fed_ = cp.chunks_fed;
-  events_ = cp.events;
-  nodes_ = cp.nodes;
-  matches_ = cp.matches;
-  depth_ = cp.depth;
-  max_depth_ = cp.depth;  // segment-peak accounting: TakeSegmentPeakDepth
-  errors_recovered_ = cp.errors_recovered;
-  subtrees_skipped_ = cp.subtrees_skipped;
-  error_offset_ = cp.error_offset;
-  saw_root_ = cp.saw_root;
+  std::memcpy(token_buf_, cp.token_bytes.data(), cp.token_bytes.size());
+  run_ = cp.run;
+  // Segment-peak accounting (TakeSegmentPeakDepth): the running peak
+  // restarts at the restored depth.
+  run_.counters.max_depth = run_.depth;
   failed_ = false;
   stream_error_ = cp.stream_error;
   error_ = stream_error_.ok() ? std::string() : stream_error_.Render(alphabet_);
@@ -364,22 +313,21 @@ void StreamingSelector::ReleaseCheckpoint(const SelectorCheckpoint& cp) {
 
 bool StreamingSelector::CheckpointConverged(const SelectorCheckpoint& cp,
                                             int64_t delta) const {
-  if (failed_) return false;
-  if (depth_ != cp.depth || saw_root_ != cp.saw_root) return false;
-  if (in_skip_ != cp.in_skip || skip_depth_ != cp.skip_depth) return false;
-  if (in_tag_ != cp.in_tag || tag_first_ != cp.tag_first ||
-      tag_closing_ != cp.tag_closing || have_pending_ != cp.have_pending ||
-      pending_byte_ != cp.pending_byte) {
-    return false;
+  // Counters are prefix aggregates, spliced separately — but whether the
+  // root has opened is read off them, and it decides the future (trailing
+  // content).
+  if (failed_ || run_.saw_root() != cp.run.saw_root()) return false;
+  // The live state in the recorded coordinates: an open token's start
+  // shifts with the edit, and a closed token's fields are leftovers.
+  RunState live = run_;
+  live.counters = cp.run.counters;
+  if (live.token.open) {
+    live.token.start -= delta;
+  } else {
+    live.token = PartialToken{};
   }
-  // Absolute lexer offsets participate only while live (a completed token
-  // leaves them stale), and must agree modulo the edit's byte shift.
-  if (have_pending_ && pending_offset_ != cp.pending_offset + delta) {
-    return false;
-  }
-  if (in_tag_ && tag_start_ != cp.tag_start + delta) return false;
-  if (tag_len_ != cp.tag_buf.size() ||
-      std::memcmp(tag_buf_, cp.tag_buf.data(), tag_len_) != 0) {
+  if (!(live == cp.run) ||
+      std::memcmp(token_buf_, cp.token_bytes.data(), live.token.len) != 0) {
     return false;
   }
   if (!std::equal(cp.open_labels.begin(), cp.open_labels.end(),
@@ -390,8 +338,8 @@ bool StreamingSelector::CheckpointConverged(const SelectorCheckpoint& cp,
 }
 
 int64_t StreamingSelector::TakeSegmentPeakDepth() {
-  int64_t peak = max_depth_;
-  max_depth_ = depth_;
+  int64_t peak = run_.counters.max_depth;
+  run_.counters.max_depth = run_.depth;
   return peak;
 }
 
@@ -400,22 +348,26 @@ StreamError StreamingSelector::MakeError(StreamErrorCode code, int64_t offset,
   StreamError err;
   err.code = code;
   err.offset = offset;
-  err.depth = depth_;
+  err.depth = run_.depth;
   err.expected = expected;
   err.got = got;
   return err;
 }
 
+void StreamingSelector::NoteFirstError(const StreamError& err) {
+  if (!stream_error_.ok()) return;
+  stream_error_ = err;
+  error_ = err.Render(alphabet_);
+  run_.counters.error_offset = err.offset;
+}
+
 bool StreamingSelector::FailAt(const StreamError& err) {
   failed_ = true;
-  if (error_offset_ < 0) error_offset_ = err.offset;
-  if (stream_error_.ok()) {
-    stream_error_ = err;
-    error_ = err.Render(alphabet_);
-  }
+  NoteFirstError(err);
   // bytes_fed reports the consumed prefix on failure: rewind past the
   // in-flight chunk tail so the counter is chunk-invariant.
-  if (err.offset >= 0 && err.offset < bytes_fed_) bytes_fed_ = err.offset;
+  int64_t& bytes_fed = run_.counters.bytes_fed;
+  if (err.offset >= 0 && err.offset < bytes_fed) bytes_fed = err.offset;
   // Spans whose close will never arrive are reported truncated, not
   // dropped: every sink sees the same events before and after the error.
   if (recorder_.active()) recorder_.FlushTruncated();
@@ -429,26 +381,22 @@ bool StreamingSelector::Recover(const StreamError& err, ErrorToken token,
   // truncate — at depth 0 there is nothing to resync on.
   const bool hard_limit = err.code == StreamErrorCode::kByteLimitExceeded ||
                           err.code == StreamErrorCode::kEventLimitExceeded;
-  if (policy_ != RecoveryPolicy::kSkipMalformedSubtree || depth_ <= 0 ||
-      hard_limit || errors_recovered_ >= limits_.max_recovered_errors) {
+  if (policy_ != RecoveryPolicy::kSkipMalformedSubtree || run_.depth <= 0 ||
+      hard_limit ||
+      run_.counters.errors_recovered >= limits_.max_recovered_errors) {
     return FailAt(err);
   }
-  if (error_offset_ < 0) error_offset_ = err.offset;
-  if (stream_error_.ok()) {
-    stream_error_ = err;
-    error_ = err.Render(alphabet_);
-  }
-  ++errors_recovered_;
-  ++subtrees_skipped_;
+  NoteFirstError(err);
+  ++run_.counters.errors_recovered;
+  ++run_.counters.subtrees_skipped;
   recovered_errors_.push_back(RecoveredError{err, excise_from, -1});
-  have_pending_ = false;  // a pending term label is part of the damage
-  in_skip_ = true;
-  skip_depth_ = 0;
+  run_.in_skip = true;
+  run_.skip_depth = 0;
   switch (token) {
     case ErrorToken::kJunk:
       break;
     case ErrorToken::kOpenLike:
-      skip_depth_ = 1;
+      run_.skip_depth = 1;
       break;
     case ErrorToken::kCloseLike:
       // The offending close token is itself the resynchronization point.
@@ -458,105 +406,99 @@ bool StreamingSelector::Recover(const StreamError& err, ErrorToken token,
 }
 
 bool StreamingSelector::ResyncClose(int64_t consumed_end) {
-  in_skip_ = false;
-  skip_depth_ = 0;
+  run_.in_skip = false;
+  run_.skip_depth = 0;
   if (!recovered_errors_.empty() &&
       recovered_errors_.back().resume_offset < 0) {
     recovered_errors_.back().resume_offset = consumed_end;
-    recovered_errors_.back().closed_label = labels_[depth_];
+    recovered_errors_.back().closed_label = labels_[run_.depth];
   }
   return EmitSynthClose(consumed_end - 1, consumed_end);
 }
 
 bool StreamingSelector::EmitSynthClose(int64_t offset, int64_t span_end) {
-  if (events_ >= limits_.max_events) {
+  if (run_.counters.events >= limits_.max_events) {
     return FailAt(MakeError(StreamErrorCode::kEventLimitExceeded, offset));
   }
-  Symbol symbol = labels_[depth_];
-  if (recorder_.active()) recorder_.OnClose(depth_, span_end);
-  --depth_;
+  Symbol symbol = labels_[run_.depth];
+  if (recorder_.active()) recorder_.OnClose(run_.depth, span_end);
+  --run_.depth;
   machine_->OnClose(format_ == Format::kCompactTerm ? -1 : symbol);
-  ++events_;
+  ++run_.counters.events;
   return true;
 }
 
 bool StreamingSelector::EmitOpen(Symbol symbol, int64_t offset,
                                  int64_t excise_from) {
-  if (depth_ == 0 && saw_root_) {
+  if (run_.depth == 0 && run_.saw_root()) {
     return Recover(
         MakeError(StreamErrorCode::kTrailingContent, offset, -1, symbol),
         ErrorToken::kOpenLike, excise_from);
   }
-  if (depth_ >= limits_.max_depth) {
+  if (run_.depth >= limits_.max_depth) {
     return Recover(
         MakeError(StreamErrorCode::kDepthLimitExceeded, offset, -1, symbol),
         ErrorToken::kOpenLike, excise_from);
   }
-  if (events_ >= limits_.max_events) {
+  if (run_.counters.events >= limits_.max_events) {
     return Recover(MakeError(StreamErrorCode::kEventLimitExceeded, offset),
                    ErrorToken::kOpenLike, excise_from);
   }
-  saw_root_ = true;
   PushLabel(symbol);
-  if (depth_ > max_depth_) max_depth_ = depth_;
+  int64_t& max_depth = run_.counters.max_depth;
+  if (run_.depth > max_depth) max_depth = run_.depth;
   machine_->OnOpen(symbol);
-  ++events_;
+  ++run_.counters.events;
   if (machine_->InAcceptingState()) {
-    ++matches_;
-    if (match_callback_) match_callback_(nodes_, symbol);
+    ++run_.counters.matches;
+    // Nodes are numbered from 0: the one just opened is nodes() - 1.
+    if (match_callback_) match_callback_(run_.nodes() - 1, symbol);
     // Span start = first byte of the opening token (excise_from: the '<',
     // the term label byte); certainty = just past the token — the earliest
     // offset at which pre-selection is decided.
     if (recorder_.active()) RecordMatch(excise_from, offset + 1);
   }
-  ++nodes_;
   return true;
 }
 
 bool StreamingSelector::EmitClose(Symbol symbol, int64_t offset,
                                   int64_t excise_from) {
-  if (depth_ == 0) {
+  if (run_.depth == 0) {
     return Recover(
         MakeError(StreamErrorCode::kUnbalancedClose, offset, -1, symbol),
         ErrorToken::kCloseLike, excise_from);
   }
-  if (symbol >= 0 && labels_[depth_] != symbol) {
+  if (symbol >= 0 && labels_[run_.depth] != symbol) {
     return Recover(MakeError(StreamErrorCode::kLabelMismatch, offset,
-                             labels_[depth_], symbol),
+                             labels_[run_.depth], symbol),
                    ErrorToken::kCloseLike, excise_from);
   }
-  if (events_ >= limits_.max_events) {
+  if (run_.counters.events >= limits_.max_events) {
     return Recover(MakeError(StreamErrorCode::kEventLimitExceeded, offset),
                    ErrorToken::kCloseLike, excise_from);
   }
-  if (recorder_.active()) recorder_.OnClose(depth_, offset + 1);
-  --depth_;
+  if (recorder_.active()) recorder_.OnClose(run_.depth, offset + 1);
+  --run_.depth;
   machine_->OnClose(symbol);
-  ++events_;
+  ++run_.counters.events;
   return true;
 }
 
 void StreamingSelector::PushLabel(Symbol symbol) {
-  labels_[static_cast<size_t>(depth_) + 1] = symbol;
-  ++depth_;
-  if (static_cast<size_t>(depth_) + 2 > labels_.size()) {
+  labels_[static_cast<size_t>(run_.depth) + 1] = symbol;
+  ++run_.depth;
+  if (static_cast<size_t>(run_.depth) + 2 > labels_.size()) {
     labels_.resize(2 * labels_.size());
   }
 }
 
 SST_ALWAYS_INLINE StreamingSelector::Frame StreamingSelector::LoadFrame(
     bool single_member) {
-#ifndef NDEBUG
-  // The frame derives saw_root from the event count (see CleanToken):
-  // every event follows the root's open.
-  SST_CHECK(saw_root_ == (events_ > 0));
-#endif
   Frame frame;
-  frame.depth = depth_;
-  frame.max_depth = max_depth_;
-  frame.events = events_;
-  frame.node_base = 2 * nodes_ - events_ - depth_;
-  frame.matches = matches_;
+  frame.depth = run_.depth;
+  frame.max_depth = run_.counters.max_depth;
+  frame.events = run_.counters.events;
+  frame.matches = run_.counters.matches;
   frame.labels = labels_.data();
   // One slot above the top stays free for the core's unconditional label
   // write; an open that would use it takes the refusal path, whose
@@ -592,12 +534,10 @@ SST_ALWAYS_INLINE void StreamingSelector::CommitFrame(Frame& frame) {
     FlushVerdicts(frame.num_verdicts);
     frame.num_verdicts = 0;
   }
-  depth_ = frame.depth;
-  max_depth_ = frame.max_depth;
-  events_ = frame.events;
-  nodes_ = frame.nodes();
-  matches_ = frame.matches;
-  saw_root_ = frame.events > 0;
+  run_.depth = frame.depth;
+  run_.counters.max_depth = frame.max_depth;
+  run_.counters.events = frame.events;
+  run_.counters.matches = frame.matches;
 }
 
 template <bool kUniversalClose, bool kVerdicts, typename Stepper>
@@ -742,10 +682,10 @@ size_t StreamingSelector::MarkupSkip(std::string_view chunk, size_t i) {
   return i + ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
     const uint8_t byte_class = cls[static_cast<unsigned char>(bytes[k])];
     if (byte_class == ScannerTables::kOpen) {
-      ++skip_depth_;
+      ++run_.skip_depth;
     } else if (byte_class == ScannerTables::kClose) {
-      if (skip_depth_ == 0) return false;
-      --skip_depth_;
+      if (run_.skip_depth == 0) return false;
+      --run_.skip_depth;
     }
     // Any other byte is junk inside a region already being excised.
     return true;
@@ -759,7 +699,7 @@ bool StreamingSelector::FeedMarkup(std::string_view chunk, Stepper stepper) {
   Frame frame = LoadFrame(Stepper::kSingleMember);
   size_t i = 0;
   while (true) {
-    const bool skipping = in_skip_;
+    const bool skipping = run_.in_skip;
     if (skipping) {
       i = MarkupSkip(chunk, i);
     } else if (Stepper::kSingleMember && frame.batch_verdicts) {
@@ -844,14 +784,12 @@ SST_NOINLINE size_t StreamingSelector::TermRun(std::string_view chunk,
         waiting = false;
         return true;
       });
-  // The pending-label fields end as the exact path leaves them: the last
-  // label taken stays in pending_byte_/pending_offset_ after its '{'
-  // consumed it (checkpoints compare them).
-  if (label >= 0) {
-    pending_byte_ = static_cast<unsigned char>(bytes[label]);
-    pending_offset_ = base + label;
+  // A label still waiting for its '{' carries into the exact path, or the
+  // next chunk, as the open partial token.
+  if (waiting) {
+    token_buf_[0] = bytes[label];
+    run_.token = PartialToken{base + label, 1, true};
   }
-  have_pending_ = waiting;
   frame_io = frame;
   stepper_io = stepper;
   return i + stop;
@@ -863,10 +801,10 @@ size_t StreamingSelector::TermSkip(std::string_view chunk, size_t i) {
   return i + ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
     const unsigned char c = static_cast<unsigned char>(bytes[k]);
     if (c == '{') {
-      ++skip_depth_;
+      ++run_.skip_depth;
     } else if (cls[c] == ScannerTables::kCloseBrace) {
-      if (skip_depth_ == 0) return false;
-      --skip_depth_;
+      if (run_.skip_depth == 0) return false;
+      --run_.skip_depth;
     }
     return true;
   });
@@ -884,10 +822,10 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
   while (true) {
     // A label pending from the previous chunk meets its next structural
     // byte on the exact path; everything else starts in a run.
-    const bool skipping = in_skip_;
+    const bool skipping = run_.in_skip;
     if (skipping) {
       i = TermSkip(chunk, i);
-    } else if (have_pending_) {
+    } else if (run_.token.open) {
       i += FindStructural(bytes + i, n - i);
     } else {
       i = TermRun(chunk, i, frame, stepper);
@@ -900,28 +838,31 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
       if (!refuse([=, this] { return ResyncClose(offset + 1); })) {
         return false;
       }
-    } else if (have_pending_) {
+    } else if (run_.token.open) {
+      // The waiting label is consumed: opened by this '{', or else part of
+      // the damage.
+      run_.token.open = false;
+      const int64_t label_start = run_.token.start;
       if (c != '{') {
         if (!refuse([=, this] {
               return Recover(MakeError(StreamErrorCode::kBadByte, offset),
-                             ErrorToken::kJunk, pending_offset_);
+                             ErrorToken::kJunk, label_start);
             })) {
           return false;
         }
         // Reprocess this byte under skip framing ('}' must resync).
         continue;
       }
-      have_pending_ = false;
-      const Symbol s = sym[pending_byte_];
-      if (!CleanToken<true, false>(frame, stepper, true, s, c,
-                                   pending_offset_, offset) &&
+      const Symbol s = sym[static_cast<unsigned char>(token_buf_[0])];
+      if (!CleanToken<true, false>(frame, stepper, true, s, c, label_start,
+                                   offset) &&
           !refuse([=, this] {
             if (s < 0) {
               return Recover(
                   MakeError(StreamErrorCode::kUnknownLabel, offset),
-                  ErrorToken::kOpenLike, pending_offset_);
+                  ErrorToken::kOpenLike, label_start);
             }
-            return EmitOpen(s, offset, pending_offset_);
+            return EmitOpen(s, offset, label_start);
           })) {
         return false;
       }
@@ -957,8 +898,6 @@ SST_NOINLINE size_t StreamingSelector::XmlRun(std::string_view chunk,
   const char* bytes = chunk.data();
   const size_t n = chunk.size();
   const int64_t base = chunk_base_;
-  int64_t last_start = -1;
-  bool last_closing = false;
   while (i < n) {
     const unsigned char c = static_cast<unsigned char>(bytes[i]);
     if (c != '<') {
@@ -977,16 +916,7 @@ SST_NOINLINE size_t StreamingSelector::XmlRun(std::string_view chunk,
                   tag.name_end - tag.name),
         0, start, base + static_cast<int64_t>(tag.name_end));
     if (SST_UNLIKELY(!clean)) break;
-    last_start = start;
-    last_closing = tag.closing;
     i = tag.name_end + 1;
-  }
-  // An in-place tag leaves the lexer fields exactly as the buffered path
-  // would, so checkpoint convergence never depends on the chunking.
-  if (last_start >= 0) {
-    tag_start_ = last_start;
-    tag_closing_ = last_closing;
-    tag_first_ = false;
   }
   frame_io = frame;
   stepper_io = stepper;
@@ -1015,7 +945,7 @@ bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
   };
   size_t i = 0;
   while (i < n) {
-    if (!in_tag_ && !in_skip_) {
+    if (!run_.token.open && !run_.in_skip) {
       i = XmlRun(chunk, i, frame, stepper);
       if (i >= n) break;
       if (bytes[i] != '<') {
@@ -1031,15 +961,11 @@ bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
       }
       const InPlaceTag tag = LexInPlace(bytes, n, i);
       if (tag.complete) {
-        // A tag the core refused, with the lexer fields as the buffered
-        // path leaves them.
-        tag_start_ = base + static_cast<int64_t>(i);
-        tag_closing_ = tag.closing;
-        tag_first_ = false;
+        // A tag the core refused.
         if (!exact_tag(tag.closing,
                        LookupTag(*tables_, *alphabet_, bytes + tag.name,
                                  tag.name_end - tag.name),
-                       tag.name_end, tag_start_)) {
+                       tag.name_end, base + static_cast<int64_t>(i))) {
           return false;
         }
         i = tag.name_end + 1;
@@ -1047,35 +973,27 @@ bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
       }
       // The tag straddles the chunk end or is malformed: the buffered
       // lexer takes it from its '<'.
-      in_tag_ = true;
-      tag_first_ = true;
-      tag_closing_ = false;
-      tag_len_ = 0;
-      tag_start_ = base + static_cast<int64_t>(i);
+      run_.token = PartialToken{base + static_cast<int64_t>(i), 0, true, true};
       ++i;
       continue;
     }
     const unsigned char c = static_cast<unsigned char>(bytes[i]);
-    if (!in_tag_) {
+    if (!run_.token.open) {
       // Inside the excised region only tag framing matters: jump to the
       // next '<' in one vectorized sweep.
       const void* lt = std::memchr(bytes + i, '<', n - i);
       if (lt == nullptr) break;
       i = static_cast<size_t>(static_cast<const char*>(lt) - bytes);
-      in_tag_ = true;
-      tag_first_ = true;
-      tag_closing_ = false;
-      tag_len_ = 0;
-      tag_start_ = base + static_cast<int64_t>(i);
+      run_.token = PartialToken{base + static_cast<int64_t>(i), 0, true, true};
       ++i;
       continue;
     }
     // Buffered lexer: a tag that straddles a chunk boundary, one the
     // in-place lexer does not take (empty or oversized name), or any tag
     // in skip mode.
-    if (tag_first_ && c == '/') {
-      tag_closing_ = true;
-      tag_first_ = false;
+    if (run_.token.first && c == '/') {
+      run_.token.closing = true;
+      run_.token.first = false;
       ++i;
       continue;
     }
@@ -1085,70 +1003,70 @@ bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
             ? static_cast<size_t>(static_cast<const char*>(gt) - bytes)
             : n;
     if (size_t name_len = name_end - i; name_len > 0) {
-      tag_first_ = false;
-      if (in_skip_) {
+      run_.token.first = false;
+      if (run_.in_skip) {
         // Only "name was nonempty" matters for skip framing; buffer just
-        // the name's first byte, so the lexer state never depends on
-        // earlier tags (checkpoints compare it).
-        if (tag_len_ == 0) tag_buf_[0] = bytes[i];
-        tag_len_ = 1;
-      } else if (tag_len_ + name_len > kMaxTagBytes) {
+        // the name's first byte, so an open token's bytes never depend on
+        // the chunking (checkpoints compare them).
+        if (run_.token.len == 0) token_buf_[0] = bytes[i];
+        run_.token.len = 1;
+      } else if (run_.token.len + name_len > kMaxTagBytes) {
         // Error offset = the first byte that no longer fits, matching the
         // byte-at-a-time scanner.
         const int64_t too_long =
-            base + static_cast<int64_t>(i + (kMaxTagBytes - tag_len_));
+            base + static_cast<int64_t>(i + (kMaxTagBytes - run_.token.len));
         if (!refuse([=, this] {
               return Recover(
                   MakeError(StreamErrorCode::kTagTooLong, too_long),
-                  ErrorToken::kJunk, tag_start_);
+                  ErrorToken::kJunk, run_.token.start);
             })) {
           return false;
         }
         // Recovered: the oversized tag is junk inside the skipped region;
         // keep consuming its body without buffering (the first name byte
         // stays, as in skip framing).
-        if (tag_len_ == 0) tag_buf_[0] = bytes[i];
-        tag_len_ = 1;
+        if (run_.token.len == 0) token_buf_[0] = bytes[i];
+        run_.token.len = 1;
       } else {
-        std::memcpy(tag_buf_ + tag_len_, bytes + i, name_len);
-        tag_len_ += static_cast<uint32_t>(name_len);
+        std::memcpy(token_buf_ + run_.token.len, bytes + i, name_len);
+        run_.token.len += static_cast<uint32_t>(name_len);
       }
       i = name_end;
     }
     if (gt == nullptr) break;  // partial tag; the next chunk continues it
-    in_tag_ = false;
+    // The tag is complete; its start, polarity and name stay readable
+    // below.
+    run_.token.open = false;
     ++i;  // past the '>'
     const int64_t end_offset = base + static_cast<int64_t>(name_end);
-    if (in_skip_) {
-      const bool nonempty = tag_len_ != 0;
-      tag_len_ = 0;
-      if (!nonempty) continue;  // "<>" is junk even while skipping
-      if (tag_closing_) {
-        if (skip_depth_ > 0) {
-          --skip_depth_;
+    if (run_.in_skip) {
+      if (run_.token.len == 0) continue;  // "<>" is junk even while skipping
+      if (run_.token.closing) {
+        if (run_.skip_depth > 0) {
+          --run_.skip_depth;
         } else if (!refuse(
                        [=, this] { return ResyncClose(end_offset + 1); })) {
           return false;
         }
       } else {
-        ++skip_depth_;
+        ++run_.skip_depth;
       }
       continue;
     }
-    if (tag_len_ == 0) {
+    if (run_.token.len == 0) {
       if (!refuse([=, this] {
             return Recover(MakeError(StreamErrorCode::kBadByte, end_offset),
-                           ErrorToken::kJunk, tag_start_);
+                           ErrorToken::kJunk, run_.token.start);
           })) {
         return false;
       }
       continue;
     }
-    const Symbol s = LookupTag(*tables_, *alphabet_, tag_buf_, tag_len_);
-    tag_len_ = 0;
-    if (!CleanToken<false, false>(frame, stepper, !tag_closing_, s, 0,
-                                  tag_start_, end_offset) &&
-        !exact_tag(tag_closing_, s, name_end, tag_start_)) {
+    const Symbol s =
+        LookupTag(*tables_, *alphabet_, token_buf_, run_.token.len);
+    if (!CleanToken<false, false>(frame, stepper, !run_.token.closing, s, 0,
+                                  run_.token.start, end_offset) &&
+        !exact_tag(run_.token.closing, s, name_end, run_.token.start)) {
       return false;
     }
   }
@@ -1163,27 +1081,28 @@ bool StreamingSelector::Feed(std::string_view chunk) {
   // fires at offset max_document_bytes under any split schedule — checked
   // once per Feed, never inside the scan loops.
   bool over_byte_limit = false;
+  StreamCounters& counters = run_.counters;
   if (static_cast<int64_t>(chunk.size()) >
-      limits_.max_document_bytes - bytes_fed_) {
+      limits_.max_document_bytes - counters.bytes_fed) {
     over_byte_limit = true;
-    chunk = chunk.substr(
-        0, static_cast<size_t>(limits_.max_document_bytes - bytes_fed_));
+    chunk = chunk.substr(0, static_cast<size_t>(limits_.max_document_bytes -
+                                                counters.bytes_fed));
   }
-  chunk_base_ = bytes_fed_;
-  bytes_fed_ += static_cast<int64_t>(chunk.size());
-  ++chunks_fed_;
+  chunk_base_ = counters.bytes_fed;
+  counters.bytes_fed += static_cast<int64_t>(chunk.size());
+  ++counters.chunks_fed;
   bool ok;
   if (fused_ != nullptr) {
     ok = Scan(FusedStepper{machine_, fused_}, chunk);
   } else if (fused_dra_ != nullptr) {
-    ok = Scan(DraFusedStepper{machine_, fused_dra_, &dra_config_, &depth_},
+    ok = Scan(DraFusedStepper{machine_, fused_dra_, &dra_config_, &run_.depth},
               chunk);
   } else if (product_ != nullptr && product_->has_side_cars()) {
     ok = Scan(ProductLoopStepper<true>{product_}, chunk);
   } else if (product_ != nullptr) {
     ok = Scan(ProductLoopStepper<false>{product_}, chunk);
   } else if (stack_ != nullptr) {
-    ok = Scan(StackStepper{stack_, &max_depth_}, chunk);
+    ok = Scan(StackStepper{stack_, &counters.max_depth}, chunk);
   } else {
     ok = Scan(VirtualStepper{machine_}, chunk);
   }
@@ -1197,34 +1116,27 @@ bool StreamingSelector::Feed(std::string_view chunk) {
 
 bool StreamingSelector::Finish() {
   if (failed_) return false;
-  const bool incomplete =
-      in_tag_ || have_pending_ || in_skip_ || depth_ != 0 || !saw_root_;
+  const bool incomplete = run_.token.open || run_.in_skip ||
+                          run_.depth != 0 || !run_.saw_root();
   if (!incomplete) return true;
-  if (policy_ == RecoveryPolicy::kAutoClose && saw_root_ && depth_ > 0) {
-    // Tolerated truncation: discard a partial tag in the lexer buffer and
-    // synthesize the missing closes for every still-open element.
-    StreamError err =
-        MakeError(StreamErrorCode::kTruncatedDocument, bytes_fed_);
-    if (error_offset_ < 0) error_offset_ = err.offset;
-    if (stream_error_.ok()) {
-      stream_error_ = err;
-      error_ = err.Render(alphabet_);
-    }
-    ++errors_recovered_;
-    recovered_errors_.push_back(RecoveredError{err, bytes_fed_, bytes_fed_});
-    in_tag_ = false;
-    tag_first_ = false;
-    tag_closing_ = false;
-    tag_len_ = 0;
-    have_pending_ = false;
-    while (depth_ > 0) {
+  const int64_t eof = run_.counters.bytes_fed;
+  if (policy_ == RecoveryPolicy::kAutoClose && run_.saw_root() &&
+      run_.depth > 0) {
+    // Tolerated truncation: discard a partial token and synthesize the
+    // missing closes for every still-open element.
+    StreamError err = MakeError(StreamErrorCode::kTruncatedDocument, eof);
+    NoteFirstError(err);
+    ++run_.counters.errors_recovered;
+    recovered_errors_.push_back(RecoveredError{err, eof, eof});
+    run_.token.open = false;
+    while (run_.depth > 0) {
       // Pending match spans complete at the EOF offset: the synthesized
       // close is where the sanitized document ends them.
-      if (!EmitSynthClose(bytes_fed_, bytes_fed_)) return false;
+      if (!EmitSynthClose(eof, eof)) return false;
     }
     return true;
   }
-  return FailAt(MakeError(StreamErrorCode::kTruncatedDocument, bytes_fed_));
+  return FailAt(MakeError(StreamErrorCode::kTruncatedDocument, eof));
 }
 
 }  // namespace sst

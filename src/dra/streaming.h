@@ -49,16 +49,19 @@ struct ScannerTables {
   static ScannerTables Build(StreamFormat format, const Alphabet& alphabet);
 };
 
-// Byte-level observability of one streaming run; see
-// StreamingSelector::stats(). All counters reset with Reset().
-//
-// Every counter except chunks_fed is chunking-invariant: feeding the same
-// bytes under any split schedule yields the same values, including
-// error_offset and the recovery counters. (chunks_fed measures the split
-// schedule itself, so it is the one counter that cannot be.) On a fatal
-// error, bytes_fed reports the consumed prefix — exactly error_offset
-// bytes — not whatever chunk tail happened to be in flight.
-struct StreamStats {
+// True when the fused byte→state rung of the degradation ladder can run a
+// machine exporting `dfa`: the table is keyed by the raw byte, so the
+// format must be compact markup and every symbol the stream can mention a
+// single lowercase letter covered by the automaton. The one rule for both
+// the plan-level build and a standalone selector's private one.
+bool FusedByteTableEligible(StreamFormat format, const TagDfa& dfa,
+                            const Alphabet& alphabet);
+
+// The StreamStats counters a StreamingSelector owns — all but the match
+// recorder's and the stack tier's. They are part of the selector's run
+// state (StreamingSelector::RunState), so Reset, checkpoints and the
+// incremental splice handle them as one value.
+struct StreamCounters {
   int64_t bytes_fed = 0;      // bytes consumed (whitespace included)
   int64_t chunks_fed = 0;     // Feed calls processed (throughput input that
                               // needs no wall clock: bytes_fed / chunks_fed
@@ -69,12 +72,29 @@ struct StreamStats {
   int64_t errors_recovered = 0;  // errors absorbed by the recovery policy
   int64_t subtrees_skipped = 0;  // kSkipMalformedSubtree resync regions
   int64_t error_offset = -1;  // byte offset of the first error, -1 if none
+
+  friend bool operator==(const StreamCounters&,
+                         const StreamCounters&) = default;
+};
+
+// Byte-level observability of one streaming run; see
+// StreamingSelector::stats(). All counters reset with Reset().
+//
+// Every counter except chunks_fed is chunking-invariant: feeding the same
+// bytes under any split schedule yields the same values, including
+// error_offset and the recovery counters. (chunks_fed measures the split
+// schedule itself, so it is the one counter that cannot be.) On a fatal
+// error, bytes_fed reports the consumed prefix — exactly error_offset
+// bytes — not whatever chunk tail happened to be in flight.
+struct StreamStats : StreamCounters {
   int64_t matches_emitted = 0;  // MatchSink OnMatch events (0 with no sink)
   int64_t pending_matches_peak = 0;  // emission-buffer high-water
   int64_t max_stack_depth = 0;   // stack-tier peak stacked states (0 on the
                                  // stackless tiers, whose configs hold none)
   int64_t underflow_closes = 0;  // stack-tier closes ignored with nothing
                                  // open (unbalanced machine-level stream)
+
+  friend bool operator==(const StreamStats&, const StreamStats&) = default;
 };
 
 struct SelectorCheckpoint;
@@ -133,9 +153,49 @@ struct SelectorCheckpoint;
 // recovery: the refused token and the closes resynchronization
 // synthesizes run on the machine, which the stepper is synced with around
 // them.
+//
+// Beyond the machine, a run is the open-label stack, the error history and
+// one RunState value — counters, depth, the partial token and the recovery
+// mode — which Reset, SaveCheckpoint and RestoreCheckpoint assign whole.
 class StreamingSelector {
  public:
   using Format = StreamFormat;
+
+  // A multi-byte token that straddles a Feed boundary: an XML-lite tag past
+  // its '<' (the name so far buffered), or a term label byte waiting for
+  // its '{' (the byte alone buffered). Meaningful only while open: the
+  // fields of a closed token may be stale, and a checkpoint stores the
+  // default one instead.
+  struct PartialToken {
+    int64_t start = -1;    // offset of the '<', or of the label byte
+    uint32_t len = 0;      // bytes buffered
+    bool open = false;
+    bool first = false;    // XML-lite: the next byte is the first past '<'
+    bool closing = false;  // XML-lite: the tag began with '/'
+
+    friend bool operator==(const PartialToken&, const PartialToken&) = default;
+  };
+
+  // The selector's resumable run state, defined once; the open labels, the
+  // token's bytes and the error history live beside it. The nodes opened
+  // so far and whether the root has opened are derived, not stored: every
+  // event moves the depth by one and counts once, and no event precedes
+  // the root's open.
+  struct RunState {
+    StreamCounters counters;
+    int64_t depth = 0;
+    PartialToken token;
+    // Recovery (kSkipMalformedSubtree): while in_skip, input is framing-
+    // scanned only; skip_depth counts elements opened inside the skipped
+    // region. Resync happens at the close that would return the region to
+    // the innermost open element's end.
+    bool in_skip = false;
+    int64_t skip_depth = 0;
+
+    int64_t nodes() const { return (counters.events + depth) / 2; }
+    bool saw_root() const { return counters.events > 0; }
+    friend bool operator==(const RunState&, const RunState&) = default;
+  };
 
   // Which rung of the degradation ladder is executing events, fixed at
   // construction. The stack tier (StackQueryEvaluator) — below all of
@@ -160,6 +220,9 @@ class StreamingSelector {
     int64_t excise_from = -1;
     int64_t resume_offset = -1;
     Symbol closed_label = -1;
+
+    friend bool operator==(const RecoveredError&,
+                           const RecoveredError&) = default;
   };
 
   // Longest supported tag label, in bytes (an XML-lite closing tag's '/'
@@ -242,10 +305,12 @@ class StreamingSelector {
 
   void Reset();
 
-  int64_t nodes() const { return nodes_; }
-  int64_t matches() const { return matches_; }
-  int64_t depth() const { return depth_; }
-  bool document_complete() const { return saw_root_ && depth_ == 0; }
+  int64_t nodes() const { return run_.nodes(); }
+  int64_t matches() const { return run_.counters.matches; }
+  int64_t depth() const { return run_.depth; }
+  bool document_complete() const {
+    return run_.saw_root() && run_.depth == 0;
+  }
   bool machine_accepting() const { return machine_->InAcceptingState(); }
 
   // True once a fatal (unrecovered) error has been recorded.
@@ -266,27 +331,17 @@ class StreamingSelector {
 
   // Byte-level counters of the run so far.
   StreamStats stats() const {
-    return {bytes_fed_,
-            chunks_fed_,
-            events_,
-            max_depth_,
-            matches_,
-            errors_recovered_,
-            subtrees_skipped_,
-            error_offset_,
-            recorder_.emitted(),
-            recorder_.peak_pending(),
-            machine_->StackDepthPeak(),
-            machine_->StackUnderflowCloses()};
+    return {run_.counters, recorder_.emitted(), recorder_.peak_pending(),
+            machine_->StackDepthPeak(), machine_->StackUnderflowCloses()};
   }
 
   // --- Checkpoint protocol (incremental re-evaluation) ------------------
   // A SelectorCheckpoint is the selector's complete resumable state at a
   // Feed boundary: machine configuration (via StreamMachine::SaveConfig),
-  // validator labels, lexer, recovery state, and the exact prefix values
-  // of every counter. engine/incremental.h records these on a byte grid
-  // and resumes/rescans/splices around edits; see DESIGN.md "Incremental
-  // re-evaluation".
+  // validator labels, the RunState (exact prefix counters included), the
+  // partial token's bytes, and the error history. engine/incremental.h
+  // records these on a byte grid and resumes/rescans/splices around
+  // edits; see DESIGN.md "Incremental re-evaluation".
 
   // Captures the current state into `out` (overwritten). False — and no
   // resources retained — when the machine does not support the config
@@ -311,8 +366,9 @@ class StreamingSelector {
   // `delta` bytes in every stored absolute offset (the edit's net size
   // change). Counters and error history do not participate — they are
   // prefix aggregates, spliced separately; what must agree is everything
-  // that determines the *future* of the run: depth, validator labels,
-  // lexer, recovery mode, and the machine configuration.
+  // that determines the *future* of the run: depth, whether the root has
+  // opened, validator labels, the partial token (only while one is open),
+  // recovery mode, and the machine configuration.
   bool CheckpointConverged(const SelectorCheckpoint& cp, int64_t delta) const;
 
   // Returns the peak depth since the last call (or Reset/Restore) and
@@ -342,18 +398,13 @@ class StreamingSelector {
   enum class ErrorToken : uint8_t { kJunk, kOpenLike, kCloseLike };
 
   // The framing state a scan keeps in locals for the length of a chunk;
-  // LoadFrame/CommitFrame move it between the members and the loop, and
-  // every refused token is bracketed by a commit and a reload.
-  //
-  // Two members are derived rather than carried: every event a frame
-  // applies moves depth by one and counts once, so the nodes opened so far
-  // follow from events and depth (node_base fixes the offset), and
-  // saw_root_ is events > 0 (no event precedes the root's open).
+  // LoadFrame/CommitFrame move it between the run state and the loop, and
+  // every refused token is bracketed by a commit and a reload. Nodes and
+  // whether the root has opened are derived here as in RunState.
   struct Frame {
     int64_t depth;
     int64_t max_depth;
     int64_t events;
-    int64_t node_base;  // 2 * nodes - events - depth, invariant
     int64_t matches;
     Symbol* labels;     // labels_.data(): the open labels at [1, depth]
     int64_t depth_cap;  // an open at this depth or deeper is refused
@@ -369,7 +420,7 @@ class StreamingSelector {
     bool batch_verdicts;
     int64_t num_verdicts;
 
-    int64_t nodes() const { return (node_base + events + depth) / 2; }
+    int64_t nodes() const { return (events + depth) / 2; }
   };
 
   // Steppers: what the framing core advances per clean token. Load/Store
@@ -473,6 +524,8 @@ class StreamingSelector {
 
   // Records the first error and marks the stream fatally failed.
   bool FailAt(const StreamError& err);
+  // Keeps `err` as the stream's first error unless one is already kept.
+  void NoteFirstError(const StreamError& err);
   StreamError MakeError(StreamErrorCode code, int64_t offset,
                         Symbol expected = -1, Symbol got = -1) const;
 
@@ -545,7 +598,7 @@ class StreamingSelector {
   // Term's clean path: an open at each label whose next structural byte
   // is '{', a close at each '}'. It stops at anything else (a label
   // followed by another byte, a stray '{', junk) or a refused token, with
-  // a label still waiting for its '{' left in the pending-label fields.
+  // a label still waiting for its '{' left as the open partial token.
   template <typename Stepper>
   size_t TermRun(std::string_view chunk, size_t i, Frame& frame,
                  Stepper& stepper);
@@ -617,37 +670,12 @@ class StreamingSelector {
   // Sized kDepthReserve + 2 up front; see PushLabel.
   std::vector<Symbol> labels_;
 
-  // Incremental lexer state (partial tag across chunk boundaries) — fixed
-  // capacity, no allocation.
-  char tag_buf_[kMaxTagBytes];
-  uint32_t tag_len_ = 0;
-  bool in_tag_ = false;       // kXmlLite: between '<' and '>'
-  bool tag_first_ = false;    // kXmlLite: next byte is the first after '<'
-  bool tag_closing_ = false;  // kXmlLite: tag started with '/'
-  bool have_pending_ = false;  // kCompactTerm: label byte awaiting '{'
-  unsigned char pending_byte_ = 0;
-  int64_t pending_offset_ = -1;  // kCompactTerm: offset of pending_byte_
-  int64_t tag_start_ = -1;       // kXmlLite: offset of the current tag's '<'
-
-  // Recovery state (kSkipMalformedSubtree): while in_skip_, input is
-  // framing-scanned only; skip_depth_ counts elements opened inside the
-  // skipped region. Resync happens at the close that would return the
-  // region to the innermost open element's end.
-  bool in_skip_ = false;
-  int64_t skip_depth_ = 0;
-
+  RunState run_;
+  // The partial token's bytes (run_.token.len of them) — fixed capacity,
+  // no allocation.
+  char token_buf_[kMaxTagBytes];
   int64_t chunk_base_ = 0;  // bytes fed before the current chunk
-  int64_t bytes_fed_ = 0;
-  int64_t chunks_fed_ = 0;
-  int64_t events_ = 0;
-  int64_t nodes_ = 0;
-  int64_t matches_ = 0;
-  int64_t depth_ = 0;
-  int64_t max_depth_ = 0;
-  int64_t errors_recovered_ = 0;
-  int64_t subtrees_skipped_ = 0;
-  int64_t error_offset_ = -1;
-  bool saw_root_ = false;
+
   bool failed_ = false;
   StreamError stream_error_;
   std::string error_;
@@ -669,32 +697,12 @@ struct SelectorCheckpoint {
   // Well-formedness validator: the open-element labels, bottom to top.
   std::vector<Symbol> open_labels;
 
-  // Lexer (partial multi-byte token across the boundary).
-  std::string tag_buf;
-  bool in_tag = false;
-  bool tag_first = false;
-  bool tag_closing = false;
-  bool have_pending = false;
-  unsigned char pending_byte = 0;
-  int64_t pending_offset = -1;
-  int64_t tag_start = -1;
-
-  // Recovery state.
-  bool in_skip = false;
-  int64_t skip_depth = 0;
-
-  // Exact prefix counters (StreamStats minus the recorder-owned fields).
-  int64_t bytes_fed = 0;
-  int64_t chunks_fed = 0;
-  int64_t events = 0;
-  int64_t nodes = 0;
-  int64_t matches = 0;
-  int64_t depth = 0;
-  int64_t errors_recovered = 0;
-  int64_t subtrees_skipped = 0;
-  int64_t error_offset = -1;
-  bool saw_root = false;
-  int64_t machine_underflows = 0;  // stack-tier underflow count at capture
+  // Exact prefix counters, depth, recovery mode, and the partial token —
+  // the default one unless a token is open at the boundary, so states
+  // that differ only in a finished token's leftovers compare equal.
+  StreamingSelector::RunState run;
+  // The open partial token's bytes (run.token.len of them).
+  std::string token_bytes;
 
   // Error history of the prefix: the first error plus every recovered one.
   StreamError stream_error;

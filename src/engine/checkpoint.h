@@ -13,7 +13,7 @@ namespace sst {
 // step needs — how many match events the prefix emitted and the exact
 // peak depth of the segment this checkpoint closes.
 struct Checkpoint {
-  int64_t offset = 0;       // document byte position (== state.bytes_fed)
+  int64_t offset = 0;  // document byte position (== bytes fed at `state`)
   int64_t match_index = 0;  // match events emitted strictly before offset
   // Peak nesting depth over (previous checkpoint's offset, offset]; the
   // stream's global max_depth is the max over all segment peaks plus the

@@ -25,6 +25,22 @@ StreamingSelector::RecoveredError RebaseRecovered(
   return rec;
 }
 
+// Carries an old-run prefix aggregate at or past the converged checkpoint
+// into the edited run: every additive counter gains the suffix delta, the
+// live value at convergence (`live`) minus the checkpoint's (`old`). The
+// peak depth and the first error's offset are not sums; the splice
+// recomposes them.
+StreamCounters Rebase(StreamCounters c, const StreamCounters& live,
+                      const StreamCounters& old) {
+  c.bytes_fed += live.bytes_fed - old.bytes_fed;
+  c.chunks_fed += live.chunks_fed - old.chunks_fed;
+  c.events += live.events - old.events;
+  c.matches += live.matches - old.matches;
+  c.errors_recovered += live.errors_recovered - old.errors_recovered;
+  c.subtrees_skipped += live.subtrees_skipped - old.subtrees_skipped;
+  return c;
+}
+
 }  // namespace
 
 IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
@@ -252,15 +268,9 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
 
   // Suffix deltas: live value at convergence minus cj's recorded value.
   // Adding a delta turns any old prefix aggregate at or past cj into its
-  // exact post-edit value.
+  // exact post-edit value (Rebase, for the selector's counters).
+  const StreamCounters& cj_counters = cj.state.run.counters;
   const int64_t d_match = conv_match - cj.match_index;
-  const int64_t d_events = live.events - cj.state.events;
-  const int64_t d_nodes = selector_.nodes() - cj.state.nodes;
-  const int64_t d_matches = live.matches - cj.state.matches;
-  const int64_t d_rec = live.errors_recovered - cj.state.errors_recovered;
-  const int64_t d_skip = live.subtrees_skipped - cj.state.subtrees_skipped;
-  const int64_t d_under =
-      live.underflow_closes - cj.state.machine_underflows;
   const size_t cj_rec = cj.state.recovered.size();
 
   Results r;
@@ -287,7 +297,7 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   // — in the suffix, which a spliced edit never re-runs. The old run's
   // final record of the same entry (old index cj_rec - 1; an open skip at
   // cj implies cj recorded it) carries the resolution, in old coordinates.
-  if (cj.state.in_skip && !live_rec.empty() &&
+  if (cj.state.run.in_skip && !live_rec.empty() &&
       r.recovered[live_rec.size() - 1].resume_offset < 0 &&
       cj_rec >= 1 && results_.recovered.size() >= cj_rec &&
       results_.recovered[cj_rec - 1].resume_offset >= 0) {
@@ -321,18 +331,15 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   peak = std::max(peak, cps_.SuffixPeak(j + 1, results_.tail_peak));
 
   StreamStats st;
-  st.bytes_fed = results_.stats.bytes_fed + delta;
-  st.chunks_fed = live.chunks_fed;
-  st.events = results_.stats.events + d_events;
+  static_cast<StreamCounters&>(st) = Rebase(results_.stats, live, cj_counters);
   st.max_depth = peak;
-  st.matches = results_.stats.matches + d_matches;
-  st.errors_recovered = results_.stats.errors_recovered + d_rec;
-  st.subtrees_skipped = results_.stats.subtrees_skipped + d_skip;
   st.error_offset = first.ok() ? -1 : first.offset;
   st.matches_emitted = st.matches;
   st.pending_matches_peak = 0;
   st.max_stack_depth = stack_tier_ ? peak : 0;
-  st.underflow_closes = results_.stats.underflow_closes + d_under;
+  // The selector never hands its machine a close with nothing open, so no
+  // selector-driven run counts an underflow.
+  st.underflow_closes = live.underflow_closes;
   r.stats = st;
 
   // The suffix never re-ran, so its terminal verdicts carry over: equal
@@ -359,16 +366,8 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     cp.match_index += d_match;
     if (k == j) cp.segment_peak_depth = live_conv_peak;
     SelectorCheckpoint& s = cp.state;
-    s.bytes_fed += delta;
-    s.events += d_events;
-    s.nodes += d_nodes;
-    s.matches += d_matches;
-    s.errors_recovered += d_rec;
-    s.subtrees_skipped += d_skip;
-    s.machine_underflows += d_under;
-    // Lexer offsets are only meaningful while the partial token is live.
-    if (s.have_pending && s.pending_offset >= 0) s.pending_offset += delta;
-    if (s.in_tag && s.tag_start >= 0) s.tag_start += delta;
+    s.run.counters = Rebase(s.run.counters, live, cj_counters);
+    if (s.run.token.open) s.run.token.start += delta;
     // Error history seen from this checkpoint: everything live recorded,
     // then this checkpoint's old entries past cj, rebased.
     std::vector<StreamingSelector::RecoveredError> nr(live_rec.begin(),
@@ -380,7 +379,7 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     // checkpoint's own as-of-then record (see the r.recovered splice
     // above) — a checkpoint past the resync point has it filled in, one
     // before it correctly leaves the entry open.
-    if (cj.state.in_skip && !live_rec.empty() &&
+    if (cj.state.run.in_skip && !live_rec.empty() &&
         nr[live_rec.size() - 1].resume_offset < 0 && cj_rec >= 1 &&
         s.recovered.size() >= cj_rec &&
         s.recovered[cj_rec - 1].resume_offset >= 0) {
@@ -396,7 +395,8 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     } else {
       s.stream_error = StreamError{};
     }
-    s.error_offset = s.stream_error.ok() ? -1 : s.stream_error.offset;
+    s.run.counters.error_offset =
+        s.stream_error.ok() ? -1 : s.stream_error.offset;
     s.recovered = std::move(nr);
     ncps.push_back(std::move(cp));
   }

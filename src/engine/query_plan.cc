@@ -11,12 +11,6 @@ namespace sst {
 
 namespace {
 
-// True when the fused byte→state rung of the degradation ladder exists:
-// compact labels, all covered by the TagDfa.
-bool FusedEligible(const TagDfa& dfa, const Alphabet& alphabet) {
-  return alphabet.size() <= dfa.num_symbols && alphabet.CompactLabels();
-}
-
 // Budgets for materializing a stackless query into an explicit DRA at
 // plan-compile time. The state budget caps the BFS frontier; the table
 // budget caps the transient explicit table (2 × symbols × 3^chain entries
@@ -58,8 +52,8 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
     plan->kind_ = EvaluatorKind::kRegisterless;
     plan->tag_dfa_ =
         BuildRegisterlessQueryAutomaton(plan->minimal_dfa_, term);
-    if (options.format == StreamFormat::kCompactMarkup &&
-        FusedEligible(*plan->tag_dfa_, plan->alphabet_)) {
+    if (FusedByteTableEligible(options.format, *plan->tag_dfa_,
+                               plan->alphabet_)) {
       plan->fused_ = std::make_unique<ByteTagDfaRunner>(*plan->tag_dfa_,
                                                         plan->alphabet_);
     }

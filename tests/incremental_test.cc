@@ -591,5 +591,40 @@ TEST(IncrementalEdit, EditStraddlingCheckpointBoundary) {
   }
 }
 
+// An edit inside a token the scan has begun but not finished — an XML-lite
+// tag name, a term label still waiting for its '{' — leaves the live state
+// just past the edit equal to the recorded one in everything but the open
+// partial token. Converging there would splice the old suffix onto a
+// different token.
+TEST(IncrementalEdit, EditInsideAnOpenTokenDoesNotConverge) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  struct Case {
+    StreamFormat format;
+    const char* doc;
+    int64_t offset;  // of the one byte replaced by 'c'
+  };
+  const Case cases[] = {
+      {StreamFormat::kXmlLite, "<a><b></b><c></c></a>", 4},
+      {StreamFormat::kCompactTerm, "a{b{}c{}}", 2},
+  };
+  for (const TierCase& tier : kTiers) {
+    for (const Case& c : cases) {
+      auto plan = CompileTier(tier, alphabet, c.format);
+      IncrementalOptions options;
+      options.checkpoint_interval = 1;
+      IncrementalSession session(plan, options);
+      const std::string doc = c.doc;
+      ASSERT_TRUE(session.Scan(doc));
+      std::string next = doc;
+      next[static_cast<size_t>(c.offset)] = 'c';
+      session.ApplyEdit(c.offset, 1, "c", next);
+      ExpectParity(FromSession(session),
+                   FullRescan(*plan, RecoveryPolicy::kFailFast,
+                              StreamLimits{}, next),
+                   std::string(tier.name) + "/" + FormatName(c.format));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sst

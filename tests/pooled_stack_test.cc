@@ -531,9 +531,9 @@ TEST(StackStepperParity, InlineStepperMatchesVirtualStepping) {
                 if (saved.empty()) continue;
                 const size_t mid = saved.size() / 2;
                 ASSERT_TRUE(selectors[k]->RestoreCheckpoint(saved[mid]));
-                FeedRest(*selectors[k], doc,
-                         static_cast<size_t>(saved[mid].bytes_fed), chunk,
-                         &resumed[k], nullptr);
+                const int64_t resume = saved[mid].run.counters.bytes_fed;
+                FeedRest(*selectors[k], doc, static_cast<size_t>(resume),
+                         chunk, &resumed[k], nullptr);
                 for (const SelectorCheckpoint& cp : saved) {
                   selectors[k]->ReleaseCheckpoint(cp);
                 }

@@ -528,39 +528,97 @@ TEST(StreamingSelector, LabelStackGrowsPastItsReserve) {
 void ExpectSameCheckpoint(const SelectorCheckpoint& got,
                           const SelectorCheckpoint& want,
                           const std::string& where) {
+  StreamingSelector::RunState run = got.run;
+  run.counters.chunks_fed = want.run.counters.chunks_fed;
   EXPECT_EQ(got.machine_config, want.machine_config) << where;
   EXPECT_EQ(got.open_labels, want.open_labels) << where;
-  EXPECT_EQ(got.tag_buf, want.tag_buf) << where;
-  EXPECT_EQ(got.in_tag, want.in_tag) << where;
-  EXPECT_EQ(got.tag_first, want.tag_first) << where;
-  EXPECT_EQ(got.tag_closing, want.tag_closing) << where;
-  EXPECT_EQ(got.have_pending, want.have_pending) << where;
-  EXPECT_EQ(got.pending_byte, want.pending_byte) << where;
-  EXPECT_EQ(got.pending_offset, want.pending_offset) << where;
-  EXPECT_EQ(got.tag_start, want.tag_start) << where;
-  EXPECT_EQ(got.in_skip, want.in_skip) << where;
-  EXPECT_EQ(got.skip_depth, want.skip_depth) << where;
-  EXPECT_EQ(got.bytes_fed, want.bytes_fed) << where;
-  EXPECT_EQ(got.events, want.events) << where;
-  EXPECT_EQ(got.nodes, want.nodes) << where;
-  EXPECT_EQ(got.matches, want.matches) << where;
-  EXPECT_EQ(got.depth, want.depth) << where;
-  EXPECT_EQ(got.errors_recovered, want.errors_recovered) << where;
-  EXPECT_EQ(got.subtrees_skipped, want.subtrees_skipped) << where;
-  EXPECT_EQ(got.error_offset, want.error_offset) << where;
-  EXPECT_EQ(got.saw_root, want.saw_root) << where;
-  EXPECT_EQ(got.machine_underflows, want.machine_underflows) << where;
+  EXPECT_TRUE(run == want.run) << where;
+  EXPECT_EQ(got.token_bytes, want.token_bytes) << where;
   EXPECT_EQ(got.stream_error, want.stream_error) << where;
-  ASSERT_EQ(got.recovered.size(), want.recovered.size()) << where;
-  for (size_t k = 0; k < got.recovered.size(); ++k) {
-    EXPECT_EQ(got.recovered[k].error, want.recovered[k].error) << where;
-    EXPECT_EQ(got.recovered[k].excise_from, want.recovered[k].excise_from)
-        << where;
-    EXPECT_EQ(got.recovered[k].resume_offset,
-              want.recovered[k].resume_offset)
-        << where;
-    EXPECT_EQ(got.recovered[k].closed_label, want.recovered[k].closed_label)
-        << where;
+  EXPECT_TRUE(got.recovered == want.recovered) << where;
+}
+
+// Reset() and RestoreCheckpoint() of a fresh origin both return a selector
+// to exactly a newly built one's state, from wherever a run stopped: inside
+// a tag straddling the Feed boundary, on a term label waiting for its '{',
+// inside a skipped region, and past a recovered error. (The stats compare
+// chunks_fed, which ExpectSameCheckpoint leaves out.)
+TEST(StreamingSelector, ResetAndRestoreMatchAFreshSelector) {
+  using Format = StreamingSelector::Format;
+  Alphabet letters = Alphabet::FromLetters("abc");
+  Alphabet mixed;
+  for (const char* label : {"a", "b", "c", "item", "list"}) {
+    mixed.Intern(label);
+  }
+  struct Case {
+    const char* name;
+    const Alphabet* alphabet;
+    Format format;
+    std::string prefix;
+    // What the stopped run must hold, so each case tests what it names.
+    bool token_open;
+    bool in_skip;
+    bool recovered;
+  };
+  const Case cases[] = {
+      {"markup mid-skip", &letters, Format::kCompactMarkup, "ab#c", false,
+       true, true},
+      {"markup past recovery", &letters, Format::kCompactMarkup, "ab#cCB",
+       false, false, true},
+      {"xml mid-tag", &mixed, Format::kXmlLite, "<list><it", true, false,
+       false},
+      {"xml mid-closing-tag", &mixed, Format::kXmlLite, "<a></", true, false,
+       false},
+      {"xml mid-skip-tag", &mixed, Format::kXmlLite, "<a><zz><b", true, true,
+       true},
+      {"xml past recovery", &mixed, Format::kXmlLite, "<a><b></c><item>",
+       false, false, true},
+      {"term waiting label", &mixed, Format::kCompactTerm, "a{b", true, false,
+       false},
+      {"term waiting label past whitespace", &mixed, Format::kCompactTerm,
+       "a{b{}c \n", true, false, false},
+      {"term mid-skip", &mixed, Format::kCompactTerm, "a{b#{", false, true,
+       true},
+      {"term past recovery", &mixed, Format::kCompactTerm, "a{#}", false,
+       false, true},
+  };
+  for (const Case& c : cases) {
+    const bool term = c.format == Format::kCompactTerm;
+    Dfa dfa = CompileRegex("a.*b", *c.alphabet);
+    TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, term);
+    TagDfaMachine fresh_machine(&evaluator);
+    StreamingSelector fresh(&fresh_machine, c.format, c.alphabet);
+    SelectorCheckpoint want;
+    ASSERT_TRUE(fresh.SaveCheckpoint(&want));
+
+    TagDfaMachine machine(&evaluator);
+    StreamingSelector selector(&machine, c.format, c.alphabet);
+    selector.set_recovery_policy(RecoveryPolicy::kSkipMalformedSubtree);
+    SelectorCheckpoint origin;
+    ASSERT_TRUE(selector.SaveCheckpoint(&origin));
+    auto run_prefix = [&] {
+      ASSERT_TRUE(selector.Feed(c.prefix)) << c.name;
+      SelectorCheckpoint stopped;
+      ASSERT_TRUE(selector.SaveCheckpoint(&stopped));
+      EXPECT_EQ(stopped.run.token.open, c.token_open) << c.name;
+      EXPECT_EQ(stopped.run.in_skip, c.in_skip) << c.name;
+      EXPECT_EQ(stopped.recovered.empty(), !c.recovered) << c.name;
+    };
+
+    run_prefix();
+    selector.Reset();
+    SelectorCheckpoint after_reset;
+    ASSERT_TRUE(selector.SaveCheckpoint(&after_reset));
+    ExpectSameCheckpoint(after_reset, want, std::string(c.name) + ": Reset");
+    EXPECT_TRUE(selector.stats() == fresh.stats()) << c.name;
+
+    run_prefix();
+    ASSERT_TRUE(selector.RestoreCheckpoint(origin));
+    SelectorCheckpoint after_restore;
+    ASSERT_TRUE(selector.SaveCheckpoint(&after_restore));
+    ExpectSameCheckpoint(after_restore, want,
+                         std::string(c.name) + ": RestoreCheckpoint");
+    EXPECT_TRUE(selector.stats() == fresh.stats()) << c.name;
   }
 }
 
