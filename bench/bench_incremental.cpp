@@ -30,6 +30,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "automata/alphabet.h"
@@ -227,6 +229,170 @@ void BM_IncrementalStackTierEdits(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalStackTierEdits)->UseManualTime();
 
+// --- Paired splice probes ----------------------------------------------
+//
+// Two costs an edit must not pay, each timed as interleaved pairs of
+// ApplyEdit calls on the same edits (the BM_StackPooledVsVector shape) so
+// the median per-pair ratio cancels machine drift:
+//   * BM_EditMatchHeavyVsMatchFree: an 8 MiB xml-lite document where /a/b
+//     selects ~560k nodes, against a query over the same document that
+//     selects nothing, both at 1,025 checkpoints. A splice that rebuilt
+//     the match log would cost O(matches) per edit; the floored counter
+//     match_free_over_match_heavy (free time / heavy time) holds the
+//     heavy edit within 2x of the free one.
+//   * BM_EditDenseVsSparseCheckpoints: the match-free query at 8,193
+//     checkpoints (1 KiB interval) against 1,025 (8 KiB). A splice that
+//     copied the checkpoint stream would cost O(checkpoints) in copies;
+//     dense_over_sparse (dense time / sparse time) is reported, not
+//     floored.
+// Each edit inserts one newline between two children at a random place,
+// and the next iteration removes it again, so every splice shifts the
+// suffix by one byte.
+constexpr int64_t kProbeBytes = int64_t{8} << 20;
+
+struct SpliceProbe {
+  std::string doc;
+  int64_t pairs = 0;  // "<b></b><c></c>\n" children pairs under the root
+  std::unique_ptr<IncrementalSession> first;
+  std::unique_ptr<IncrementalSession> second;
+  int64_t first_matches = 0;
+  int64_t second_matches = 0;
+};
+
+std::string ProbeDoc(int64_t* pairs) {
+  std::string doc = "<a>";
+  *pairs = 0;
+  while (static_cast<int64_t>(doc.size()) < kProbeBytes) {
+    doc.append("<b></b><c></c>\n");
+    ++*pairs;
+  }
+  doc.append("</a>");
+  return doc;
+}
+
+std::shared_ptr<const QueryPlan> ProbePlan(const char* xpath) {
+  static Alphabet* alphabet = new Alphabet(Alphabet::FromLetters("abc"));
+  PlanOptions options;
+  options.format = StreamFormat::kXmlLite;
+  auto plan = QueryPlan::Compile(Rpq::FromXPath(xpath, *alphabet), options);
+  SST_CHECK(plan->kind() == EvaluatorKind::kStackless);
+  return plan;
+}
+
+std::unique_ptr<SpliceProbe> MakeSpliceProbe(const char* first_xpath,
+                                             int64_t first_interval,
+                                             const char* second_xpath,
+                                             int64_t second_interval) {
+  auto probe = std::make_unique<SpliceProbe>();
+  probe->doc = ProbeDoc(&probe->pairs);
+  IncrementalOptions options;
+  options.checkpoint_interval = first_interval;
+  probe->first = std::make_unique<IncrementalSession>(ProbePlan(first_xpath),
+                                                      options);
+  options.checkpoint_interval = second_interval;
+  probe->second = std::make_unique<IncrementalSession>(
+      ProbePlan(second_xpath), options);
+  SST_CHECK(probe->first->Scan(probe->doc));
+  SST_CHECK(probe->second->Scan(probe->doc));
+  probe->first_matches = probe->first->matches();
+  probe->second_matches = probe->second->matches();
+  return probe;
+}
+
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+// One iteration = one edit applied to both sessions, alternating which
+// goes first. Reports the median of second-time / first-time and each
+// side's median call time.
+void RunSplicePair(benchmark::State& state, SpliceProbe* probe,
+                   const char* ratio_name, const char* first_name,
+                   const char* second_name) {
+  Rng rng(99);
+  bool first_goes_first = true;
+  int64_t inserted_at = -1;  // offset of the newline the last edit added
+  std::vector<double> ratios;
+  std::vector<double> first_us;
+  std::vector<double> second_us;
+  auto timed = [&](IncrementalSession* session, int64_t at, int64_t old_len,
+                   std::string_view bytes) {
+    const auto t0 = Clock::now();
+    const auto outcome = session->ApplyEdit(at, old_len, bytes, probe->doc);
+    const double seconds = Seconds(t0, Clock::now());
+    SST_CHECK(outcome.path == IncrementalSession::EditPath::kSplicedSuffix);
+    return seconds;
+  };
+  for (auto _ : state) {
+    int64_t at;
+    int64_t old_len;
+    std::string_view bytes;
+    if (inserted_at < 0) {
+      // Clear of the last segments, so every edit has a suffix to splice.
+      const int64_t pair = static_cast<int64_t>(
+          rng.NextBelow(static_cast<uint64_t>(probe->pairs - 2048)));
+      at = 3 + 15 * pair;
+      old_len = 0;
+      bytes = "\n";
+      probe->doc.insert(static_cast<size_t>(at), 1, '\n');
+      inserted_at = at;
+    } else {
+      at = inserted_at;
+      old_len = 1;
+      bytes = "";
+      probe->doc.erase(static_cast<size_t>(at), 1);
+      inserted_at = -1;
+    }
+    double first_s;
+    double second_s;
+    if (first_goes_first) {
+      first_s = timed(probe->first.get(), at, old_len, bytes);
+      second_s = timed(probe->second.get(), at, old_len, bytes);
+    } else {
+      second_s = timed(probe->second.get(), at, old_len, bytes);
+      first_s = timed(probe->first.get(), at, old_len, bytes);
+    }
+    first_goes_first = !first_goes_first;
+    SST_CHECK(probe->first->matches() == probe->first_matches);
+    SST_CHECK(probe->second->matches() == probe->second_matches);
+    ratios.push_back(second_s / first_s);
+    first_us.push_back(first_s * 1e6);
+    second_us.push_back(second_s * 1e6);
+  }
+  // Leave the document as scanned for the next run of this benchmark.
+  if (inserted_at >= 0) {
+    probe->doc.erase(static_cast<size_t>(inserted_at), 1);
+    probe->first->ApplyEdit(inserted_at, 1, "", probe->doc);
+    probe->second->ApplyEdit(inserted_at, 1, "", probe->doc);
+  }
+  benchmark::DoNotOptimize(probe->first->matches());
+  state.counters[ratio_name] = Median(std::move(ratios));
+  state.counters[first_name] = Median(std::move(first_us));
+  state.counters[second_name] = Median(std::move(second_us));
+  state.counters["checkpoints_first"] =
+      static_cast<double>(probe->first->checkpoint_count());
+  state.counters["checkpoints_second"] =
+      static_cast<double>(probe->second->checkpoint_count());
+}
+
+void BM_EditMatchHeavyVsMatchFree(benchmark::State& state) {
+  static SpliceProbe* probe =
+      MakeSpliceProbe("/a/b", 8 << 10, "/c/b", 8 << 10).release();
+  SST_CHECK(probe->first_matches > 500000 && probe->second_matches == 0);
+  RunSplicePair(state, probe, "match_free_over_match_heavy", "heavy_edit_us",
+                "free_edit_us");
+}
+BENCHMARK(BM_EditMatchHeavyVsMatchFree);
+
+void BM_EditDenseVsSparseCheckpoints(benchmark::State& state) {
+  static SpliceProbe* probe =
+      MakeSpliceProbe("/c/b", 8 << 10, "/c/b", 1 << 10).release();
+  RunSplicePair(state, probe, "dense_over_sparse", "sparse_edit_us",
+                "dense_edit_us");
+}
+BENCHMARK(BM_EditDenseVsSparseCheckpoints);
+
 // --- Pooled vs vector pushdown throughput -----------------------------
 //
 // Same DFA, same document, the only variable being the stack
@@ -363,9 +529,7 @@ void BM_StackPooledVsVector(benchmark::State& state) {
   // Median of the per-pair ratios: one preempted scan (shared-runner
   // noise burst) shifts a total-time ratio by several percent but leaves
   // the median untouched.
-  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                   ratios.end());
-  state.counters["pooled_vs_vector"] = ratios[ratios.size() / 2];
+  state.counters["pooled_vs_vector"] = Median(std::move(ratios));
 }
 BENCHMARK(BM_StackPooledVsVector);
 

@@ -52,10 +52,13 @@ def compact(raw):
             # rounded, since tiny jitter in a 1000x speedup figure is
             # noise in the diff.
             elif key in ("speedup_vs_rescan", "bytes_rescanned",
-                         "rescan_ms", "edit_us"):
+                         "rescan_ms", "edit_us", "heavy_edit_us",
+                         "free_edit_us", "sparse_edit_us", "dense_edit_us",
+                         "checkpoints_first", "checkpoints_second"):
                 entry[key] = round(value, 1)
             elif key in ("spliced_fraction", "pooled_vs_vector",
-                         "inline_over_virtual"):
+                         "inline_over_virtual",
+                         "match_free_over_match_heavy", "dense_over_sparse"):
                 entry[key] = round(value, 3)
         out["benchmarks"].append(entry)
     out["benchmarks"].sort(key=lambda entry: entry["name"] or "")

@@ -1,6 +1,7 @@
 #include "engine/checkpoint.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "base/check.h"
@@ -28,26 +29,27 @@ size_t CheckpointStream::FirstAtOrAfter(int64_t offset) const {
   return static_cast<size_t>(it - cps_.begin());
 }
 
-int64_t CheckpointStream::PrefixPeak(size_t upto) const {
-  SST_CHECK(upto < cps_.size());
-  int64_t peak = 0;
-  for (size_t i = 0; i <= upto; ++i) {
-    peak = std::max(peak, cps_[i].segment_peak_depth);
+void CheckpointStream::Splice(StreamingSelector* selector, size_t from,
+                              size_t to, std::vector<Checkpoint>* with) {
+  SST_CHECK(from <= to && to <= cps_.size());
+  ReleaseRange(selector, from, to);
+  const size_t reuse = std::min(to - from, with->size());
+  const auto first = cps_.begin() + static_cast<std::ptrdiff_t>(from);
+  const auto split = with->begin() + static_cast<std::ptrdiff_t>(reuse);
+  std::move(with->begin(), split, first);
+  if (reuse < to - from) {
+    cps_.erase(first + static_cast<std::ptrdiff_t>(reuse),
+               cps_.begin() + static_cast<std::ptrdiff_t>(to));
+  } else {
+    cps_.insert(cps_.begin() + static_cast<std::ptrdiff_t>(to),
+                std::make_move_iterator(split),
+                std::make_move_iterator(with->end()));
   }
-  return peak;
-}
-
-int64_t CheckpointStream::SuffixPeak(size_t from, int64_t tail_peak) const {
-  int64_t peak = tail_peak;
-  for (size_t i = from; i < cps_.size(); ++i) {
-    peak = std::max(peak, cps_[i].segment_peak_depth);
-  }
-  return peak;
+  with->clear();
 }
 
 void CheckpointStream::ReleaseRange(StreamingSelector* selector, size_t from,
                                     size_t to) {
-  SST_CHECK(to <= cps_.size());
   for (size_t i = from; i < to; ++i) {
     selector->ReleaseCheckpoint(cps_[i].state);
   }
@@ -56,10 +58,6 @@ void CheckpointStream::ReleaseRange(StreamingSelector* selector, size_t from,
 void CheckpointStream::Clear(StreamingSelector* selector) {
   ReleaseRange(selector, 0, cps_.size());
   cps_.clear();
-}
-
-void CheckpointStream::ReplaceAll(std::vector<Checkpoint> cps) {
-  cps_ = std::move(cps);
 }
 
 }  // namespace sst

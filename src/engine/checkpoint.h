@@ -1,41 +1,54 @@
 #ifndef SST_ENGINE_CHECKPOINT_H_
 #define SST_ENGINE_CHECKPOINT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "base/match_sink.h"
 #include "dra/streaming.h"
 
 namespace sst {
 
-// One recorded resume point of an incremental scan: the selector's full
-// resumable state at a document offset, plus the aggregates the splice
-// step needs — how many match events the prefix emitted and the exact
-// peak depth of the segment this checkpoint closes.
+// One recorded resume point of an incremental scan and the stream segment
+// it opens: the selector's full resumable state at a document offset, the
+// peak-depth aggregates the splice step needs, and the match events the
+// run emitted between this offset and the next checkpoint's (the last
+// checkpoint's segment runs to the end of the document).
 struct Checkpoint {
   int64_t offset = 0;  // document byte position (== bytes fed at `state`)
-  int64_t match_index = 0;  // match events emitted strictly before offset
   // Peak nesting depth over (previous checkpoint's offset, offset]; the
   // stream's global max_depth is the max over all segment peaks plus the
   // tail — which is why an edit can splice an *exact* peak without
   // rescanning the suffix.
   int64_t segment_peak_depth = 0;
+  // Peak nesting depth over [0, offset]: the running max of the segment
+  // peaks up to here, so the peak of the prefix an edit keeps is one read.
+  int64_t prefix_peak_depth = 0;
   SelectorCheckpoint state;
+  // The segment's match events in emission order, their start and
+  // certainty offsets relative to `offset` (end_offset stays -1: the log
+  // is verdict-only). Shifting `offset` moves them all, so an edit before
+  // the segment never touches them.
+  std::vector<MatchEvent> events;
 };
 
 // The checkpoint stream of one scanned document: checkpoints at strictly
 // increasing offsets (the first always at offset 0 — the origin), with the
 // binary searches ApplyEdit needs (resume point at or before the edit,
-// first convergence candidate at or after it) and the peak-depth algebra
-// of the splice step. Owns no machine resources directly — releasing a
-// checkpoint goes through the selector so the machine can free what the
-// saved config retains (stack-tier pooled nodes).
+// first convergence candidate at or after it) and the in-place splice
+// that replaces the checkpoints an edit's rescan covered. Owns no machine
+// resources directly — releasing a checkpoint goes through the selector so
+// the machine can free what the saved config retains (stack-tier pooled
+// nodes). Every saved config is released exactly once: by Splice or Clear,
+// never by a moved-from slot.
 class CheckpointStream {
  public:
   bool empty() const { return cps_.empty(); }
   size_t size() const { return cps_.size(); }
   const Checkpoint& at(size_t i) const { return cps_[i]; }
   Checkpoint& mutable_at(size_t i) { return cps_[i]; }
+  Checkpoint& back() { return cps_.back(); }
 
   // Appends; `cp.offset` must exceed the last recorded offset.
   void Append(Checkpoint cp);
@@ -47,27 +60,20 @@ class CheckpointStream {
   // Index of the first checkpoint with offset >= `offset`; size() if none.
   size_t FirstAtOrAfter(int64_t offset) const;
 
-  // Max segment peak over checkpoints [0, upto] — the exact peak depth of
-  // the document prefix ending at checkpoint `upto`.
-  int64_t PrefixPeak(size_t upto) const;
-
-  // Max segment peak over checkpoints [from, size()) and `tail_peak` (the
-  // peak after the last checkpoint) — the exact peak depth of the suffix
-  // starting at checkpoint from-1's offset.
-  int64_t SuffixPeak(size_t from, int64_t tail_peak) const;
-
-  // Releases checkpoints [from, to) through the selector. Does not erase
-  // them (callers rebuilding the stream splice survivors themselves).
-  void ReleaseRange(StreamingSelector* selector, size_t from, size_t to);
+  // Releases checkpoints [from, to) through the selector and moves the
+  // checkpoints of `with` into their place, leaving `with` empty. Slots
+  // the two ranges share are move-assigned; the difference costs one
+  // erase or one insert. The caller keeps offsets increasing across the
+  // seams (the suffix past `to` is rebased after the splice).
+  void Splice(StreamingSelector* selector, size_t from, size_t to,
+              std::vector<Checkpoint>* with);
 
   // Releases everything and empties the stream.
   void Clear(StreamingSelector* selector);
 
-  // Replaces the underlying storage (the splice step rebuilds the stream
-  // as prefix + rescan checkpoints + rebased suffix).
-  void ReplaceAll(std::vector<Checkpoint> cps);
-
  private:
+  void ReleaseRange(StreamingSelector* selector, size_t from, size_t to);
+
   std::vector<Checkpoint> cps_;
 };
 

@@ -41,6 +41,60 @@ StreamCounters Rebase(StreamCounters c, const StreamCounters& live,
   return c;
 }
 
+// How the error history of an old-run record at or past the converged
+// checkpoint cj reads in the edited run: every entry the live run recorded
+// up to convergence, then the record's own entries past cj's, rebased.
+struct HistorySplice {
+  const std::vector<StreamingSelector::RecoveredError>* live;
+  StreamError live_error;
+  size_t cj_entries;  // recovered entries cj recorded
+  bool cj_in_skip;
+  bool cj_clean;  // cj recorded no error
+  int64_t delta;
+
+  // Rewrites one record's history and first error in place.
+  void Apply(std::vector<StreamingSelector::RecoveredError>* rec,
+             StreamError* first) const {
+    // Convergence inside a skip region: the open skip's entry gets its
+    // resume_offset/closed_label filled in-place when the skip resolves —
+    // in the suffix, which a spliced edit never re-runs. The record's own
+    // copy of that entry (index cj_entries - 1; an open skip at cj implies
+    // cj recorded it) carries the resolution once the record lies past
+    // the resync point, in old coordinates.
+    const bool graft = cj_in_skip && !live->empty() && cj_entries >= 1 &&
+                       rec->size() >= cj_entries &&
+                       (*rec)[cj_entries - 1].resume_offset >= 0;
+    const StreamingSelector::RecoveredError resolved =
+        graft ? (*rec)[cj_entries - 1] : StreamingSelector::RecoveredError{};
+    rec->erase(rec->begin(),
+               rec->begin() + static_cast<std::ptrdiff_t>(
+                                  std::min(cj_entries, rec->size())));
+    for (StreamingSelector::RecoveredError& e : *rec) {
+      e = RebaseRecovered(e, delta);
+    }
+    rec->insert(rec->begin(), live->begin(), live->end());
+    if (graft && (*rec)[live->size() - 1].resume_offset < 0) {
+      StreamingSelector::RecoveredError& open = (*rec)[live->size() - 1];
+      open.resume_offset = resolved.resume_offset + delta;
+      open.closed_label = resolved.closed_label;
+    }
+    // First error: anything live saw comes first (the live region precedes
+    // the suffix); otherwise, when cj was clean, the record's own first
+    // error, rebased (any earlier one would have been at or before cj);
+    // otherwise the first entry past cj. A fatal-after-recoveries suffix
+    // was excluded at candidate selection.
+    if (!live_error.ok()) {
+      *first = live_error;
+    } else if (cj_clean) {
+      *first = RebaseError(*first, delta);
+    } else if (rec->size() > live->size()) {
+      *first = (*rec)[live->size()].error;
+    } else {
+      *first = StreamError{};
+    }
+  }
+};
+
 }  // namespace
 
 IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
@@ -60,33 +114,56 @@ IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
   selector_.set_match_sink(&sink_);
 }
 
-bool IncrementalSession::MakeCheckpointAt(int64_t offset,
-                                          int64_t base_match_index,
-                                          Checkpoint* out) {
-  SelectorCheckpoint state;
-  if (!selector_.SaveCheckpoint(&state)) return false;
+
+void IncrementalSession::CloseSegment(Checkpoint* cp) {
+  cp->events.assign(scratch_events_.begin(), scratch_events_.end());
+  for (MatchEvent& e : cp->events) {
+    e.start_offset -= cp->offset;
+    e.certainty_offset -= cp->offset;
+  }
+  scratch_events_.clear();
+}
+
+bool IncrementalSession::CheckpointAfter(Checkpoint* prev, int64_t offset,
+                                         Checkpoint* out) {
+  if (!selector_.SaveCheckpoint(&out->state)) return false;
   out->offset = offset;
-  out->match_index =
-      base_match_index + static_cast<int64_t>(scratch_events_.size());
   out->segment_peak_depth = selector_.TakeSegmentPeakDepth();
-  out->state = std::move(state);
+  out->prefix_peak_depth =
+      std::max(prev->prefix_peak_depth, out->segment_peak_depth);
+  CloseSegment(prev);
   return true;
 }
 
-IncrementalSession::Results IncrementalSession::CaptureLiveResults(
-    std::vector<MatchEvent> events) {
+const std::vector<MatchEvent>& IncrementalSession::match_events() const {
+  if (!events_current_) {
+    events_.clear();
+    events_.reserve(static_cast<size_t>(results_.stats.matches));
+    for (size_t i = 0; i < cps_.size(); ++i) {
+      const Checkpoint& cp = cps_.at(i);
+      for (MatchEvent e : cp.events) {
+        e.start_offset += cp.offset;
+        e.certainty_offset += cp.offset;
+        events_.push_back(e);
+      }
+    }
+    events_current_ = true;
+  }
+  return events_;
+}
+
+IncrementalSession::Results IncrementalSession::CaptureLiveResults() {
   Results r;
-  r.events = std::move(events);
   r.tail_peak = supported_ ? selector_.TakeSegmentPeakDepth() : 0;
   StreamStats st = selector_.stats();
   if (supported_) {
     // The selector's running peaks were re-based at every checkpoint
     // (TakeSegmentPeakDepth) and at every restore, so the whole-run peak
-    // is the max over recorded segment peaks plus the live tail. Stack
-    // size tracks element depth exactly on selector-driven streams, so
-    // the stack tier's peak composes the same way.
-    st.max_depth = std::max(cps_.SuffixPeak(0, r.tail_peak), st.max_depth);
-    st.max_depth = std::max(st.max_depth, r.tail_peak);
+    // is the last checkpoint's prefix peak plus the live tail. Stack size
+    // tracks element depth exactly on selector-driven streams, so the
+    // stack tier's peak composes the same way.
+    st.max_depth = std::max({cps_.back().prefix_peak_depth, r.tail_peak,
+                             st.max_depth});
     if (stack_tier_) st.max_stack_depth = st.max_depth;
     // After a restore the recorder's emission counter covers only the
     // rescan; single-query verdict-only emission is one event per match.
@@ -109,16 +186,9 @@ void IncrementalSession::DoFullScan(std::string_view document) {
   scratch_events_.clear();
   selector_.Reset();
 
-  SelectorCheckpoint origin;
-  supported_ = selector_.SaveCheckpoint(&origin);
-  if (supported_) {
-    Checkpoint cp;
-    cp.offset = 0;
-    cp.match_index = 0;
-    cp.segment_peak_depth = 0;
-    cp.state = std::move(origin);
-    cps_.Append(std::move(cp));
-  }
+  Checkpoint origin;
+  supported_ = selector_.SaveCheckpoint(&origin.state);
+  if (supported_) cps_.Append(std::move(origin));
 
   const int64_t n = static_cast<int64_t>(document.size());
   int64_t pos = 0;
@@ -131,13 +201,20 @@ void IncrementalSession::DoFullScan(std::string_view document) {
     pos = target;
     if (supported_ && pos < n) {
       Checkpoint cp;
-      if (MakeCheckpointAt(pos, 0, &cp)) cps_.Append(std::move(cp));
+      if (CheckpointAfter(&cps_.back(), pos, &cp)) cps_.Append(std::move(cp));
     }
   }
   if (!selector_.failed()) selector_.Finish();
 
-  results_ = CaptureLiveResults(std::move(scratch_events_));
-  scratch_events_.clear();
+  if (supported_) {
+    CloseSegment(&cps_.back());
+    events_current_ = false;
+  } else {
+    events_.swap(scratch_events_);
+    scratch_events_.clear();
+    events_current_ = true;
+  }
+  results_ = CaptureLiveResults();
   doc_size_ = n;
   scanned_ = true;
 }
@@ -171,11 +248,11 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     return out;
   }
 
+  const size_t resume = static_cast<size_t>(ri);
   const int64_t n_new = static_cast<int64_t>(document.size());
-  const int64_t resume_off = cps_.at(static_cast<size_t>(ri)).offset;
-  const int64_t resume_match = cps_.at(static_cast<size_t>(ri)).match_index;
-  SST_CHECK(resume_match <= static_cast<int64_t>(results_.events.size()));
+  const int64_t resume_off = cps_.at(resume).offset;
   scratch_events_.clear();
+  events_current_ = false;
   out.resumed_from = resume_off;
 
   // Convergence candidates: recorded checkpoints strictly past both the
@@ -183,10 +260,21 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   // exactly its shifted offset, so failed candidates are skipped for good
   // (they land in the dropped range when a later one converges).
   const bool splice_ok = options_.limits.unlimited();
-  size_t cand = std::max(cps_.FirstAtOrAfter(offset + old_len),
-                         static_cast<size_t>(ri) + 1);
+  size_t cand = std::max(cps_.FirstAtOrAfter(offset + old_len), resume + 1);
   const int64_t grid = options_.checkpoint_interval;
+  // Thinning keeps the stream on the grid's spacing: the rescan records a
+  // checkpoint one interval past the previous one, unless the next
+  // candidate is less than half an interval further (it would be a near
+  // twin of a suffix checkpoint the edit shifted off the grid), and a
+  // converged splice drops the candidate when it lies less than half an
+  // interval past the rescan's last checkpoint. Segments stay between
+  // half an interval and one and a half, so the count tracks the
+  // document's size instead of the number of edits.
+  const int64_t min_gap = grid / 2;
   std::vector<Checkpoint> rescan_cps;
+  auto last_cp = [&]() -> Checkpoint& {
+    return rescan_cps.empty() ? cps_.mutable_at(resume) : rescan_cps.back();
+  };
   bool converged = false;
   int64_t scan_pos = resume_off;
 
@@ -206,16 +294,21 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
       ++cand;
     }
     if (scan_pos >= n_new || selector_.failed()) break;
-    if (scan_pos > resume_off && scan_pos % grid == 0) {
+    const int64_t next_cand = splice_ok && cand < cps_.size()
+                                  ? cps_.at(cand).offset + delta
+                                  : INT64_MAX;
+    if (scan_pos >= last_cp().offset + grid &&
+        next_cand - scan_pos >= min_gap) {
       Checkpoint cp;
-      if (MakeCheckpointAt(scan_pos, resume_match, &cp)) {
+      if (CheckpointAfter(&last_cp(), scan_pos, &cp)) {
         rescan_cps.push_back(std::move(cp));
       }
     }
-    int64_t target = std::min(n_new, NextGrid(scan_pos));
-    if (splice_ok && cand < cps_.size()) {
-      target = std::min(target, cps_.at(cand).offset + delta);
-    }
+    // Feed up to the next checkpoint position or candidate; past a
+    // position skipped for a near candidate, up to that candidate.
+    const int64_t next_cp = last_cp().offset + grid;
+    const int64_t target =
+        std::min({n_new, next_cand, next_cp > scan_pos ? next_cp : INT64_MAX});
     if (!selector_.Feed(document.substr(static_cast<size_t>(scan_pos),
                                         static_cast<size_t>(target -
                                                             scan_pos)))) {
@@ -229,187 +322,107 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     // exact without splicing — the restore seeded them with exact prefix
     // values — which is also why finite limits are safe on this path.
     if (!selector_.failed()) selector_.Finish();
+    CloseSegment(&last_cp());
     out.path = EditPath::kScannedToEnd;
-    out.checkpoints_dropped =
-        static_cast<int64_t>(cps_.size()) - (ri + 1);
-    cps_.ReleaseRange(&selector_, static_cast<size_t>(ri) + 1, cps_.size());
-    std::vector<Checkpoint> ncps;
-    ncps.reserve(static_cast<size_t>(ri) + 1 + rescan_cps.size());
-    for (size_t k = 0; k <= static_cast<size_t>(ri); ++k) {
-      ncps.push_back(cps_.at(k));
-    }
-    for (Checkpoint& rc : rescan_cps) ncps.push_back(std::move(rc));
-    cps_.ReplaceAll(std::move(ncps));
-
-    std::vector<MatchEvent> ev;
-    ev.reserve(static_cast<size_t>(resume_match) + scratch_events_.size());
-    ev.insert(ev.end(), results_.events.begin(),
-              results_.events.begin() + resume_match);
-    ev.insert(ev.end(), scratch_events_.begin(), scratch_events_.end());
-    results_ = CaptureLiveResults(std::move(ev));
-    scratch_events_.clear();
+    out.checkpoints_dropped = static_cast<int64_t>(cps_.size()) - (ri + 1);
+    cps_.Splice(&selector_, resume + 1, cps_.size(), &rescan_cps);
+    results_ = CaptureLiveResults();
     out.bytes_rescanned = results_.stats.bytes_fed - resume_off;
     doc_size_ = n_new;
     return out;
   }
 
   // --- Converged: splice the suffix ------------------------------------
+  // What the splice reads of the live run and of the converged checkpoint
+  // cj, copied before the stream changes under it.
   const size_t j = cand;
   const size_t old_cp_count = cps_.size();
   const StreamStats live = selector_.stats();
   const int64_t live_conv_peak = selector_.TakeSegmentPeakDepth();
-  const std::vector<StreamingSelector::RecoveredError> live_rec =
-      selector_.recovered_errors();
-  const StreamError live_err = selector_.stream_error();
   const Checkpoint& cj = cps_.at(j);
-  const int64_t conv_match =
-      resume_match + static_cast<int64_t>(scratch_events_.size());
-  SST_CHECK(cj.match_index <= static_cast<int64_t>(results_.events.size()));
+  const StreamCounters cj_counters = cj.state.run.counters;
+  const HistorySplice history{&selector_.recovered_errors(),
+                              selector_.stream_error(),
+                              cj.state.recovered.size(),
+                              cj.state.run.in_skip,
+                              cj.state.stream_error.ok(),
+                              delta};
+  // Every record's history is empty when neither the live run nor the
+  // old one recovered anything; the per-checkpoint rewrite is skipped.
+  const bool splice_histories =
+      !history.live->empty() || !results_.recovered.empty();
 
-  // Suffix deltas: live value at convergence minus cj's recorded value.
-  // Adding a delta turns any old prefix aggregate at or past cj into its
-  // exact post-edit value (Rebase, for the selector's counters).
-  const StreamCounters& cj_counters = cj.state.run.counters;
-  const int64_t d_match = conv_match - cj.match_index;
-  const size_t cj_rec = cj.state.recovered.size();
-
-  Results r;
-  r.events.reserve(static_cast<size_t>(conv_match) + results_.events.size() -
-                   static_cast<size_t>(cj.match_index));
-  r.events.insert(r.events.end(), results_.events.begin(),
-                  results_.events.begin() + resume_match);
-  r.events.insert(r.events.end(), scratch_events_.begin(),
-                  scratch_events_.end());
-  for (size_t k = static_cast<size_t>(cj.match_index);
-       k < results_.events.size(); ++k) {
-    MatchEvent e = results_.events[k];
-    e.start_offset += delta;
-    e.certainty_offset += delta;  // end_offset stays -1 (verdict-only log)
-    r.events.push_back(e);
+  // The rescan's last segment ends at convergence. Thinning: when that
+  // leaves cj within half an interval of the checkpoint before it, cj is
+  // dropped and its segment joins the rescan's — its events shift to the
+  // earlier base, its peak moves to the next segment (or the tail).
+  Checkpoint& last = last_cp();
+  CloseSegment(&last);
+  const bool drop_cj = scan_pos - last.offset < min_gap;
+  if (drop_cj) {
+    const int64_t shift = scan_pos - last.offset;
+    last.events.reserve(last.events.size() + cj.events.size());
+    for (MatchEvent e : cj.events) {
+      e.start_offset += shift;
+      e.certainty_offset += shift;
+      last.events.push_back(e);
+    }
   }
+  const int64_t prefix_peak =
+      std::max(last.prefix_peak_depth, live_conv_peak);
+  const size_t suffix = resume + 1 + rescan_cps.size();
+  cps_.Splice(&selector_, resume + 1, j + (drop_cj ? 1 : 0), &rescan_cps);
 
-  r.recovered = live_rec;
-  for (size_t k = cj_rec; k < results_.recovered.size(); ++k) {
-    r.recovered.push_back(RebaseRecovered(results_.recovered[k], delta));
+  // Rebase the surviving suffix in place: offsets by the byte delta,
+  // counters by the suffix delta (Rebase), peaks recomposed from segment
+  // peaks, histories spliced.
+  int64_t peak = prefix_peak;
+  for (size_t k = suffix; k < cps_.size(); ++k) {
+    Checkpoint& cp = cps_.mutable_at(k);
+    cp.offset += delta;
+    if (k == suffix) {
+      cp.segment_peak_depth =
+          drop_cj ? std::max(cp.segment_peak_depth, live_conv_peak)
+                  : live_conv_peak;
+    }
+    peak = std::max(peak, cp.segment_peak_depth);
+    cp.prefix_peak_depth = peak;
+    SelectorCheckpoint& s = cp.state;
+    s.run.counters = Rebase(s.run.counters, live, cj_counters);
+    if (s.run.token.open) s.run.token.start += delta;
+    if (splice_histories) {
+      history.Apply(&s.recovered, &s.stream_error);
+      s.run.counters.error_offset =
+          s.stream_error.ok() ? -1 : s.stream_error.offset;
+    }
   }
-  // Convergence inside a skip region: the open skip's RecoveredError gets
-  // its resume_offset/closed_label filled in-place when the skip resolves
-  // — in the suffix, which a spliced edit never re-runs. The old run's
-  // final record of the same entry (old index cj_rec - 1; an open skip at
-  // cj implies cj recorded it) carries the resolution, in old coordinates.
-  if (cj.state.run.in_skip && !live_rec.empty() &&
-      r.recovered[live_rec.size() - 1].resume_offset < 0 &&
-      cj_rec >= 1 && results_.recovered.size() >= cj_rec &&
-      results_.recovered[cj_rec - 1].resume_offset >= 0) {
-    StreamingSelector::RecoveredError& open =
-        r.recovered[live_rec.size() - 1];
-    open.resume_offset = results_.recovered[cj_rec - 1].resume_offset + delta;
-    open.closed_label = results_.recovered[cj_rec - 1].closed_label;
+  if (drop_cj && suffix == cps_.size()) {
+    results_.tail_peak = std::max(results_.tail_peak, live_conv_peak);
   }
+  peak = std::max(peak, results_.tail_peak);
 
-  // First error of the edited document: anything live saw comes first
-  // (the live region precedes the suffix); otherwise the first old error
-  // past cj — the old run's first error when cj was still clean (any
-  // earlier one would have been at or before cj), else the first suffix
-  // recovered entry. A fatal-after-recoveries suffix was excluded at
-  // candidate selection.
-  StreamError first;
-  if (!live_err.ok()) {
-    first = live_err;
-  } else if (cj.state.stream_error.ok()) {
-    if (!results_.error.ok()) first = RebaseError(results_.error, delta);
-  } else if (r.recovered.size() > live_rec.size()) {
-    first = r.recovered[live_rec.size()].error;
-  }
-  r.error = first;
-
-  int64_t peak = cps_.PrefixPeak(static_cast<size_t>(ri));
-  for (const Checkpoint& rc : rescan_cps) {
-    peak = std::max(peak, rc.segment_peak_depth);
-  }
-  peak = std::max(peak, live_conv_peak);
-  peak = std::max(peak, cps_.SuffixPeak(j + 1, results_.tail_peak));
-
-  StreamStats st;
-  static_cast<StreamCounters&>(st) = Rebase(results_.stats, live, cj_counters);
+  // The results, in place. The suffix never re-ran, so its terminal
+  // verdicts (failed, complete, accepting) carry over: equal
+  // configurations at cj plus identical suffix bytes give the same run.
+  history.Apply(&results_.recovered, &results_.error);
+  StreamStats& st = results_.stats;
+  static_cast<StreamCounters&>(st) = Rebase(st, live, cj_counters);
   st.max_depth = peak;
-  st.error_offset = first.ok() ? -1 : first.offset;
+  st.error_offset = results_.error.ok() ? -1 : results_.error.offset;
   st.matches_emitted = st.matches;
   st.pending_matches_peak = 0;
   st.max_stack_depth = stack_tier_ ? peak : 0;
   // The selector never hands its machine a close with nothing open, so no
   // selector-driven run counts an underflow.
   st.underflow_closes = live.underflow_closes;
-  r.stats = st;
-
-  // The suffix never re-ran, so its terminal verdicts carry over: equal
-  // configurations at cj plus identical suffix bytes give the same run.
-  r.failed = results_.failed;
-  r.complete = results_.complete;
-  r.accepting = results_.accepting;
-  r.tail_peak = results_.tail_peak;
-
-  // Rebuild the checkpoint stream: untouched prefix, rescan checkpoints,
-  // then the surviving suffix rebased into post-edit coordinates. Machine
-  // configs are reused as-is (they hold no byte offsets — the stack tier's
-  // is a retained slot handle, the flat tiers' are state/depth/registers).
-  std::vector<Checkpoint> ncps;
-  ncps.reserve(static_cast<size_t>(ri) + 1 + rescan_cps.size() +
-               (cps_.size() - j));
-  for (size_t k = 0; k <= static_cast<size_t>(ri); ++k) {
-    ncps.push_back(cps_.at(k));
-  }
-  for (Checkpoint& rc : rescan_cps) ncps.push_back(std::move(rc));
-  for (size_t k = j; k < cps_.size(); ++k) {
-    Checkpoint cp = cps_.at(k);
-    cp.offset += delta;
-    cp.match_index += d_match;
-    if (k == j) cp.segment_peak_depth = live_conv_peak;
-    SelectorCheckpoint& s = cp.state;
-    s.run.counters = Rebase(s.run.counters, live, cj_counters);
-    if (s.run.token.open) s.run.token.start += delta;
-    // Error history seen from this checkpoint: everything live recorded,
-    // then this checkpoint's old entries past cj, rebased.
-    std::vector<StreamingSelector::RecoveredError> nr(live_rec.begin(),
-                                                      live_rec.end());
-    for (size_t m = cj_rec; m < s.recovered.size(); ++m) {
-      nr.push_back(RebaseRecovered(s.recovered[m], delta));
-    }
-    // Mid-skip convergence: graft the open skip's resolution from this
-    // checkpoint's own as-of-then record (see the r.recovered splice
-    // above) — a checkpoint past the resync point has it filled in, one
-    // before it correctly leaves the entry open.
-    if (cj.state.run.in_skip && !live_rec.empty() &&
-        nr[live_rec.size() - 1].resume_offset < 0 && cj_rec >= 1 &&
-        s.recovered.size() >= cj_rec &&
-        s.recovered[cj_rec - 1].resume_offset >= 0) {
-      nr[live_rec.size() - 1].resume_offset =
-          s.recovered[cj_rec - 1].resume_offset + delta;
-      nr[live_rec.size() - 1].closed_label =
-          s.recovered[cj_rec - 1].closed_label;
-    }
-    if (!live_err.ok()) {
-      s.stream_error = live_err;
-    } else if (nr.size() > live_rec.size()) {
-      s.stream_error = nr[live_rec.size()].error;
-    } else {
-      s.stream_error = StreamError{};
-    }
-    s.run.counters.error_offset =
-        s.stream_error.ok() ? -1 : s.stream_error.offset;
-    s.recovered = std::move(nr);
-    ncps.push_back(std::move(cp));
-  }
-  cps_.ReleaseRange(&selector_, static_cast<size_t>(ri) + 1, j);
-  cps_.ReplaceAll(std::move(ncps));
 
   out.path = EditPath::kSplicedSuffix;
   out.converged_at = scan_pos;
   out.bytes_rescanned = scan_pos - resume_off;
-  out.checkpoints_reused = static_cast<int64_t>(old_cp_count - j);
-  out.checkpoints_dropped = static_cast<int64_t>(j) - ri - 1;
-  results_ = std::move(r);
-  scratch_events_.clear();
+  out.checkpoints_reused =
+      static_cast<int64_t>(old_cp_count - j) - (drop_cj ? 1 : 0);
+  out.checkpoints_dropped =
+      static_cast<int64_t>(j) - ri - 1 + (drop_cj ? 1 : 0);
   doc_size_ = n_new;
   return out;
 }

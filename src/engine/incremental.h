@@ -42,12 +42,21 @@ struct IncrementalOptions {
 //   3. detecting *convergence*: the post-edit configuration matching the
 //      recorded configuration stream at the same depth (checkpoint
 //      offsets, shifted by the edit's net byte delta). On convergence the
-//      suffix is spliced — counts as checkpoint-delta arithmetic, match
-//      events with rebased byte offsets, suffix checkpoints rebased in
-//      place — instead of rescanned.
+//      suffix is spliced instead of rescanned.
 // When configurations never reconverge (the edit changed the context of
 // everything after it) the rescan simply runs to EOF, which is the full-
 // rescan fallback with the prefix before the edit still reused.
+//
+// Each checkpoint owns its segment of the stream: the match events up to
+// the next checkpoint, at offsets relative to its own. A converged splice
+// replaces the rescanned segments in place and walks the suffix once with
+// integer adds — offset, counters, an open token's start, the running
+// peak — so the suffix's events are never copied: shifting a checkpoint's
+// offset moves them. Copies and allocations are O(rescanned segments +
+// edit size); only that integer pass is O(suffix checkpoints). After each
+// rescan the stream is thinned back to the grid: a new checkpoint keeps at
+// least half an interval from its neighbours, so the count tracks the
+// document size instead of the number of edits.
 //
 // This cashes in the paper's central asset: a stackless configuration is
 // O(1) — state, depth counter, register bank — so checkpoints cost words,
@@ -69,7 +78,8 @@ class IncrementalSession {
  public:
   // How ApplyEdit answered.
   enum class EditPath {
-    kSplicedSuffix,  // converged: suffix aggregates spliced, O(K + edit)
+    kSplicedSuffix,  // converged: rescanned segments replaced, suffix
+                     // rebased in place
     kScannedToEnd,   // no convergence: rescanned from the resume point
     kFullRescan,     // no usable checkpoint (unsupported machine tier)
   };
@@ -107,9 +117,11 @@ class IncrementalSession {
 
   // --- Results of the last Scan/ApplyEdit (full-rescan parity) ---------
   int64_t matches() const { return results_.stats.matches; }
-  const std::vector<MatchEvent>& match_events() const {
-    return results_.events;
-  }
+  // The document's match events in order, at absolute offsets. The first
+  // read after a Scan or ApplyEdit flattens the checkpoint segments into
+  // one log (O(matches)); later reads return it as is. Not safe to call
+  // from two threads at once.
+  const std::vector<MatchEvent>& match_events() const;
   const StreamStats& stats() const { return results_.stats; }
   bool failed() const { return results_.failed; }
   bool document_complete() const { return results_.complete; }
@@ -147,7 +159,6 @@ class IncrementalSession {
   };
 
   struct Results {
-    std::vector<MatchEvent> events;
     StreamStats stats;
     bool failed = false;
     bool complete = false;   // document_complete() at EOF
@@ -161,17 +172,20 @@ class IncrementalSession {
   // checkpoint stream. Shared by Scan and the full-rescan edit path.
   void DoFullScan(std::string_view document);
 
-  // Captures a checkpoint of the live selector at `offset` into `out`;
-  // `base_match_index` is the number of events emitted before the current
-  // scratch log started. False when the save is unsupported.
-  bool MakeCheckpointAt(int64_t offset, int64_t base_match_index,
-                        Checkpoint* out);
+  // Saves the live selector at `offset` into `out` and closes `prev`'s
+  // segment, which ends there. False (and `prev` left open) when the save
+  // is unsupported.
+  bool CheckpointAfter(Checkpoint* prev, int64_t offset, Checkpoint* out);
+
+  // Moves the events logged since the last checkpoint into `cp`'s
+  // segment, at offsets relative to `cp->offset`.
+  void CloseSegment(Checkpoint* cp);
 
   // Composes the Results of a run that ended on the live selector (full
-  // scan or scan-to-end): `events` is the already-assembled event log;
-  // the peak depth is composed from cps_ segment peaks plus the live
-  // tail, so cps_ must already hold the final checkpoint stream.
-  Results CaptureLiveResults(std::vector<MatchEvent> events);
+  // scan or scan-to-end). The peak depth is composed from the last
+  // checkpoint's prefix peak plus the live tail, so cps_ must already
+  // hold the final checkpoint stream.
+  Results CaptureLiveResults();
 
   int64_t NextGrid(int64_t pos) const {
     return (pos / options_.checkpoint_interval + 1) *
@@ -185,7 +199,13 @@ class IncrementalSession {
   bool stack_tier_ = false;
 
   EventLogSink sink_;
-  std::vector<MatchEvent> scratch_events_;  // rescan-region event log
+  // Events logged since the last checkpoint, at absolute offsets.
+  std::vector<MatchEvent> scratch_events_;
+  // The flat log match_events() returns: built on demand from the
+  // segments (events_current_ false until then), or the only log when the
+  // machine cannot checkpoint.
+  mutable std::vector<MatchEvent> events_;
+  mutable bool events_current_ = false;
 
   CheckpointStream cps_;
   Results results_;

@@ -454,6 +454,100 @@ TEST(IncrementalEdit, SmallEditSplicesSuffix) {
       << "no edit of a 20k-node document took the fast path";
 }
 
+// Thinning: an edit shifts the suffix checkpoints off the grid and its
+// rescan records grid-aligned ones, so without thinning the stream gains
+// about one checkpoint per edit. Over 8,000 edits with no rescan to the
+// end in between, the count stays within 1.25x the grid's cell count of
+// the current document, and the results still match a fresh scan. Each
+// tier runs on its own format.
+TEST(IncrementalEdit, CheckpointCountTracksTheGrid) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  constexpr int64_t kInterval = 1024;
+  constexpr int kEdits = 8000;
+  Rng rng(29);
+  for (size_t t = 0; t < std::size(kTiers); ++t) {
+    const TierCase& tier = kTiers[t];
+    const StreamFormat format = kFormats[t];
+    auto plan = CompileTier(tier, alphabet, format);
+    std::string doc;
+    for (int nodes = 4000; doc.size() < 48u * 1024u; nodes *= 2) {
+      doc = Serialize(alphabet, RandomTree(nodes, alphabet.size(), 0.3, &rng),
+                      format);
+    }
+    IncrementalOptions options;
+    options.checkpoint_interval = kInterval;
+    IncrementalSession session(plan, options);
+    ASSERT_TRUE(session.Scan(doc));
+    const std::string ctx = std::string(tier.name) + "/" + FormatName(format);
+
+    EditWorkload workload(&alphabet, format, 41 + t);
+    for (int e = 0; e < kEdits; ++e) {
+      const DocEdit edit = workload.Next(doc);
+      doc.replace(static_cast<size_t>(edit.offset),
+                  static_cast<size_t>(edit.old_len), edit.new_bytes);
+      session.ApplyEdit(edit.offset, edit.old_len, edit.new_bytes, doc);
+      const int64_t cells =
+          (static_cast<int64_t>(doc.size()) + kInterval - 1) / kInterval;
+      ASSERT_LE(static_cast<double>(session.checkpoint_count()),
+                1.25 * static_cast<double>(cells))
+          << ctx << " after edit " << e;
+    }
+    ExpectParity(FromSession(session),
+                 FullRescan(*plan, RecoveryPolicy::kFailFast, StreamLimits{},
+                            doc),
+                 ctx + " after " + std::to_string(kEdits) + " edits");
+  }
+}
+
+// A chain whose first edit deletes most of a checkpoint segment, so the
+// splice thins away the converged checkpoint and its segment — and the
+// match events it owns — joins the rescanned one; later edits resume
+// inside that merged segment and inside the suffix the first edit
+// shifted. The document is a root over "bB" leaves each followed by
+// twelve spaces; at interval 7 the checkpoint at 14 owns the match at 15,
+// and deleting [8, 13) converges at 9, under half an interval past the
+// resume point 7. Interval 1 never thins and runs the same chain.
+TEST(IncrementalEdit, ChainThroughThinnedSegment) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  std::string doc = "a";
+  for (int i = 0; i < 12; ++i) doc += "bB            ";
+  doc += "A";
+  struct Step {
+    int64_t offset;
+    int64_t old_len;
+    const char* replacement;
+  };
+  const Step steps[] = {{8, 5, ""}, {9, 0, "  "}, {40, 0, " "}, {30, 3, ""}};
+  for (const TierCase& tier : kTiers) {
+    auto plan = CompileTier(tier, alphabet, StreamFormat::kCompactMarkup);
+    for (int64_t interval : {int64_t{1}, int64_t{7}}) {
+      IncrementalOptions options;
+      options.checkpoint_interval = interval;
+      IncrementalSession session(plan, options);
+      ASSERT_TRUE(session.Scan(doc));
+      std::string cur = doc;
+      for (const Step& step : steps) {
+        const std::string ctx = std::string(tier.name) + " K=" +
+                                std::to_string(interval) + " edit @" +
+                                std::to_string(step.offset);
+        cur.replace(static_cast<size_t>(step.offset),
+                    static_cast<size_t>(step.old_len), step.replacement);
+        const auto outcome = session.ApplyEdit(step.offset, step.old_len,
+                                               step.replacement, cur);
+        EXPECT_EQ(outcome.path, IncrementalSession::EditPath::kSplicedSuffix)
+            << ctx;
+        if (interval == 7 && &step == &steps[0]) {
+          EXPECT_EQ(outcome.checkpoints_dropped, 1) << ctx << " thinning";
+        }
+        ExpectParity(FromSession(session),
+                     FullRescan(*plan, RecoveryPolicy::kFailFast,
+                                StreamLimits{}, cur),
+                     ctx);
+      }
+    }
+  }
+}
+
 // Finite limits disable suffix splicing (prefix-dependent guards) but not
 // checkpoint resume: edits still answer correctly via scan-to-end, and
 // limit-triggered errors land at the same offsets as a full rescan.
