@@ -247,7 +247,8 @@ BENCHMARK(BM_IncrementalStackTierEdits)->UseManualTime();
 //     floored.
 // Each edit inserts one newline between two children at a random place,
 // and the next iteration removes it again, so every splice shifts the
-// suffix by one byte.
+// suffix by one byte. BM_EditRepairVsOrdinary (below) times a repair
+// against such edits on the same document.
 constexpr int64_t kProbeBytes = int64_t{8} << 20;
 
 struct SpliceProbe {
@@ -392,6 +393,79 @@ void BM_EditDenseVsSparseCheckpoints(benchmark::State& state) {
                 "dense_edit_us");
 }
 BENCHMARK(BM_EditDenseVsSparseCheckpoints);
+
+// BM_EditRepairVsOrdinary: one session on the same 8 MiB document and the
+// match-free query at 1,025 checkpoints. Each iteration times a corruption
+// and its repair — a '?' inserted between two children, where the
+// fail-fast run stops, then removed — against two ordinary one-byte edits
+// (a newline inserted and removed), alternating which pair goes first.
+// ordinary_over_repair (ordinary pair time / corruption-and-repair time)
+// is floored: a repair that rescans from the corruption to the end of the
+// document reads ~0.01; one that converges on the suffix the failed run
+// parked costs about what an ordinary edit does.
+void BM_EditRepairVsOrdinary(benchmark::State& state) {
+  struct Probe {
+    std::string doc;
+    int64_t pairs = 0;
+    std::unique_ptr<IncrementalSession> session;
+  };
+  static Probe* probe = [] {
+    auto* p = new Probe;
+    p->doc = ProbeDoc(&p->pairs);
+    IncrementalOptions options;
+    options.checkpoint_interval = 8 << 10;
+    p->session =
+        std::make_unique<IncrementalSession>(ProbePlan("/c/b"), options);
+    SST_CHECK(p->session->Scan(p->doc));
+    return p;
+  }();
+  IncrementalSession& session = *probe->session;
+  Rng rng(101);
+  // Inserts `byte` between two children at a random place, clear of the
+  // last segments, and removes it again; returns the two ApplyEdit calls'
+  // summed time. The document edits in between are not timed.
+  auto insert_and_remove = [&](char byte, bool corrupts) {
+    const int64_t pair = static_cast<int64_t>(
+        rng.NextBelow(static_cast<uint64_t>(probe->pairs - 2048)));
+    const int64_t at = 3 + 15 * pair;
+    probe->doc.insert(static_cast<size_t>(at), 1, byte);
+    auto t0 = Clock::now();
+    session.ApplyEdit(at, 0, std::string_view(&byte, 1), probe->doc);
+    double seconds = Seconds(t0, Clock::now());
+    SST_CHECK(session.failed() == corrupts);
+    probe->doc.erase(static_cast<size_t>(at), 1);
+    t0 = Clock::now();
+    session.ApplyEdit(at, 1, "", probe->doc);
+    seconds += Seconds(t0, Clock::now());
+    SST_CHECK(!session.failed() && session.matches() == 0);
+    return seconds;
+  };
+  bool repair_first = true;
+  std::vector<double> ratios;
+  std::vector<double> repair_us;
+  std::vector<double> ordinary_us;
+  for (auto _ : state) {
+    double repair_s;
+    double ordinary_s;
+    if (repair_first) {
+      repair_s = insert_and_remove('?', /*corrupts=*/true);
+      ordinary_s = insert_and_remove('\n', /*corrupts=*/false);
+    } else {
+      ordinary_s = insert_and_remove('\n', /*corrupts=*/false);
+      repair_s = insert_and_remove('?', /*corrupts=*/true);
+    }
+    repair_first = !repair_first;
+    ratios.push_back(ordinary_s / repair_s);
+    repair_us.push_back(repair_s * 1e6);
+    ordinary_us.push_back(ordinary_s * 1e6);
+  }
+  state.counters["ordinary_over_repair"] = Median(std::move(ratios));
+  state.counters["repair_pair_us"] = Median(std::move(repair_us));
+  state.counters["ordinary_pair_us"] = Median(std::move(ordinary_us));
+  state.counters["checkpoints_first"] =
+      static_cast<double>(session.checkpoint_count());
+}
+BENCHMARK(BM_EditRepairVsOrdinary);
 
 // --- Pooled vs vector pushdown throughput -----------------------------
 //

@@ -54,11 +54,13 @@ def compact(raw):
             elif key in ("speedup_vs_rescan", "bytes_rescanned",
                          "rescan_ms", "edit_us", "heavy_edit_us",
                          "free_edit_us", "sparse_edit_us", "dense_edit_us",
-                         "checkpoints_first", "checkpoints_second"):
+                         "checkpoints_first", "checkpoints_second",
+                         "repair_pair_us", "ordinary_pair_us"):
                 entry[key] = round(value, 1)
             elif key in ("spliced_fraction", "pooled_vs_vector",
                          "inline_over_virtual",
-                         "match_free_over_match_heavy", "dense_over_sparse"):
+                         "match_free_over_match_heavy", "dense_over_sparse",
+                         "ordinary_over_repair"):
                 entry[key] = round(value, 3)
         out["benchmarks"].append(entry)
     out["benchmarks"].sort(key=lambda entry: entry["name"] or "")

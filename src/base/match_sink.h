@@ -1,6 +1,7 @@
 #ifndef SST_BASE_MATCH_SINK_H_
 #define SST_BASE_MATCH_SINK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>

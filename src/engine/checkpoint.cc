@@ -13,18 +13,22 @@ void CheckpointStream::Append(Checkpoint cp) {
   cps_.push_back(std::move(cp));
 }
 
-int64_t CheckpointStream::FindResume(int64_t offset) const {
+int64_t CheckpointStream::FindResume(int64_t offset, size_t end) const {
+  SST_CHECK(end <= cps_.size());
   // Last checkpoint with cps_[i].offset <= offset.
+  const auto first = cps_.begin();
   auto it = std::upper_bound(
-      cps_.begin(), cps_.end(), offset,
+      first, first + static_cast<std::ptrdiff_t>(end), offset,
       [](int64_t off, const Checkpoint& cp) { return off < cp.offset; });
-  if (it == cps_.begin()) return -1;
-  return static_cast<int64_t>(it - cps_.begin()) - 1;
+  return static_cast<int64_t>(it - first) - 1;
 }
 
-size_t CheckpointStream::FirstAtOrAfter(int64_t offset) const {
+size_t CheckpointStream::FirstAtOrAfter(int64_t offset, size_t from,
+                                        size_t to) const {
+  SST_CHECK(from <= to && to <= cps_.size());
   auto it = std::lower_bound(
-      cps_.begin(), cps_.end(), offset,
+      cps_.begin() + static_cast<std::ptrdiff_t>(from),
+      cps_.begin() + static_cast<std::ptrdiff_t>(to), offset,
       [](const Checkpoint& cp, int64_t off) { return cp.offset < off; });
   return static_cast<size_t>(it - cps_.begin());
 }
@@ -55,9 +59,12 @@ void CheckpointStream::ReleaseRange(StreamingSelector* selector, size_t from,
   }
 }
 
-void CheckpointStream::Clear(StreamingSelector* selector) {
-  ReleaseRange(selector, 0, cps_.size());
-  cps_.clear();
+void CheckpointStream::Erase(StreamingSelector* selector, size_t from,
+                             size_t to) {
+  SST_CHECK(from <= to && to <= cps_.size());
+  ReleaseRange(selector, from, to);
+  cps_.erase(cps_.begin() + static_cast<std::ptrdiff_t>(from),
+             cps_.begin() + static_cast<std::ptrdiff_t>(to));
 }
 
 }  // namespace sst

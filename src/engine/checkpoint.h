@@ -37,11 +37,13 @@ struct Checkpoint {
 // increasing offsets (the first always at offset 0 — the origin), with the
 // binary searches ApplyEdit needs (resume point at or before the edit,
 // first convergence candidate at or after it) and the in-place splice
-// that replaces the checkpoints an edit's rescan covered. Owns no machine
-// resources directly — releasing a checkpoint goes through the selector so
-// the machine can free what the saved config retains (stack-tier pooled
-// nodes). Every saved config is released exactly once: by Splice or Clear,
-// never by a moved-from slot.
+// that replaces the checkpoints an edit's rescan covered. A session may
+// keep a parked suffix at the end, in other coordinates, so the searches
+// take the index range to look in; offsets increase within each part.
+// Owns no machine resources directly — releasing a checkpoint goes through
+// the selector so the machine can free what the saved config retains
+// (stack-tier pooled nodes). Every saved config is released exactly once:
+// by Splice, Erase or Clear, never by a moved-from slot.
 class CheckpointStream {
  public:
   bool empty() const { return cps_.empty(); }
@@ -53,12 +55,13 @@ class CheckpointStream {
   // Appends; `cp.offset` must exceed the last recorded offset.
   void Append(Checkpoint cp);
 
-  // Index of the last checkpoint with offset <= `offset`, or -1 when the
-  // stream is empty (never with an origin checkpoint recorded).
-  int64_t FindResume(int64_t offset) const;
+  // Index of the last checkpoint among [0, end) with offset <= `offset`,
+  // or -1 when there is none (never with an origin checkpoint recorded).
+  int64_t FindResume(int64_t offset, size_t end) const;
 
-  // Index of the first checkpoint with offset >= `offset`; size() if none.
-  size_t FirstAtOrAfter(int64_t offset) const;
+  // Index of the first checkpoint among [from, to) with offset >=
+  // `offset`; `to` if none.
+  size_t FirstAtOrAfter(int64_t offset, size_t from, size_t to) const;
 
   // Releases checkpoints [from, to) through the selector and moves the
   // checkpoints of `with` into their place, leaving `with` empty. Slots
@@ -68,8 +71,11 @@ class CheckpointStream {
   void Splice(StreamingSelector* selector, size_t from, size_t to,
               std::vector<Checkpoint>* with);
 
+  // Releases checkpoints [from, to) through the selector and removes them.
+  void Erase(StreamingSelector* selector, size_t from, size_t to);
+
   // Releases everything and empties the stream.
-  void Clear(StreamingSelector* selector);
+  void Clear(StreamingSelector* selector) { Erase(selector, 0, size()); }
 
  private:
   void ReleaseRange(StreamingSelector* selector, size_t from, size_t to);

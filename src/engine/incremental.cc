@@ -139,7 +139,7 @@ const std::vector<MatchEvent>& IncrementalSession::match_events() const {
   if (!events_current_) {
     events_.clear();
     events_.reserve(static_cast<size_t>(results_.stats.matches));
-    for (size_t i = 0; i < cps_.size(); ++i) {
+    for (size_t i = 0; i < live_size(); ++i) {
       const Checkpoint& cp = cps_.at(i);
       for (MatchEvent e : cp.events) {
         e.start_offset += cp.offset;
@@ -162,7 +162,8 @@ IncrementalSession::Results IncrementalSession::CaptureLiveResults() {
     // is the last checkpoint's prefix peak plus the live tail. Stack size
     // tracks element depth exactly on selector-driven streams, so the
     // stack tier's peak composes the same way.
-    st.max_depth = std::max({cps_.back().prefix_peak_depth, r.tail_peak,
+    st.max_depth = std::max({cps_.at(live_size() - 1).prefix_peak_depth,
+                             r.tail_peak,
                              st.max_depth});
     if (stack_tier_) st.max_stack_depth = st.max_depth;
     // After a restore the recorder's emission counter covers only the
@@ -183,6 +184,7 @@ void IncrementalSession::DoFullScan(std::string_view document) {
   // Release retained machine resources before Reset wipes the machine's
   // slot table (the reverse order would release stale handles).
   cps_.Clear(&selector_);
+  parked_.count = 0;
   scratch_events_.clear();
   selector_.Reset();
 
@@ -238,15 +240,26 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
       "post-edit document does not contain new_bytes at the edit offset");
 
   EditOutcome out;
-  const int64_t ri = cps_.FindResume(offset);
+  const size_t live_end = live_size();
+  const int64_t ri = cps_.FindResume(offset, live_end);
   if (!supported_ || ri < 0 ||
       !selector_.RestoreCheckpoint(cps_.at(static_cast<size_t>(ri)).state)) {
     out.path = EditPath::kFullRescan;
-    out.checkpoints_dropped = static_cast<int64_t>(cps_.size());
+    out.checkpoints_dropped = static_cast<int64_t>(checkpoint_count());
     DoFullScan(document);
     out.bytes_rescanned = results_.stats.bytes_fed;
     return out;
   }
+
+  // A parked checkpoint before the edit's end has a changed suffix, so it
+  // can never converge again; the rest lie past the edit and shift by its
+  // delta.
+  const size_t fresh = cps_.FirstAtOrAfter(offset + old_len - parked_.shift,
+                                           live_end, cps_.size());
+  cps_.Erase(&selector_, live_end, fresh);
+  parked_.count -= fresh - live_end;
+  parked_.shift += delta;
+  out.checkpoints_dropped = static_cast<int64_t>(fresh - live_end);
 
   const size_t resume = static_cast<size_t>(ri);
   const int64_t n_new = static_cast<int64_t>(document.size());
@@ -256,21 +269,41 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   out.resumed_from = resume_off;
 
   // Convergence candidates: recorded checkpoints strictly past both the
-  // edited region and the resume point. A candidate can only match at
-  // exactly its shifted offset, so failed candidates are skipped for good
-  // (they land in the dropped range when a later one converges).
+  // edited region and the resume point — the live stream's from `cand` on,
+  // then the parked suffix, which lies past all of them. A candidate can
+  // only match at exactly its shifted offset, so failed candidates are
+  // skipped for good (they land in the dropped range when a later one
+  // converges).
   const bool splice_ok = options_.limits.unlimited();
-  size_t cand = std::max(cps_.FirstAtOrAfter(offset + old_len), resume + 1);
+  size_t cand = std::max(cps_.FirstAtOrAfter(offset + old_len, 0, live_end),
+                         resume + 1);
+  // What carries a candidate's recorded positions into the edited
+  // document.
+  auto shift_of = [&](size_t c) {
+    return c < live_end ? delta : parked_.shift;
+  };
+  auto candidate_at = [&](size_t c) {
+    return cps_.at(c).offset + shift_of(c);
+  };
   const int64_t grid = options_.checkpoint_interval;
-  // Thinning keeps the stream on the grid's spacing: the rescan records a
-  // checkpoint one interval past the previous one, unless the next
-  // candidate is less than half an interval further (it would be a near
-  // twin of a suffix checkpoint the edit shifted off the grid), and a
-  // converged splice drops the candidate when it lies less than half an
-  // interval past the rescan's last checkpoint. Segments stay between
-  // half an interval and one and a half, so the count tracks the
-  // document's size instead of the number of edits.
-  const int64_t min_gap = grid / 2;
+  // Thinning keeps the stream on the grid's spacing. The rescan cuts the
+  // stretch from its last checkpoint to the next candidate one interval
+  // on while two or more intervals remain, cuts it in the middle when four
+  // thirds to two remain, and leaves a shorter stretch whole; a converged
+  // splice drops the candidate when it lies less than half an interval
+  // past the rescan's last checkpoint. So a rescanned segment is between
+  // half an interval and four thirds long, one that edits grew past that
+  // splits into halves the next time an edit rescans it, and the count
+  // tracks the document's size instead of the number of edits. (At least
+  // one byte: at interval 1 a deletion can converge right at the resume
+  // point, and two checkpoints never share an offset.)
+  const int64_t min_gap = std::max<int64_t>(grid / 2, 1);
+  auto next_split = [&](int64_t last, int64_t next) -> int64_t {
+    const int64_t len = next - last;
+    if (len / 2 >= grid) return last + grid;
+    if (len > grid && len - grid >= grid / 3) return last + len / 2;
+    return INT64_MAX;
+  };
   std::vector<Checkpoint> rescan_cps;
   auto last_cp = [&]() -> Checkpoint& {
     return rescan_cps.empty() ? cps_.mutable_at(resume) : rescan_cps.back();
@@ -280,35 +313,36 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
 
   while (true) {
     if (splice_ok && !selector_.failed() && cand < cps_.size() &&
-        cps_.at(cand).offset + delta == scan_pos) {
-      // A failed old run whose first error predates this candidate lost
-      // the fatal error's record (only the first error is stored), so the
-      // spliced first-error could not be composed — skip the candidate.
-      const bool error_composable =
-          !results_.failed || cps_.at(cand).state.stream_error.ok();
-      if (error_composable &&
-          selector_.CheckpointConverged(cps_.at(cand).state, delta)) {
+        candidate_at(cand) == scan_pos) {
+      // A failed recording run whose first error predates this candidate
+      // lost the fatal error's record (only the first error is stored), so
+      // the spliced first-error could not be composed — skip the
+      // candidate.
+      const SelectorCheckpoint& state = cps_.at(cand).state;
+      const bool recorder_failed =
+          cand < live_end ? results_.failed : parked_.results.failed;
+      if ((!recorder_failed || state.stream_error.ok()) &&
+          selector_.CheckpointConverged(state, shift_of(cand))) {
         converged = true;
         break;
       }
       ++cand;
     }
     if (scan_pos >= n_new || selector_.failed()) break;
-    const int64_t next_cand = splice_ok && cand < cps_.size()
-                                  ? cps_.at(cand).offset + delta
-                                  : INT64_MAX;
-    if (scan_pos >= last_cp().offset + grid &&
+    const int64_t next_cand =
+        splice_ok && cand < cps_.size() ? candidate_at(cand) : INT64_MAX;
+    if (scan_pos >= next_split(last_cp().offset, next_cand) &&
         next_cand - scan_pos >= min_gap) {
       Checkpoint cp;
       if (CheckpointAfter(&last_cp(), scan_pos, &cp)) {
         rescan_cps.push_back(std::move(cp));
       }
     }
-    // Feed up to the next checkpoint position or candidate; past a
-    // position skipped for a near candidate, up to that candidate.
-    const int64_t next_cp = last_cp().offset + grid;
+    // Feed up to the next split or candidate; past a split the rescan
+    // could not record, up to that candidate.
+    const int64_t split = next_split(last_cp().offset, next_cand);
     const int64_t target =
-        std::min({n_new, next_cand, next_cp > scan_pos ? next_cp : INT64_MAX});
+        std::min({n_new, next_cand, split > scan_pos ? split : INT64_MAX});
     if (!selector_.Feed(document.substr(static_cast<size_t>(scan_pos),
                                         static_cast<size_t>(target -
                                                             scan_pos)))) {
@@ -318,14 +352,28 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   }
 
   if (!converged) {
-    // No configuration match: the rescan simply runs to EOF. Counters are
-    // exact without splicing — the restore seeded them with exact prefix
-    // values — which is also why finite limits are safe on this path.
+    // No configuration match: the rescan ran to EOF or failed. Counters
+    // are exact without splicing — the restore seeded them with exact
+    // prefix values — which is also why finite limits are safe on this
+    // path.
     if (!selector_.failed()) selector_.Finish();
     CloseSegment(&last_cp());
     out.path = EditPath::kScannedToEnd;
-    out.checkpoints_dropped = static_cast<int64_t>(cps_.size()) - (ri + 1);
-    cps_.Splice(&selector_, resume + 1, cps_.size(), &rescan_cps);
+    // What the rescan did not reach stays: nothing when it reached the end
+    // or splicing is off; after a failure, the parked suffix if one waits
+    // past the failure, else the live candidates past it, parked with the
+    // results of the run that recorded them.
+    size_t keep = cps_.size();
+    if (selector_.failed() && splice_ok) {
+      keep = parked_.count > 0 ? std::max(cand, live_end) : cand;
+      if (keep < live_end) {
+        parked_.results = std::move(results_);
+        parked_.shift = delta;
+      }
+    }
+    parked_.count = cps_.size() - keep;
+    out.checkpoints_dropped += static_cast<int64_t>(keep - (resume + 1));
+    cps_.Splice(&selector_, resume + 1, keep, &rescan_cps);
     results_ = CaptureLiveResults();
     out.bytes_rescanned = results_.stats.bytes_fed - resume_off;
     doc_size_ = n_new;
@@ -333,10 +381,22 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   }
 
   // --- Converged: splice the suffix ------------------------------------
+  // Convergence on a parked checkpoint: the rescan passed every live
+  // candidate, so the splice below releases them with the parked ones it
+  // passed, the parked suffix from cj on becomes the live suffix, and the
+  // parked run's results are the ones the splice rebases, by the parked
+  // shift. Convergence on a live checkpoint leaves the parked suffix as
+  // it is: its counters belong to its own run.
+  const bool on_parked = cand >= live_end;
+  const int64_t shift = shift_of(cand);
+  if (on_parked) {
+    results_ = std::move(parked_.results);
+    parked_.count = 0;
+  }
+
   // What the splice reads of the live run and of the converged checkpoint
   // cj, copied before the stream changes under it.
   const size_t j = cand;
-  const size_t old_cp_count = cps_.size();
   const StreamStats live = selector_.stats();
   const int64_t live_conv_peak = selector_.TakeSegmentPeakDepth();
   const Checkpoint& cj = cps_.at(j);
@@ -346,7 +406,7 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
                               cj.state.recovered.size(),
                               cj.state.run.in_skip,
                               cj.state.stream_error.ok(),
-                              delta};
+                              shift};
   // Every record's history is empty when neither the live run nor the
   // old one recovered anything; the per-checkpoint rewrite is skipped.
   const bool splice_histories =
@@ -360,26 +420,28 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   CloseSegment(&last);
   const bool drop_cj = scan_pos - last.offset < min_gap;
   if (drop_cj) {
-    const int64_t shift = scan_pos - last.offset;
+    const int64_t gap = scan_pos - last.offset;
     last.events.reserve(last.events.size() + cj.events.size());
     for (MatchEvent e : cj.events) {
-      e.start_offset += shift;
-      e.certainty_offset += shift;
+      e.start_offset += gap;
+      e.certainty_offset += gap;
       last.events.push_back(e);
     }
   }
   const int64_t prefix_peak =
       std::max(last.prefix_peak_depth, live_conv_peak);
   const size_t suffix = resume + 1 + rescan_cps.size();
+  const size_t released = j + (drop_cj ? 1 : 0) - (resume + 1);
   cps_.Splice(&selector_, resume + 1, j + (drop_cj ? 1 : 0), &rescan_cps);
+  const size_t suffix_end = live_size();
 
-  // Rebase the surviving suffix in place: offsets by the byte delta,
-  // counters by the suffix delta (Rebase), peaks recomposed from segment
-  // peaks, histories spliced.
+  // Rebase the surviving suffix in place: offsets by the shift, counters
+  // by the suffix delta (Rebase), peaks recomposed from segment peaks,
+  // histories spliced.
   int64_t peak = prefix_peak;
-  for (size_t k = suffix; k < cps_.size(); ++k) {
+  for (size_t k = suffix; k < suffix_end; ++k) {
     Checkpoint& cp = cps_.mutable_at(k);
-    cp.offset += delta;
+    cp.offset += shift;
     if (k == suffix) {
       cp.segment_peak_depth =
           drop_cj ? std::max(cp.segment_peak_depth, live_conv_peak)
@@ -389,14 +451,16 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     cp.prefix_peak_depth = peak;
     SelectorCheckpoint& s = cp.state;
     s.run.counters = Rebase(s.run.counters, live, cj_counters);
-    if (s.run.token.open) s.run.token.start += delta;
+    if (s.run.token.open) s.run.token.start += shift;
     if (splice_histories) {
       history.Apply(&s.recovered, &s.stream_error);
       s.run.counters.error_offset =
           s.stream_error.ok() ? -1 : s.stream_error.offset;
     }
   }
-  if (drop_cj && suffix == cps_.size()) {
+  SST_CHECK(suffix == suffix_end ||
+            cps_.at(suffix - 1).offset < cps_.at(suffix).offset);
+  if (drop_cj && suffix == suffix_end) {
     results_.tail_peak = std::max(results_.tail_peak, live_conv_peak);
   }
   peak = std::max(peak, results_.tail_peak);
@@ -419,10 +483,8 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   out.path = EditPath::kSplicedSuffix;
   out.converged_at = scan_pos;
   out.bytes_rescanned = scan_pos - resume_off;
-  out.checkpoints_reused =
-      static_cast<int64_t>(old_cp_count - j) - (drop_cj ? 1 : 0);
-  out.checkpoints_dropped =
-      static_cast<int64_t>(j) - ri - 1 + (drop_cj ? 1 : 0);
+  out.checkpoints_reused = static_cast<int64_t>(suffix_end - suffix);
+  out.checkpoints_dropped += static_cast<int64_t>(released);
   doc_size_ = n_new;
   return out;
 }

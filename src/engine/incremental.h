@@ -21,8 +21,11 @@ struct IncrementalOptions {
   // bytes. Smaller intervals mean less rescanning per edit and more
   // retained state; the stackless tiers pay O(1)-O(registers) words per
   // checkpoint, the stack tier one retained pooled node (shared suffixes
-  // are structural, so even deep documents stay cheap).
-  int64_t checkpoint_interval = int64_t{1} << 16;
+  // are structural, so even deep documents stay cheap). An edit also
+  // walks every checkpoint past it once, which is what keeps the default
+  // from going finer: on a 64 MiB document, 16 KiB halved the median
+  // edit against 64 KiB, and 8 KiB raised the tail (EXPERIMENTS.md).
+  int64_t checkpoint_interval = int64_t{1} << 14;
 
   // Forwarded to the selector before the first scan. Splicing suffix
   // aggregates is only sound under unlimited() limits (whether a finite
@@ -44,8 +47,21 @@ struct IncrementalOptions {
 //      offsets, shifted by the edit's net byte delta). On convergence the
 //      suffix is spliced instead of rescanned.
 // When configurations never reconverge (the edit changed the context of
-// everything after it) the rescan simply runs to EOF, which is the full-
-// rescan fallback with the prefix before the edit still reused.
+// everything after it) the rescan runs to EOF, which is the full-rescan
+// fallback with the prefix before the edit still reused.
+//
+// A rescan that fails instead (fail-fast met a malformed byte) stops at
+// the failure, and the candidates it never reached are *parked*, together
+// with the results of the run that recorded them, rather than released.
+// Parked checkpoints are never resume points, only convergence
+// candidates: every later edit shifts them (one shift for the whole
+// parked suffix, since each edit either precedes all of them or drops
+// those it overlaps) and drops those before its end, whose suffix bytes
+// changed. Once an edit repairs the failure, its rescan
+// reaches the parked checkpoints and converges on one exactly as on a
+// live one, splicing the parked run's results — so the repair costs one
+// interval, not a rescan to the end. Scan, the full-rescan path and a
+// rescan that reaches the end release the parked suffix.
 //
 // Each checkpoint owns its segment of the stream: the match events up to
 // the next checkpoint, at offsets relative to its own. A converged splice
@@ -78,9 +94,12 @@ class IncrementalSession {
  public:
   // How ApplyEdit answered.
   enum class EditPath {
-    kSplicedSuffix,  // converged: rescanned segments replaced, suffix
-                     // rebased in place
-    kScannedToEnd,   // no convergence: rescanned from the resume point
+    kSplicedSuffix,  // converged on a live or a parked checkpoint:
+                     // rescanned segments replaced, suffix rebased in
+                     // place
+    kScannedToEnd,   // no convergence: rescanned from the resume point to
+                     // the end, or to a failure, past which the unreached
+                     // candidates stay parked
     kFullRescan,     // no usable checkpoint (unsupported machine tier)
   };
 
@@ -90,7 +109,9 @@ class IncrementalSession {
     int64_t converged_at = -1;  // post-edit offset of convergence (-1 none)
     int64_t bytes_rescanned = 0;
     int64_t checkpoints_reused = 0;   // suffix checkpoints rebased in place
-    int64_t checkpoints_dropped = 0;  // released (covered by the rescan)
+    int64_t checkpoints_dropped = 0;  // released: covered by the rescan,
+                                      // or parked and overlapped by the
+                                      // edit
   };
 
   // `plan` must be exact(). The sink the session installs is its own
@@ -136,6 +157,7 @@ class IncrementalSession {
   // False when the machine tier cannot checkpoint (every engine tier can;
   // this guards exotic custom machines) — ApplyEdit then always rescans.
   bool checkpointing_supported() const { return supported_; }
+  // Checkpoints retained, parked ones included.
   size_t checkpoint_count() const { return cps_.size(); }
   int64_t document_size() const { return doc_size_; }
   const QueryPlan& plan() const { return *plan_; }
@@ -167,6 +189,22 @@ class IncrementalSession {
     std::vector<StreamingSelector::RecoveredError> recovered;
     int64_t tail_peak = 0;  // peak depth after the last checkpoint
   };
+
+  // The convergence candidates a failed rescan did not reach: the last
+  // `count` checkpoints of cps_, kept in the coordinates of the run that
+  // recorded them. Every surviving parked checkpoint lies past every edit
+  // applied since parking, so one shift carries all of them (and every
+  // position their states and `results` hold past them) into the current
+  // document; their counters stay relative to the recording run, whose
+  // terminal results `results` keeps.
+  struct ParkedSuffix {
+    size_t count = 0;
+    int64_t shift = 0;  // edited document's offset - recorded offset
+    Results results;
+  };
+
+  // The live stream: cps_ without the parked suffix.
+  size_t live_size() const { return cps_.size() - parked_.count; }
 
   // Clears all state and scans `document` from scratch, rebuilding the
   // checkpoint stream. Shared by Scan and the full-rescan edit path.
@@ -209,6 +247,9 @@ class IncrementalSession {
 
   CheckpointStream cps_;
   Results results_;
+  // Empty (count 0) unless a failed rescan left candidates unreached, and
+  // always under finite limits, which disable splicing.
+  ParkedSuffix parked_;
   bool scanned_ = false;
   bool supported_ = false;
   int64_t doc_size_ = 0;

@@ -458,12 +458,17 @@ TEST(IncrementalEdit, SmallEditSplicesSuffix) {
 // rescan records grid-aligned ones, so without thinning the stream gains
 // about one checkpoint per edit. Over 8,000 edits with no rescan to the
 // end in between, the count stays within 1.25x the grid's cell count of
-// the current document, and the results still match a fresh scan. Each
-// tier runs on its own format.
+// the current document, and the results still match a fresh scan. The
+// workload's edits grow the document, so the segments lengthen between
+// rescans; splitting a long one in the middle keeps the count at 0.9x the
+// cells or more at the end. Each tier runs on its own format.
 TEST(IncrementalEdit, CheckpointCountTracksTheGrid) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   constexpr int64_t kInterval = 1024;
   constexpr int kEdits = 8000;
+  auto cells = [](const std::string& doc) {
+    return (static_cast<int64_t>(doc.size()) + kInterval - 1) / kInterval;
+  };
   Rng rng(29);
   for (size_t t = 0; t < std::size(kTiers); ++t) {
     const TierCase& tier = kTiers[t];
@@ -486,12 +491,14 @@ TEST(IncrementalEdit, CheckpointCountTracksTheGrid) {
       doc.replace(static_cast<size_t>(edit.offset),
                   static_cast<size_t>(edit.old_len), edit.new_bytes);
       session.ApplyEdit(edit.offset, edit.old_len, edit.new_bytes, doc);
-      const int64_t cells =
-          (static_cast<int64_t>(doc.size()) + kInterval - 1) / kInterval;
       ASSERT_LE(static_cast<double>(session.checkpoint_count()),
-                1.25 * static_cast<double>(cells))
+                1.25 * static_cast<double>(cells(doc)))
           << ctx << " after edit " << e;
     }
+    EXPECT_GE(static_cast<double>(session.checkpoint_count()),
+              0.9 * static_cast<double>(cells(doc)))
+        << ctx << ": " << session.checkpoint_count() << " checkpoints for "
+        << cells(doc) << " cells";
     ExpectParity(FromSession(session),
                  FullRescan(*plan, RecoveryPolicy::kFailFast, StreamLimits{},
                             doc),
@@ -718,6 +725,229 @@ TEST(IncrementalEdit, EditInsideAnOpenTokenDoesNotConverge) {
                    std::string(tier.name) + "/" + FormatName(c.format));
     }
   }
+}
+
+// --- Parked suffix ------------------------------------------------------
+//
+// Under fail-fast a corrupting edit fails the live run, and the
+// checkpoints its rescan never reached are parked; the edit that repairs
+// the corruption converges on one of them instead of rescanning to the
+// end. Every case runs on each tier x format at intervals 1, 7 and 64 and
+// checks full-rescan parity after every edit.
+
+constexpr int64_t kParkedIntervals[] = {1, 7, 64};
+
+// One session over an edited document. Corruptions insert a '?' (no token
+// starts with it, so the run fails right there); their current offsets
+// are tracked so a later edit can repair each one exactly.
+class ParkedChain {
+ public:
+  ParkedChain(std::shared_ptr<const QueryPlan> plan, StreamFormat format,
+              int64_t interval, std::string doc, uint64_t seed,
+              std::string ctx)
+      : plan_(plan),
+        session_(plan, Options(interval)),
+        workload_(&plan->alphabet(), format, seed),
+        interval_(interval),
+        doc_(std::move(doc)),
+        ctx_(std::move(ctx)) {
+    session_.Scan(doc_);
+    EXPECT_TRUE(session_.checkpointing_supported()) << ctx_;
+  }
+
+  IncrementalSession& session() { return session_; }
+  const std::string& doc() const { return doc_; }
+  int64_t interval() const { return interval_; }
+  int64_t size() const { return static_cast<int64_t>(doc_.size()); }
+  // Offset of the i-th corruption still in place, in insertion order.
+  int64_t corruption(size_t i) const { return corruptions_[i]; }
+
+  // A generated edit of `kind` whose offset lies in [lo, hi).
+  DocEdit Find(EditKind kind, int64_t lo, int64_t hi) {
+    for (int tries = 0; tries < 1000; ++tries) {
+      DocEdit edit = workload_.Make(kind, doc_);
+      if (edit.offset >= lo && edit.offset < hi) return edit;
+    }
+    ADD_FAILURE() << ctx_ << ": no " << EditKindName(kind) << " edit in ["
+                  << lo << ", " << hi << ")";
+    return {};
+  }
+
+  IncrementalSession::EditOutcome Apply(const DocEdit& edit,
+                                        const std::string& what) {
+    const int64_t delta =
+        static_cast<int64_t>(edit.new_bytes.size()) - edit.old_len;
+    for (int64_t& at : corruptions_) {
+      if (at >= edit.offset + edit.old_len) at += delta;
+    }
+    doc_ = EditWorkload::Apply(doc_, edit);
+    const auto outcome = session_.ApplyEdit(edit.offset, edit.old_len,
+                                            edit.new_bytes, doc_);
+    ExpectParity(FromSession(session_),
+                 FullRescan(*plan_, RecoveryPolicy::kFailFast, StreamLimits{},
+                            doc_),
+                 ctx_ + " " + what);
+    return outcome;
+  }
+
+  // Inserts a corruption at an offset in [lo, hi); the run fails there.
+  IncrementalSession::EditOutcome Corrupt(int64_t lo, int64_t hi) {
+    const DocEdit edit = Find(EditKind::kCorruptByte, lo, hi);
+    const auto outcome = Apply(edit, "corrupt @" + std::to_string(edit.offset));
+    corruptions_.push_back(edit.offset);
+    EXPECT_TRUE(session_.failed()) << ctx_;
+    return outcome;
+  }
+
+  // Removes the i-th corruption still in place. An exact repair of every
+  // corruption after no other edit leaves the scanned document.
+  IncrementalSession::EditOutcome Repair(size_t i) {
+    const int64_t at = corruptions_[i];
+    corruptions_.erase(corruptions_.begin() + static_cast<std::ptrdiff_t>(i));
+    return Apply({at, 1, ""}, "repair @" + std::to_string(at));
+  }
+
+  void ExpectSpliced(const IncrementalSession::EditOutcome& outcome,
+                     const std::string& what) const {
+    EXPECT_EQ(outcome.path, IncrementalSession::EditPath::kSplicedSuffix)
+        << ctx_ << " " << what;
+  }
+
+ private:
+  static IncrementalOptions Options(int64_t interval) {
+    IncrementalOptions options;
+    options.checkpoint_interval = interval;
+    return options;
+  }
+
+  std::shared_ptr<const QueryPlan> plan_;
+  IncrementalSession session_;
+  EditWorkload workload_;
+  int64_t interval_;
+  std::string doc_;
+  std::string ctx_;
+  std::vector<int64_t> corruptions_;
+};
+
+// Runs `body` on a fresh ParkedChain for every tier x format x parked
+// interval x document. The documents hold at least eight 64-byte
+// intervals and are bushy enough (depth bias at most 0.5) that every
+// stretch of a hundred bytes has a place to insert a subtree.
+template <typename Body>
+void ForEachParkedChain(uint64_t seed, Body body) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  Rng rng(seed);
+  const int docs = 2 * FuzzIters();
+  for (const TierCase& tier : kTiers) {
+    for (StreamFormat format : kFormats) {
+      auto plan = CompileTier(tier, alphabet, format);
+      for (int d = 0; d < docs; ++d) {
+        std::string doc;
+        while (doc.size() < 512) {
+          doc = Serialize(alphabet,
+                          RandomTree(300, alphabet.size(),
+                                     0.5 * rng.NextDouble(), &rng),
+                          format);
+        }
+        for (int64_t interval : kParkedIntervals) {
+          const std::string ctx = std::string(tier.name) + "/" +
+                                  FormatName(format) + " doc " +
+                                  std::to_string(d) + " K=" +
+                                  std::to_string(interval);
+          ParkedChain chain(plan, format, interval, doc,
+                            seed + static_cast<uint64_t>(d), ctx);
+          body(chain);
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// The repair of a corruption converges on the first parked checkpoint
+// past it: spliced, rescanning at most two intervals.
+TEST(ParkedSuffix, RepairConvergesWithinAnInterval) {
+  ForEachParkedChain(4100, [](ParkedChain& chain) {
+    const auto corrupt = chain.Corrupt(0, chain.size() / 2);
+    EXPECT_EQ(corrupt.path, IncrementalSession::EditPath::kScannedToEnd);
+    const auto repair = chain.Repair(0);
+    chain.ExpectSpliced(repair, "repair");
+    EXPECT_LE(repair.bytes_rescanned, 2 * chain.interval()) << "repair";
+  });
+}
+
+// An edit before the corruption splices on a live checkpoint or fails at
+// the corruption again; either way it shifts the parked suffix, whose
+// counters stay those of the run that recorded it, and the repair still
+// converges on it.
+TEST(ParkedSuffix, EditBeforeTheCorruption) {
+  ForEachParkedChain(4200, [](ParkedChain& chain) {
+    chain.Corrupt(chain.size() / 4, chain.size() / 2);
+    const DocEdit before =
+        chain.Find(EditKind::kInsertSubtree, 0, chain.corruption(0));
+    chain.Apply(before, "insert before");
+    chain.ExpectSpliced(chain.Repair(0), "repair");
+  });
+}
+
+// An edit past the corruption changes the suffix of every parked
+// checkpoint before it: those are dropped, and the repair converges on
+// one past the edit, never on one whose recorded suffix is stale.
+TEST(ParkedSuffix, EditInsideTheParkedRegion) {
+  ForEachParkedChain(4300, [](ParkedChain& chain) {
+    chain.Corrupt(0, chain.size() / 2);
+    const int64_t k = chain.interval();
+    const DocEdit inside = chain.Find(EditKind::kInsertSubtree,
+                                      chain.corruption(0) + 2 * k + 2,
+                                      chain.size() - 2 * k);
+    const auto outcome = chain.Apply(inside, "insert inside");
+    EXPECT_EQ(outcome.path, IncrementalSession::EditPath::kScannedToEnd);
+    EXPECT_TRUE(chain.session().failed());
+    const auto repair = chain.Repair(0);
+    chain.ExpectSpliced(repair, "repair");
+    // Past the inserted subtree, in the repaired document.
+    EXPECT_GE(repair.converged_at,
+              inside.offset + static_cast<int64_t>(inside.new_bytes.size()) -
+                  1)
+        << "repair";
+  });
+}
+
+// Two corruptions in the first half, the second before or after the first
+// as the workload draws it, repaired early one first or late one first:
+// the parked suffix past the later one survives every failing rescan in
+// between, and the last repair converges on it.
+TEST(ParkedSuffix, TwoCorruptionsRepairedInEitherOrder) {
+  for (bool early_first : {true, false}) {
+    ForEachParkedChain(early_first ? 4400 : 4410, [&](ParkedChain& chain) {
+      chain.Corrupt(0, chain.size() / 2);
+      chain.Corrupt(0, chain.size() / 2);
+      const size_t early = chain.corruption(0) < chain.corruption(1) ? 0 : 1;
+      chain.Repair(early_first ? early : 1 - early);
+      chain.ExpectSpliced(chain.Repair(0), "last repair");
+    });
+  }
+}
+
+// Scan while a suffix is parked releases it; the session then answers
+// further edits from the new stream. A session destroyed while parked
+// releases nothing twice (run under ASan).
+TEST(ParkedSuffix, ScanAndDestructionWhileParked) {
+  ForEachParkedChain(4500, [](ParkedChain& chain) {
+    chain.Corrupt(0, chain.size() / 2);
+    chain.session().Scan(chain.doc());
+    ExpectParity(FromSession(chain.session()),
+                 FullRescan(chain.session().plan(), RecoveryPolicy::kFailFast,
+                            StreamLimits{}, chain.doc()),
+                 "scan while parked");
+    chain.Repair(0);
+    chain.Corrupt(0, chain.size() / 2);
+    for (int e = 0; e < 3; ++e) {
+      chain.Apply(chain.Find(EditKind::kInsertSubtree, 0, chain.size()),
+                  "edit " + std::to_string(e));
+    }
+    chain.Corrupt(0, chain.size());
+  });
 }
 
 }  // namespace
