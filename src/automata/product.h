@@ -1,10 +1,7 @@
 #ifndef SST_AUTOMATA_PRODUCT_H_
 #define SST_AUTOMATA_PRODUCT_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -28,15 +25,11 @@ namespace sst {
 // construction lives with the rest of the automata algebra; dra
 // instantiates it for TagDfa.
 //
-// Two constructions, matching how products behave in practice:
-//   * BuildEagerPairedProduct — bounded BFS materialization of every
-//     reachable product state up front. Cheap for small batches; the
-//     resulting table can be fused into a single 256-entry byte table.
-//     Returns nullopt when the reachable product exceeds the state cap.
-//   * LazyPairedProduct — on-the-fly materialization: a product state is
-//     interned the first time some input actually reaches it, so the
-//     product never blows up beyond what the documents exercise. Safe for
-//     concurrent readers (see below).
+// The construction is BuildEagerPairedProduct: a bounded BFS
+// materialization of every reachable product state up front. The table
+// can be fused into a single 256-entry byte table. It returns nullopt
+// when the reachable product exceeds the state cap, and the caller splits
+// the batch into smaller products.
 
 // Flat transition table of an eagerly built product. Letters are indexed
 // open-first: letter a in [0, num_symbols) is the opening tag of symbol a,
@@ -81,8 +74,7 @@ SelectionMask MaskOfTuple(const std::vector<const A*>& components,
 }  // namespace product_internal
 
 // BFS over the reachable product; nullopt once more than `state_cap`
-// states materialize (the caller then falls back to the lazy product or to
-// per-query execution). All components must share num_symbols.
+// states materialize. All components must share num_symbols.
 template <typename A>
 std::optional<PairedProductTable> BuildEagerPairedProduct(
     const std::vector<const A*>& components, int state_cap) {
@@ -134,172 +126,6 @@ std::optional<PairedProductTable> BuildEagerPairedProduct(
   }
   return table;
 }
-
-// Lazily materialized product, shared by any number of concurrently
-// streaming sessions. States and transitions appear on first use:
-//
-//   * the read path is lock-free — one acquire load of an atomic
-//     transition entry per event; a non-negative entry is the already
-//     materialized target;
-//   * the insert path (entry still kUnexplored) takes a mutex, steps every
-//     component, interns the target tuple, and publishes the entry with a
-//     release store, so readers that observe the id also observe the new
-//     state's mask, tuple and (kUnexplored-initialized) row;
-//   * per-state storage lives in fixed-size blocks whose pointer array is
-//     sized once at construction — nothing a reader dereferences is ever
-//     reallocated.
-//
-// The state cap bounds materialization: once reached, transitions into
-// never-seen tuples return kOverflow and the caller demotes that stream to
-// stepping the component tuple directly (the product stays valid for every
-// state already materialized — other streams are unaffected).
-template <typename A>
-class LazyPairedProduct {
- public:
-  static constexpr int kOverflow = -1;
-
-  LazyPairedProduct(std::vector<const A*> components, int state_cap)
-      : components_(std::move(components)),
-        num_symbols_(components_[0]->num_symbols),
-        width_(2 * num_symbols_),
-        cap_(state_cap < 1 ? 1 : state_cap),
-        scratch_(components_.size()) {
-    SST_CHECK(!components_.empty());
-    for (const A* component : components_) {
-      SST_CHECK_MSG(component->num_symbols == num_symbols_,
-                    "product components must share one tag alphabet");
-    }
-    const size_t blocks =
-        (static_cast<size_t>(cap_) + kBlockStates - 1) / kBlockStates;
-    rows_.resize(blocks);
-    tuples_.resize(blocks);
-    masks_.resize(blocks);
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < components_.size(); ++i) {
-      scratch_[i] = components_[i]->initial;
-    }
-    int initial = InternLocked();
-    SST_CHECK(initial == 0);
-  }
-
-  int arity() const { return static_cast<int>(components_.size()); }
-  int num_symbols() const { return num_symbols_; }
-  int initial() const { return 0; }
-  int state_cap() const { return cap_; }
-  const std::vector<const A*>& components() const { return components_; }
-
-  // Materialized states so far (a live statistic; monotone).
-  int num_states() const {
-    return num_states_.load(std::memory_order_acquire);
-  }
-  bool overflowed() const {
-    return overflowed_.load(std::memory_order_relaxed);
-  }
-
-  // Product successor of materialized state `id`, materializing the target
-  // on first use; kOverflow when the target is new but the cap is reached.
-  int NextOpen(int id, int symbol) { return Next(id, symbol); }
-  int NextClose(int id, int symbol) {
-    // Term-encoded streams pass -1; mirror TagDfaMachine's symbol-0
-    // fallback (sound for ClosingSymbolInvariant components).
-    return Next(id, num_symbols_ + (symbol < 0 ? 0 : symbol));
-  }
-
-  // Mask/tuple of a materialized state. Safe to call concurrently with
-  // growth for any id obtained from Next* or num_states().
-  const SelectionMask& MaskOf(int id) const {
-    return masks_[static_cast<size_t>(id) / kBlockStates]
-                 [static_cast<size_t>(id) % kBlockStates];
-  }
-  bool AnyAccepting(int id) const { return MaskOf(id).Any(); }
-  void CopyTuple(int id, int32_t* out) const {
-    const int32_t* tuple = TupleOf(id);
-    for (int i = 0; i < arity(); ++i) out[i] = tuple[i];
-  }
-
- private:
-  static constexpr size_t kBlockStates = 256;
-  static constexpr int32_t kUnexplored = -2;
-
-  std::atomic<int32_t>* RowOf(int id) const {
-    return rows_[static_cast<size_t>(id) / kBlockStates].get() +
-           (static_cast<size_t>(id) % kBlockStates) * width_;
-  }
-  const int32_t* TupleOf(int id) const {
-    return tuples_[static_cast<size_t>(id) / kBlockStates].get() +
-           (static_cast<size_t>(id) % kBlockStates) * components_.size();
-  }
-
-  int Next(int id, int letter) {
-    std::atomic<int32_t>* row = RowOf(id);
-    int32_t target = row[letter].load(std::memory_order_acquire);
-    if (target != kUnexplored) return target;
-    std::lock_guard<std::mutex> lock(mu_);
-    target = row[letter].load(std::memory_order_relaxed);
-    if (target != kUnexplored) return target;
-    const int32_t* tuple = TupleOf(id);
-    for (size_t i = 0; i < components_.size(); ++i) {
-      scratch_[i] = letter < num_symbols_
-                        ? components_[i]->NextOpen(tuple[i], letter)
-                        : components_[i]->NextClose(tuple[i],
-                                                    letter - num_symbols_);
-    }
-    target = InternLocked();
-    row[letter].store(target, std::memory_order_release);
-    return target;
-  }
-
-  // Interns scratch_; mu_ must be held. Returns the dense id or kOverflow.
-  int InternLocked() {
-    auto it = index_.find(scratch_);
-    if (it != index_.end()) return it->second;
-    int id = num_states_.load(std::memory_order_relaxed);
-    if (id >= cap_) {
-      overflowed_.store(true, std::memory_order_relaxed);
-      return kOverflow;
-    }
-    const size_t block = static_cast<size_t>(id) / kBlockStates;
-    const size_t slot = static_cast<size_t>(id) % kBlockStates;
-    if (rows_[block] == nullptr) {
-      rows_[block] =
-          std::make_unique<std::atomic<int32_t>[]>(kBlockStates * width_);
-      for (size_t i = 0; i < kBlockStates * width_; ++i) {
-        rows_[block][i].store(kUnexplored, std::memory_order_relaxed);
-      }
-      tuples_[block] =
-          std::make_unique<int32_t[]>(kBlockStates * components_.size());
-      masks_[block] = std::make_unique<SelectionMask[]>(kBlockStates);
-    }
-    int32_t* tuple = tuples_[block].get() + slot * components_.size();
-    for (size_t i = 0; i < components_.size(); ++i) tuple[i] = scratch_[i];
-    masks_[block][slot] =
-        product_internal::MaskOfTuple(components_, tuple);
-    index_.emplace(scratch_, id);
-    // Publish after the state's storage is fully written: a reader that
-    // acquires an entry naming `id` (or num_states() >= id) sees it all.
-    num_states_.store(id + 1, std::memory_order_release);
-    return id;
-  }
-
-  const std::vector<const A*> components_;
-  const int num_symbols_;
-  const int width_;
-  const int cap_;
-
-  // Block pointer arrays are sized once in the constructor and entries are
-  // written (under mu_) before any state in them is published.
-  std::vector<std::unique_ptr<std::atomic<int32_t>[]>> rows_;
-  std::vector<std::unique_ptr<int32_t[]>> tuples_;
-  std::vector<std::unique_ptr<SelectionMask[]>> masks_;
-
-  std::atomic<int> num_states_{0};
-  std::atomic<bool> overflowed_{false};
-
-  std::mutex mu_;  // guards index_, scratch_ and all growth
-  std::vector<int32_t> scratch_;
-  std::unordered_map<std::vector<int32_t>, int, product_internal::TupleHash>
-      index_;
-};
 
 }  // namespace sst
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "automata/product.h"
 #include "base/check.h"
 
 namespace sst {
@@ -60,166 +61,49 @@ TagDfaProduct EmptyTagDfaProduct(int num_symbols) {
   return product;
 }
 
-// --- LazyProductCursor ---------------------------------------------------
-
-LazyProductCursor::LazyProductCursor(LazyTagDfaProduct* lazy)
-    : lazy_(lazy), id_(lazy->initial()) {
-  accepting_ = lazy_->AnyAccepting(id_);
-}
-
-void LazyProductCursor::Reset() {
-  id_ = lazy_->initial();
-  wide_ = false;
-  accepting_ = lazy_->AnyAccepting(id_);
-}
-
-void LazyProductCursor::StepWide(int letter) {
-  const std::vector<const TagDfa*>& components = lazy_->components();
-  const int k = lazy_->num_symbols();
-  bool any = false;
-  for (size_t i = 0; i < components.size(); ++i) {
-    tuple_[i] = letter < k
-                    ? components[i]->NextOpen(tuple_[i], letter)
-                    : components[i]->NextClose(tuple_[i], letter - k);
-    any |= static_cast<bool>(components[i]->accepting[tuple_[i]]);
-  }
-  accepting_ = any;
-}
-
-void LazyProductCursor::Open(Symbol symbol) {
-  if (!wide_) {
-    int next = lazy_->NextOpen(id_, symbol);
-    if (next != LazyTagDfaProduct::kOverflow) {
-      id_ = next;
-      accepting_ = lazy_->AnyAccepting(id_);
-      return;
-    }
-    // State cap hit: demote this stream to component-wise stepping from
-    // the tuple of the last materialized state (latched until Reset).
-    tuple_.resize(static_cast<size_t>(lazy_->arity()));
-    lazy_->CopyTuple(id_, tuple_.data());
-    wide_ = true;
-  }
-  StepWide(symbol);
-}
-
-void LazyProductCursor::Close(Symbol symbol) {
-  Symbol s = symbol < 0 ? 0 : symbol;
-  if (!wide_) {
-    int next = lazy_->NextClose(id_, s);
-    if (next != LazyTagDfaProduct::kOverflow) {
-      id_ = next;
-      accepting_ = lazy_->AnyAccepting(id_);
-      return;
-    }
-    tuple_.resize(static_cast<size_t>(lazy_->arity()));
-    lazy_->CopyTuple(id_, tuple_.data());
-    wide_ = true;
-  }
-  StepWide(lazy_->num_symbols() + s);
-}
-
-void LazyProductCursor::AccumulateMask(int64_t* counts) const {
-  if (!wide_) {
-    lazy_->MaskOf(id_).AccumulateInto(counts);
-    return;
-  }
-  const std::vector<const TagDfa*>& components = lazy_->components();
-  for (size_t i = 0; i < components.size(); ++i) {
-    if (components[i]->accepting[tuple_[i]]) ++counts[i];
-  }
-}
-
-void LazyProductCursor::AppendSelected(std::vector<int32_t>* out) const {
-  if (!wide_) {
-    lazy_->MaskOf(id_).AppendSetBits(out);
-    return;
-  }
-  const std::vector<const TagDfa*>& components = lazy_->components();
-  for (size_t i = 0; i < components.size(); ++i) {
-    if (components[i]->accepting[tuple_[i]]) {
-      out->push_back(static_cast<int32_t>(i));
-    }
-  }
-}
-
-// --- LazyStepper ---------------------------------------------------------
-
-LazyStepper::LazyStepper(LazyTagDfaProduct* lazy, int64_t* counts,
-                         DraSideCars cars)
-    : cursor(lazy), counts(counts), side_cars(cars) {
-  side_cars.Reset();
-}
-
-void LazyStepper::Reset() {
-  cursor.Reset();
-  side_cars.Reset();
-}
-
-void LazyStepper::Step(bool open, Symbol symbol) {
-  if (open) {
-    cursor.Open(symbol);
-    // Pre-selection samples directly after opening tags: accumulate the
-    // new state's mask into the per-query counts.
-    if (cursor.Accepting()) cursor.AccumulateMask(counts);
-  } else {
-    cursor.Close(symbol);
-  }
-  side_cars.Step(open, symbol < 0 ? 0 : symbol);
-}
-
-void LazyStepper::Resample() {
-  if (cursor.Accepting()) cursor.AccumulateMask(counts);
-  side_cars.Sample();
-}
-
-void LazyStepper::AppendSelected(std::vector<int32_t>* out) const {
-  if (cursor.Accepting()) cursor.AppendSelected(out);
-  side_cars.AppendSelected(static_cast<int32_t>(cursor.arity()), out);
-}
-
 // --- ProductTagMachine ---------------------------------------------------
 
 ProductTagMachine::ProductTagMachine(
-    const TagDfaProduct* eager, LazyTagDfaProduct* lazy,
+    const std::vector<TagDfaProduct>& lanes,
     std::vector<const ByteDraRunner*> dras,
     std::vector<std::unique_ptr<StreamMachine>> side_cars)
-    : eager_(eager), dras_(std::move(dras)), machines_(std::move(side_cars)) {
-  SST_CHECK_MSG((eager == nullptr) != (lazy == nullptr),
-                "exactly one of eager/lazy product");
-  dra_base_ = static_cast<size_t>(eager_ != nullptr ? eager_->arity
-                                                    : lazy->arity());
-  dra_configs_.resize(dras_.size());
-  machine_base_ = dra_base_ + dras_.size();
+    : dras_(std::move(dras)), machines_(std::move(side_cars)) {
+  SST_CHECK(!lanes.empty());
   for (const auto& machine : machines_) SST_CHECK(machine != nullptr);
+  dra_configs_.resize(dras_.size());
+  size_t members = dras_.size();
+  size_t states = 0;
+  for (const TagDfaProduct& lane : lanes) {
+    members += static_cast<size_t>(lane.arity);
+    states += static_cast<size_t>(lane.rows.num_states());
+  }
+  machine_base_ = members;
   counts_.assign(machine_base_ + machines_.size(), 0);
-  DraSideCars cars{dras_.data(), dra_configs_.data(),
-                   counts_.data() + dra_base_, dras_.size()};
-  if (eager_ != nullptr) {
-    hits_.assign(static_cast<size_t>(eager_->rows.num_states()), 0);
-    stepper_ = ProductStepper(eager_, counts_.data(), hits_.data(), cars);
-  } else {
-    lazy_.emplace(lazy, counts_.data(), cars);
+  hits_.assign(states, 0);
+  size_t base = 0;
+  int64_t* hits = hits_.data();
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    DraSideCars cars;
+    if (i == 0) {
+      cars = {dras_.data(), dra_configs_.data(),
+              counts_.data() + lanes[0].arity, dras_.size()};
+    }
+    lane_bases_.push_back(static_cast<int32_t>(base));
+    lanes_.emplace_back(&lanes[i], counts_.data() + base, hits, cars);
+    base += static_cast<size_t>(lanes[i].arity) + cars.size;
+    hits += lanes[i].rows.num_states();
   }
 }
 
 void ProductTagMachine::Reset() {
-  if (eager_ != nullptr) {
-    stepper_.Reset();
-    hits_.assign(hits_.size(), 0);
-  } else {
-    lazy_->Reset();
-  }
+  for (ProductStepper& lane : lanes_) lane.Reset();
   for (auto& machine : machines_) machine->Reset();
+  hits_.assign(hits_.size(), 0);
   counts_.assign(counts_.size(), 0);
 }
 
 void ProductTagMachine::OnOpen(Symbol symbol) {
-  if (eager_ != nullptr) {
-    stepper_.Step(true, symbol);
-  } else {
-    lazy_->Step(true, symbol);
-  }
+  for (ProductStepper& lane : lanes_) lane.Step(true, symbol);
   for (size_t k = 0; k < machines_.size(); ++k) {
     machines_[k]->OnOpen(symbol);
     counts_[machine_base_ + k] +=
@@ -228,20 +112,16 @@ void ProductTagMachine::OnOpen(Symbol symbol) {
 }
 
 void ProductTagMachine::OnClose(Symbol symbol) {
-  // The product and the fused DRAs are tables indexed by symbol; term's
+  // The lanes and the fused DRAs are tables indexed by symbol; term's
   // universal close (-1) steps them as symbol 0, which their term-blind
   // automata ignore. Side-car machines take the raw symbol.
-  if (eager_ != nullptr) {
-    stepper_.Step(false, symbol);
-  } else {
-    lazy_->Step(false, symbol);
-  }
+  for (ProductStepper& lane : lanes_) lane.Step(false, symbol);
   for (auto& machine : machines_) machine->OnClose(symbol);
 }
 
 bool ProductTagMachine::InAcceptingState() const {
-  if (eager_ != nullptr ? stepper_.accepting() : lazy_->accepting()) {
-    return true;
+  for (const ProductStepper& lane : lanes_) {
+    if (lane.accepting()) return true;
   }
   for (const auto& machine : machines_) {
     if (machine->InAcceptingState()) return true;
@@ -251,10 +131,11 @@ bool ProductTagMachine::InAcceptingState() const {
 
 void ProductTagMachine::AppendSelectedMembers(
     std::vector<int32_t>* out) const {
-  if (eager_ != nullptr) {
-    stepper_.AppendSelected(out);
-  } else {
-    lazy_->AppendSelected(out);
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    // A lane numbers its members from 0; shift them to the batch's.
+    const size_t first = out->size();
+    lanes_[i].AppendSelected(out);
+    for (size_t k = first; k < out->size(); ++k) (*out)[k] += lane_bases_[i];
   }
   for (size_t k = 0; k < machines_.size(); ++k) {
     if (machines_[k]->InAcceptingState()) {

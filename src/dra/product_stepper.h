@@ -137,7 +137,7 @@ struct ProductLoopStepper;
 
 // One stream's position in an eager product plus its fused-DRA side-cars,
 // stepped without virtual dispatch. It is the single implementation of
-// eager product stepping: ProductTagMachine's eager branch calls it, the
+// eager product stepping: ProductTagMachine steps one per lane, the
 // streaming scanner runs a ProductLoopStepper over it (synced through
 // StreamMachine::ExportProductStepper), and the one-scan walk drives it
 // over raw bytes.

@@ -1,6 +1,9 @@
 #include "engine/multi_query.h"
 
 #include <array>
+#include <limits>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -8,6 +11,28 @@
 #include "base/check.h"
 
 namespace sst {
+
+namespace {
+
+// Covers `components` with eager products of at most `state_cap` states,
+// in order: all of them when they fit, otherwise each half in turn. A
+// single component is always one lane, uncapped: it has at most as many
+// states as its own TagDfa.
+void AppendLanes(std::span<const TagDfa* const> components, int state_cap,
+                 std::vector<TagDfaProduct>* lanes) {
+  std::optional<TagDfaProduct> lane = BuildTagDfaProduct(
+      {components.begin(), components.end()},
+      components.size() == 1 ? std::numeric_limits<int>::max() : state_cap);
+  if (lane.has_value()) {
+    lanes->push_back(std::move(*lane));
+    return;
+  }
+  const size_t half = components.size() / 2;
+  AppendLanes(components.first(half), state_cap, lanes);
+  AppendLanes(components.subspan(half), state_cap, lanes);
+}
+
+}  // namespace
 
 std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
     const std::vector<BatchQuery>& queries, const Alphabet& alphabet,
@@ -40,16 +65,17 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
     plan->slot_of_.push_back(it->second);
   }
 
-  // Member order: registerless slots (the product's mask bits), then
-  // slots with a fused DRA, then every other slot (generic side-cars).
-  std::vector<int> member_slot;
+  // Registerless slots fill the lanes, slots with a fused DRA ride lane 0
+  // as its side-cars, and every other slot is a generic side-car.
+  std::vector<int> product_slot;
+  std::vector<const TagDfa*> components;
   std::vector<int> dra_slot;
   for (int slot = 0; slot < plan->num_slots(); ++slot) {
     const QueryPlan& slot_plan = *plan->slot_plans_[static_cast<size_t>(slot)];
     plan->exact_ = plan->exact_ && slot_plan.exact();
     if (slot_plan.tag_dfa() != nullptr) {
-      member_slot.push_back(slot);
-      plan->components_.push_back(slot_plan.tag_dfa());
+      product_slot.push_back(slot);
+      components.push_back(slot_plan.tag_dfa());
     } else if (slot_plan.fused_dra() != nullptr) {
       dra_slot.push_back(slot);
       plan->mixed_dras_.push_back(slot_plan.fused_dra());
@@ -57,7 +83,18 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
       plan->machine_slot_.push_back(slot);
     }
   }
+  if (components.empty()) {
+    plan->lanes_.push_back(EmptyTagDfaProduct(alphabet.size()));
+  } else {
+    AppendLanes(components, options.eager_state_cap, &plan->lanes_);
+  }
+
+  // Member order: lane 0's mask bits, then the DRA side-cars, then lanes
+  // 1..k-1's mask bits, then the generic side-cars.
+  const auto lane0_end = product_slot.begin() + plan->lanes_.front().arity;
+  std::vector<int> member_slot(product_slot.begin(), lane0_end);
   member_slot.insert(member_slot.end(), dra_slot.begin(), dra_slot.end());
+  member_slot.insert(member_slot.end(), lane0_end, product_slot.end());
   member_slot.insert(member_slot.end(), plan->machine_slot_.begin(),
                      plan->machine_slot_.end());
   std::vector<std::vector<int32_t>> slot_queries(plan->slot_plans_.size());
@@ -77,28 +114,17 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
       alphabet.CompactLabels();
   plan->one_scan_eligible_ = letter_bytes && plan->machine_slot_.empty();
 
-  if (plan->components_.empty()) {
-    plan->eager_ = EmptyTagDfaProduct(alphabet.size());
-  } else {
-    plan->eager_ =
-        BuildTagDfaProduct(plan->components_, options.eager_state_cap);
-    if (!plan->eager_.has_value()) {
-      plan->lazy_ = std::make_unique<LazyTagDfaProduct>(
-          plan->components_, options.lazy_state_cap);
-    }
-  }
-  if (plan->components_.size() < plan->slot_plans_.size()) {
+  if (components.size() < plan->slot_plans_.size()) {
     plan->tier_ = MultiTier::kMixed;
-  } else if (plan->eager_.has_value()) {
-    plan->tier_ = MultiTier::kFusedProduct;
-    // The table's walk counts through one mask word per state, so only
-    // narrow (at most 64-query) products get one.
-    if (letter_bytes && plan->eager_->narrow) {
-      plan->eager_fused_ =
-          std::make_unique<ByteTagDfaRunner>(plan->eager_->dfa, alphabet);
-    }
   } else {
-    plan->tier_ = MultiTier::kLazyProduct;
+    plan->tier_ = MultiTier::kFusedProduct;
+    // The table's walk counts through one mask word per state, so only a
+    // single narrow (at most 64-query) lane gets one.
+    const TagDfaProduct& lane = plan->lanes_.front();
+    if (letter_bytes && plan->lanes_.size() == 1 && lane.narrow) {
+      plan->eager_fused_ =
+          std::make_unique<ByteTagDfaRunner>(lane.dfa, alphabet);
+    }
   }
   return plan;
 }
@@ -133,9 +159,10 @@ MultiQueryPlan::Stats MultiQueryPlan::stats() const {
   stats.num_slots = num_slots();
   stats.tier = tier_;
   stats.fused_byte_table = eager_fused_ != nullptr;
-  stats.eager_states = eager_ ? eager_->dfa.num_states : 0;
-  stats.lazy_states = lazy_ ? lazy_->num_states() : 0;
-  stats.lazy_overflowed = lazy_ ? lazy_->overflowed() : false;
+  stats.lanes = static_cast<int>(lanes_.size());
+  for (const TagDfaProduct& lane : lanes_) {
+    stats.eager_states += lane.dfa.num_states;
+  }
   stats.stackless_members = static_cast<int>(mixed_dras_.size());
   stats.machine_members = static_cast<int>(machine_slot_.size());
   return stats;
@@ -145,7 +172,7 @@ template <typename T>
 void MultiQueryPlan::CountSelectionsFused(const T* table,
                                           std::string_view bytes,
                                           int64_t* counts) const {
-  const uint64_t* mask_words = eager_->mask_words.data();
+  const uint64_t* mask_words = lanes_.front().mask_words.data();
   int state = eager_fused_->initial_state();
   // Structural-index walk: the product table's whitespace rows self-loop
   // and never count (checked when the table is built), so the stage-1
@@ -169,14 +196,12 @@ void MultiQueryPlan::CountSelectionsFused(const T* table,
   });
 }
 
-template <typename Stepper>
-void MultiQueryPlan::CountSelectionsWalk(Stepper& stepper,
+void MultiQueryPlan::CountSelectionsWalk(ProductStepper& stepper,
                                          std::string_view bytes) const {
   const std::array<Symbol, 256>& byte_symbol = scanner_tables_.byte_symbol;
   // The product and every DRA side-car step only on tag letters, so
   // whitespace is identity on all of them at once and the structural index
-  // is sound unconditionally (including across a lazy cursor's mid-scan
-  // wide-mode demotion: the latched state rides along through every gap).
+  // is sound unconditionally.
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     if (byte >= 'a' && byte <= 'z') {
@@ -202,7 +227,7 @@ std::vector<int64_t> MultiQueryPlan::CountSelections(
                 "one-scan counting requires compact markup, single-letter "
                 "labels and no generic side-car");
   std::vector<int64_t> counts(member_queries_.size(), 0);  // member order
-  // The byte table exists only for narrow kFusedProduct batches.
+  // The byte table exists only for one narrow kFusedProduct lane.
   if (eager_fused_ != nullptr) {
     if (eager_fused_->uses_compact_table()) {
       CountSelectionsFused(eager_fused_->table16(), bytes, counts.data());
@@ -211,22 +236,26 @@ std::vector<int64_t> MultiQueryPlan::CountSelections(
     }
     return QueryCounts(counts);
   }
-  // Everything else (a mixed batch, the lazy product, an eager product
-  // wider than 64 queries) walks the automata directly over the structural
-  // index, on private copies of the steppers the streaming machine uses.
+  // Everything else (a mixed batch, several lanes, a lane wider than 64
+  // queries) walks the bytes once per lane over the structural index, on
+  // private copies of the steppers the streaming machine uses; lane 0
+  // carries the DRA side-cars. Without generic side-cars, members are
+  // numbered lane after lane with the DRAs behind lane 0.
   std::vector<DraConfig> configs(mixed_dras_.size());
-  DraSideCars cars{mixed_dras_.data(), configs.data(),
-                   counts.data() + (counts.size() - mixed_dras_.size()),
-                   mixed_dras_.size()};
-  if (eager_) {
-    std::vector<int64_t> hits(static_cast<size_t>(eager_->rows.num_states()),
+  size_t base = 0;
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    const TagDfaProduct& lane = lanes_[i];
+    DraSideCars cars;
+    if (i == 0) {
+      cars = {mixed_dras_.data(), configs.data(), counts.data() + lane.arity,
+              mixed_dras_.size()};
+    }
+    std::vector<int64_t> hits(static_cast<size_t>(lane.rows.num_states()),
                               0);
-    ProductStepper stepper(&*eager_, counts.data(), hits.data(), cars);
+    ProductStepper stepper(&lane, counts.data() + base, hits.data(), cars);
     CountSelectionsWalk(stepper, bytes);
     stepper.Fold();
-  } else {
-    LazyStepper stepper(lazy_.get(), counts.data(), cars);
-    CountSelectionsWalk(stepper, bytes);
+    base += static_cast<size_t>(lane.arity) + cars.size;
   }
   return QueryCounts(counts);
 }
@@ -235,8 +264,7 @@ std::vector<int64_t> MultiQueryPlan::CountSelections(
 
 BatchSession::BatchSession(std::shared_ptr<const MultiQueryPlan> plan)
     : plan_(std::move(plan)),
-      machine_(plan_->eager(), plan_->lazy(), plan_->mixed_dras(),
-               plan_->NewSideCars()),
+      machine_(plan_->lanes(), plan_->mixed_dras(), plan_->NewSideCars()),
       selector_(&machine_, plan_->options().plan.format, &plan_->alphabet(),
                 &plan_->scanner_tables(), /*fused=*/nullptr) {}
 

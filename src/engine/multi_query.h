@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,7 +19,7 @@ namespace sst {
 // Multi-query serving: a batch of N queries answered over each document in
 // ONE pass. The batch compiles once into a MultiQueryPlan — per-query
 // plans deduplicated through the PlanCache canonical key, the registerless
-// ones fused into an output-annotated product automaton, every other one
+// ones fused into output-annotated product automata, every other one
 // riding that scan as a side-car — and any number of concurrent
 // BatchSessions stream documents against it, each emitting all N selection
 // counts.
@@ -34,58 +33,51 @@ struct BatchQuery {
 struct MultiQueryOptions {
   PlanOptions plan;  // encoding/format, shared by the whole batch
 
-  // Eager product bound: if the full reachable product has more states,
-  // the batch falls back to the lazy product. The eager tier buys the
-  // fused 256-entry byte table (one load per byte for ALL queries), so
-  // the cap trades compile time + table memory for scan speed.
+  // Eager product bound: if the reachable product of the registerless
+  // members has more states, they are halved (in slot order) until every
+  // part fits, and each part becomes one lane — one more product to step
+  // per event. A single member is always one lane, whatever its size. One
+  // lane buys the fused 256-entry byte table (one load per byte for ALL
+  // queries), so the cap trades compile time + table memory for scan
+  // speed.
   int eager_state_cap = 4096;
-
-  // Lazy materialization bound: states beyond it are never interned and
-  // the affected stream demotes to per-query stepping of the product's
-  // members (reported as kIndependent) for the rest of its document.
-  int lazy_state_cap = 1 << 20;
 
   friend bool operator==(const MultiQueryOptions&,
                          const MultiQueryOptions&) = default;
 };
 
-// The compile-once half of batch evaluation. Immutable after Compile
-// (the lazy product is internally synchronized — materialization is a
-// cache fill, not a logical mutation), so `shared_ptr<const
+// The compile-once half of batch evaluation. Immutable after Compile —
+// every table, lanes included, is built there — so `shared_ptr<const
 // MultiQueryPlan>` is shared across threads exactly like QueryPlan.
 //
 // Every tier is ONE scan: one StreamingSelector per BatchSession. The
 // tier, decided at compile time from the batch's verdicts, names what
 // that scan steps:
-//   kFusedProduct   every unique query registerless and the reachable
-//                   product fit eager_state_cap — plus, on markup-
-//                   eligible alphabets and at most 64 unique queries,
-//                   ONE fused byte table for the whole batch;
-//   kLazyProduct    every unique query registerless but the product is
-//                   too big to materialize up front — states appear as
-//                   documents reach them, shared by all sessions;
+//   kFusedProduct   every unique query registerless: the lanes alone —
+//                   plus, when they fit one lane, on markup-eligible
+//                   alphabets and at most 64 unique queries, ONE fused
+//                   byte table for the whole batch;
 //   kMixed          some member is not registerless: the registerless
-//                   members form a sub-product (eager within
-//                   eager_state_cap, lazy beyond it; with none, the
-//                   one-state empty product) and every other
-//                   member rides the same scan as a side-car — its fused
+//                   members form the lanes (with none, one lane holding
+//                   the one-state empty product) and every other member
+//                   rides the same scan as a side-car — its fused
 //                   restricted DRA when the plan has one, otherwise a
 //                   per-session machine from QueryPlan::NewMachine() (the
 //                   unfused stackless evaluator, the stack baseline).
-// kIndependent is never a plan's tier; a BatchSession reports it as its
-// active tier once its lazy (sub-)product demotes to wide mode.
+// No plan has kLazyProduct or kIndependent.
 class MultiQueryPlan {
  public:
   struct Stats {
     int num_queries = 0;  // batch size as submitted
     int num_slots = 0;    // unique queries after canonical-key dedup
     MultiTier tier = MultiTier::kFusedProduct;
-    bool fused_byte_table = false;  // narrow eager product's 256-entry table
-    int eager_states = 0;           // eager (sub-)product size
-    int lazy_states = 0;            // lazy states materialized so far (live)
-    bool lazy_overflowed = false;   // some stream hit lazy_state_cap
+    bool fused_byte_table = false;  // narrow single lane's 256-entry table
+    int lanes = 0;                  // eager products the members fill
+    int eager_states = 0;           // states over all lanes
     int stackless_members = 0;      // mixed tier: fused-DRA side-cars
     int machine_members = 0;        // mixed tier: generic side-car machines
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
 
   // Compiles the batch. Queries are deduplicated by PlanCache canonical
@@ -118,12 +110,9 @@ class MultiQueryPlan {
   // stackless). BatchSession requires it.
   bool exact() const { return exact_; }
 
-  // Product artifacts; null outside their tier.
-  const TagDfaProduct* eager() const {
-    return eager_ ? &*eager_ : nullptr;
-  }
-  // Internally synchronized; safe to step from any number of sessions.
-  LazyTagDfaProduct* lazy() const { return lazy_.get(); }
+  // The eager products the registerless members fill, in member order;
+  // never empty.
+  const std::vector<TagDfaProduct>& lanes() const { return lanes_; }
   // Mixed tier: the fused DRA of every DRA side-car, in member order
   // (borrowed from the slot plans); empty outside kMixed.
   const std::vector<const ByteDraRunner*>& mixed_dras() const {
@@ -136,8 +125,8 @@ class MultiQueryPlan {
   std::vector<std::unique_ptr<StreamMachine>> NewSideCars() const;
 
   // Member index -> submission-order query ids. Members are the product
-  // machine's counts() order: product mask bits, then DRA side-cars, then
-  // generic side-cars. Textual duplicates of one query all appear under
+  // machine's counts() order: lane 0's mask bits, then DRA side-cars, then
+  // lanes 1..k-1's mask bits, then generic side-cars. Textual duplicates of one query all appear under
   // their shared member.
   const std::vector<std::vector<int32_t>>& member_queries() const {
     return member_queries_;
@@ -155,9 +144,10 @@ class MultiQueryPlan {
   bool one_scan_eligible() const { return one_scan_eligible_; }
 
   // ByteTagDfaRunner::CountSelections semantics, per submitted query: one
-  // walk over the bytes' structural index, through the fused product byte
-  // table when the batch has one (at most 64 registerless members) and
-  // through the product (eager or lazy) and DRA tables otherwise. It is
+  // walk over the bytes' structural index through the fused product byte
+  // table when the batch has one (one lane of at most 64 registerless
+  // members), otherwise one walk per lane through its rows, lane 0 with
+  // the DRA tables. It is
   // the ladder's speed-of-light reference for a batch (the end-to-end
   // benchmark times it through BatchSession::CountSelections); the
   // streaming tiers never call it. Thread-safe like the plan.
@@ -171,8 +161,8 @@ class MultiQueryPlan {
   template <typename T>
   void CountSelectionsFused(const T* table, std::string_view bytes,
                             int64_t* counts) const;
-  template <typename Stepper>
-  void CountSelectionsWalk(Stepper& stepper, std::string_view bytes) const;
+  void CountSelectionsWalk(ProductStepper& stepper,
+                           std::string_view bytes) const;
 
   MultiQueryOptions options_;
   Alphabet alphabet_;
@@ -180,13 +170,11 @@ class MultiQueryPlan {
 
   std::vector<int> slot_of_;  // query index -> slot
   std::vector<std::shared_ptr<const QueryPlan>> slot_plans_;
-  std::vector<const TagDfa*> components_;  // borrowed from slot_plans_
 
   MultiTier tier_ = MultiTier::kFusedProduct;
   bool exact_ = true;
-  std::optional<TagDfaProduct> eager_;
+  std::vector<TagDfaProduct> lanes_;
   std::unique_ptr<ByteTagDfaRunner> eager_fused_;
-  std::unique_ptr<LazyTagDfaProduct> lazy_;
 
   bool one_scan_eligible_ = false;
   std::vector<std::vector<int32_t>> member_queries_;
@@ -238,10 +226,9 @@ class MatchFanOutSink : public MatchSink {
 
 // The run-many half: one document stream answering the whole batch with
 // ONE StreamingSelector over ONE ProductTagMachine on every tier, both
-// built from the plan's shared artifacts (scanner tables, eager or lazy
-// product, fused DRAs). Single-threaded like Session; concurrency comes
-// from many BatchSessions sharing the plan (and, with a lazy
-// (sub-)product, the product).
+// built from the plan's shared artifacts (scanner tables, lanes, fused
+// DRAs). Single-threaded like Session; concurrency comes from many
+// BatchSessions sharing the plan.
 class BatchSession {
  public:
   // `plan` must be exact() — a member with no machine cannot stream.
@@ -289,12 +276,9 @@ class BatchSession {
   // stack-baseline side-cars (see ProductTagMachine).
   StreamStats stats() const { return selector_.stats(); }
 
-  // The rung actually executing for THIS stream (a session over a lazy
-  // (sub-)product demotes to kIndependent when materialization hits the
-  // state cap).
-  MultiTier active_tier() const {
-    return machine_.wide() ? MultiTier::kIndependent : plan_->tier();
-  }
+  // The rung executing for this stream: the plan's tier, fixed at
+  // compile time.
+  MultiTier active_tier() const { return plan_->tier(); }
 
   // The plan's one-scan counting (see MultiQueryPlan::CountSelections);
   // it does not touch this session's streaming state.

@@ -9,7 +9,7 @@
 //       configurations and on counts — for side-cars stepped directly,
 //       for single queries through StreamingSelector on every format,
 //       chunking, recovery policy and limit, and for batch side-cars on
-//       the eager, lazy and one-scan paths.
+//       one lane, split lanes and the one-scan path.
 
 #include <gtest/gtest.h>
 
@@ -561,7 +561,7 @@ TEST(DraSleep, FusedTierAgreesWithUngatedMachineOnEveryFormat) {
   }
 }
 
-// Batch side-cars: BatchSession (eager product, lazy product) and the
+// Batch side-cars: BatchSession (one lane, one lane per member) and the
 // one-scan walk against one ungated generic selector per member.
 std::vector<BatchQuery> SideCarBatch() {
   std::vector<BatchQuery> batch;
@@ -593,14 +593,14 @@ TEST(DraSleep, BatchSideCarsAgreeWithUngatedMembers) {
     eager.plan.encoding = format == StreamFormat::kCompactTerm
                               ? StreamEncoding::kTerm
                               : StreamEncoding::kMarkup;
-    MultiQueryOptions lazy = eager;
-    lazy.eager_state_cap = 1;
-    for (const MultiQueryOptions* path : {&eager, &lazy}) {
+    MultiQueryOptions split = eager;
+    split.eager_state_cap = 1;  // one lane per registerless member
+    for (const MultiQueryOptions* path : {&eager, &split}) {
       const MultiQueryOptions& options = *path;
       auto plan = MultiQueryPlan::Compile(SideCarBatch(), alphabet, options);
       ASSERT_EQ(plan->stats().stackless_members, 3);
       ASSERT_EQ(plan->stats().machine_members, 0);
-      ASSERT_EQ(plan->eager() != nullptr, path == &eager);
+      ASSERT_EQ(plan->stats().lanes, path == &eager ? 1 : 2);
       BatchSession batch(plan);
       // Ungated references: each member's machine on the generic tier —
       // the DraRunner steps the stackless members' DRAs on every event.
@@ -655,8 +655,8 @@ TEST(DraSleep, BatchSideCarsAgreeWithUngatedMembers) {
               // the per-member answers are the point.
               got.matches = want.matches = 0;
               ASSERT_TRUE(got == want)
-                  << "format " << static_cast<int>(format) << " lazy "
-                  << (path == &lazy) << " chunk " << chunk << " policy "
+                  << "format " << static_cast<int>(format) << " split "
+                  << (path == &split) << " chunk " << chunk << " policy "
                   << static_cast<int>(policy) << ": " << input;
             }
           }

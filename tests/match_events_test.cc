@@ -809,18 +809,14 @@ TEST(MatchEvents, BatchTiersFanOutToSubmissionOrderQueryIds) {
       {QuerySyntax::kXPath, "/a//b"},  // textual duplicate
   };
   cases.push_back({"product-default", registerless, {}});
-  {
-    MultiQueryOptions lazy;
-    lazy.eager_state_cap = 1;
-    cases.push_back({"lazy", registerless, lazy});
-  }
+  MultiQueryOptions split;
+  split.eager_state_cap = 1;  // one lane per member
+  cases.push_back({"product-split", registerless, split});
   {
     std::vector<BatchQuery> mixed = registerless;
     mixed.push_back({QuerySyntax::kXPath, stackless[0]});
     cases.push_back({"mixed-default", mixed, {}});
-    MultiQueryOptions lazy;
-    lazy.eager_state_cap = 1;
-    cases.push_back({"mixed-lazy", mixed, lazy});
+    cases.push_back({"mixed-split", mixed, split});
     mixed.push_back({QuerySyntax::kXPath, "//a/b"});  // stack side-car
     cases.push_back({"mixed-stack", mixed, {}});
   }

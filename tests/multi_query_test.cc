@@ -174,8 +174,7 @@ class GenericBatch {
  public:
   explicit GenericBatch(const MultiQueryPlan& plan)
       : plan_(plan),
-        machine_(plan.eager(), plan.lazy(), plan.mixed_dras(),
-                 plan.NewSideCars()),
+        machine_(plan.lanes(), plan.mixed_dras(), plan.NewSideCars()),
         opaque_(&machine_),
         selector_(&opaque_, plan.options().plan.format, &plan.alphabet(),
                   &plan.scanner_tables(), nullptr) {}
@@ -279,26 +278,28 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
   auto fused = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
                                        MultiQueryOptions{});
   EXPECT_EQ(fused->tier(), MultiTier::kFusedProduct);
-  ASSERT_NE(fused->eager(), nullptr);
-  EXPECT_EQ(fused->lazy(), nullptr);
+  EXPECT_EQ(fused->stats().lanes, 1);
   EXPECT_GT(fused->stats().eager_states, 0);
   EXPECT_TRUE(fused->stats().fused_byte_table);
 
-  MultiQueryOptions lazy_options;
-  lazy_options.eager_state_cap = 1;
-  auto lazy = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
-                                      lazy_options);
-  EXPECT_EQ(lazy->tier(), MultiTier::kLazyProduct);
-  EXPECT_EQ(lazy->eager(), nullptr);
-  ASSERT_NE(lazy->lazy(), nullptr);
+  // Past the cap the members split in halves until each part fits; a
+  // single member is a lane whatever its size. Only one lane gets the
+  // fused byte table.
+  MultiQueryOptions tiny_cap;
+  tiny_cap.eager_state_cap = 1;
+  auto split = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
+                                       tiny_cap);
+  EXPECT_EQ(split->tier(), MultiTier::kFusedProduct);
+  EXPECT_EQ(split->stats().lanes, 4);
+  EXPECT_FALSE(split->stats().fused_byte_table);
+  for (const TagDfaProduct& lane : split->lanes()) EXPECT_EQ(lane.arity, 1);
 
   // A stackless query with a fused DRA joins the registerless members in
   // ONE scan: the mixed tier, registerless sub-product + DRA side-car.
   auto mixed = MultiQueryPlan::Compile(XPathBatch({"/a//b", "/a/b"}),
                                        alphabet, MultiQueryOptions{});
   EXPECT_EQ(mixed->tier(), MultiTier::kMixed);
-  EXPECT_NE(mixed->eager(), nullptr);
-  EXPECT_EQ(mixed->lazy(), nullptr);
+  EXPECT_EQ(mixed->stats().lanes, 1);
   EXPECT_EQ(mixed->stats().stackless_members, 1);
   ASSERT_EQ(mixed->mixed_dras().size(), 1u);
 
@@ -309,29 +310,28 @@ TEST(MultiQueryPlan, TierSelectionFollowsBatchVerdicts) {
       XPathBatch({"/a//b", "/a/b"}), alphabet,
       OptionsFor(StreamFormat::kCompactTerm));
   EXPECT_EQ(term_mixed->tier(), MultiTier::kMixed);
-  EXPECT_NE(term_mixed->eager(), nullptr);
-  EXPECT_EQ(term_mixed->lazy(), nullptr);
+  EXPECT_EQ(term_mixed->stats().lanes, 1);
   EXPECT_EQ(term_mixed->mixed_dras().size(), 1u);
   EXPECT_EQ(term_mixed->stats().machine_members, 0);
 
-  // An over-cap registerless sub-product goes lazy; the DRA side-car
-  // stays on the same scan.
-  MultiQueryOptions tiny_cap;
-  tiny_cap.eager_state_cap = 1;
-  auto capped = MultiQueryPlan::Compile(XPathBatch({"/a//b", "/a/b"}),
-                                        alphabet, tiny_cap);
+  // Over the cap, the registerless members split into lanes; the DRA
+  // side-car stays on the same scan, riding lane 0.
+  auto capped = MultiQueryPlan::Compile(
+      XPathBatch({"/a//b", "/a/b", "/c//b"}), alphabet, tiny_cap);
   EXPECT_EQ(capped->tier(), MultiTier::kMixed);
-  EXPECT_EQ(capped->eager(), nullptr);
-  EXPECT_NE(capped->lazy(), nullptr);
+  EXPECT_EQ(capped->stats().lanes, 2);
   EXPECT_EQ(capped->mixed_dras().size(), 1u);
+  // Members: lane 0 ("/a//b"), the DRA ("/a/b"), lane 1 ("/c//b").
+  EXPECT_EQ(capped->member_queries(),
+            (std::vector<std::vector<int32_t>>{{0}, {1}, {2}}));
 
   // An all-stackless batch is mixed too: no product members, every slot a
   // fused DRA, riding the one-state empty product.
   auto all_dra = MultiQueryPlan::Compile(XPathBatch({"/a/b", "/b/*//c"}),
                                          alphabet, MultiQueryOptions{});
   EXPECT_EQ(all_dra->tier(), MultiTier::kMixed);
-  ASSERT_NE(all_dra->eager(), nullptr);
-  EXPECT_EQ(all_dra->eager()->arity, 0);
+  ASSERT_EQ(all_dra->stats().lanes, 1);
+  EXPECT_EQ(all_dra->lanes()[0].arity, 0);
   EXPECT_EQ(all_dra->stats().eager_states, 1);
   EXPECT_EQ(all_dra->stats().stackless_members, 2);
 }
@@ -360,7 +360,7 @@ TEST(BatchSession, ParityAcrossFormatsAndChunkings) {
     for (const std::vector<BatchQuery>& queries : batches) {
       auto plan = MultiQueryPlan::Compile(queries, alphabet,
                                           OptionsFor(format));
-      ASSERT_NE(plan->eager(), nullptr);
+      ASSERT_EQ(plan->stats().lanes, 1);
       const bool registerless = &queries == &batches[0];
       ASSERT_EQ(plan->tier() == MultiTier::kMixed, !registerless);
       if (&queries == &batches[1]) {
@@ -501,8 +501,8 @@ TEST(BatchSession, StackDiagnosticsMatchTheStackMembersSession) {
 // inputs, every chunking, and the one-scan byte entry points.
 TEST(BatchSession, MixedTierMatchesIndependentReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  // Eager sub-product by default; eager_state_cap 1 puts the same DRA
-  // side-cars beside a lazy sub-product.
+  // One lane by default; eager_state_cap 1 puts the same DRA side-cars
+  // beside two lanes, which the streaming and one-scan walks step in turn.
   for (int eager_cap : {MultiQueryOptions{}.eager_state_cap, 1}) {
     MultiQueryOptions options;
     options.eager_state_cap = eager_cap;
@@ -510,7 +510,7 @@ TEST(BatchSession, MixedTierMatchesIndependentReference) {
         XPathBatch({"/a//b", "/a/b", "/c//b", "/b/*//c"}), alphabet,
         options);
     ASSERT_EQ(plan->tier(), MultiTier::kMixed);
-    ASSERT_EQ(plan->lazy() != nullptr, eager_cap == 1);
+    ASSERT_EQ(plan->stats().lanes, eager_cap == 1 ? 2 : 1);
     EXPECT_EQ(plan->stats().stackless_members, 2);
     BatchSession batch(plan);
     EXPECT_EQ(batch.active_tier(), MultiTier::kMixed);
@@ -552,8 +552,8 @@ TEST(BatchSession, AllStacklessBatchRunsMixed) {
   auto plan = MultiQueryPlan::Compile(XPathBatch({"/a/b", "/b/*//c"}),
                                       alphabet, MultiQueryOptions{});
   ASSERT_EQ(plan->tier(), MultiTier::kMixed);
-  ASSERT_NE(plan->eager(), nullptr);
-  ASSERT_EQ(plan->eager()->arity, 0);
+  ASSERT_EQ(plan->stats().lanes, 1);
+  ASSERT_EQ(plan->lanes()[0].arity, 0);
   BatchSession batch(plan);
 
   IndependentSessions independent(*plan);
@@ -572,32 +572,113 @@ TEST(BatchSession, AllStacklessBatchRunsMixed) {
   }
 }
 
-TEST(BatchSession, LazyTierAndWideDemotionKeepParity) {
+TEST(BatchSession, SplitLanesKeepParity) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  MultiQueryOptions lazy_options;
-  lazy_options.eager_state_cap = 1;  // force the lazy tier
-  lazy_options.lazy_state_cap = 2;   // ...and mid-stream wide demotion
+  MultiQueryOptions options;
+  options.eager_state_cap = 1;  // one lane per member
   auto plan = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
-                                      lazy_options);
-  ASSERT_EQ(plan->tier(), MultiTier::kLazyProduct);
+                                      options);
+  ASSERT_EQ(plan->stats().lanes, 4);
   BatchSession batch(plan);
 
   IndependentSessions independent(*plan);
 
   Rng rng(97);
-  bool saw_demotion = false;
   for (const Tree& tree : testing::SampleTrees(30, 3, &rng)) {
     std::string doc = ToCompactMarkup(alphabet, Encode(tree));
     for (size_t chunk : {size_t{1}, size_t{7}}) {
-      EXPECT_EQ(DriveBatch(&batch, doc, chunk),
-                DriveIndependent(independent.ptrs, doc, chunk))
+      BatchRunRecord split = DriveBatch(&batch, doc, chunk);
+      EXPECT_EQ(split, DriveIndependent(independent.ptrs, doc, chunk))
           << doc;
-      saw_demotion |= batch.active_tier() == MultiTier::kIndependent;
+      if (split.ok) {
+        EXPECT_EQ(batch.CountSelections(doc), split.matches) << doc;
+      }
     }
   }
-  EXPECT_TRUE(saw_demotion);
-  EXPECT_TRUE(plan->stats().lazy_overflowed);
-  EXPECT_LE(plan->stats().lazy_states, 2);
+}
+
+// One query's events out of a batch log, with the id normalized to 0 as a
+// single-query Session reports it.
+std::vector<MatchEvent> EventsOf(const std::vector<MatchEvent>& events,
+                                 int32_t query) {
+  std::vector<MatchEvent> out;
+  for (const MatchEvent& event : events) {
+    if (event.query_id == query) {
+      out.push_back(event);
+      out.back().query_id = 0;
+    }
+  }
+  return out;
+}
+
+// A batch past the default cap: over 64 labels, the 64 root tests
+// "/x//*" and the 64 label tests "//y", interleaved. Their product is the
+// whole registerless XPath pool's, (k+1)(k+2) = 4,290 states (EXPERIMENTS
+// E25); a batch of "/x//y" alone tracks only the labels its own roots
+// test, so 70 of them need 136. The batch compiles to two lanes and must
+// stream like independent Sessions — counts, framing stats, first error
+// and each query's match log, which checks the member ids of lane 1 —
+// over every chunking, clean and with every fault kind.
+TEST(BatchSession, OverCapBatchSplitsIntoLanes) {
+  Alphabet alphabet;
+  for (int i = 0; i < 64; ++i) alphabet.Intern("l" + std::to_string(i));
+  std::vector<BatchQuery> queries;
+  for (int i = 0; i < 64; ++i) {
+    const std::string label = "l" + std::to_string(i);
+    queries.push_back({QuerySyntax::kXPath, "/" + label + "//*"});
+    queries.push_back({QuerySyntax::kXPath, "//" + label});
+  }
+  auto plan = MultiQueryPlan::Compile(queries, alphabet,
+                                      OptionsFor(StreamFormat::kXmlLite));
+  ASSERT_EQ(plan->num_slots(), 128);
+  ASSERT_EQ(plan->tier(), MultiTier::kFusedProduct);
+  ASSERT_EQ(plan->stats().lanes, 2);
+  for (const TagDfaProduct& lane : plan->lanes()) {
+    EXPECT_LE(lane.dfa.num_states, MultiQueryOptions{}.eager_state_cap);
+  }
+  BatchSession batch(plan);
+  CollectingSink log;
+  batch.set_match_sink(&log);
+  IndependentSessions independent(*plan);
+  std::vector<CollectingSink> sinks(independent.owned.size());
+  for (size_t q = 0; q < sinks.size(); ++q) {
+    independent.owned[q]->set_match_sink(&sinks[q]);
+  }
+
+  Rng rng(131);
+  FaultInjector injector(131);
+  const int32_t lane0_members = plan->lanes()[0].arity;
+  bool saw_later_lane = false;
+  for (const Tree& tree : testing::SampleTrees(16, 64, &rng)) {
+    std::string text = ToXmlLite(alphabet, Encode(tree));
+    std::vector<std::string> inputs = {text};
+    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
+      inputs.push_back(text);
+      injector.Apply(static_cast<FaultKind>(kind), &inputs.back());
+    }
+    for (const std::string& input : inputs) {
+      for (size_t chunk : {size_t{1}, size_t{3}, size_t{16},
+                           std::max<size_t>(input.size(), 1)}) {
+        log.Reset();
+        for (CollectingSink& sink : sinks) sink.Reset();
+        EXPECT_EQ(DriveBatch(&batch, input, chunk),
+                  DriveIndependent(independent.ptrs, input, chunk))
+            << "chunk " << chunk << ": " << input;
+        int64_t emitted = 0;
+        for (size_t q = 0; q < sinks.size(); ++q) {
+          const int32_t id = static_cast<int32_t>(q);
+          EXPECT_EQ(EventsOf(log.matches(), id), sinks[q].matches()) << q;
+          EXPECT_EQ(EventsOf(log.spans(), id), sinks[q].spans()) << q;
+          emitted += independent.owned[q]->stats().matches_emitted;
+        }
+        EXPECT_EQ(batch.stats().matches_emitted, emitted) << input;
+        for (const MatchEvent& event : log.matches()) {
+          saw_later_lane |= event.query_id >= lane0_members;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_later_lane);
 }
 
 TEST(BatchSession, OneScanCountsMatchStreaming) {
@@ -634,10 +715,12 @@ TEST(BatchSession, OneScanCountsMatchStreaming) {
 
 // 8 threads stream the same documents through their own BatchSessions
 // over one shared plan; every thread must match a sequential independent
-// reference driven with the thread's chunking.
+// reference driven with the thread's chunking. The plan's stats read the
+// same before and after: its memory is fixed when it compiles.
 void ExpectConcurrentParity(const std::shared_ptr<const MultiQueryPlan>& plan,
                             const std::vector<std::string>& documents) {
   constexpr int kThreads = 8;
+  const MultiQueryPlan::Stats compiled = plan->stats();
   IndependentSessions independent(*plan);
   std::vector<std::vector<BatchRunRecord>> expected(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -655,7 +738,7 @@ void ExpectConcurrentParity(const std::shared_ptr<const MultiQueryPlan>& plan,
       for (const std::string& doc : documents) {
         concurrent[t].push_back(
             DriveBatch(&session, doc, static_cast<size_t>(t) + 1));
-        // The one-scan walk races the streams on the shared lazy product.
+        // The one-scan walk reads the shared lanes alongside the streams.
         if (session.one_scan_eligible() && concurrent[t].back().ok) {
           EXPECT_EQ(session.CountSelections(doc), concurrent[t].back().matches);
         }
@@ -666,15 +749,16 @@ void ExpectConcurrentParity(const std::shared_ptr<const MultiQueryPlan>& plan,
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(concurrent[t], expected[t]) << "thread " << t;
   }
+  EXPECT_EQ(plan->stats(), compiled);
 }
 
-TEST(BatchSession, ConcurrentSessionsShareOneLazyPlan) {
+TEST(BatchSession, ConcurrentSessionsShareOneMultiLanePlan) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
-  MultiQueryOptions lazy_options;
-  lazy_options.eager_state_cap = 1;
+  MultiQueryOptions options;
+  options.eager_state_cap = 1;
   auto plan = MultiQueryPlan::Compile(RegisterlessBatch(), alphabet,
-                                      lazy_options);
-  ASSERT_EQ(plan->tier(), MultiTier::kLazyProduct);
+                                      options);
+  ASSERT_GE(plan->stats().lanes, 2);
 
   Rng rng(103);
   std::vector<std::string> documents;
@@ -686,16 +770,16 @@ TEST(BatchSession, ConcurrentSessionsShareOneLazyPlan) {
   ExpectConcurrentParity(plan, documents);
 }
 
-// The lazy sub-product and the DRA side-cars' tables are shared across
-// threads while every session owns its side-car configurations and its
-// generic side-car machine (the stack-baseline member //a/b).
-TEST(BatchSession, ConcurrentSessionsShareOneLazyPlanWithSideCars) {
+// The lanes and the DRA side-cars' tables are shared across threads while
+// every session owns its side-car configurations and its generic side-car
+// machine (the stack-baseline member //a/b).
+TEST(BatchSession, ConcurrentSessionsShareOneMultiLanePlanWithSideCars) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   MultiQueryOptions options = OptionsFor(StreamFormat::kXmlLite);
   options.eager_state_cap = 1;
   auto plan = MultiQueryPlan::Compile(MixedBatch(), alphabet, options);
   ASSERT_EQ(plan->tier(), MultiTier::kMixed);
-  ASSERT_NE(plan->lazy(), nullptr);
+  ASSERT_GE(plan->stats().lanes, 2);
   ASSERT_EQ(plan->stats().stackless_members, 2);
   ASSERT_EQ(plan->stats().machine_members, 1);
 

@@ -1,8 +1,8 @@
 // The product tier of batch evaluation (dra/multi_runner.h) driven through
 // its public path, MultiQueryPlan + BatchSession: selection masks, the
-// eager and lazy products, the one-scan walk's three branches (fused
-// product byte table, eager rows, lazy product) and streaming parity with
-// each member's own reference run.
+// eager products and their split into lanes, the one-scan walk's three
+// branches (fused product byte table, eager rows, one walk per lane) and
+// streaming parity with each member's own reference run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,11 +57,9 @@ std::vector<BatchQuery> RegisterlessQueries(const Alphabet& alphabet) {
 
 std::shared_ptr<const MultiQueryPlan> CompileBatch(
     const std::vector<BatchQuery>& queries, const Alphabet& alphabet,
-    int eager_state_cap = MultiQueryOptions{}.eager_state_cap,
-    int lazy_state_cap = MultiQueryOptions{}.lazy_state_cap) {
+    int eager_state_cap = MultiQueryOptions{}.eager_state_cap) {
   MultiQueryOptions options;
   options.eager_state_cap = eager_state_cap;
-  options.lazy_state_cap = lazy_state_cap;
   return MultiQueryPlan::Compile(queries, alphabet, options);
 }
 
@@ -276,8 +274,9 @@ TEST(BatchSession, WidthBoundaryMatchesScalarReference) {
         std::vector<BatchQuery>(all.begin(), all.begin() + width), alphabet);
     ASSERT_EQ(plan->tier(), MultiTier::kFusedProduct) << width;
     ASSERT_EQ(plan->num_slots(), static_cast<int>(width));
-    EXPECT_EQ(plan->eager()->arity, static_cast<int>(width));
-    EXPECT_EQ(plan->eager()->narrow, width <= 64);
+    ASSERT_EQ(plan->stats().lanes, 1);
+    EXPECT_EQ(plan->lanes()[0].arity, static_cast<int>(width));
+    EXPECT_EQ(plan->lanes()[0].narrow, width <= 64);
     EXPECT_EQ(plan->stats().fused_byte_table, width <= 64);
     ASSERT_TRUE(plan->one_scan_eligible());
     BatchSession session(plan);
@@ -306,7 +305,7 @@ TEST(TagDfaProduct, EagerRespectsStateCap) {
 // The one-scan walk's three branches agree with the members' own fused
 // runners on the same registerless queries: the fused product byte table
 // (kFusedProduct), the eager product rows walked beside a DRA side-car
-// (kMixed), and the lazy product. Junk bytes self-loop in the fused table;
+// (kMixed), and one walk per lane. Junk bytes self-loop in the fused table;
 // every branch must agree there too (unknown lowercase letters still
 // sample acceptance).
 TEST(BatchSession, OneScanBranchesMatchComponents) {
@@ -317,13 +316,12 @@ TEST(BatchSession, OneScanBranchesMatchComponents) {
   with_dra.push_back(XPath("/a/b"));
   auto fused = CompileBatch(queries, alphabet);
   auto rows = CompileBatch(with_dra, alphabet);
-  auto lazy = CompileBatch(queries, alphabet, /*eager_state_cap=*/1);
+  auto split = CompileBatch(queries, alphabet, /*eager_state_cap=*/1);
   ASSERT_TRUE(fused->stats().fused_byte_table);
-  ASSERT_TRUE(fused->eager()->narrow);
   ASSERT_EQ(rows->tier(), MultiTier::kMixed);
-  ASSERT_NE(rows->eager(), nullptr);
-  ASSERT_EQ(lazy->tier(), MultiTier::kLazyProduct);
-  for (const auto& plan : {fused, rows, lazy}) {
+  ASSERT_EQ(rows->stats().lanes, 1);
+  ASSERT_EQ(split->stats().lanes, static_cast<int>(queries.size()));
+  for (const auto& plan : {fused, rows, split}) {
     ASSERT_TRUE(plan->one_scan_eligible());
   }
 
@@ -337,49 +335,20 @@ TEST(BatchSession, OneScanBranchesMatchComponents) {
     std::vector<int64_t> beside_dra = rows->CountSelections(doc);
     beside_dra.pop_back();  // the DRA member
     EXPECT_EQ(beside_dra, want) << doc;
-    EXPECT_EQ(lazy->CountSelections(doc), want) << doc;
+    EXPECT_EQ(split->CountSelections(doc), want) << doc;
   }
-  // Only reached states materialized, and never more than the full product.
-  EXPECT_GT(lazy->stats().lazy_states, 0);
-  EXPECT_LE(lazy->stats().lazy_states, fused->stats().eager_states);
-  EXPECT_FALSE(lazy->stats().lazy_overflowed);
 }
 
-TEST(LazyProduct, OverflowDemotesToWideModeWithIdenticalCounts) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
-  ASSERT_GE(queries.size(), 4u);
-  auto eager = CompileBatch(queries, alphabet);
-  ASSERT_GT(eager->stats().eager_states, 2);
-  // A cap below the reachable product forces mid-stream demotion.
-  auto lazy = CompileBatch(queries, alphabet, /*eager_state_cap=*/1,
-                           /*lazy_state_cap=*/2);
-  for (const std::string& doc : MarkupDocuments(alphabet, 30, 37)) {
-    EXPECT_EQ(eager->CountSelections(doc), lazy->CountSelections(doc))
-        << doc;
-  }
-  EXPECT_TRUE(lazy->stats().lazy_overflowed);
-  EXPECT_LE(lazy->stats().lazy_states, 2);
-
-  // The streaming session latches wide mode per stream and reports it.
-  BatchSession session(lazy);
-  std::string doc = MarkupDocuments(alphabet, 1, 41).front();
-  ASSERT_TRUE(Drive(&session, doc, doc.size()));
-  EXPECT_EQ(session.active_tier(), MultiTier::kIndependent);
-  session.Reset();
-  EXPECT_EQ(session.active_tier(), MultiTier::kLazyProduct);
-}
-
-TEST(BatchSession, EagerAndLazyStreamingMatchPerMemberReference) {
+TEST(BatchSession, OneAndSplitLanesStreamingMatchPerMemberReference) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
   ASSERT_GE(queries.size(), 4u);
   auto eager_plan = CompileBatch(queries, alphabet);
-  auto lazy_plan = CompileBatch(queries, alphabet, /*eager_state_cap=*/1);
-  ASSERT_EQ(eager_plan->tier(), MultiTier::kFusedProduct);
-  ASSERT_EQ(lazy_plan->tier(), MultiTier::kLazyProduct);
+  auto split_plan = CompileBatch(queries, alphabet, /*eager_state_cap=*/1);
+  ASSERT_EQ(eager_plan->stats().lanes, 1);
+  ASSERT_EQ(split_plan->stats().lanes, static_cast<int>(queries.size()));
   BatchSession eager(eager_plan);
-  BatchSession lazy(lazy_plan);
+  BatchSession split(split_plan);
   std::vector<std::unique_ptr<StreamMachine>> references =
       ReferenceMachines(*eager_plan);
 
@@ -388,62 +357,11 @@ TEST(BatchSession, EagerAndLazyStreamingMatchPerMemberReference) {
       for (size_t chunk : {size_t{3}, std::max<size_t>(doc.size(), 1)}) {
         ExpectBatchMatchesReference(&eager, alphabet, references, doc, limits,
                                     chunk);
-        ExpectBatchMatchesReference(&lazy, alphabet, references, doc, limits,
+        ExpectBatchMatchesReference(&split, alphabet, references, doc, limits,
                                     chunk);
       }
     }
   }
-}
-
-// A stream that demotes to wide mode MID-chunk must report the same first
-// StreamError (code + offset) as a run that was wide from its very first
-// event, and as the independent per-query sessions — demotion may never
-// move or change the error.
-TEST(BatchSession, WideDemotionMidChunkKeepsFirstErrorParity) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  std::vector<BatchQuery> queries = RegisterlessQueries(alphabet);
-  ASSERT_GE(queries.size(), 4u);
-  // Cap 2: the stream runs dense for a couple of states, then demotes
-  // mid-document. Cap 1: the very first transition overflows, so the
-  // stream is effectively wide from scratch.
-  auto mid_plan = CompileBatch(queries, alphabet, 1, /*lazy_state_cap=*/2);
-  auto scratch_plan = CompileBatch(queries, alphabet, 1, /*lazy_state_cap=*/1);
-  BatchSession mid(mid_plan);
-  BatchSession scratch(scratch_plan);
-  Session first(mid_plan->slot_plans().front());
-
-  auto drive_session = [](Session* target, const std::string& doc,
-                          size_t chunk) {
-    target->Reset();
-    bool ok = true;
-    for (size_t i = 0; i < doc.size() && ok; i += chunk) {
-      ok = target->Feed(std::string_view(doc).substr(i, chunk));
-    }
-    return ok && target->Finish();
-  };
-
-  FaultInjector injector(73);
-  bool saw_mid_demotion = false;
-  for (const std::string& doc : MarkupDocuments(alphabet, 30, 73)) {
-    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
-      std::string mutated = doc;
-      injector.Apply(static_cast<FaultKind>(kind), &mutated);
-      for (size_t chunk : {size_t{3}, size_t{16}}) {
-        bool mid_ok = Drive(&mid, mutated, chunk);
-        bool scratch_ok = Drive(&scratch, mutated, chunk);
-        EXPECT_EQ(mid_ok, scratch_ok) << mutated;
-        EXPECT_EQ(mid.stream_error(), scratch.stream_error()) << mutated;
-        EXPECT_EQ(mid.query_matches(), scratch.query_matches()) << mutated;
-        saw_mid_demotion |= mid.active_tier() == MultiTier::kIndependent;
-
-        // And both agree with the per-query reference sessions.
-        EXPECT_EQ(mid_ok, drive_session(&first, mutated, chunk)) << mutated;
-        EXPECT_EQ(mid.stream_error(), first.stream_error()) << mutated;
-      }
-    }
-  }
-  EXPECT_TRUE(saw_mid_demotion);
-  EXPECT_TRUE(mid_plan->stats().lazy_overflowed);
 }
 
 // Mixed batch (registerless product + fused DRAs) streaming: same first

@@ -218,13 +218,13 @@ TEST(StructuralIndex, MultiQueryCountsMatchIndependentPerByteRunners) {
       FusedQueries({"/a//b", "/b//c", "/c//a", "/a", "/b"},
                    EvaluatorKind::kRegisterless, alphabet);
   ASSERT_GE(queries.size(), 3u);
-  MultiQueryOptions lazy_options;
-  lazy_options.eager_state_cap = 1;
+  MultiQueryOptions split_options;
+  split_options.eager_state_cap = 1;  // one lane per member
   auto fused = MultiQueryPlan::Compile(queries, alphabet, {});
-  auto lazy = MultiQueryPlan::Compile(queries, alphabet, lazy_options);
+  auto split = MultiQueryPlan::Compile(queries, alphabet, split_options);
   ASSERT_TRUE(fused->stats().fused_byte_table);
   ASSERT_TRUE(fused->one_scan_eligible());
-  ASSERT_EQ(lazy->tier(), MultiTier::kLazyProduct);
+  ASSERT_EQ(split->stats().lanes, static_cast<int>(queries.size()));
 
   Rng rng(2213);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
@@ -233,7 +233,7 @@ TEST(StructuralIndex, MultiQueryCountsMatchIndependentPerByteRunners) {
     for (const std::string& bytes : Variants(doc, t * 1543 + 41)) {
       std::vector<int64_t> expected = PerByteCounts(*fused, bytes);
       EXPECT_EQ(fused->CountSelections(bytes), expected) << "tree=" << t;
-      EXPECT_EQ(lazy->CountSelections(bytes), expected) << "tree=" << t;
+      EXPECT_EQ(split->CountSelections(bytes), expected) << "tree=" << t;
     }
   }
 }
