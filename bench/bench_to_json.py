@@ -46,7 +46,7 @@ def compact(raw):
             if key in ("threads", "matches", "connections", "streams",
                        "p50_ms", "p99_ms", "sheds",
                        "latency_to_certainty_bytes", "certainty_lead_bytes",
-                       "match_p50_ms", "match_p99_ms"):
+                       "match_p50_ms", "match_p99_ms", "lanes"):
                 entry[key] = value
             # Incremental-reevaluation counters (bench_incremental):
             # rounded, since tiny jitter in a 1000x speedup figure is
@@ -58,7 +58,7 @@ def compact(raw):
                          "repair_pair_us", "ordinary_pair_us"):
                 entry[key] = round(value, 1)
             elif key in ("spliced_fraction", "pooled_vs_vector",
-                         "inline_over_virtual",
+                         "inline_over_virtual", "counting_over_off",
                          "match_free_over_match_heavy", "dense_over_sparse",
                          "ordinary_over_repair"):
                 entry[key] = round(value, 3)

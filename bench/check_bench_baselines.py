@@ -9,9 +9,9 @@ fail too, so a silently-skipped benchmark cannot pass.
 
 The baselines file may also carry "relative_floors": same-artifact
 throughput ratios that must hold regardless of the machine. Each entry
-pins one benchmark to a fraction of another from the SAME run — e.g. the
-counting-sink scan must reach >= 95% of the sink-off scan, the
-match-event pipeline's <=5% overhead budget.
+pins one benchmark to a fraction of another from the SAME run — e.g. a
+pooled BatchSession streaming a product batch must reach >= 50% of the
+same plan's one-scan walk over the same bytes.
 
 A third optional section, "counter_floors", pins a user counter of a
 named benchmark to an absolute minimum — machine-independent ratios the
@@ -96,15 +96,15 @@ def main():
         floor = float(spec["min"])
         row = rows.get(name)
         got = None if row is None else row.get(counter)
-        shown = "MISSING" if got is None else f"{got:.1f}"
-        print(f"{name:45} {counter:20} {floor:10.1f} {shown:>10}")
+        shown = "MISSING" if got is None else f"{got:.3f}"
+        print(f"{name:45} {counter:20} {floor:10.3f} {shown:>10}")
         if got is None:
             failures.append(
                 f"{name}.{counter}: not present in {args.artifact}")
         elif got < floor:
             failures.append(
-                f"{name}.{counter}: {got:.1f} below the committed floor "
-                f"{floor:.1f}")
+                f"{name}.{counter}: {got:.3f} below the committed floor "
+                f"{floor:.3f}")
 
     if failures:
         print("\nFAIL: padded-corpus throughput regression", file=sys.stderr)
