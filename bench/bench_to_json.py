@@ -55,12 +55,13 @@ def compact(raw):
                          "rescan_ms", "edit_us", "heavy_edit_us",
                          "free_edit_us", "sparse_edit_us", "dense_edit_us",
                          "checkpoints_first", "checkpoints_second",
-                         "repair_pair_us", "ordinary_pair_us"):
+                         "repair_pair_us", "ordinary_pair_us",
+                         "clean_edit_us", "recovering_edit_us"):
                 entry[key] = round(value, 1)
             elif key in ("spliced_fraction", "pooled_vs_vector",
                          "inline_over_virtual", "counting_over_off",
                          "match_free_over_match_heavy", "dense_over_sparse",
-                         "ordinary_over_repair"):
+                         "ordinary_over_repair", "clean_over_recovering"):
                 entry[key] = round(value, 3)
         out["benchmarks"].append(entry)
     out["benchmarks"].sort(key=lambda entry: entry["name"] or "")

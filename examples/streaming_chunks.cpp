@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "base/match_sink.h"
 #include "base/rng.h"
 #include "core/stackless.h"
 #include "dra/streaming.h"
@@ -41,15 +42,10 @@ int main(int argc, char** argv) {
   std::printf("scanner path: %s\n", selector.using_fused_fast_path()
                                         ? "fused byte-table (registerless)"
                                         : "generic table-driven");
-  int printed = 0;
-  selector.set_match_callback([&](int64_t node_index, sst::Symbol symbol) {
-    if (printed < 5) {
-      std::printf("  match at node #%lld <%s>\n",
-                  static_cast<long long>(node_index),
-                  alphabet.LabelOf(symbol).c_str());
-      ++printed;
-    }
-  });
+  // Each match arrives at the sink as soon as its opening tag is read.
+  sst::CollectingSink sink;
+  selector.set_match_sink(&sink);
+  size_t printed = 0;
 
   // Feed in awkwardly-sized chunks, as a socket would deliver them.
   size_t offset = 0;
@@ -63,13 +59,19 @@ int main(int argc, char** argv) {
     }
     offset += len;
     ++chunks;
+    for (; printed < 5 && printed < sink.matches().size(); ++printed) {
+      const int64_t start = sink.matches()[printed].start_offset;
+      std::printf("  match at byte %lld <%c>, reported with chunk %d\n",
+                  static_cast<long long>(start),
+                  bytes[static_cast<size_t>(start)], chunks);
+    }
   }
   if (!selector.Finish()) {
     std::fprintf(stderr, "incomplete document: %s\n",
                  selector.error().c_str());
     return 1;
   }
-  std::printf("%lld nodes in %d chunks; %lld matches (first %d shown)\n",
+  std::printf("%lld nodes in %d chunks; %lld matches (first %zu shown)\n",
               static_cast<long long>(selector.nodes()), chunks,
               static_cast<long long>(selector.matches()), printed);
   sst::StreamStats stats = selector.stats();

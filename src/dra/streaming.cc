@@ -281,7 +281,7 @@ bool StreamingSelector::SaveCheckpoint(SelectorCheckpoint* out) {
   if (!run_.token.open) out->run.token = PartialToken{};
   out->token_bytes.assign(token_buf_, out->run.token.len);
   out->stream_error = stream_error_;
-  out->recovered = recovered_errors_;
+  out->open_skip = run_.in_skip ? recovered_errors_.back() : RecoveredError{};
   return true;
 }
 
@@ -302,7 +302,8 @@ bool StreamingSelector::RestoreCheckpoint(const SelectorCheckpoint& cp) {
   failed_ = false;
   stream_error_ = cp.stream_error;
   error_ = stream_error_.ok() ? std::string() : stream_error_.Render(alphabet_);
-  recovered_errors_ = cp.recovered;
+  recovered_errors_.clear();
+  if (cp.run.in_skip) recovered_errors_.push_back(cp.open_skip);
   recorder_.Reset();  // keeps the sink and max_pending wiring
   return true;
 }
@@ -451,8 +452,6 @@ bool StreamingSelector::EmitOpen(Symbol symbol, int64_t offset,
   ++run_.counters.events;
   if (machine_->InAcceptingState()) {
     ++run_.counters.matches;
-    // Nodes are numbered from 0: the one just opened is nodes() - 1.
-    if (match_callback_) match_callback_(run_.nodes() - 1, symbol);
     // Span start = first byte of the opening token (excise_from: the '<',
     // the term label byte); certainty = just past the token — the earliest
     // offset at which pre-selection is decided.
@@ -510,8 +509,7 @@ SST_ALWAYS_INLINE StreamingSelector::Frame StreamingSelector::LoadFrame(
   frame.batch_verdicts = single_member &&
                          format_ == Format::kCompactMarkup &&
                          recorder_.verdict_only_sink() != nullptr;
-  frame.emit = static_cast<bool>(match_callback_) ||
-               (recorder_.active() && !frame.batch_verdicts);
+  frame.emit = recorder_.active() && !frame.batch_verdicts;
   frame.num_verdicts = 0;
   return frame;
 }
@@ -582,22 +580,16 @@ SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
     }
   }
   if (SST_UNLIKELY(hit & frame.emit)) {
-    // By value: the stepper's address never escapes the scan loop. The
-    // callback numbers nodes from 0, so the one just opened is nodes - 1.
-    EmitMatch(stepper, frame.nodes() - 1, frame.depth, symbol, start,
-              last + 1, !kVerdicts);
+    // By value: the stepper's address never escapes the scan loop.
+    EmitMatch(stepper, frame.depth, start, last + 1);
   }
   return true;
 }
 
 template <typename Stepper>
-SST_NOINLINE void StreamingSelector::EmitMatch(Stepper stepper, int64_t node,
-                                               int64_t depth, Symbol symbol,
+SST_NOINLINE void StreamingSelector::EmitMatch(Stepper stepper, int64_t depth,
                                                int64_t start,
-                                               int64_t certainty,
-                                               bool record) {
-  if (match_callback_) match_callback_(node, symbol);
-  if (!recorder_.active() || !record) return;
+                                               int64_t certainty) {
   if constexpr (Stepper::kSingleMember) {
     // The fused tiers' acceptance always fans out to member 0 alone.
     recorder_.OnMatch(0, depth, start, certainty);

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -238,10 +237,6 @@ class StreamingSelector {
   // budget before materializing (see engine/query_plan.cc).
   static constexpr int64_t kFusedDraEntryBudget = int64_t{1} << 22;
 
-  // Called right after a node is pre-selected: (node index in document
-  // order, label symbol).
-  using MatchCallback = std::function<void(int64_t, Symbol)>;
-
   // `machine` and `alphabet` must outlive the selector. Labels must be
   // present in the alphabet (the machine's automaton is indexed by it);
   // unknown element names fail the feed. Builds private scanner tables
@@ -263,10 +258,6 @@ class StreamingSelector {
                     const Alphabet* alphabet, const ScannerTables* tables,
                     const ByteTagDfaRunner* fused,
                     const ByteDraRunner* fused_dra = nullptr);
-
-  void set_match_callback(MatchCallback callback) {
-    match_callback_ = std::move(callback);
-  }
 
   // Streams match events (byte spans, emitted at the earliest certain
   // offset) into `sink`; see base/match_sink.h for the event model and
@@ -324,7 +315,11 @@ class StreamingSelector {
   // structured consumers should use stream_error().
   const std::string& error() const { return error_; }
 
-  // Errors absorbed by the recovery policy, in stream order.
+  // Errors absorbed by the recovery policy, in stream order. After
+  // RestoreCheckpoint it holds the entry of the skip open at the
+  // checkpoint, if any, then what the run records from there on — the
+  // contract the match sink already has, which sees only the events past
+  // the restore. A checkpointing caller keeps the history before it.
   const std::vector<RecoveredError>& recovered_errors() const {
     return recovered_errors_;
   }
@@ -339,7 +334,8 @@ class StreamingSelector {
   // A SelectorCheckpoint is the selector's complete resumable state at a
   // Feed boundary: machine configuration (via StreamMachine::SaveConfig),
   // validator labels, the RunState (exact prefix counters included), the
-  // partial token's bytes, and the error history. engine/incremental.h
+  // partial token's bytes, the first error and the entry of an open skip.
+  // It stays O(1) in the errors recorded so far. engine/incremental.h
   // records these on a byte grid and resumes/rescans/splices around
   // edits; see DESIGN.md "Incremental re-evaluation".
 
@@ -399,8 +395,8 @@ class StreamingSelector {
 
   // The framing state a scan keeps in locals for the length of a chunk;
   // LoadFrame/CommitFrame move it between the run state and the loop, and
-  // every refused token is bracketed by a commit and a reload. Nodes and
-  // whether the root has opened are derived here as in RunState.
+  // every refused token is bracketed by a commit and a reload. Whether the
+  // root has opened is derived here as in RunState.
   struct Frame {
     int64_t depth;
     int64_t max_depth;
@@ -409,8 +405,8 @@ class StreamingSelector {
     Symbol* labels;     // labels_.data(): the open labels at [1, depth]
     int64_t depth_cap;  // an open at this depth or deeper is refused
     int64_t max_events;
-    bool emit;   // EmitMatch sees every match: a callback, or a sink
-                 // whose matches are not batched
+    bool emit;   // EmitMatch sees every match: a sink whose matches are
+                 // not batched
     bool spans;  // the sink buffers spans, which closes complete
     // Single-member steppers with a verdict-only sink on compact markup
     // (one-byte tokens, certain just past their start): matches are
@@ -419,8 +415,6 @@ class StreamingSelector {
     // scan).
     bool batch_verdicts;
     int64_t num_verdicts;
-
-    int64_t nodes() const { return (events + depth) / 2; }
   };
 
   // Steppers: what the framing core advances per clean token. Load/Store
@@ -558,12 +552,9 @@ class StreamingSelector {
   template <bool kUniversalClose, bool kVerdicts, typename Stepper>
   bool CleanToken(Frame& frame, Stepper& stepper, bool open, Symbol symbol,
                   unsigned char byte, int64_t start, int64_t last);
-  // `record`: the match goes to the recorder (false when CleanToken
-  // batches it as a verdict).
   template <typename Stepper>
-  void EmitMatch(Stepper stepper, int64_t node, int64_t depth,
-                 Symbol symbol, int64_t start, int64_t certainty,
-                 bool record);
+  void EmitMatch(Stepper stepper, int64_t depth, int64_t start,
+                 int64_t certainty);
 
   // Runs `slow` (the exact per-event path for a refused token) with the
   // frame committed and the stepper stored, then reloads both on success.
@@ -626,7 +617,6 @@ class StreamingSelector {
   StreamMachine* machine_;
   Format format_;
   const Alphabet* alphabet_;
-  MatchCallback match_callback_;
   RecoveryPolicy policy_ = RecoveryPolicy::kFailFast;
   StreamLimits limits_;
 
@@ -688,7 +678,8 @@ class StreamingSelector {
 // means shifting them by the edit's net byte delta (the engine layer's
 // rebase step). A checkpoint never stores recorder state: checkpointing
 // is only offered with verdict-only sinks, whose emission buffer is
-// always empty.
+// always empty. Nor does it store the error history, which grows with the
+// document: only what the run's future reads of it.
 struct SelectorCheckpoint {
   // Machine configuration (StreamMachine::SaveConfig words; the stack tier
   // stores a retained pool-slot handle — release via ReleaseCheckpoint).
@@ -704,9 +695,11 @@ struct SelectorCheckpoint {
   // The open partial token's bytes (run.token.len of them).
   std::string token_bytes;
 
-  // Error history of the prefix: the first error plus every recovered one.
+  // The first error of the prefix, and the entry of the skip open at the
+  // boundary (meaningful only while run.in_skip; a default entry
+  // otherwise): the resync that ends the skip completes it.
   StreamError stream_error;
-  std::vector<StreamingSelector::RecoveredError> recovered;
+  StreamingSelector::RecoveredError open_skip;
 };
 
 }  // namespace sst

@@ -10,11 +10,26 @@
 
 namespace sst {
 
+// One error record of a segment, at offsets relative to the segment's
+// checkpoint. A recovery is an entry the run recorded in the segment, as
+// it stood when the segment closed: its resume_offset is the -1 sentinel
+// while the skip it opened is still open there, and otherwise lies past
+// the checkpoint, so a set one stays positive. A resync ends a skip that
+// an earlier segment opened; flattening the segments writes its
+// resume_offset and closed_label into the last unresolved entry. An
+// entry's error offset and excise_from are always set, and excise_from may
+// be negative: an XML-lite tag that straddles the checkpoint starts before
+// it.
+struct ErrorRecord {
+  StreamingSelector::RecoveredError entry;
+  bool resync = false;
+};
+
 // One recorded resume point of an incremental scan and the stream segment
 // it opens: the selector's full resumable state at a document offset, the
-// peak-depth aggregates the splice step needs, and the match events the
-// run emitted between this offset and the next checkpoint's (the last
-// checkpoint's segment runs to the end of the document).
+// peak-depth aggregates the splice step needs, and the match events and
+// error records of the run between this offset and the next checkpoint's
+// (the last checkpoint's segment runs to the end of the document).
 struct Checkpoint {
   int64_t offset = 0;  // document byte position (== bytes fed at `state`)
   // Peak nesting depth over (previous checkpoint's offset, offset]; the
@@ -31,6 +46,8 @@ struct Checkpoint {
   // is verdict-only). Shifting `offset` moves them all, so an edit before
   // the segment never touches them.
   std::vector<MatchEvent> events;
+  // The segment's error records in stream order, likewise relative.
+  std::vector<ErrorRecord> errors;
 };
 
 // The checkpoint stream of one scanned document: checkpoints at strictly

@@ -10,6 +10,8 @@ namespace sst {
 
 namespace {
 
+using RecoveredError = StreamingSelector::RecoveredError;
+
 // Shifts every absolute byte position a suffix record carries by the
 // edit's net size change. Sentinel -1 positions stay sentinels.
 StreamError RebaseError(StreamError err, int64_t delta) {
@@ -17,12 +19,26 @@ StreamError RebaseError(StreamError err, int64_t delta) {
   return err;
 }
 
-StreamingSelector::RecoveredError RebaseRecovered(
-    StreamingSelector::RecoveredError rec, int64_t delta) {
-  rec.error = RebaseError(rec.error, delta);
-  if (rec.excise_from >= 0) rec.excise_from += delta;
-  if (rec.resume_offset >= 0) rec.resume_offset += delta;
-  return rec;
+// Moves a recorded entry by `by` bytes: between absolute and
+// segment-relative offsets, or along an edit. Its error offset and
+// excise_from are always set; resume_offset keeps its -1 sentinel (see
+// ErrorRecord).
+RecoveredError Shifted(RecoveredError entry, int64_t by) {
+  entry.error.offset += by;
+  entry.excise_from += by;
+  if (entry.resume_offset >= 0) entry.resume_offset += by;
+  return entry;
+}
+
+// The first error among a segment's records, at `base` + its relative
+// offset; ok() when the segment recorded none. A resync can only come
+// first, so this reads at most two records.
+StreamError FirstRecorded(const std::vector<ErrorRecord>& errors,
+                          int64_t base) {
+  for (const ErrorRecord& record : errors) {
+    if (!record.resync) return RebaseError(record.entry.error, base);
+  }
+  return StreamError{};
 }
 
 // Carries an old-run prefix aggregate at or past the converged checkpoint
@@ -41,60 +57,6 @@ StreamCounters Rebase(StreamCounters c, const StreamCounters& live,
   return c;
 }
 
-// How the error history of an old-run record at or past the converged
-// checkpoint cj reads in the edited run: every entry the live run recorded
-// up to convergence, then the record's own entries past cj's, rebased.
-struct HistorySplice {
-  const std::vector<StreamingSelector::RecoveredError>* live;
-  StreamError live_error;
-  size_t cj_entries;  // recovered entries cj recorded
-  bool cj_in_skip;
-  bool cj_clean;  // cj recorded no error
-  int64_t delta;
-
-  // Rewrites one record's history and first error in place.
-  void Apply(std::vector<StreamingSelector::RecoveredError>* rec,
-             StreamError* first) const {
-    // Convergence inside a skip region: the open skip's entry gets its
-    // resume_offset/closed_label filled in-place when the skip resolves —
-    // in the suffix, which a spliced edit never re-runs. The record's own
-    // copy of that entry (index cj_entries - 1; an open skip at cj implies
-    // cj recorded it) carries the resolution once the record lies past
-    // the resync point, in old coordinates.
-    const bool graft = cj_in_skip && !live->empty() && cj_entries >= 1 &&
-                       rec->size() >= cj_entries &&
-                       (*rec)[cj_entries - 1].resume_offset >= 0;
-    const StreamingSelector::RecoveredError resolved =
-        graft ? (*rec)[cj_entries - 1] : StreamingSelector::RecoveredError{};
-    rec->erase(rec->begin(),
-               rec->begin() + static_cast<std::ptrdiff_t>(
-                                  std::min(cj_entries, rec->size())));
-    for (StreamingSelector::RecoveredError& e : *rec) {
-      e = RebaseRecovered(e, delta);
-    }
-    rec->insert(rec->begin(), live->begin(), live->end());
-    if (graft && (*rec)[live->size() - 1].resume_offset < 0) {
-      StreamingSelector::RecoveredError& open = (*rec)[live->size() - 1];
-      open.resume_offset = resolved.resume_offset + delta;
-      open.closed_label = resolved.closed_label;
-    }
-    // First error: anything live saw comes first (the live region precedes
-    // the suffix); otherwise, when cj was clean, the record's own first
-    // error, rebased (any earlier one would have been at or before cj);
-    // otherwise the first entry past cj. A fatal-after-recoveries suffix
-    // was excluded at candidate selection.
-    if (!live_error.ok()) {
-      *first = live_error;
-    } else if (cj_clean) {
-      *first = RebaseError(*first, delta);
-    } else if (rec->size() > live->size()) {
-      *first = (*rec)[live->size()].error;
-    } else {
-      *first = StreamError{};
-    }
-  }
-};
-
 }  // namespace
 
 IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
@@ -112,8 +74,17 @@ IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
   selector_.set_limits(options_.limits);
   sink_.set_log(&scratch_events_);
   selector_.set_match_sink(&sink_);
+  SelectorCheckpoint origin;
+  SST_CHECK_MSG(selector_.SaveCheckpoint(&origin),
+                "IncrementalSession requires a machine that checkpoints");
+  selector_.ReleaseCheckpoint(origin);
 }
 
+void IncrementalSession::TakeHistory() {
+  const std::vector<RecoveredError>& history = selector_.recovered_errors();
+  errors_taken_ = history.size();
+  open_taken_ = !history.empty() && history.back().resume_offset < 0;
+}
 
 void IncrementalSession::CloseSegment(Checkpoint* cp) {
   cp->events.assign(scratch_events_.begin(), scratch_events_.end());
@@ -122,17 +93,26 @@ void IncrementalSession::CloseSegment(Checkpoint* cp) {
     e.certainty_offset -= cp->offset;
   }
   scratch_events_.clear();
+  const std::vector<RecoveredError>& history = selector_.recovered_errors();
+  cp->errors.clear();
+  if (open_taken_ && history[errors_taken_ - 1].resume_offset >= 0) {
+    cp->errors.push_back(
+        {Shifted(history[errors_taken_ - 1], -cp->offset), true});
+  }
+  for (size_t i = errors_taken_; i < history.size(); ++i) {
+    cp->errors.push_back({Shifted(history[i], -cp->offset), false});
+  }
+  TakeHistory();
 }
 
-bool IncrementalSession::CheckpointAfter(Checkpoint* prev, int64_t offset,
+void IncrementalSession::CheckpointAfter(Checkpoint* prev, int64_t offset,
                                          Checkpoint* out) {
-  if (!selector_.SaveCheckpoint(&out->state)) return false;
+  SST_CHECK(selector_.SaveCheckpoint(&out->state));
   out->offset = offset;
   out->segment_peak_depth = selector_.TakeSegmentPeakDepth();
   out->prefix_peak_depth =
       std::max(prev->prefix_peak_depth, out->segment_peak_depth);
   CloseSegment(prev);
-  return true;
 }
 
 const std::vector<MatchEvent>& IncrementalSession::match_events() const {
@@ -152,31 +132,49 @@ const std::vector<MatchEvent>& IncrementalSession::match_events() const {
   return events_;
 }
 
+const std::vector<RecoveredError>& IncrementalSession::recovered_errors()
+    const {
+  if (!errors_current_) {
+    errors_.clear();
+    for (size_t i = 0; i < live_size(); ++i) {
+      const Checkpoint& cp = cps_.at(i);
+      for (const ErrorRecord& record : cp.errors) {
+        const RecoveredError entry = Shifted(record.entry, cp.offset);
+        if (!record.resync) {
+          errors_.push_back(entry);
+          continue;
+        }
+        SST_CHECK(!errors_.empty() && errors_.back().resume_offset < 0);
+        errors_.back().resume_offset = entry.resume_offset;
+        errors_.back().closed_label = entry.closed_label;
+      }
+    }
+    errors_current_ = true;
+  }
+  return errors_;
+}
+
 IncrementalSession::Results IncrementalSession::CaptureLiveResults() {
   Results r;
-  r.tail_peak = supported_ ? selector_.TakeSegmentPeakDepth() : 0;
+  r.tail_peak = selector_.TakeSegmentPeakDepth();
   StreamStats st = selector_.stats();
-  if (supported_) {
-    // The selector's running peaks were re-based at every checkpoint
-    // (TakeSegmentPeakDepth) and at every restore, so the whole-run peak
-    // is the last checkpoint's prefix peak plus the live tail. Stack size
-    // tracks element depth exactly on selector-driven streams, so the
-    // stack tier's peak composes the same way.
-    st.max_depth = std::max({cps_.at(live_size() - 1).prefix_peak_depth,
-                             r.tail_peak,
-                             st.max_depth});
-    if (stack_tier_) st.max_stack_depth = st.max_depth;
-    // After a restore the recorder's emission counter covers only the
-    // rescan; single-query verdict-only emission is one event per match.
-    st.matches_emitted = st.matches;
-    st.pending_matches_peak = 0;
-  }
+  // The selector's running peaks were re-based at every checkpoint
+  // (TakeSegmentPeakDepth) and at every restore, so the whole-run peak is
+  // the last checkpoint's prefix peak plus the live tail. Stack size
+  // tracks element depth exactly on selector-driven streams, so the stack
+  // tier's peak composes the same way.
+  st.max_depth = std::max({cps_.at(live_size() - 1).prefix_peak_depth,
+                           r.tail_peak, st.max_depth});
+  if (stack_tier_) st.max_stack_depth = st.max_depth;
+  // After a restore the recorder's emission counter covers only the
+  // rescan; single-query verdict-only emission is one event per match.
+  st.matches_emitted = st.matches;
+  st.pending_matches_peak = 0;
   r.stats = st;
   r.failed = selector_.failed();
   r.complete = selector_.document_complete();
   r.accepting = selector_.machine_accepting();
   r.error = selector_.stream_error();
-  r.recovered = selector_.recovered_errors();
   return r;
 }
 
@@ -187,10 +185,11 @@ void IncrementalSession::DoFullScan(std::string_view document) {
   parked_.count = 0;
   scratch_events_.clear();
   selector_.Reset();
+  TakeHistory();
 
   Checkpoint origin;
-  supported_ = selector_.SaveCheckpoint(&origin.state);
-  if (supported_) cps_.Append(std::move(origin));
+  SST_CHECK(selector_.SaveCheckpoint(&origin.state));
+  cps_.Append(std::move(origin));
 
   const int64_t n = static_cast<int64_t>(document.size());
   int64_t pos = 0;
@@ -201,21 +200,17 @@ void IncrementalSession::DoFullScan(std::string_view document) {
       break;
     }
     pos = target;
-    if (supported_ && pos < n) {
+    if (pos < n) {
       Checkpoint cp;
-      if (CheckpointAfter(&cps_.back(), pos, &cp)) cps_.Append(std::move(cp));
+      CheckpointAfter(&cps_.back(), pos, &cp);
+      cps_.Append(std::move(cp));
     }
   }
   if (!selector_.failed()) selector_.Finish();
 
-  if (supported_) {
-    CloseSegment(&cps_.back());
-    events_current_ = false;
-  } else {
-    events_.swap(scratch_events_);
-    scratch_events_.clear();
-    events_current_ = true;
-  }
+  CloseSegment(&cps_.back());
+  events_current_ = false;
+  errors_current_ = false;
   results_ = CaptureLiveResults();
   doc_size_ = n;
   scanned_ = true;
@@ -241,15 +236,12 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
 
   EditOutcome out;
   const size_t live_end = live_size();
+  // The origin, at offset 0, precedes every edit.
   const int64_t ri = cps_.FindResume(offset, live_end);
-  if (!supported_ || ri < 0 ||
-      !selector_.RestoreCheckpoint(cps_.at(static_cast<size_t>(ri)).state)) {
-    out.path = EditPath::kFullRescan;
-    out.checkpoints_dropped = static_cast<int64_t>(checkpoint_count());
-    DoFullScan(document);
-    out.bytes_rescanned = results_.stats.bytes_fed;
-    return out;
-  }
+  SST_CHECK(ri >= 0);
+  const size_t resume = static_cast<size_t>(ri);
+  SST_CHECK(selector_.RestoreCheckpoint(cps_.at(resume).state));
+  TakeHistory();
 
   // A parked checkpoint before the edit's end has a changed suffix, so it
   // can never converge again; the rest lie past the edit and shift by its
@@ -261,11 +253,11 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   parked_.shift += delta;
   out.checkpoints_dropped = static_cast<int64_t>(fresh - live_end);
 
-  const size_t resume = static_cast<size_t>(ri);
   const int64_t n_new = static_cast<int64_t>(document.size());
   const int64_t resume_off = cps_.at(resume).offset;
   scratch_events_.clear();
   events_current_ = false;
+  errors_current_ = false;
   out.resumed_from = resume_off;
 
   // Convergence candidates: recorded checkpoints strictly past both the
@@ -334,12 +326,11 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     if (scan_pos >= next_split(last_cp().offset, next_cand) &&
         next_cand - scan_pos >= min_gap) {
       Checkpoint cp;
-      if (CheckpointAfter(&last_cp(), scan_pos, &cp)) {
-        rescan_cps.push_back(std::move(cp));
-      }
+      CheckpointAfter(&last_cp(), scan_pos, &cp);
+      rescan_cps.push_back(std::move(cp));
     }
-    // Feed up to the next split or candidate; past a split the rescan
-    // could not record, up to that candidate.
+    // Feed up to the next split or candidate; past a split the rescan did
+    // not take (too close to the candidate), up to that candidate.
     const int64_t split = next_split(last_cp().offset, next_cand);
     const int64_t target =
         std::min({n_new, next_cand, split > scan_pos ? split : INT64_MAX});
@@ -401,21 +392,34 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   const int64_t live_conv_peak = selector_.TakeSegmentPeakDepth();
   const Checkpoint& cj = cps_.at(j);
   const StreamCounters cj_counters = cj.state.run.counters;
-  const HistorySplice history{&selector_.recovered_errors(),
-                              selector_.stream_error(),
-                              cj.state.recovered.size(),
-                              cj.state.run.in_skip,
-                              cj.state.stream_error.ok(),
-                              shift};
-  // Every record's history is empty when neither the live run nor the
-  // old one recovered anything; the per-checkpoint rewrite is skipped.
-  const bool splice_histories =
-      !history.live->empty() || !results_.recovered.empty();
+  // The first error of a suffix checkpoint, and of the results: the live
+  // run's when it has one (the live region precedes the suffix);
+  // otherwise, when cj recorded none, the old one shifted (any earlier one
+  // would have been at or before cj); otherwise the first error recorded
+  // past cj, which the pass below tracks as `past_cj`. A
+  // fatal-after-recoveries suffix was excluded at candidate selection.
+  // Nothing moves when neither run has an error.
+  const StreamError live_error = selector_.stream_error();
+  const bool cj_clean = cj.state.stream_error.ok();
+  const bool errors_move = !live_error.ok() || !results_.error.ok();
+  StreamError past_cj;
+  auto first_error = [&](const StreamError& old) {
+    if (!live_error.ok()) return live_error;
+    return cj_clean ? RebaseError(old, shift) : past_cj;
+  };
+  // A skip open at cj is the live run's: its entry is the one the suffix's
+  // first resync completes. A suffix checkpoint still inside that skip (no
+  // record between cj and it) holds the live entry; one inside a later
+  // skip, its own entry shifted.
+  bool in_live_skip = cj.state.run.in_skip;
+  const RecoveredError live_skip =
+      in_live_skip ? selector_.recovered_errors().back() : RecoveredError{};
 
   // The rescan's last segment ends at convergence. Thinning: when that
   // leaves cj within half an interval of the checkpoint before it, cj is
-  // dropped and its segment joins the rescan's — its events shift to the
-  // earlier base, its peak moves to the next segment (or the tail).
+  // dropped and its segment joins the rescan's — its events and errors
+  // shift to the earlier base, its peak moves to the next segment (or the
+  // tail).
   Checkpoint& last = last_cp();
   CloseSegment(&last);
   const bool drop_cj = scan_pos - last.offset < min_gap;
@@ -427,6 +431,11 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
       e.certainty_offset += gap;
       last.events.push_back(e);
     }
+    for (const ErrorRecord& record : cj.errors) {
+      last.errors.push_back({Shifted(record.entry, gap), record.resync});
+    }
+    past_cj = FirstRecorded(cj.errors, scan_pos);
+    in_live_skip = in_live_skip && cj.errors.empty();
   }
   const int64_t prefix_peak =
       std::max(last.prefix_peak_depth, live_conv_peak);
@@ -437,7 +446,7 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
 
   // Rebase the surviving suffix in place: offsets by the shift, counters
   // by the suffix delta (Rebase), peaks recomposed from segment peaks,
-  // histories spliced.
+  // first errors and open skips recomposed as above.
   int64_t peak = prefix_peak;
   for (size_t k = suffix; k < suffix_end; ++k) {
     Checkpoint& cp = cps_.mutable_at(k);
@@ -452,10 +461,15 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     SelectorCheckpoint& s = cp.state;
     s.run.counters = Rebase(s.run.counters, live, cj_counters);
     if (s.run.token.open) s.run.token.start += shift;
-    if (splice_histories) {
-      history.Apply(&s.recovered, &s.stream_error);
+    if (errors_move) {
+      s.stream_error = first_error(s.stream_error);
       s.run.counters.error_offset =
           s.stream_error.ok() ? -1 : s.stream_error.offset;
+      if (s.run.in_skip) {
+        s.open_skip = in_live_skip ? live_skip : Shifted(s.open_skip, shift);
+      }
+      if (past_cj.ok()) past_cj = FirstRecorded(cp.errors, cp.offset);
+      in_live_skip = in_live_skip && cp.errors.empty();
     }
   }
   SST_CHECK(suffix == suffix_end ||
@@ -468,7 +482,7 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
   // The results, in place. The suffix never re-ran, so its terminal
   // verdicts (failed, complete, accepting) carry over: equal
   // configurations at cj plus identical suffix bytes give the same run.
-  history.Apply(&results_.recovered, &results_.error);
+  results_.error = first_error(results_.error);
   StreamStats& st = results_.stats;
   static_cast<StreamCounters&>(st) = Rebase(st, live, cj_counters);
   st.max_depth = peak;

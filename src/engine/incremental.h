@@ -60,19 +60,25 @@ struct IncrementalOptions {
 // changed. Once an edit repairs the failure, its rescan
 // reaches the parked checkpoints and converges on one exactly as on a
 // live one, splicing the parked run's results — so the repair costs one
-// interval, not a rescan to the end. Scan, the full-rescan path and a
-// rescan that reaches the end release the parked suffix.
+// interval, not a rescan to the end. Scan and a rescan that reaches the
+// end release the parked suffix.
 //
-// Each checkpoint owns its segment of the stream: the match events up to
-// the next checkpoint, at offsets relative to its own. A converged splice
+// Each checkpoint owns its segment of the stream: the match events and the
+// error records up to the next checkpoint, at offsets relative to its own.
+// Each recovered error is stored once, in the segment where the run
+// recorded it; a skip that ends in a later segment leaves a resync record
+// there, which completes the last unresolved entry when the segments are
+// flattened. So convergence inside an open skip needs no special case: the
+// live run's entry meets the old suffix's resync. A converged splice
 // replaces the rescanned segments in place and walks the suffix once with
 // integer adds — offset, counters, an open token's start, the running
-// peak — so the suffix's events are never copied: shifting a checkpoint's
-// offset moves them. Copies and allocations are O(rescanned segments +
-// edit size); only that integer pass is O(suffix checkpoints). After each
-// rescan the stream is thinned back to the grid: a new checkpoint keeps at
-// least half an interval from its neighbours, so the count tracks the
-// document size instead of the number of edits.
+// peak, each checkpoint's fixed-size first error — so the suffix's events
+// and errors are never copied: shifting a checkpoint's offset moves them.
+// Copies and allocations are O(rescanned segments + edit size); only that
+// pass is O(suffix checkpoints). After each rescan the stream is thinned
+// back to the grid: a new checkpoint keeps at least half an interval from
+// its neighbours, so the count tracks the document size instead of the
+// number of edits.
 //
 // This cashes in the paper's central asset: a stackless configuration is
 // O(1) — state, depth counter, register bank — so checkpoints cost words,
@@ -85,9 +91,10 @@ struct IncrementalOptions {
 // the editor already has the buffer; duplicating 100 MB per session would
 // dwarf the state being checkpointed).
 //
-// Results (matches, match events, first error, stats) are byte-identical
-// to a full rescan of the edited document — the property suite asserts
-// this across formats, tiers, edit kinds, and checkpoint intervals.
+// Results (matches, match events, first error, recovered errors, stats)
+// are byte-identical to a full rescan of the edited document — the
+// property suite asserts this across formats, tiers, edit kinds, and
+// checkpoint intervals.
 // Match events are verdict-only (end_offset stays -1): span ends live in
 // the suffix, which a spliced edit deliberately never visits.
 class IncrementalSession {
@@ -100,11 +107,10 @@ class IncrementalSession {
     kScannedToEnd,   // no convergence: rescanned from the resume point to
                      // the end, or to a failure, past which the unreached
                      // candidates stay parked
-    kFullRescan,     // no usable checkpoint (unsupported machine tier)
   };
 
   struct EditOutcome {
-    EditPath path = EditPath::kFullRescan;
+    EditPath path = EditPath::kScannedToEnd;
     int64_t resumed_from = 0;   // offset of the checkpoint restored
     int64_t converged_at = -1;  // post-edit offset of convergence (-1 none)
     int64_t bytes_rescanned = 0;
@@ -114,8 +120,9 @@ class IncrementalSession {
                                       // edit
   };
 
-  // `plan` must be exact(). The sink the session installs is its own
-  // verdict-only event log; callers read results through the accessors.
+  // `plan` must be exact(); every machine it makes checkpoints. The sink
+  // the session installs is its own verdict-only event log; callers read
+  // results through the accessors.
   explicit IncrementalSession(std::shared_ptr<const QueryPlan> plan,
                               IncrementalOptions options = {});
 
@@ -148,15 +155,13 @@ class IncrementalSession {
   bool document_complete() const { return results_.complete; }
   bool machine_accepting() const { return results_.accepting; }
   const StreamError& stream_error() const { return results_.error; }
+  // The errors the recovery policy absorbed, in order, at absolute
+  // offsets. Flattened from the segments on the first read after a Scan or
+  // ApplyEdit, like match_events(), with the same thread caveat.
   const std::vector<StreamingSelector::RecoveredError>& recovered_errors()
-      const {
-    return results_.recovered;
-  }
+      const;
 
   // --- Observability ---------------------------------------------------
-  // False when the machine tier cannot checkpoint (every engine tier can;
-  // this guards exotic custom machines) — ApplyEdit then always rescans.
-  bool checkpointing_supported() const { return supported_; }
   // Checkpoints retained, parked ones included.
   size_t checkpoint_count() const { return cps_.size(); }
   int64_t document_size() const { return doc_size_; }
@@ -186,7 +191,6 @@ class IncrementalSession {
     bool complete = false;   // document_complete() at EOF
     bool accepting = false;  // machine_accepting() at EOF
     StreamError error;
-    std::vector<StreamingSelector::RecoveredError> recovered;
     int64_t tail_peak = 0;  // peak depth after the last checkpoint
   };
 
@@ -207,17 +211,21 @@ class IncrementalSession {
   size_t live_size() const { return cps_.size() - parked_.count; }
 
   // Clears all state and scans `document` from scratch, rebuilding the
-  // checkpoint stream. Shared by Scan and the full-rescan edit path.
+  // checkpoint stream.
   void DoFullScan(std::string_view document);
 
   // Saves the live selector at `offset` into `out` and closes `prev`'s
-  // segment, which ends there. False (and `prev` left open) when the save
-  // is unsupported.
-  bool CheckpointAfter(Checkpoint* prev, int64_t offset, Checkpoint* out);
+  // segment, which ends there.
+  void CheckpointAfter(Checkpoint* prev, int64_t offset, Checkpoint* out);
 
   // Moves the events logged since the last checkpoint into `cp`'s
-  // segment, at offsets relative to `cp->offset`.
+  // segment, and records there the errors the selector recorded since
+  // (see ErrorRecord), all at offsets relative to `cp->offset`.
   void CloseSegment(Checkpoint* cp);
+
+  // Marks the selector's error history as it stands (after a Reset or a
+  // restore) as already in the segments.
+  void TakeHistory();
 
   // Composes the Results of a run that ended on the live selector (full
   // scan or scan-to-end). The peak depth is composed from the last
@@ -239,11 +247,17 @@ class IncrementalSession {
   EventLogSink sink_;
   // Events logged since the last checkpoint, at absolute offsets.
   std::vector<MatchEvent> scratch_events_;
-  // The flat log match_events() returns: built on demand from the
-  // segments (events_current_ false until then), or the only log when the
-  // machine cannot checkpoint.
+  // The flat logs match_events() and recovered_errors() return, built on
+  // demand from the segments (their flags false until then).
   mutable std::vector<MatchEvent> events_;
   mutable bool events_current_ = false;
+  mutable std::vector<StreamingSelector::RecoveredError> errors_;
+  mutable bool errors_current_ = false;
+  // How much of the selector's error history the segments hold: its first
+  // `errors_taken_` entries, the last of them unresolved then when
+  // `open_taken_` (a later resync is recorded where it happens).
+  size_t errors_taken_ = 0;
+  bool open_taken_ = false;
 
   CheckpointStream cps_;
   Results results_;
@@ -251,7 +265,6 @@ class IncrementalSession {
   // always under finite limits, which disable splicing.
   ParkedSuffix parked_;
   bool scanned_ = false;
-  bool supported_ = false;
   int64_t doc_size_ = 0;
 };
 

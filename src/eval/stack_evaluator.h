@@ -264,59 +264,6 @@ struct StackStepper {
 // The scan-loop register budget (dra/streaming.h, EXPERIMENTS.md E24).
 static_assert(sizeof(StackStepper) <= 56, "scan-loop register budget");
 
-// The previous std::vector implementation, kept verbatim as the parity
-// and throughput baseline for the pooled version (tests/pooled_stack_test,
-// bench_incremental): same states, same peak accounting, same underflow
-// tolerance, but per-open reallocation amortized by the vector and no
-// O(1) snapshots.
-class VectorStackQueryEvaluator final : public StreamMachine {
- public:
-  explicit VectorStackQueryEvaluator(const Dfa* dfa) : dfa_(dfa) { Reset(); }
-
-  void Reset() override {
-    stack_.clear();
-    state_ = dfa_->initial;
-    max_stack_depth_ = 0;
-    underflow_closes_ = 0;
-  }
-
-  void OnOpen(Symbol symbol) override {
-    stack_.push_back(state_);
-    if (stack_.size() > max_stack_depth_) max_stack_depth_ = stack_.size();
-    state_ = dfa_->Next(state_, symbol);
-  }
-
-  void OnClose(Symbol /*symbol*/) override {
-    if (stack_.empty()) {
-      ++underflow_closes_;
-      return;
-    }
-    state_ = stack_.back();
-    stack_.pop_back();
-  }
-
-  bool InAcceptingState() const override { return dfa_->accepting[state_]; }
-
-  int64_t StackDepthPeak() const override {
-    return static_cast<int64_t>(max_stack_depth_);
-  }
-  int64_t StackUnderflowCloses() const override {
-    return static_cast<int64_t>(underflow_closes_);
-  }
-
-  size_t max_stack_depth() const { return max_stack_depth_; }
-  size_t depth() const { return stack_.size(); }
-  size_t underflow_closes() const { return underflow_closes_; }
-  int state() const { return state_; }
-
- private:
-  const Dfa* dfa_;
-  std::vector<int> stack_;
-  int state_ = 0;
-  size_t max_stack_depth_ = 0;
-  size_t underflow_closes_ = 0;
-};
-
 }  // namespace sst
 
 #endif  // SST_EVAL_STACK_EVALUATOR_H_

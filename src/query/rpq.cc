@@ -40,13 +40,17 @@ bool IsNameChar(char c) {
          c == '-' || c == '*';
 }
 
-std::vector<Step> ParseXPathSteps(std::string_view expression) {
-  std::vector<Step> steps;
+// Parses `expression` into `steps`; returns nullptr, or the defect that
+// stopped it.
+const char* ParseXPathSteps(std::string_view expression,
+                            const Alphabet& alphabet,
+                            std::vector<Step>* steps) {
+  if (expression.empty() || expression[0] != '/') {
+    return "XPath expression must start with / or //";
+  }
   size_t i = 0;
-  SST_CHECK_MSG(!expression.empty() && expression[0] == '/',
-                "XPath expression must start with / or //");
   while (i < expression.size()) {
-    SST_CHECK_MSG(expression[i] == '/', "expected / in XPath expression");
+    if (expression[i] != '/') return "expected / between XPath steps";
     Step step;
     ++i;
     if (i < expression.size() && expression[i] == '/') {
@@ -55,11 +59,14 @@ std::vector<Step> ParseXPathSteps(std::string_view expression) {
     }
     size_t start = i;
     while (i < expression.size() && IsNameChar(expression[i])) ++i;
-    SST_CHECK_MSG(i > start, "empty step label in XPath expression");
+    if (i == start) return "empty step label in XPath expression";
     step.label = std::string(expression.substr(start, i - start));
-    steps.push_back(std::move(step));
+    if (step.label != "*" && alphabet.Find(step.label) < 0) {
+      return "query label not in document alphabet";
+    }
+    steps->push_back(std::move(step));
   }
-  return steps;
+  return nullptr;
 }
 
 std::vector<Step> ParseJsonPathSteps(std::string_view expression) {
@@ -107,7 +114,16 @@ Rpq Rpq::FromRegex(std::string_view pattern, const Alphabet& alphabet) {
 }
 
 Rpq Rpq::FromXPath(std::string_view expression, const Alphabet& alphabet) {
-  return FromSteps(expression, ParseXPathSteps(expression), alphabet);
+  std::vector<Step> steps;
+  const char* defect = ParseXPathSteps(expression, alphabet, &steps);
+  SST_CHECK_MSG(defect == nullptr, defect);
+  return FromSteps(expression, steps, alphabet);
+}
+
+const char* Rpq::CheckXPath(std::string_view expression,
+                            const Alphabet& alphabet) {
+  std::vector<Step> steps;
+  return ParseXPathSteps(expression, alphabet, &steps);
 }
 
 Rpq Rpq::FromJsonPath(std::string_view expression, const Alphabet& alphabet) {

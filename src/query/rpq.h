@@ -30,6 +30,14 @@ struct Rpq {
   // (needed to expand `//` and `*`).
   static Rpq FromXPath(std::string_view expression, const Alphabet& alphabet);
 
+  // FromXPath's own grammar check, which does not abort: nullptr when
+  // FromXPath accepts `expression` — `('/' '/'? label)+`, every label
+  // other than `*` in `alphabet` — and otherwise what is wrong with it.
+  // FromXPath aborts on what this reports, so a caller fed untrusted
+  // queries checks first.
+  static const char* CheckXPath(std::string_view expression,
+                                const Alphabet& alphabet);
+
   // JSONPath subset: `$` followed by steps `.name` / `..name`, with `*`
   // wildcards. Examples (Example 2.12): $.a..b  $.a.b  $..a..b  $..a.b .
   static Rpq FromJsonPath(std::string_view expression,

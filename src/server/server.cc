@@ -8,13 +8,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <unordered_set>
 #include <utility>
 
 #include "base/check.h"
+#include "query/rpq.h"
 #include "server/connection.h"
 
 namespace sst {
@@ -24,40 +24,6 @@ namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 // --- client-input validation -------------------------------------------
-
-// Mirror of rpq.cc's IsNameChar; kept in sync by server_test's parity
-// checks (every query this validator admits must compile without
-// aborting).
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-         c == '-' || c == '*';
-}
-
-// Rpq::FromXPath SST_CHECKs (aborts) on malformed expressions — fine for
-// library misuse, fatal for a server fed by untrusted clients. This
-// validator accepts exactly the expressions the parser accepts, as a
-// gate in front of it: grammar `('/' '/'? label)+` with every non-'*'
-// label present in the alphabet.
-const char* ValidateXPathQuery(std::string_view expression,
-                               const Alphabet& alphabet) {
-  if (expression.empty() || expression[0] != '/') {
-    return "XPath expression must start with / or //";
-  }
-  size_t i = 0;
-  while (i < expression.size()) {
-    if (expression[i] != '/') return "expected / between XPath steps";
-    ++i;
-    if (i < expression.size() && expression[i] == '/') ++i;
-    size_t start = i;
-    while (i < expression.size() && IsNameChar(expression[i])) ++i;
-    if (i == start) return "empty step label in XPath expression";
-    std::string_view label = expression.substr(start, i - start);
-    if (label != "*" && alphabet.Find(label) < 0) {
-      return "query label not in document alphabet";
-    }
-  }
-  return nullptr;
-}
 
 const char* ValidateAlphabetLetters(std::string_view letters) {
   if (letters.empty()) return "alphabet must not be empty";
@@ -125,7 +91,9 @@ std::shared_ptr<BatchHandle> BatchHandle::Create(
     const RegisterRequest& request, const Alphabet& alphabet,
     const MultiQueryOptions& options, PlanCache* cache, std::string* error) {
   for (const std::string& query : request.queries) {
-    if (const char* defect = ValidateXPathQuery(query, alphabet)) {
+    // Rpq::FromXPath aborts on a malformed expression: fine for library
+    // misuse, fatal for a server fed by untrusted clients.
+    if (const char* defect = Rpq::CheckXPath(query, alphabet)) {
       *error = "query \"" + query + "\": " + defect;
       return nullptr;
     }

@@ -223,7 +223,6 @@ void RunEditChain(const QueryPlan& plan, std::shared_ptr<const QueryPlan> sp,
 
   std::string doc(initial_doc);
   session.Scan(doc);
-  ASSERT_TRUE(session.checkpointing_supported()) << ctx;
   ExpectParity(FromSession(session),
                FullRescan(plan, policy, limits, doc), ctx + " scan");
 
@@ -727,6 +726,57 @@ TEST(IncrementalEdit, EditInsideAnOpenTokenDoesNotConverge) {
   }
 }
 
+// A compact-markup document of `children` `b` children under the root,
+// each a junk byte then `pairs` "cC" pairs: under kSkipMalformedSubtree
+// every junk byte opens a skip that spans the pairs, and the child's `B`
+// resyncs it. `tail` clean "cC" children follow.
+std::string SkipDoc(int children, int pairs, int tail) {
+  std::string doc = "a";
+  for (int i = 0; i < children; ++i) {
+    doc += "b#";
+    for (int k = 0; k < pairs; ++k) doc += "cC";
+    doc += "B";
+  }
+  for (int k = 0; k < tail; ++k) doc += "cC";
+  return doc + "A";
+}
+
+// Convergence inside an open skip. The junk byte of SkipDoc's one child
+// opens a skip that spans several checkpoints; each edit, before the first
+// of them, moves the junk (a different byte at a different offset). The
+// rescan converges while the skip is still open, so the skip's entry is
+// the live run's and its resync lies in the spliced suffix.
+TEST(IncrementalEdit, ConvergenceInsideAnOpenSkip) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  const DocEdit edits[] = {{2, 1, " !"}, {2, 2, "%"}, {2, 1, "  ?"}};
+  for (const TierCase& tier : kTiers) {
+    auto plan = CompileTier(tier, alphabet, StreamFormat::kCompactMarkup);
+    IncrementalOptions options;
+    options.checkpoint_interval = 64;
+    options.policy = RecoveryPolicy::kSkipMalformedSubtree;
+    IncrementalSession session(plan, options);
+    std::string doc = SkipDoc(/*children=*/1, /*pairs=*/200, /*tail=*/200);
+    ASSERT_TRUE(session.Scan(doc));
+    for (const DocEdit& edit : edits) {
+      const std::string ctx =
+          std::string(tier.name) + " edit to " + edit.new_bytes;
+      doc = EditWorkload::Apply(doc, edit);
+      const auto outcome =
+          session.ApplyEdit(edit.offset, edit.old_len, edit.new_bytes, doc);
+      ExpectParity(FromSession(session),
+                   FullRescan(*plan, options.policy, StreamLimits{}, doc),
+                   ctx);
+      EXPECT_EQ(outcome.path, IncrementalSession::EditPath::kSplicedSuffix)
+          << ctx;
+      ASSERT_EQ(session.recovered_errors().size(), 1u) << ctx;
+      EXPECT_LT(outcome.converged_at,
+                session.recovered_errors()[0].resume_offset)
+          << ctx;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 // --- Parked suffix ------------------------------------------------------
 //
 // Under fail-fast a corrupting edit fails the live run, and the
@@ -744,15 +794,16 @@ class ParkedChain {
  public:
   ParkedChain(std::shared_ptr<const QueryPlan> plan, StreamFormat format,
               int64_t interval, std::string doc, uint64_t seed,
-              std::string ctx)
+              std::string ctx,
+              RecoveryPolicy policy = RecoveryPolicy::kFailFast)
       : plan_(plan),
-        session_(plan, Options(interval)),
+        policy_(policy),
+        session_(plan, Options(interval, policy)),
         workload_(&plan->alphabet(), format, seed),
         interval_(interval),
         doc_(std::move(doc)),
         ctx_(std::move(ctx)) {
     session_.Scan(doc_);
-    EXPECT_TRUE(session_.checkpointing_supported()) << ctx_;
   }
 
   IncrementalSession& session() { return session_; }
@@ -784,17 +835,18 @@ class ParkedChain {
     const auto outcome = session_.ApplyEdit(edit.offset, edit.old_len,
                                             edit.new_bytes, doc_);
     ExpectParity(FromSession(session_),
-                 FullRescan(*plan_, RecoveryPolicy::kFailFast, StreamLimits{},
-                            doc_),
+                 FullRescan(*plan_, policy_, StreamLimits{}, doc_),
                  ctx_ + " " + what);
     return outcome;
   }
 
   // Inserts a corruption at an offset in [lo, hi); the run fails there.
   IncrementalSession::EditOutcome Corrupt(int64_t lo, int64_t hi) {
-    const DocEdit edit = Find(EditKind::kCorruptByte, lo, hi);
-    const auto outcome = Apply(edit, "corrupt @" + std::to_string(edit.offset));
-    corruptions_.push_back(edit.offset);
+    return CorruptAt(Find(EditKind::kCorruptByte, lo, hi).offset);
+  }
+  IncrementalSession::EditOutcome CorruptAt(int64_t at) {
+    const auto outcome = Apply({at, 0, "?"}, "corrupt @" + std::to_string(at));
+    corruptions_.push_back(at);
     EXPECT_TRUE(session_.failed()) << ctx_;
     return outcome;
   }
@@ -814,13 +866,15 @@ class ParkedChain {
   }
 
  private:
-  static IncrementalOptions Options(int64_t interval) {
+  static IncrementalOptions Options(int64_t interval, RecoveryPolicy policy) {
     IncrementalOptions options;
     options.checkpoint_interval = interval;
+    options.policy = policy;
     return options;
   }
 
   std::shared_ptr<const QueryPlan> plan_;
+  RecoveryPolicy policy_;
   IncrementalSession session_;
   EditWorkload workload_;
   int64_t interval_;
@@ -926,6 +980,29 @@ TEST(ParkedSuffix, TwoCorruptionsRepairedInEitherOrder) {
       chain.Repair(early_first ? early : 1 - early);
       chain.ExpectSpliced(chain.Repair(0), "last repair");
     });
+  }
+}
+
+// Under the skip policy the parked run's segments hold recovered errors,
+// some of them skips open across a checkpoint. A '?' before the root is
+// fatal even so, and parks every checkpoint; its repair converges on the
+// first of them, and the errors are the parked run's.
+TEST(ParkedSuffix, RepairUnderTheSkipPolicy) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  for (const TierCase& tier : kTiers) {
+    auto plan = CompileTier(tier, alphabet, StreamFormat::kCompactMarkup);
+    for (int64_t interval : kParkedIntervals) {
+      ParkedChain chain(plan, StreamFormat::kCompactMarkup, interval,
+                        SkipDoc(/*children=*/20, /*pairs=*/40, /*tail=*/0),
+                        /*seed=*/4600,
+                        std::string(tier.name) + " K=" +
+                            std::to_string(interval),
+                        RecoveryPolicy::kSkipMalformedSubtree);
+      chain.CorruptAt(0);
+      chain.ExpectSpliced(chain.Repair(0), "repair");
+      EXPECT_EQ(chain.session().recovered_errors().size(), 20u);
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 

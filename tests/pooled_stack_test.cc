@@ -1,12 +1,13 @@
 // Tests for the refcounted pooled persistent stack (base/pooled_stack.h)
 // and the rewritten StackQueryEvaluator on top of it: behavioral parity
-// with the retained std::vector baseline (VectorStackQueryEvaluator),
-// zero heap allocation in steady state, O(1) snapshots whose shared
+// with a plain std::vector stack and with the trees' ground truth, zero
+// heap allocation in steady state, O(1) snapshots whose shared
 // suffixes survive pop/push churn, iterative release of million-deep
 // chains, and Reset() releasing every retained checkpoint slot.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -25,6 +26,7 @@
 #include "test_util.h"
 #include "testing/fault_injection.h"
 #include "trees/encoding.h"
+#include "trees/ground_truth.h"
 
 // Global allocation counter so tests can assert that the pooled stack's
 // steady state performs no heap allocation (acceptance criterion of the
@@ -244,12 +246,13 @@ TEST(PooledStack, MillionDeepChainReleasesIteratively) {
   stack.Clear();
 }
 
-// --- Evaluator parity with the vector baseline ------------------------
+// --- Evaluator parity with a plain vector stack ------------------------
 
-// Drives pooled and vector evaluators through the same random event
-// stream — including unbalanced closes (underflows) and interleaved
-// accept checks — asserting lockstep equality of every observable.
-TEST(StackEvaluatorParity, RandomEventStreamsMatchVectorBaseline) {
+// Drives the pooled evaluator and a plain std::vector push/pop loop over
+// the same DFA through the same random event stream — including
+// unbalanced closes (underflows) and interleaved accept checks —
+// asserting lockstep equality of every observable.
+TEST(StackEvaluatorParity, RandomEventStreamsMatchAPlainVectorLoop) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(41);
   const auto dfas = testing::SampleLanguages(
@@ -257,39 +260,49 @@ TEST(StackEvaluatorParity, RandomEventStreamsMatchVectorBaseline) {
   ASSERT_FALSE(dfas.empty());
   for (const Dfa& dfa : dfas) {
     StackQueryEvaluator pooled(&dfa);
-    VectorStackQueryEvaluator vec(&dfa);
     for (int trial = 0; trial < 20; ++trial) {
+      std::vector<int> stack;
+      int state = dfa.initial;
+      size_t peak = 0;
+      size_t underflows = 0;
       for (int step = 0; step < 400; ++step) {
         const Symbol symbol =
             static_cast<Symbol>(rng.NextBelow(alphabet.size()));
         if (rng.NextBool(0.55)) {
           pooled.OnOpen(symbol);
-          vec.OnOpen(symbol);
+          stack.push_back(state);
+          peak = std::max(peak, stack.size());
+          state = dfa.Next(state, symbol);
         } else {
           // Half the closes land on empty stacks early on: underflow
           // tolerance must match too.
           pooled.OnClose(symbol);
-          vec.OnClose(symbol);
+          if (stack.empty()) {
+            ++underflows;
+          } else {
+            state = stack.back();
+            stack.pop_back();
+          }
         }
-        ASSERT_EQ(pooled.InAcceptingState(), vec.InAcceptingState());
-        ASSERT_EQ(pooled.depth(), vec.depth());
-        ASSERT_EQ(pooled.max_stack_depth(), vec.max_stack_depth());
-        ASSERT_EQ(pooled.underflow_closes(), vec.underflow_closes());
-        ASSERT_EQ(pooled.StackDepthPeak(), vec.StackDepthPeak());
-        ASSERT_EQ(pooled.StackUnderflowCloses(), vec.StackUnderflowCloses());
+        ASSERT_EQ(pooled.InAcceptingState(), dfa.accepting[state]);
+        ASSERT_EQ(pooled.depth(), stack.size());
+        ASSERT_EQ(pooled.max_stack_depth(), peak);
+        ASSERT_EQ(pooled.underflow_closes(), underflows);
+        ASSERT_EQ(pooled.StackDepthPeak(), static_cast<int64_t>(peak));
+        ASSERT_EQ(pooled.StackUnderflowCloses(),
+                  static_cast<int64_t>(underflows));
       }
       pooled.Reset();
-      vec.Reset();
       ASSERT_EQ(pooled.depth(), 0u);
-      ASSERT_EQ(pooled.InAcceptingState(), vec.InAcceptingState());
+      ASSERT_EQ(pooled.InAcceptingState(), dfa.accepting[dfa.initial]);
     }
   }
 }
 
-// Same parity through the full streaming selector on serialized trees:
-// match counts, stats (including the new max_stack_depth /
-// underflow_closes), and error behavior agree document for document.
-TEST(StackEvaluatorParity, SelectorRunsMatchVectorBaseline) {
+// The pooled evaluator through the full streaming selector on serialized
+// trees, against the trees' ground truth: match counts, events and depth
+// stats agree document for document.
+TEST(StackEvaluatorParity, SelectorRunsMatchGroundTruth) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(43);
   Dfa dfa = CompileRegex("(a|b)*a", alphabet);
@@ -311,19 +324,16 @@ TEST(StackEvaluatorParity, SelectorRunsMatchVectorBaseline) {
           doc = ToCompactTerm(alphabet, events);
           break;
       }
+      const std::vector<bool> selected = SelectNodes(dfa, tree);
       StackQueryEvaluator pooled(&dfa);
-      VectorStackQueryEvaluator vec(&dfa);
       StreamingSelector pooled_sel(&pooled, format, &alphabet);
-      StreamingSelector vec_sel(&vec, format, &alphabet);
-      ASSERT_EQ(pooled_sel.Feed(doc), vec_sel.Feed(doc));
-      ASSERT_EQ(pooled_sel.Finish(), vec_sel.Finish());
-      EXPECT_EQ(pooled_sel.matches(), vec_sel.matches());
+      ASSERT_TRUE(pooled_sel.Feed(doc));
+      ASSERT_TRUE(pooled_sel.Finish());
+      EXPECT_EQ(pooled_sel.matches(),
+                std::count(selected.begin(), selected.end(), true));
       const StreamStats ps = pooled_sel.stats();
-      const StreamStats vs = vec_sel.stats();
-      EXPECT_EQ(ps.max_stack_depth, vs.max_stack_depth);
-      EXPECT_EQ(ps.underflow_closes, vs.underflow_closes);
-      EXPECT_EQ(ps.max_depth, vs.max_depth);
-      EXPECT_EQ(ps.events, vs.events);
+      EXPECT_EQ(ps.events, static_cast<int64_t>(events.size()));
+      EXPECT_EQ(ps.max_depth, tree.Height());
       // Stack size tracks element depth exactly when driven through the
       // selector (it never feeds unbalanced closes).
       EXPECT_EQ(ps.max_stack_depth, ps.max_depth);

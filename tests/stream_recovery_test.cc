@@ -54,7 +54,8 @@ struct Observed {
   int64_t error_offset = -1;
   StreamError stream_error;
   std::vector<RecoveredView> recovered;
-  std::vector<std::pair<int64_t, Symbol>> match_log;
+  // (start, certainty) offsets of every match, in order.
+  std::vector<std::pair<int64_t, int64_t>> match_log;
 
   friend bool operator==(const Observed&, const Observed&) = default;
 };
@@ -66,10 +67,9 @@ Observed RunPieces(StreamMachine* machine, Format format, Alphabet* alphabet,
   StreamingSelector selector(machine, format, alphabet);
   selector.set_recovery_policy(policy);
   selector.set_limits(limits);
+  CollectingSink sink;
+  selector.set_match_sink(&sink);
   Observed o;
-  selector.set_match_callback([&o](int64_t node, Symbol s) {
-    o.match_log.emplace_back(node, s);
-  });
   o.fed = true;
   for (std::string_view piece : pieces) {
     if (!selector.Feed(piece)) {
@@ -93,6 +93,9 @@ Observed RunPieces(StreamMachine* machine, Format format, Alphabet* alphabet,
        selector.recovered_errors()) {
     o.recovered.push_back(
         RecoveredView{r.error, r.excise_from, r.resume_offset, r.closed_label});
+  }
+  for (const MatchEvent& event : sink.matches()) {
+    o.match_log.emplace_back(event.start_offset, event.certainty_offset);
   }
   return o;
 }
@@ -137,6 +140,21 @@ std::string Sanitize(const std::string& doc,
   }
   out.append(doc, pos, std::string::npos);
   return out;
+}
+
+// Where a byte outside every excised region lands in the sanitized
+// document.
+int64_t SanitizedOffset(int64_t offset,
+                        const std::vector<RecoveredView>& recovered,
+                        Format format, const Alphabet& alphabet) {
+  int64_t removed = 0;
+  for (const RecoveredView& r : recovered) {
+    if (r.resume_offset > offset) break;
+    removed += r.resume_offset - r.excise_from -
+               static_cast<int64_t>(
+                   CloseToken(format, r.closed_label, alphabet).size());
+  }
+  return offset - removed;
 }
 
 std::vector<size_t> UniformCuts(size_t n, size_t chunk) {
@@ -620,6 +638,11 @@ TEST(StreamRecoveryProperty, RecoveredRunEqualsSanitizedReparse) {
         EXPECT_EQ(clean.events, run.events);
         EXPECT_EQ(clean.max_depth, run.max_depth);
         EXPECT_EQ(clean.matches, run.matches);
+        for (auto& [start, certainty] : run.match_log) {
+          start = SanitizedOffset(start, run.recovered, doc.format, alphabet);
+          certainty =
+              SanitizedOffset(certainty, run.recovered, doc.format, alphabet);
+        }
         EXPECT_EQ(clean.match_log, run.match_log)
             << FaultKindName(report.kind) << " tree=" << t
             << "\nmutated:   " << mutated << "\nsanitized: " << sanitized;

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "automata/alphabet.h"
 #include "automata/minimize.h"
@@ -112,19 +114,23 @@ TEST(StreamingSelector, TermEncodingDrivesBlindMachines) {
   }
 }
 
-TEST(StreamingSelector, MatchCallbackReportsDocumentOrderIndices) {
+TEST(StreamingSelector, MatchSinkReportsDocumentOrderOffsets) {
   Alphabet alphabet = Alphabet::FromLetters("ab");
   Dfa dfa = CompileRegex("a*", alphabet);  // select nodes on all-a paths
   StackQueryEvaluator machine(&dfa);
   StreamingSelector selector(&machine,
                              StreamingSelector::Format::kCompactMarkup,
                              &alphabet);
-  std::vector<int64_t> reported;
-  selector.set_match_callback(
-      [&](int64_t index, Symbol) { reported.push_back(index); });
+  CollectingSink sink;
+  selector.set_match_sink(&sink);
   ASSERT_TRUE(selector.Feed("aabBAbBA"));  // a( a(b), b )
   ASSERT_TRUE(selector.Finish());
-  EXPECT_EQ(reported, (std::vector<int64_t>{0, 1}));
+  std::vector<std::pair<int64_t, int64_t>> reported;
+  for (const MatchEvent& event : sink.matches()) {
+    reported.emplace_back(event.start_offset, event.certainty_offset);
+  }
+  EXPECT_EQ(reported,
+            (std::vector<std::pair<int64_t, int64_t>>{{0, 1}, {1, 2}}));
 }
 
 TEST(StreamingSelector, MalformedInputsAreRejected) {
@@ -535,7 +541,7 @@ void ExpectSameCheckpoint(const SelectorCheckpoint& got,
   EXPECT_TRUE(run == want.run) << where;
   EXPECT_EQ(got.token_bytes, want.token_bytes) << where;
   EXPECT_EQ(got.stream_error, want.stream_error) << where;
-  EXPECT_TRUE(got.recovered == want.recovered) << where;
+  EXPECT_TRUE(got.open_skip == want.open_skip) << where;
 }
 
 // Reset() and RestoreCheckpoint() of a fresh origin both return a selector
@@ -602,7 +608,16 @@ TEST(StreamingSelector, ResetAndRestoreMatchAFreshSelector) {
       ASSERT_TRUE(selector.SaveCheckpoint(&stopped));
       EXPECT_EQ(stopped.run.token.open, c.token_open) << c.name;
       EXPECT_EQ(stopped.run.in_skip, c.in_skip) << c.name;
-      EXPECT_EQ(stopped.recovered.empty(), !c.recovered) << c.name;
+      const auto& history = selector.recovered_errors();
+      EXPECT_EQ(history.empty(), !c.recovered) << c.name;
+      // A checkpoint keeps only the open skip's entry, and a restore
+      // brings back just that much of the history.
+      EXPECT_TRUE(stopped.open_skip ==
+                  (c.in_skip ? history.back()
+                             : StreamingSelector::RecoveredError{}))
+          << c.name;
+      ASSERT_TRUE(selector.RestoreCheckpoint(stopped));
+      EXPECT_EQ(history.size(), c.in_skip ? 1u : 0u) << c.name;
     };
 
     run_prefix();
