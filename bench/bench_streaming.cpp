@@ -239,6 +239,64 @@ void BM_SequentialFusedRunner(benchmark::State& state) {
 
 BENCHMARK(BM_SequentialFusedRunner)->Arg(16)->Arg(64);
 
+// The framing cost over the bare walk on dense markup. One iteration =
+// kPairs pairs of scans of the same dense compact markup (the
+// BM_RebuiltScanner/0/65536 document): a StreamingSelector fed 64 KiB
+// chunks (fused byte table, framing and well-formedness included) and the
+// same query's bare table walk (ByteTagDfaRunner::CountSelections, as in
+// BM_SequentialFusedRunner), in alternating order. selector_over_walk is
+// the median of walk time over selector time per pair: the share of the
+// walk's speed the selector keeps.
+void BM_MarkupSelectorVsWalk(benchmark::State& state) {
+  BenchSetup setup(false);
+  const std::string bytes = DocumentBytes(Format::kCompactMarkup);
+  ByteTagDfaRunner runner(setup.evaluator);
+  StreamingSelector selector(&setup.machine, Format::kCompactMarkup,
+                             &setup.alphabet);
+  SST_CHECK(selector.using_fused_fast_path());
+  constexpr size_t kChunk = 65536;
+  constexpr int kPairs = 15;
+  const int64_t expected = runner.CountSelections(bytes);
+  SST_CHECK(DriveChunked(selector, bytes, kChunk) == expected);
+  auto timed = [](auto&& scan) {
+    const auto start = std::chrono::steady_clock::now();
+    scan();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  auto select = [&] {
+    SST_CHECK(DriveChunked(selector, bytes, kChunk) == expected);
+  };
+  auto walk = [&] { SST_CHECK(runner.CountSelections(bytes) == expected); };
+  std::vector<double> ratios;
+  bool selector_first = true;
+  for (auto _ : state) {
+    for (int pair = 0; pair < kPairs; ++pair) {
+      double selector_s;
+      double walk_s;
+      if (selector_first) {
+        selector_s = timed(select);
+        walk_s = timed(walk);
+      } else {
+        walk_s = timed(walk);
+        selector_s = timed(select);
+      }
+      selector_first = !selector_first;
+      ratios.push_back(walk_s / selector_s);
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * kPairs *
+                          static_cast<int64_t>(bytes.size()));
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  state.counters["selector_over_walk"] = ratios[ratios.size() / 2];
+  state.counters["matches"] = static_cast<double>(expected);
+  state.SetLabel("markup-dense/selector-vs-walk/chunk=65536");
+}
+
+BENCHMARK(BM_MarkupSelectorVsWalk);
+
 // --- Engine layer: compile-once/run-many amortization -------------------
 // The cost ladder the engine is built around, one rung per benchmark:
 // a cold QueryPlan::Compile (minimize + classify + build every table), a

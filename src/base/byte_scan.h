@@ -4,7 +4,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace sst {
 
@@ -48,6 +53,32 @@ const char* ByteScanKernelName();
 // when the whole range is whitespace.
 size_t FindStructural(const char* data, size_t len);
 
+// Bit i is set iff data[i] == byte, for i below min(len, 64). Inline, so
+// a scan loop that asks it per block makes no call (SSE2 is part of the
+// x86-64 baseline; other targets and partial blocks take a byte loop).
+inline uint64_t MatchByteBlock(const char* data, size_t len, char byte) {
+#if defined(__SSE2__)
+  if (len >= 64) {
+    const __m128i want = _mm_set1_epi8(byte);
+    uint64_t out = 0;
+    for (int i = 0; i < 64; i += 16) {
+      const __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+      out |= uint64_t{static_cast<uint32_t>(
+                 _mm_movemask_epi8(_mm_cmpeq_epi8(v, want)))}
+             << i;
+    }
+    return out;
+  }
+#endif
+  uint64_t out = 0;
+  const size_t n = len < 64 ? len : 64;
+  for (size_t i = 0; i < n; ++i) {
+    out |= uint64_t{data[i] == byte} << i;
+  }
+  return out;
+}
+
 // Stage-1 structural index: compacts the ClassifyBlock bitmasks into a
 // position buffer with a ctz walk. `out` must have room for len entries;
 // the return value is how many were written (the number of structural
@@ -55,31 +86,57 @@ size_t FindStructural(const char* data, size_t len);
 // 4 GiB — chunked callers are always far below that.
 size_t ExtractStructural(const char* data, size_t len, uint32_t* out);
 
-// Calls fn(offset) for every structural byte of [data, data + len), in
-// order, until fn returns false; returns that offset, or len when fn took
-// every byte. The workhorse of the indexed loops: fully-structural blocks
-// (mask == all-ones, the dense-corpus steady state) take a plain 64-byte
-// loop so the index costs one ClassifyBlock per block and nothing per
-// byte; sparse blocks take the ctz walk and skip text/whitespace entirely.
-// The only state across bytes is the block offset and its mask, which
-// leaves the caller's loop body the registers.
-template <typename Fn>
-inline size_t ForEachStructuralUntil(const char* data, size_t len, Fn&& fn) {
-  for (size_t i = 0; i < len; i += 64) {
-    const size_t n = len - i < 64 ? len - i : 64;
-    uint64_t mask = ClassifyBlock(data + i, n);
+// Calls fn(p, roomy) for a pointer p to every structural byte of
+// [data, data + len), in order, until fn returns false; returns that byte's
+// offset, or len when fn took every byte. room() runs at the start of every
+// 64-byte block, and `roomy` is std::true_type or std::false_type as it
+// answered: the loop body is compiled once per answer, so a decision that
+// holds for a whole block (a budget with room for 64 more tokens, say)
+// costs one call per block, not a compare per byte. Fully-structural
+// blocks (mask == all-ones, the dense-corpus steady state) take a plain
+// 64-byte loop, so the index costs one ClassifyBlock per block and nothing
+// per byte; sparse blocks take the ctz walk and skip text/whitespace
+// entirely. The only state across bytes is the block pointer and its mask,
+// which leaves the caller's loop body the registers; the walk is forced
+// inline so that the caller's state stays in registers, not in the
+// closures.
+template <typename Room, typename Fn>
+__attribute__((always_inline)) inline size_t ForEachStructuralBlockUntil(
+    const char* data, size_t len, Room&& room, Fn&& fn) {
+  const char* const end = data + len;
+  auto walk = [&](const char* block, uint64_t mask,
+                  auto roomy) __attribute__((always_inline)) {
     if (mask == ~uint64_t{0}) {
-      for (size_t k = i; k < i + 64; ++k) {
-        if (!fn(k)) return k;
+      for (const char* p = block; p < block + 64; ++p) {
+        if (!fn(p, roomy)) return p;
       }
     } else {
       for (; mask != 0; mask &= mask - 1) {
-        const size_t k = i + static_cast<size_t>(std::countr_zero(mask));
-        if (!fn(k)) return k;
+        const char* p = block + std::countr_zero(mask);
+        if (!fn(p, roomy)) return p;
       }
     }
+    return end;
+  };
+  for (const char* block = data; block < end; block += 64) {
+    const size_t n = static_cast<size_t>(end - block);
+    const uint64_t mask = ClassifyBlock(block, n < 64 ? n : 64);
+    const char* stop = room() ? walk(block, mask, std::true_type{})
+                              : walk(block, mask, std::false_type{});
+    if (stop != end) return static_cast<size_t>(stop - data);
   }
   return len;
+}
+
+// ForEachStructuralBlockUntil with one loop body, fn(offset): calls it for
+// every structural byte until it returns false; returns that offset, or
+// len.
+template <typename Fn>
+inline size_t ForEachStructuralUntil(const char* data, size_t len, Fn&& fn) {
+  return ForEachStructuralBlockUntil(
+      data, len, [] { return false; }, [&](const char* p, auto) {
+        return fn(static_cast<size_t>(p - data));
+      });
 }
 
 // ForEachStructuralUntil for a callback that takes every byte.

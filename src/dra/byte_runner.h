@@ -62,6 +62,8 @@ class ByteTagDfaRunner {
 
   int initial_state() const { return initial_; }
   bool IsAccepting(int state) const { return accepting_[state] != 0; }
+  // One byte per state, nonzero where IsAccepting.
+  const uint8_t* accepting() const { return accepting_.data(); }
 
   // Symbol of an opening ('a'..'z') or closing ('A'..'Z') letter under this
   // runner's construction convention; -1 for any byte that is neither.

@@ -1,6 +1,7 @@
 #include "dra/streaming.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <type_traits>
@@ -29,7 +30,9 @@ inline bool IsAsciiAlnum(unsigned char c) {
 #define SST_NOINLINE __attribute__((noinline))
 #define SST_ALWAYS_INLINE __attribute__((always_inline)) inline
 #define SST_UNLIKELY(x) __builtin_expect(static_cast<bool>(x), 0)
+#define SST_ALWAYS_INLINE_LAMBDA __attribute__((always_inline))
 #else
+#define SST_ALWAYS_INLINE_LAMBDA
 #define SST_NOINLINE
 #define SST_ALWAYS_INLINE inline
 #define SST_UNLIKELY(x) (x)
@@ -74,7 +77,7 @@ SST_ALWAYS_INLINE Symbol LookupTag(const ScannerTables& tables,
                                    const Alphabet& alphabet, const char* name,
                                    size_t name_len) {
   return name_len == 1
-             ? tables.byte_symbol[static_cast<unsigned char>(name[0])]
+             ? tables.byte_symbol(static_cast<unsigned char>(name[0]))
              : alphabet.Find(std::string_view(name, name_len));
 }
 
@@ -82,38 +85,44 @@ SST_ALWAYS_INLINE Symbol LookupTag(const ScannerTables& tables,
 
 ScannerTables ScannerTables::Build(StreamFormat format,
                                    const Alphabet& alphabet) {
-  ScannerTables tables;
-  std::array<Symbol, 256> interned = alphabet.ByteSymbolTable();
-  tables.byte_class.fill(kBad);
-  tables.byte_symbol.fill(-1);
+  const std::array<Symbol, 256> interned = alphabet.ByteSymbolTable();
+  std::array<uint8_t, 256> classes;
+  std::array<Symbol, 256> symbols;
+  classes.fill(kBad);
+  symbols.fill(-1);
   for (int c = 0; c < 256; ++c) {
     unsigned char b = static_cast<unsigned char>(c);
-    if (IsAsciiWs(b)) tables.byte_class[c] = kWs;
+    if (IsAsciiWs(b)) classes[c] = kWs;
   }
   switch (format) {
     case StreamFormat::kCompactMarkup:
       for (int c = 'a'; c <= 'z'; ++c) {
-        tables.byte_class[c] = kOpen;
-        tables.byte_symbol[c] = interned[c];
-        tables.byte_class[c - 'a' + 'A'] = kClose;
-        tables.byte_symbol[c - 'a' + 'A'] = interned[c];
+        classes[c] = kOpen;
+        symbols[c] = interned[c];
+        classes[c - 'a' + 'A'] = kClose;
+        symbols[c - 'a' + 'A'] = interned[c];
       }
       break;
     case StreamFormat::kCompactTerm:
       for (int c = 0; c < 256; ++c) {
         unsigned char b = static_cast<unsigned char>(c);
         if (IsAsciiAlnum(b) || b == '_' || b == '-') {
-          tables.byte_class[c] = kLabel;
-          tables.byte_symbol[c] = interned[c];
+          classes[c] = kLabel;
+          symbols[c] = interned[c];
         }
       }
-      tables.byte_class[static_cast<unsigned char>('}')] = kCloseBrace;
+      classes[static_cast<unsigned char>('}')] = kCloseBrace;
       break;
     case StreamFormat::kXmlLite:
       // XML-lite lexing branches on '<' and '>' directly; names are looked
-      // up per tag, with the single-byte table as a shortcut.
-      tables.byte_symbol = interned;
+      // up per tag, with the single-byte symbols as a shortcut.
+      symbols = interned;
       break;
+  }
+  ScannerTables tables;
+  for (int c = 0; c < 256; ++c) {
+    SST_CHECK(symbols[c] >= -1 && symbols[c] < (1 << (31 - kClassBits)));
+    tables.byte_entry[c] = symbols[c] * (1 << kClassBits) + classes[c];
   }
   return tables;
 }
@@ -206,8 +215,9 @@ void StreamingSelector::CheckTableAgreement() const {
   // the two definitions agreeing byte for byte (a structural byte must
   // never be classified kWs, and vice versa).
   for (int c = 0; c < 256; ++c) {
-    SST_CHECK((tables_->byte_class[c] == ScannerTables::kWs) ==
-              ByteIsAsciiWs(static_cast<unsigned char>(c)));
+    const unsigned char b = static_cast<unsigned char>(c);
+    SST_CHECK((tables_->byte_class(b) == ScannerTables::kWs) ==
+              ByteIsAsciiWs(b));
   }
   // The scanner tables and the fused byte table are built independently
   // from the same Alphabet (satellite of the compile-once refactor:
@@ -220,21 +230,18 @@ void StreamingSelector::CheckTableAgreement() const {
     return;
   }
   for (int c = 'a'; c <= 'z'; ++c) {
-    SST_CHECK(tables_->byte_class[c] == ScannerTables::kOpen);
-    SST_CHECK(tables_->byte_class[c - 'a' + 'A'] == ScannerTables::kClose);
+    const unsigned char open = static_cast<unsigned char>(c);
+    const unsigned char close = static_cast<unsigned char>(c - 'a' + 'A');
+    SST_CHECK(tables_->byte_class(open) == ScannerTables::kOpen);
+    SST_CHECK(tables_->byte_class(close) == ScannerTables::kClose);
     if (fused_ != nullptr) {
-      SST_CHECK(fused_->byte_symbol(static_cast<unsigned char>(c)) ==
-                tables_->byte_symbol[c]);
-      SST_CHECK(
-          fused_->byte_symbol(static_cast<unsigned char>(c - 'a' + 'A')) ==
-          tables_->byte_symbol[c - 'a' + 'A']);
+      SST_CHECK(fused_->byte_symbol(open) == tables_->byte_symbol(open));
+      SST_CHECK(fused_->byte_symbol(close) == tables_->byte_symbol(close));
     }
     if (fused_dra_ != nullptr && fused_dra_->compact_labels()) {
-      SST_CHECK(fused_dra_->byte_symbol(static_cast<unsigned char>(c)) ==
-                tables_->byte_symbol[c]);
-      SST_CHECK(
-          fused_dra_->byte_symbol(static_cast<unsigned char>(c - 'a' + 'A')) ==
-          tables_->byte_symbol[c - 'a' + 'A']);
+      SST_CHECK(fused_dra_->byte_symbol(open) == tables_->byte_symbol(open));
+      SST_CHECK(fused_dra_->byte_symbol(close) ==
+                tables_->byte_symbol(close));
     }
   }
 #endif
@@ -491,8 +498,7 @@ void StreamingSelector::PushLabel(Symbol symbol) {
   }
 }
 
-SST_ALWAYS_INLINE StreamingSelector::Frame StreamingSelector::LoadFrame(
-    bool single_member) {
+SST_ALWAYS_INLINE StreamingSelector::Frame StreamingSelector::LoadFrame() {
   Frame frame;
   frame.depth = run_.depth;
   frame.max_depth = run_.counters.max_depth;
@@ -505,40 +511,34 @@ SST_ALWAYS_INLINE StreamingSelector::Frame StreamingSelector::LoadFrame(
   frame.depth_cap = std::min<int64_t>(
       limits_.max_depth, static_cast<int64_t>(labels_.size()) - 2);
   frame.max_events = limits_.max_events;
-  frame.spans = recorder_.active() && recorder_.verdict_only_sink() == nullptr;
-  frame.batch_verdicts = single_member &&
-                         format_ == Format::kCompactMarkup &&
-                         recorder_.verdict_only_sink() != nullptr;
-  frame.emit = recorder_.active() && !frame.batch_verdicts;
-  frame.num_verdicts = 0;
   return frame;
 }
 
-SST_NOINLINE void StreamingSelector::FlushVerdicts(int64_t count) {
+SST_NOINLINE void StreamingSelector::FlushVerdicts(const char* const* tokens,
+                                                  int64_t count,
+                                                  const char* bytes,
+                                                  int64_t base) {
   MatchSink* sink = recorder_.verdict_only_sink();
   for (int64_t k = 0; k < count; ++k) {
     // Single-member tokens are one compact-markup byte: the verdict is
     // certain just past it.
     MatchEvent event;
-    event.start_offset = verdict_starts_[k];
-    event.certainty_offset = verdict_starts_[k] + 1;
+    event.start_offset = base + (tokens[k] - bytes);
+    event.certainty_offset = event.start_offset + 1;
     sink->OnMatch(event);
   }
   recorder_.CountEmitted(count);
 }
 
-SST_ALWAYS_INLINE void StreamingSelector::CommitFrame(Frame& frame) {
-  if (frame.num_verdicts > 0) {
-    FlushVerdicts(frame.num_verdicts);
-    frame.num_verdicts = 0;
-  }
+SST_ALWAYS_INLINE void StreamingSelector::CommitFrame(const Frame& frame) {
   run_.depth = frame.depth;
   run_.counters.max_depth = frame.max_depth;
   run_.counters.events = frame.events;
   run_.counters.matches = frame.matches;
 }
 
-template <bool kUniversalClose, bool kVerdicts, typename Stepper>
+template <StreamingSelector::Emit kMode, bool kUniversalClose, bool kRoomy,
+          typename Stepper>
 SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
     Frame& frame, Stepper& stepper, bool open, Symbol symbol,
     unsigned char byte, int64_t start, int64_t last) {
@@ -546,19 +546,33 @@ SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
   // which no open passes and no stored label equals), evaluated for both
   // polarities without branching and folded into one predictable branch.
   // Which check fired, and in which spec order, is the refusal path's
-  // business.
-  const bool refuse_open = (symbol < 0) | (frame.depth >= frame.depth_cap) |
-                           ((frame.depth == 0) & (frame.events != 0));
-  // labels[0] holds kNoLabel, which matches no close: an unbalanced close
-  // is a label mismatch to the core.
-  const bool refuse_close = kUniversalClose
-                                ? frame.depth == 0
-                                : frame.labels[frame.depth] != symbol;
-  if (SST_UNLIKELY((frame.events >= frame.max_events) |
-                   (open & refuse_open) | (!open & refuse_close))) {
+  // business. In a roomy block the event limit and the depth cap cannot
+  // fire (Frame::Roomy), so they are not compared.
+  // An open at depth 0 is the root's or trailing content: the core refuses
+  // both, and the exact path tells them apart.
+  bool refuse_open;
+  bool refuse_close;
+  if constexpr (kUniversalClose) {
+    refuse_open = (symbol < 0) | (frame.depth == 0);
+    refuse_close = frame.depth == 0;
+  } else {
+    // labels[0] holds kNoLabel, which matches no close, so an unbalanced
+    // close is a label mismatch to the core. Every open label is a symbol
+    // (>= 0), so the top is negative exactly at depth 0, and one sign test
+    // refuses an unknown label (-1) and an open at depth 0 together.
+    const Symbol top = frame.labels[frame.depth];
+    refuse_open = (symbol | top) < 0;
+    refuse_close = top != symbol;
+  }
+  refuse_open |= !kRoomy && frame.depth >= frame.depth_cap;
+  const bool over_limit = !kRoomy && frame.events >= frame.max_events;
+  if (SST_UNLIKELY(over_limit | (open & refuse_open) |
+                   (!open & refuse_close))) {
     return false;
   }
-  if (frame.spans & !open) RecordSpanClose(recorder_, frame.depth, last + 1);
+  if constexpr (kMode == Emit::kEvents) {
+    if (!open) RecordSpanClose(recorder_, frame.depth, last + 1);
+  }
   // An open pushes its label; a close writes the free slot above the new
   // top, which nothing reads.
   const int64_t opened = static_cast<int64_t>(open);
@@ -570,18 +584,11 @@ SST_ALWAYS_INLINE bool StreamingSelector::CleanToken(
   stepper.Step(open, symbol, byte, frame.depth);
   const bool hit = stepper.Hit(open);
   frame.matches += static_cast<int64_t>(hit);
-  if constexpr (kVerdicts) {
-    // A verdict-only sink costs a store per token, not a branch per match.
-    verdict_starts_[frame.num_verdicts] = start;
-    frame.num_verdicts += static_cast<int64_t>(hit);
-    if (SST_UNLIKELY(frame.num_verdicts == kVerdictBatch)) {
-      FlushVerdicts(kVerdictBatch);
-      frame.num_verdicts = 0;
+  if constexpr (kMode != Emit::kNone) {
+    if (SST_UNLIKELY(hit)) {
+      // By value: the stepper's address never escapes the scan loop.
+      EmitMatch(stepper, frame.depth, start, last + 1);
     }
-  }
-  if (SST_UNLIKELY(hit & frame.emit)) {
-    // By value: the stepper's address never escapes the scan loop.
-    EmitMatch(stepper, frame.depth, start, last + 1);
   }
   return true;
 }
@@ -613,7 +620,7 @@ SST_ALWAYS_INLINE bool StreamingSelector::Refuse(Frame& frame,
   CommitFrame(frame);
   stepper.Store();
   if (!RunRefused(slow)) return false;
-  frame = LoadFrame(Stepper::kSingleMember);
+  frame = LoadFrame();
   stepper.Load();
   return true;
 }
@@ -628,17 +635,28 @@ bool StreamingSelector::Scan(Stepper stepper, std::string_view chunk) {
   // Each format loop owns its copy of the stepper, so the stepper's state
   // can live in registers for the whole chunk.
   stepper.Load();
-  if (format_ == Format::kCompactMarkup) return FeedMarkup(chunk, stepper);
+  if (!recorder_.active()) return ScanFormat<Emit::kNone>(stepper, chunk);
+  if (recorder_.verdict_only_sink() != nullptr) {
+    return ScanFormat<Emit::kVerdicts>(stepper, chunk);
+  }
+  return ScanFormat<Emit::kEvents>(stepper, chunk);
+}
+
+template <StreamingSelector::Emit kMode, typename Stepper>
+bool StreamingSelector::ScanFormat(Stepper stepper, std::string_view chunk) {
+  if (format_ == Format::kCompactMarkup) {
+    return FeedMarkup<kMode>(chunk, stepper);
+  }
   // The fused byte table is keyed by compact-markup bytes.
-  if constexpr (!std::is_same_v<Stepper, FusedStepper>) {
-    if (format_ == Format::kXmlLite) return FeedXml(chunk, stepper);
-    return FeedTerm(chunk, stepper);
+  if constexpr (!requires { Stepper::kByteKeyed; }) {
+    if (format_ == Format::kXmlLite) return FeedXml<kMode>(chunk, stepper);
+    return FeedTerm<kMode>(chunk, stepper);
   }
   SST_CHECK_MSG(false, "the fused byte table runs compact markup only");
   return false;
 }
 
-template <bool kVerdicts, typename Stepper>
+template <StreamingSelector::Emit kMode, typename Stepper>
 SST_NOINLINE size_t StreamingSelector::MarkupRun(std::string_view chunk,
                                                  size_t i, Frame& frame_io,
                                                  Stepper& stepper_io) {
@@ -646,33 +664,57 @@ SST_NOINLINE size_t StreamingSelector::MarkupRun(std::string_view chunk,
   // no cold path competes for the registers.
   Frame frame = frame_io;
   Stepper stepper = stepper_io;
-  const uint8_t* cls = tables_->byte_class.data();
-  const Symbol* sym = tables_->byte_symbol.data();
+  const int32_t* entries = tables_->byte_entry.data();
   const int64_t base = chunk_base_ + static_cast<int64_t>(i);
   const char* bytes = chunk.data() + i;
-  const size_t n = chunk.size() - i;
+  // A single-member run batches a verdict-only sink's verdicts itself, a
+  // store per token rather than a branch per match: a markup token is one
+  // byte, so each verdict is certain just past its start. The batch is
+  // delivered before the run returns, so before any refused token.
+  constexpr bool kBatch = kMode == Emit::kVerdicts && Stepper::kSingleMember;
+  const char* tokens[kBatch ? kVerdictBatch : 1];
+  int64_t batched = 0;
   // Structural-index scan: the stage-1 SIMD classification yields only
   // structural offsets, so the loop never sees whitespace
   // (CheckTableAgreement asserts the kWs class and the index classifier
-  // agree byte for byte).
-  const size_t stop = ForEachStructuralUntil(bytes, n, [&](size_t k) {
-    const unsigned char c = static_cast<unsigned char>(bytes[k]);
-    const int64_t offset = base + static_cast<int64_t>(k);
-    // A bad byte or unknown letter has symbol -1, which the core refuses.
-    return CleanToken<false, kVerdicts>(frame, stepper,
-                                        cls[c] == ScannerTables::kOpen,
-                                        sym[c], c, offset, offset);
-  });
+  // agree byte for byte). Each 64-byte block holds at most 64 tokens, so
+  // the block's headroom test stands for their limit compares.
+  const size_t stop = ForEachStructuralBlockUntil(
+      bytes, chunk.size() - i, [&frame] { return frame.Roomy(); },
+      [&](const char* p, auto roomy) SST_ALWAYS_INLINE_LAMBDA {
+        const unsigned char c = static_cast<unsigned char>(*p);
+        const int32_t entry = entries[c];
+        const int64_t offset = base + (p - bytes);
+        const int64_t matched = frame.matches;
+        // A bad byte or unknown letter has symbol -1, which the core
+        // refuses.
+        if (!CleanToken<kBatch ? Emit::kNone : kMode, false,
+                        decltype(roomy)::value>(
+                frame, stepper, (entry & ScannerTables::kOpen) != 0,
+                ScannerTables::SymbolOf(entry), c, offset, offset)) {
+          return false;
+        }
+        if constexpr (kBatch) {
+          tokens[batched] = p;
+          batched += frame.matches - matched;
+          if (SST_UNLIKELY(batched == kVerdictBatch)) {
+            FlushVerdicts(tokens, kVerdictBatch, bytes, base);
+            batched = 0;
+          }
+        }
+        return true;
+      });
+  if (batched > 0) FlushVerdicts(tokens, batched, bytes, base);
   frame_io = frame;
   stepper_io = stepper;
   return i + stop;
 }
 
 size_t StreamingSelector::MarkupSkip(std::string_view chunk, size_t i) {
-  const uint8_t* cls = tables_->byte_class.data();
   const char* bytes = chunk.data() + i;
   return i + ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
-    const uint8_t byte_class = cls[static_cast<unsigned char>(bytes[k])];
+    const ScannerTables::ByteClass byte_class =
+        tables_->byte_class(static_cast<unsigned char>(bytes[k]));
     if (byte_class == ScannerTables::kOpen) {
       ++run_.skip_depth;
     } else if (byte_class == ScannerTables::kClose) {
@@ -684,21 +726,16 @@ size_t StreamingSelector::MarkupSkip(std::string_view chunk, size_t i) {
   });
 }
 
-template <typename Stepper>
+template <StreamingSelector::Emit kMode, typename Stepper>
 bool StreamingSelector::FeedMarkup(std::string_view chunk, Stepper stepper) {
-  const uint8_t* cls = tables_->byte_class.data();
-  const Symbol* sym = tables_->byte_symbol.data();
-  Frame frame = LoadFrame(Stepper::kSingleMember);
+  Frame frame = LoadFrame();
   size_t i = 0;
   while (true) {
     const bool skipping = run_.in_skip;
     if (skipping) {
       i = MarkupSkip(chunk, i);
-    } else if (Stepper::kSingleMember && frame.batch_verdicts) {
-      // Only single-member steppers batch verdicts (see Frame).
-      i = MarkupRun<Stepper::kSingleMember>(chunk, i, frame, stepper);
     } else {
-      i = MarkupRun<false>(chunk, i, frame, stepper);
+      i = MarkupRun<kMode>(chunk, i, frame, stepper);
     }
     if (i >= chunk.size()) break;
     const unsigned char c = static_cast<unsigned char>(chunk[i]);
@@ -710,19 +747,21 @@ bool StreamingSelector::FeedMarkup(std::string_view chunk, Stepper stepper) {
                   [=, this] { return ResyncClose(offset + 1); });
     } else {
       // The token the core refused, through the exact path.
+      const ScannerTables::ByteClass byte_class = tables_->byte_class(c);
+      const Symbol symbol = tables_->byte_symbol(c);
       ok = Refuse(frame, stepper, [=, this] {
-        const bool open = cls[c] == ScannerTables::kOpen;
-        if (!open && cls[c] != ScannerTables::kClose) {
+        const bool open = byte_class == ScannerTables::kOpen;
+        if (!open && byte_class != ScannerTables::kClose) {
           return Recover(MakeError(StreamErrorCode::kBadByte, offset),
                          ErrorToken::kJunk, offset);
         }
-        if (sym[c] < 0) {
+        if (symbol < 0) {
           return Recover(MakeError(StreamErrorCode::kUnknownLabel, offset),
                          open ? ErrorToken::kOpenLike : ErrorToken::kCloseLike,
                          offset);
         }
-        return open ? EmitOpen(sym[c], offset, offset)
-                    : EmitClose(sym[c], offset, offset);
+        return open ? EmitOpen(symbol, offset, offset)
+                    : EmitClose(symbol, offset, offset);
       });
     }
     if (!ok) return false;
@@ -733,68 +772,148 @@ bool StreamingSelector::FeedMarkup(std::string_view chunk, Stepper stepper) {
   return true;
 }
 
-template <typename Stepper>
+template <StreamingSelector::Emit kMode, typename Stepper>
 SST_NOINLINE size_t StreamingSelector::TermRun(std::string_view chunk,
                                                size_t i, Frame& frame_io,
                                                Stepper& stepper_io) {
   Frame frame = frame_io;
   Stepper stepper = stepper_io;
-  const uint8_t* cls = tables_->byte_class.data();
-  const Symbol* sym = tables_->byte_symbol.data();
+  const int32_t* entries = tables_->byte_entry.data();
   const int64_t base = chunk_base_ + static_cast<int64_t>(i);
-  const char* bytes = chunk.data() + i;
-  // The last label byte taken, and whether it still waits for its '{'.
-  // Every token is structural, so whitespace between a label and its
-  // brace never reaches the loop.
-  int64_t label = -1;
-  bool waiting = false;
-  const size_t stop =
-      ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
-        const unsigned char c = static_cast<unsigned char>(bytes[k]);
-        const uint8_t byte_class = cls[c];
-        if (byte_class == ScannerTables::kLabel) {
-          if (waiting) return false;  // a second label: junk
-          label = static_cast<int64_t>(k);
-          waiting = true;
-          return true;
+  const char* const bytes = chunk.data() + i;
+  const char* const end = chunk.data() + chunk.size();
+  // The label byte waiting for its '{', or null. Every token is
+  // structural, so whitespace between a label and its brace never reaches
+  // the loop. Every event completes on a brace of its own block, so a
+  // block holds at most 64.
+  const char* label = nullptr;
+  // One structural byte: a label is remembered, '{' opens the waiting
+  // label and '}' is a close; a stray '{', a label followed by anything
+  // but '{', and junk stop the run. An unknown label has symbol -1, which
+  // the core refuses.
+  auto byte_token = [&](const char* p, auto roomy) SST_ALWAYS_INLINE_LAMBDA {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    const ScannerTables::ByteClass byte_class =
+        ScannerTables::ClassOf(entries[c]);
+    if (byte_class == ScannerTables::kLabel) {
+      if (label != nullptr) return false;  // a second label: junk
+      label = p;
+      return true;
+    }
+    const bool open = c == '{';
+    if ((open != (label != nullptr)) |
+        (!open & (byte_class != ScannerTables::kCloseBrace))) {
+      return false;
+    }
+    const int64_t offset = base + (p - bytes);
+    if (!CleanToken<kMode, true, decltype(roomy)::value>(
+            frame, stepper, open,
+            open ? ScannerTables::SymbolOf(
+                       entries[static_cast<unsigned char>(*label)])
+                 : -1,
+            c, open ? base + (label - bytes) : offset, offset)) {
+      return false;
+    }
+    label = nullptr;
+    return true;
+  };
+  // One brace of a block whose every '{' directly follows a label byte and
+  // whose every label byte directly precedes a '{': the open's label is
+  // the byte before it, so only braces are walked and the label-or-brace
+  // branch leaves the loop. Returns where the run stops, or null: at the
+  // byte before a '{' that turns out not to be a label (junk, which the
+  // exact path reports), or at a refused brace, its label left waiting.
+  auto brace_token = [&](const char* p,
+                         auto roomy) SST_ALWAYS_INLINE_LAMBDA -> const char* {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    const bool open = c == '{';
+    // An open reads its label's entry, a close its own: both in bounds.
+    const int32_t entry =
+        entries[static_cast<unsigned char>(p[-static_cast<int>(open)])];
+    if (SST_UNLIKELY(ScannerTables::ClassOf(entry) !=
+                     (open ? ScannerTables::kLabel
+                           : ScannerTables::kCloseBrace))) {
+      return p - 1;
+    }
+    const int64_t offset = base + (p - bytes);
+    if (!CleanToken<kMode, true, decltype(roomy)::value>(
+            frame, stepper, open, open ? ScannerTables::SymbolOf(entry) : -1,
+            c, offset - static_cast<int64_t>(open), offset)) {
+      if (open) label = p - 1;
+      return p;
+    }
+    return nullptr;
+  };
+  auto walk_bytes = [&](const char* block, uint64_t mask,
+                        auto roomy) SST_ALWAYS_INLINE_LAMBDA -> const char* {
+    for (; mask != 0; mask &= mask - 1) {
+      const char* p = block + std::countr_zero(mask);
+      if (!byte_token(p, roomy)) return p;
+    }
+    return nullptr;
+  };
+  auto walk_braces = [&](const char* block, uint64_t mask,
+                         auto roomy) SST_ALWAYS_INLINE_LAMBDA -> const char* {
+    for (; mask != 0; mask &= mask - 1) {
+      const char* stop = brace_token(block + std::countr_zero(mask), roomy);
+      if (stop != nullptr) return stop;
+    }
+    return nullptr;
+  };
+  const char* stop = end;
+  for (const char* block = bytes; block < end; block += 64) {
+    const size_t n = static_cast<size_t>(end - block);
+    const uint64_t structural = ClassifyBlock(block, n < 64 ? n : 64);
+    const uint64_t opens = MatchByteBlock(block, n, '{');
+    const uint64_t braces = opens | MatchByteBlock(block, n, '}');
+    const uint64_t labels = structural & ~braces;
+    const bool carry = label != nullptr && label == block - 1;
+    const bool roomy = frame.Roomy();
+    const char* at;
+    if ((label == nullptr || carry) &&
+        opens == ((labels << 1) | uint64_t{carry})) {
+      // The carried label is the first open's; a refused open leaves its
+      // own label waiting.
+      label = nullptr;
+      at = roomy ? walk_braces(block, braces, std::true_type{})
+                 : walk_braces(block, braces, std::false_type{});
+      if (at == nullptr && labels >> 63 != 0) {
+        // The last byte waits for the next block's '{', if it is a label;
+        // anything else is junk for the exact path.
+        at = block + 63;
+        if (tables_->byte_class(static_cast<unsigned char>(*at)) ==
+            ScannerTables::kLabel) {
+          label = at;
+          at = nullptr;
         }
-        // '{' opens the waiting label and '}' is a close; a stray '{', a
-        // label followed by anything but '{', and junk stop the run. An
-        // unknown label has symbol -1, which the core refuses.
-        const bool open = c == '{';
-        if ((open != waiting) |
-            (!open & (byte_class != ScannerTables::kCloseBrace))) {
-          return false;
-        }
-        const int64_t offset = base + static_cast<int64_t>(k);
-        if (!CleanToken<true, false>(
-                frame, stepper, open,
-                open ? sym[static_cast<unsigned char>(bytes[label])] : -1, c,
-                open ? base + label : offset, offset)) {
-          return false;
-        }
-        waiting = false;
-        return true;
-      });
+      }
+    } else {
+      at = roomy ? walk_bytes(block, structural, std::true_type{})
+                 : walk_bytes(block, structural, std::false_type{});
+    }
+    if (at != nullptr) {
+      stop = at;
+      break;
+    }
+  }
   // A label still waiting for its '{' carries into the exact path, or the
   // next chunk, as the open partial token.
-  if (waiting) {
-    token_buf_[0] = bytes[label];
-    run_.token = PartialToken{base + label, 1, true};
+  if (label != nullptr) {
+    token_buf_[0] = *label;
+    run_.token = PartialToken{base + (label - bytes), 1, true};
   }
   frame_io = frame;
   stepper_io = stepper;
-  return i + stop;
+  return i + static_cast<size_t>(stop - bytes);
 }
 
 size_t StreamingSelector::TermSkip(std::string_view chunk, size_t i) {
-  const uint8_t* cls = tables_->byte_class.data();
   const char* bytes = chunk.data() + i;
   return i + ForEachStructuralUntil(bytes, chunk.size() - i, [&](size_t k) {
     const unsigned char c = static_cast<unsigned char>(bytes[k]);
     if (c == '{') {
       ++run_.skip_depth;
-    } else if (cls[c] == ScannerTables::kCloseBrace) {
+    } else if (tables_->byte_class(c) == ScannerTables::kCloseBrace) {
       if (run_.skip_depth == 0) return false;
       --run_.skip_depth;
     }
@@ -802,13 +921,11 @@ size_t StreamingSelector::TermSkip(std::string_view chunk, size_t i) {
   });
 }
 
-template <typename Stepper>
+template <StreamingSelector::Emit kMode, typename Stepper>
 bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
-  const uint8_t* cls = tables_->byte_class.data();
-  const Symbol* sym = tables_->byte_symbol.data();
   const char* bytes = chunk.data();
   const size_t n = chunk.size();
-  Frame frame = LoadFrame(Stepper::kSingleMember);
+  Frame frame = LoadFrame();
   auto refuse = [&](auto slow) { return Refuse(frame, stepper, slow); };
   size_t i = 0;
   while (true) {
@@ -820,7 +937,7 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
     } else if (run_.token.open) {
       i += FindStructural(bytes + i, n - i);
     } else {
-      i = TermRun(chunk, i, frame, stepper);
+      i = TermRun<kMode>(chunk, i, frame, stepper);
     }
     if (i >= n) break;
     const unsigned char c = static_cast<unsigned char>(bytes[i]);
@@ -845,9 +962,10 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
         // Reprocess this byte under skip framing ('}' must resync).
         continue;
       }
-      const Symbol s = sym[static_cast<unsigned char>(token_buf_[0])];
-      if (!CleanToken<true, false>(frame, stepper, true, s, c, label_start,
-                                   offset) &&
+      const Symbol s =
+          tables_->byte_symbol(static_cast<unsigned char>(token_buf_[0]));
+      if (!CleanToken<kMode, true, false>(frame, stepper, true, s, c,
+                                          label_start, offset) &&
           !refuse([=, this] {
             if (s < 0) {
               return Recover(
@@ -858,7 +976,7 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
           })) {
         return false;
       }
-    } else if (cls[c] == ScannerTables::kCloseBrace) {
+    } else if (tables_->byte_class(c) == ScannerTables::kCloseBrace) {
       // A close the core refused.
       if (!refuse([=, this] { return EmitClose(-1, offset, offset); })) {
         return false;
@@ -880,47 +998,61 @@ bool StreamingSelector::FeedTerm(std::string_view chunk, Stepper stepper) {
   return true;
 }
 
-template <typename Stepper>
+template <StreamingSelector::Emit kMode, typename Stepper>
 SST_NOINLINE size_t StreamingSelector::XmlRun(std::string_view chunk,
                                               size_t i, Frame& frame_io,
                                               Stepper& stepper_io) {
   Frame frame = frame_io;
   Stepper stepper = stepper_io;
-  const uint8_t* cls = tables_->byte_class.data();
   const char* bytes = chunk.data();
   const size_t n = chunk.size();
   const int64_t base = chunk_base_;
-  while (i < n) {
-    const unsigned char c = static_cast<unsigned char>(bytes[i]);
-    if (c != '<') {
-      if (cls[c] != ScannerTables::kWs) break;  // junk: the exact path
-      // Between tags only whitespace is legal before the next '<';
-      // bulk-skip the run (SIMD/SWAR, base/byte_scan.h).
-      i += 1 + FindStructural(bytes + i + 1, n - i - 1);
-      continue;
+  // Tags starting before `end`, on one headroom answer; false when one
+  // needs the exact path.
+  auto stretch = [&](size_t end, auto roomy) SST_ALWAYS_INLINE_LAMBDA {
+    while (i < end) {
+      const unsigned char c = static_cast<unsigned char>(bytes[i]);
+      if (c != '<') {
+        // junk: the exact path
+        if (tables_->byte_class(c) != ScannerTables::kWs) return false;
+        // Between tags only whitespace is legal before the next '<';
+        // bulk-skip the run (SIMD/SWAR, base/byte_scan.h).
+        i += 1 + FindStructural(bytes + i + 1, n - i - 1);
+        continue;
+      }
+      const InPlaceTag tag = LexInPlace(bytes, n, i);
+      if (!tag.complete) return false;  // the buffered lexer takes it
+      const int64_t start = base + static_cast<int64_t>(i);
+      const bool clean = CleanToken<kMode, false, decltype(roomy)::value>(
+          frame, stepper, !tag.closing,
+          LookupTag(*tables_, *alphabet_, bytes + tag.name,
+                    tag.name_end - tag.name),
+          0, start, base + static_cast<int64_t>(tag.name_end));
+      if (SST_UNLIKELY(!clean)) return false;
+      i = tag.name_end + 1;
     }
-    const InPlaceTag tag = LexInPlace(bytes, n, i);
-    if (!tag.complete) break;  // the buffered lexer takes it
-    const int64_t start = base + static_cast<int64_t>(i);
-    const bool clean = CleanToken<false, false>(
-        frame, stepper, !tag.closing,
-        LookupTag(*tables_, *alphabet_, bytes + tag.name,
-                  tag.name_end - tag.name),
-        0, start, base + static_cast<int64_t>(tag.name_end));
-    if (SST_UNLIKELY(!clean)) break;
-    i = tag.name_end + 1;
+    return true;
+  };
+  // A tag is at least three bytes, so a stretch of 3 * kBlockEvents bytes
+  // holds the starts of at most kBlockEvents tags: one headroom test
+  // stands for their limit compares.
+  while (i < n) {
+    const size_t end = std::min(n, i + 3 * static_cast<size_t>(kBlockEvents));
+    const bool more = frame.Roomy() ? stretch(end, std::true_type{})
+                                    : stretch(end, std::false_type{});
+    if (!more) break;
   }
   frame_io = frame;
   stepper_io = stepper;
   return i;
 }
 
-template <typename Stepper>
+template <StreamingSelector::Emit kMode, typename Stepper>
 bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
   const char* bytes = chunk.data();
   const size_t n = chunk.size();
   const int64_t base = chunk_base_;
-  Frame frame = LoadFrame(Stepper::kSingleMember);
+  Frame frame = LoadFrame();
   auto refuse = [&](auto slow) { return Refuse(frame, stepper, slow); };
   // A complete tag through the exact path. False on a fatal error.
   auto exact_tag = [&](bool closing, Symbol s, size_t name_end,
@@ -938,7 +1070,7 @@ bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
   size_t i = 0;
   while (i < n) {
     if (!run_.token.open && !run_.in_skip) {
-      i = XmlRun(chunk, i, frame, stepper);
+      i = XmlRun<kMode>(chunk, i, frame, stepper);
       if (i >= n) break;
       if (bytes[i] != '<') {
         const int64_t offset = base + static_cast<int64_t>(i);
@@ -1056,8 +1188,9 @@ bool StreamingSelector::FeedXml(std::string_view chunk, Stepper stepper) {
     }
     const Symbol s =
         LookupTag(*tables_, *alphabet_, token_buf_, run_.token.len);
-    if (!CleanToken<false, false>(frame, stepper, !run_.token.closing, s, 0,
-                                  run_.token.start, end_offset) &&
+    if (!CleanToken<kMode, false, false>(frame, stepper, !run_.token.closing,
+                                         s, 0, run_.token.start,
+                                         end_offset) &&
         !exact_tag(run_.token.closing, s, name_end, run_.token.start)) {
       return false;
     }
@@ -1084,8 +1217,14 @@ bool StreamingSelector::Feed(std::string_view chunk) {
   counters.bytes_fed += static_cast<int64_t>(chunk.size());
   ++counters.chunks_fed;
   bool ok;
-  if (fused_ != nullptr) {
-    ok = Scan(FusedStepper{machine_, fused_}, chunk);
+  if (fused_ != nullptr && fused_->uses_compact_table()) {
+    ok = Scan(FusedStepper<uint16_t>{machine_, fused_->table16(),
+                                     fused_->accepting()},
+              chunk);
+  } else if (fused_ != nullptr) {
+    ok = Scan(FusedStepper<int32_t>{machine_, fused_->table32(),
+                                    fused_->accepting()},
+              chunk);
   } else if (fused_dra_ != nullptr) {
     ok = Scan(DraFusedStepper{machine_, fused_dra_, &dra_config_, &run_.depth},
               chunk);

@@ -33,17 +33,31 @@ enum class StreamFormat {
 // constructed standalone build a private copy.
 struct ScannerTables {
   // Byte classes; meanings depend on the format the table was built for.
+  // Only kOpen is odd, so a markup loop reads the polarity as bit 0.
   enum ByteClass : uint8_t {
     kBad = 0,
-    kWs,          // ASCII whitespace
-    kOpen,        // markup: 'a'..'z'
-    kClose,       // markup: 'A'..'Z'
-    kLabel,       // term: label byte (ASCII alnum, '_', '-')
-    kCloseBrace,  // term: '}'
+    kOpen = 1,        // markup: 'a'..'z'
+    kClose = 2,       // markup: 'A'..'Z'
+    kWs = 4,          // ASCII whitespace
+    kLabel = 6,       // term: label byte (ASCII alnum, '_', '-')
+    kCloseBrace = 8,  // term: '}'
   };
+  static constexpr int kClassBits = 4;
 
-  std::array<uint8_t, 256> byte_class;
-  std::array<Symbol, 256> byte_symbol;
+  // One word per byte: its symbol (-1 where the byte names no label)
+  // shifted above its class, so a scan loop reads both with one load.
+  std::array<int32_t, 256> byte_entry;
+
+  static ByteClass ClassOf(int32_t entry) {
+    return static_cast<ByteClass>(entry & ((1 << kClassBits) - 1));
+  }
+  static Symbol SymbolOf(int32_t entry) { return entry >> kClassBits; }
+  ByteClass byte_class(unsigned char byte) const {
+    return ClassOf(byte_entry[byte]);
+  }
+  Symbol byte_symbol(unsigned char byte) const {
+    return SymbolOf(byte_entry[byte]);
+  }
 
   static ScannerTables Build(StreamFormat format, const Alphabet& alphabet);
 };
@@ -126,17 +140,18 @@ struct SelectorCheckpoint;
 //   * once an error is fatal, Feed and Finish are no-ops returning false
 //     and the first StreamError is preserved verbatim.
 //
-// The hot loop is table-driven: a 256-entry byte classification and a
-// byte→Symbol table are precomputed from the Alphabet at construction, so
-// the steady state performs no isspace/hash-lookup calls and no heap
+// The hot loop is table-driven: a 256-entry table of each byte's class
+// and symbol is precomputed from the Alphabet at construction, so the
+// steady state performs no isspace/hash-lookup calls and no heap
 // allocation; whitespace runs are skipped in bulk with the SIMD/SWAR
 // kernels of base/byte_scan.h rather than byte by byte, and an XML tag
 // that lies wholly inside the chunk is lexed in place (only a tag that
 // straddles the chunk end is buffered, in a fixed buffer). Every format's
 // clean tokens go through one framing core that keeps depth, counters and
 // the label-stack top in registers for the whole chunk and folds every
-// well-formedness and limit check into one refusal branch; a refused
-// token takes the exact per-event path (EmitOpen/EmitClose/Recover), so
+// well-formedness and limit check into one refusal branch (the limits
+// compared once per 64-byte block, the sink's emission mode compiled into
+// the run); a refused token takes the exact per-event path (EmitOpen/EmitClose/Recover), so
 // errors, offsets, recovery and stats come from one implementation (see
 // DESIGN.md "Scan hot loop"). What the core advances per token is a
 // stepper: when the machine exports a plain TagDfa (registerless tier)
@@ -393,10 +408,22 @@ class StreamingSelector {
   // and junk is simply discarded.
   enum class ErrorToken : uint8_t { kJunk, kOpenLike, kCloseLike };
 
+  // How a run reports matches, fixed per Feed from the recorder and
+  // compiled into the run, so the per-event path holds no flag and, without
+  // a sink, no call. kVerdicts (a verdict-only sink) fires OnMatch and
+  // tracks no span; single-member compact-markup runs batch those verdicts
+  // (FlushVerdicts). kEvents (a sink that wants spans) also completes a
+  // span at every close.
+  enum class Emit : uint8_t { kNone, kVerdicts, kEvents };
+
   // The framing state a scan keeps in locals for the length of a chunk;
   // LoadFrame/CommitFrame move it between the run state and the loop, and
-  // every refused token is bracketed by a commit and a reload. Whether the
-  // root has opened is derived here as in RunState.
+  // every refused token is bracketed by a commit and a reload. It holds
+  // counters and limits only: how matches are reported is the run's Emit
+  // mode, a template argument, not a flag here. The event limit and the
+  // depth cap are compared once per 64-byte block (kBlockEvents): a block
+  // that starts with that much headroom under both runs its tokens without
+  // those two compares.
   struct Frame {
     int64_t depth;
     int64_t max_depth;
@@ -405,17 +432,18 @@ class StreamingSelector {
     Symbol* labels;     // labels_.data(): the open labels at [1, depth]
     int64_t depth_cap;  // an open at this depth or deeper is refused
     int64_t max_events;
-    bool emit;   // EmitMatch sees every match: a sink whose matches are
-                 // not batched
-    bool spans;  // the sink buffers spans, which closes complete
-    // Single-member steppers with a verdict-only sink on compact markup
-    // (one-byte tokens, certain just past their start): matches are
-    // collected without a branch into verdict_starts_ and delivered by
-    // FlushVerdicts (when full, before any refusal, at the end of the
-    // scan).
-    bool batch_verdicts;
-    int64_t num_verdicts;
+
+    // True when the next kBlockEvents events can neither reach the event
+    // limit nor open at the depth cap.
+    bool Roomy() const {
+      return (events + kBlockEvents < max_events) &
+             (depth + kBlockEvents < depth_cap);
+    }
   };
+  // Tokens one block can hold: a 64-byte block of markup or term (every
+  // token ends on a structural byte of its own), or 192 bytes of XML-lite
+  // (a tag is at least three bytes).
+  static constexpr int64_t kBlockEvents = 64;
 
   // Steppers: what the framing core advances per clean token. Load/Store
   // sync a stepper's register copy with the machine around every token the
@@ -425,13 +453,16 @@ class StreamingSelector {
   // steppers whose acceptance always fans out to member 0 alone, so match
   // emission skips the member enumeration.
   //
-  // Register budget (DESIGN.md "Scan hot loop", EXPERIMENTS.md E24): a
-  // stepper carries by value only the scalars it touches per event, keeps
-  // everything else behind one pointer, and runs its awake or boundary
-  // work out of line, returning at most 16 bytes. Each stepper's size is
-  // bounded by a static_assert, so a field added to one fails to compile
-  // instead of silently spilling the scan loop's state; raise a bound
-  // only with a per-cell measurement.
+  // Register budget (DESIGN.md "Scan hot loop", EXPERIMENTS.md E24 and
+  // E28): a stepper carries by value only the scalars it touches per
+  // event, keeps everything else behind one pointer, and runs its awake or
+  // boundary work out of line, returning at most 16 bytes. A run with no
+  // sink calls nothing per event, so the stepper shares the general
+  // registers with the frame, the token pointer and the block mask;
+  // whatever does not fit is reloaded from the stack. Each stepper's size
+  // is bounded by a static_assert, so a field added to one fails to
+  // compile instead of silently spilling the scan loop's state; raise a
+  // bound only with a per-cell measurement.
   struct VirtualStepper {
     static constexpr bool kSingleMember = false;
     StreamMachine* machine;
@@ -450,25 +481,27 @@ class StreamingSelector {
     }
   };
   static_assert(sizeof(VirtualStepper) <= 8, "scan-loop register budget");
-  // Keyed by the raw byte: compact markup only.
+  // Keyed by the raw byte: compact markup only. `Entry` is the table's
+  // storage (uint16_t below 65536 states, int32_t otherwise), fixed per
+  // Feed so the run carries one table pointer and no width branch.
+  template <typename Entry>
   struct FusedStepper {
     static constexpr bool kSingleMember = true;
+    static constexpr bool kByteKeyed = true;
     StreamMachine* machine;
-    const ByteTagDfaRunner* runner;
+    const Entry* table;
+    const uint8_t* accepting;  // one byte per state
     int state = 0;
-    // The runner's table, exactly one non-null (uint16 below 65536 states).
-    const uint16_t* table16 = runner->table16();
-    const int32_t* table32 = runner->table32();
     void Load() { state = machine->ExportedState(); }
     void Store() { machine->SyncExportedState(state); }
     void Step(bool, Symbol, unsigned char byte, int64_t) {
-      const size_t index = static_cast<size_t>(state) * 256 + byte;
-      state = table16 != nullptr ? table16[index] : table32[index];
+      state = table[static_cast<size_t>(state) * 256 + byte];
     }
-    bool Hit(bool open) const { return open & runner->IsAccepting(state); }
+    bool Hit(bool open) const { return open & (accepting[state] != 0); }
     void AppendSelected(std::vector<int32_t>* out) const { out->push_back(0); }
   };
-  static_assert(sizeof(FusedStepper) <= 40, "scan-loop register budget");
+  static_assert(sizeof(FusedStepper<uint16_t>) <= 32,
+                "scan-loop register budget");
   // Stackless fused tier: the stepper keeps only the scalars a sleeping
   // event touches — its wake threshold and acceptance bit — and reads the
   // depth from the frame (the DRA's depth is the framing depth). The DRA
@@ -537,19 +570,22 @@ class StreamingSelector {
   // just past the resync token. False on a fatal guard violation.
   bool ResyncClose(int64_t consumed_end);
 
-  Frame LoadFrame(bool single_member);
-  // Also delivers the frame's batched verdicts.
-  void CommitFrame(Frame& frame);
-  void FlushVerdicts(int64_t count);
+  Frame LoadFrame();
+  void CommitFrame(const Frame& frame);
+  // Delivers `count` batched single-member verdicts: the tokens at
+  // `tokens`, in a run over `bytes` that starts at offset `base`.
+  static constexpr int64_t kVerdictBatch = 64;
+  void FlushVerdicts(const char* const* tokens, int64_t count,
+                     const char* bytes, int64_t base);
 
   // The framing core: applies one clean token (an open or close of
   // `symbol`; -1 for an unknown label) to the frame and the stepper, or
   // returns false — leaving both untouched — when any check refuses it.
   // `start` is the token's first byte, `last` the byte that completes it.
   // kUniversalClose: closes carry no label to match (term encoding).
-  // kVerdicts: the frame batches verdicts (frame.batch_verdicts), so runs
-  // without a verdict-only sink carry no verdict counter.
-  template <bool kUniversalClose, bool kVerdicts, typename Stepper>
+  // kRoomy: the block's headroom test passed (Frame::Roomy), so the event
+  // limit and the depth cap are not compared.
+  template <Emit kMode, bool kUniversalClose, bool kRoomy, typename Stepper>
   bool CleanToken(Frame& frame, Stepper& stepper, bool open, Symbol symbol,
                   unsigned char byte, int64_t start, int64_t last);
   template <typename Stepper>
@@ -564,33 +600,35 @@ class StreamingSelector {
   template <typename Slow>
   bool RunRefused(Slow slow);
 
-  // One chunk on `stepper`, in the selector's format; false on a fatal
-  // error.
+  // One chunk on `stepper`, in the selector's format and the recorder's
+  // emission mode; false on a fatal error.
   template <typename Stepper>
   bool Scan(Stepper stepper, std::string_view chunk);
-  template <typename Stepper>
+  template <Emit kMode, typename Stepper>
+  bool ScanFormat(Stepper stepper, std::string_view chunk);
+  template <Emit kMode, typename Stepper>
   bool FeedMarkup(std::string_view chunk, Stepper stepper);
   // The clean paths: from chunk index `i`, apply tokens until the chunk
   // ends or one needs the exact path; return where they stopped. Each
   // runs on register copies of the frame and the stepper.
-  template <bool kVerdicts, typename Stepper>
+  template <Emit kMode, typename Stepper>
   size_t MarkupRun(std::string_view chunk, size_t i, Frame& frame,
                    Stepper& stepper);
-  template <typename Stepper>
+  template <Emit kMode, typename Stepper>
   size_t XmlRun(std::string_view chunk, size_t i, Frame& frame,
                 Stepper& stepper);
   // Skip-mode framing from `i`: the index of the close that resyncs the
   // region, or chunk.size().
   size_t MarkupSkip(std::string_view chunk, size_t i);
-  template <typename Stepper>
+  template <Emit kMode, typename Stepper>
   bool FeedXml(std::string_view chunk, Stepper stepper);
-  template <typename Stepper>
+  template <Emit kMode, typename Stepper>
   bool FeedTerm(std::string_view chunk, Stepper stepper);
   // Term's clean path: an open at each label whose next structural byte
   // is '{', a close at each '}'. It stops at anything else (a label
   // followed by another byte, a stray '{', junk) or a refused token, with
   // a label still waiting for its '{' left as the open partial token.
-  template <typename Stepper>
+  template <Emit kMode, typename Stepper>
   size_t TermRun(std::string_view chunk, size_t i, Frame& frame,
                  Stepper& stepper);
   size_t TermSkip(std::string_view chunk, size_t i);
@@ -625,9 +663,6 @@ class StreamingSelector {
   // a reusable scratch vector for the per-member fan-out.
   MatchRecorder recorder_;
   std::vector<int32_t> member_scratch_;
-  // Start offsets of batched single-member verdicts (see Frame).
-  static constexpr int64_t kVerdictBatch = 64;
-  int64_t verdict_starts_[kVerdictBatch] = {};
 
   // Per-byte tables: either borrowed from a shared plan (owned_tables_
   // null) or privately built at construction. tables_ is never null.

@@ -198,14 +198,13 @@ void MultiQueryPlan::CountSelectionsFused(const T* table,
 
 void MultiQueryPlan::CountSelectionsWalk(ProductStepper& stepper,
                                          std::string_view bytes) const {
-  const std::array<Symbol, 256>& byte_symbol = scanner_tables_.byte_symbol;
   // The product and every DRA side-car step only on tag letters, so
   // whitespace is identity on all of them at once and the structural index
   // is sound unconditionally.
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol[byte];
+      Symbol s = scanner_tables_.byte_symbol(byte);
       // Unknown lowercase letters self-loop but still sample acceptance
       // (ByteTagDfaRunner parity).
       if (s >= 0) {
@@ -214,7 +213,7 @@ void MultiQueryPlan::CountSelectionsWalk(ProductStepper& stepper,
         stepper.Resample();
       }
     } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol[byte];
+      Symbol s = scanner_tables_.byte_symbol(byte);
       if (s >= 0) stepper.Step(false, s);
     }
     // All other structural bytes self-loop and never count.

@@ -77,6 +77,31 @@ TEST(ByteScan, ClassifyBlockMatchesScalarAtEveryAlignment) {
   }
 }
 
+// MatchByteBlock against a byte-by-byte compare, at every alignment and
+// every length through the 64-byte clamp, for bytes the term run asks
+// about and bytes at the signed/unsigned edges.
+TEST(ByteScan, MatchByteBlockMatchesScalarAtEveryAlignment) {
+  Rng rng(2027);
+  alignas(64) char buffer[32 + 160];
+  for (int round = 0; round < 20; ++round) {
+    FillAdversarial(&rng, buffer, sizeof(buffer));
+    for (size_t offset = 0; offset < 32; ++offset) {
+      const char* data = buffer + offset;
+      for (size_t len = 0; len <= 130; ++len) {
+        for (char byte : {'{', '}', '\0', static_cast<char>(0xFF)}) {
+          uint64_t expected = 0;
+          for (size_t i = 0; i < len && i < 64; ++i) {
+            expected |= uint64_t{data[i] == byte} << i;
+          }
+          EXPECT_EQ(MatchByteBlock(data, len, byte), expected)
+              << "round " << round << ", offset " << offset << ", len "
+              << len << ", byte " << static_cast<int>(byte);
+        }
+      }
+    }
+  }
+}
+
 TEST(ByteScan, FindStructuralMatchesScalarScan) {
   Rng rng(7);
   for (int round = 0; round < 500; ++round) {

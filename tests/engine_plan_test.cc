@@ -90,9 +90,9 @@ TEST(QueryPlan, FusedRunnerAgreesWithScannerTablesOnAllBytes) {
   for (int b = 0; b < 256; ++b) {
     unsigned char byte = static_cast<unsigned char>(b);
     Symbol fused_symbol = plan->fused()->byte_symbol(byte);
-    uint8_t cls = tables.byte_class[byte];
+    uint8_t cls = tables.byte_class(byte);
     if (cls == ScannerTables::kOpen || cls == ScannerTables::kClose) {
-      EXPECT_EQ(fused_symbol, tables.byte_symbol[byte])
+      EXPECT_EQ(fused_symbol, tables.byte_symbol(byte))
           << "byte " << b << " disagrees between fused and scanner tables";
     } else {
       // Bytes the scanner does not treat as tags must not map to a symbol

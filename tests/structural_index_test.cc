@@ -8,16 +8,19 @@
 // mid-run recovery on the fused tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "automata/alphabet.h"
 #include "automata/minimize.h"
+#include "base/match_sink.h"
 #include "base/rng.h"
 #include "dra/byte_dra_runner.h"
 #include "dra/byte_runner.h"
@@ -26,6 +29,7 @@
 #include "dra/tag_dfa.h"
 #include "engine/multi_query.h"
 #include "engine/query_plan.h"
+#include "engine/session.h"
 #include "eval/registerless_query.h"
 #include "query/rpq.h"
 #include "test_util.h"
@@ -353,6 +357,342 @@ TEST(StructuralIndex, SelectorParityAcrossFormatsChunkingsAndFaults) {
   // The corpus must exercise mid-run recovery on the fused tier, not just
   // clean scans.
   EXPECT_GT(recovered_runs, 100);
+}
+
+
+// ---------------------------------------------------------------------------
+// Block budget: the scan runs compare the event limit and the depth cap
+// once per 64-byte block (192 bytes of XML-lite), with headroom for the
+// most tokens a block can hold. Limits that fall inside a block must fire
+// exactly where the per-event path fires them: the same first error (code
+// and offset), stats and counts, under every chunking and both recovery
+// policies, on all three formats.
+
+struct FormatCase {
+  Format format;
+  std::string (*encode)(const Alphabet&, const EventStream&);
+};
+constexpr FormatCase kAllFormats[] = {
+    {Format::kCompactMarkup, &ToCompactMarkup},
+    {Format::kXmlLite, &ToXmlLite},
+    {Format::kCompactTerm, &ToCompactTerm},
+};
+
+// A spine: `depth` nested opens, each level but the deepest followed by a
+// leaf sibling on its way back up, so whole blocks hold nothing but opens
+// (then closes) and the depth crosses the cap inside one.
+EventStream Spine(int depth) {
+  EventStream events;
+  for (int d = 0; d < depth; ++d) events.push_back({true, d % 3});
+  for (int d = depth - 1; d >= 0; --d) {
+    events.push_back({false, d % 3});
+    if (d > 0) {
+      events.push_back({true, (d + 1) % 3});
+      events.push_back({false, (d + 1) % 3});
+    }
+  }
+  return events;
+}
+
+struct BudgetedRun {
+  StreamErrorCode code = StreamErrorCode::kNone;
+  int64_t error_offset = -1;
+  int64_t matches = 0;
+  std::vector<int64_t> stats;  // every StreamStats field but chunks_fed
+
+  friend bool operator==(const BudgetedRun&, const BudgetedRun&) = default;
+};
+
+BudgetedRun RunBudgeted(StreamMachine* machine, Format format,
+                        Alphabet* alphabet, const std::string& text,
+                        size_t chunk, const StreamLimits& limits,
+                        RecoveryPolicy policy) {
+  machine->Reset();
+  StreamingSelector selector(machine, format, alphabet);
+  selector.set_limits(limits);
+  selector.set_recovery_policy(policy);
+  bool ok = true;
+  for (size_t i = 0; i < text.size() && ok; i += chunk) {
+    ok = selector.Feed(std::string_view(text).substr(i, chunk));
+  }
+  if (ok) selector.Finish();
+  BudgetedRun run;
+  run.code = selector.stream_error().code;
+  run.error_offset = selector.stream_error().offset;
+  run.matches = selector.matches();
+  StreamStats stats = selector.stats();
+  stats.chunks_fed = 0;
+  run.stats = testing::StatsFields(stats);
+  return run;
+}
+
+TEST(StructuralIndex, LimitsInsideABlockMatchThePerEventPath) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  TagDfa evaluator = BuildRegisterlessQueryAutomaton(
+      CompileRegex("a.*b", alphabet), /*blind=*/false);
+  Rng rng(6401);
+  std::vector<EventStream> documents;
+  for (int i = 0; i < 12; ++i) {
+    documents.push_back(Encode(
+        RandomTree(200 + static_cast<int>(rng.NextBelow(200)), 3,
+                   rng.NextDouble(), &rng)));
+  }
+  for (int depth = 62; depth <= 140; depth += 3) {
+    documents.push_back(Spine(depth));
+  }
+  const size_t kSplits[] = {1, 3, 63, 64, 65, 1 << 20};
+  const RecoveryPolicy kPolicies[] = {RecoveryPolicy::kFailFast,
+                                      RecoveryPolicy::kSkipMalformedSubtree};
+  int limit_errors = 0;
+  for (const EventStream& events : documents) {
+    int64_t peak = 0;
+    int64_t depth = 0;
+    for (const TagEvent& event : events) {
+      depth += event.open ? 1 : -1;
+      peak = std::max(peak, depth);
+    }
+    const int64_t num_events = static_cast<int64_t>(events.size());
+    std::vector<StreamLimits> limits;
+    for (int64_t k = 1; k <= std::min<int64_t>(num_events / 64, 6); ++k) {
+      for (int64_t r : {0, 1, 63}) {
+        StreamLimits l;
+        l.max_events = 64 * k + r;
+        limits.push_back(l);
+      }
+    }
+    for (int64_t d : {peak - 1, peak, peak + 1}) {
+      StreamLimits l;
+      l.max_depth = std::max<int64_t>(d, 1);
+      limits.push_back(l);
+    }
+    for (const FormatCase& fc : kAllFormats) {
+      const std::string text = fc.encode(alphabet, events);
+      for (const StreamLimits& l : limits) {
+        for (RecoveryPolicy policy : kPolicies) {
+          TagDfaMachine machine(&evaluator);
+          const BudgetedRun reference =
+              RunBudgeted(&machine, fc.format, &alphabet, text, 1, l, policy);
+          if (reference.code == StreamErrorCode::kEventLimitExceeded ||
+              reference.code == StreamErrorCode::kDepthLimitExceeded) {
+            ++limit_errors;
+          }
+          if (fc.format == Format::kCompactMarkup &&
+              policy == RecoveryPolicy::kFailFast) {
+            // The byte-at-a-time oracle, independent of the scan runs.
+            TagDfaMachine oracle_machine(&evaluator);
+            const testing::ValidatedRun oracle = testing::ReferenceValidate(
+                &oracle_machine, alphabet, text, l);
+            EXPECT_EQ(reference.code, oracle.error.code);
+            EXPECT_EQ(reference.error_offset, oracle.error.offset);
+            EXPECT_EQ(reference.matches, oracle.matches);
+          }
+          for (size_t split : kSplits) {
+            EXPECT_EQ(RunBudgeted(&machine, fc.format, &alphabet, text,
+                                  split, l, policy),
+                      reference)
+                << "split=" << split << " max_events=" << l.max_events
+                << " max_depth=" << l.max_depth << "\ntext: " << text;
+          }
+        }
+      }
+    }
+  }
+  // The limits must actually fire inside the documents, not past them.
+  EXPECT_GT(limit_errors, 500);
+}
+
+// Term's brace walk: a block whose every '{' directly follows a label
+// byte, and every label byte directly precedes a '{', walks only its
+// braces. Every edit below breaks that shape at one position of a dense
+// document — whitespace between a label and its '{', two labels in a row,
+// junk, a stray '{', a missing byte — and the sweep over positions and
+// chunkings puts a label at byte 63 with its '{' in the next block, a
+// label ending a chunk and a '{' first in a chunk. Each run must match
+// the byte-at-a-time one.
+TEST(StructuralIndex, TermBraceWalkMatchesTheByteAtATimeRun) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  TagDfa evaluator = BuildRegisterlessQueryAutomaton(
+      CompileRegex("a.*b", alphabet), /*blind=*/true);
+  Rng rng(7207);
+  const std::string dense =
+      ToCompactTerm(alphabet, Encode(RandomTree(160, 3, 0.5, &rng)));
+  ASSERT_GT(dense.size(), 300u);
+  std::vector<std::string> docs = {dense};
+  for (size_t k = 0; k < 140; ++k) {
+    for (const char* insert : {" ", "a", "#", "{", "}"}) {
+      docs.push_back(dense.substr(0, k) + insert + dense.substr(k));
+    }
+    docs.push_back(dense.substr(0, k) + dense.substr(k + 1));
+  }
+  const size_t kSplits[] = {3, 63, 64, 65, 1 << 20};
+  const RecoveryPolicy kPolicies[] = {RecoveryPolicy::kFailFast,
+                                      RecoveryPolicy::kSkipMalformedSubtree};
+  for (const std::string& text : docs) {
+    for (RecoveryPolicy policy : kPolicies) {
+      TagDfaMachine machine(&evaluator);
+      const BudgetedRun reference = RunBudgeted(
+          &machine, Format::kCompactTerm, &alphabet, text, 1, {}, policy);
+      for (size_t split : kSplits) {
+        EXPECT_EQ(RunBudgeted(&machine, Format::kCompactTerm, &alphabet, text,
+                              split, {}, policy),
+                  reference)
+            << "split=" << split << "\ntext: " << text;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Emission modes: a run's sink mode (none, verdict-only, spans) is fixed
+// per Feed and compiled into the scan run. On every tier and format, a run
+// with no sink, a CountingSink and a CollectingSink must agree on counts,
+// stats, the first error and matches_emitted, and the collected logs must
+// not depend on the chunking.
+
+struct SinkRun {
+  std::vector<int64_t> counts;
+  StreamCounters counters;
+  StreamErrorCode code = StreamErrorCode::kNone;
+  int64_t error_offset = -1;
+  int64_t matches_emitted = 0;
+};
+
+template <typename S>
+SinkRun RunWithSink(S& session, MatchSink* sink, const std::string& text,
+                    size_t chunk) {
+  session.Reset();
+  session.set_match_sink(sink);
+  bool ok = true;
+  for (size_t i = 0; i < text.size() && ok; i += chunk) {
+    ok = session.Feed(std::string_view(text).substr(i, chunk));
+  }
+  if (ok) session.Finish();
+  SinkRun run;
+  if constexpr (std::is_same_v<S, Session>) {
+    run.counts = {session.matches()};
+  } else {
+    run.counts = session.query_matches();
+  }
+  const StreamStats stats = session.stats();
+  run.counters = stats;
+  run.code = session.stream_error().code;
+  run.error_offset = session.stream_error().offset;
+  run.matches_emitted = stats.matches_emitted;
+  return run;
+}
+
+template <typename S>
+void CheckEmissionModes(S& session, int num_queries,
+                        const std::vector<std::string>& texts,
+                        const std::string& what) {
+  for (const std::string& text : texts) {
+    CollectingSink reference;
+    RunWithSink(session, &reference, text, 1);
+    for (size_t chunk : kChunkings) {
+      const SinkRun off = RunWithSink(session, nullptr, text, chunk);
+      CountingSink counting(num_queries);
+      const SinkRun counted = RunWithSink(session, &counting, text, chunk);
+      CollectingSink collecting;
+      const SinkRun collected = RunWithSink(session, &collecting, text, chunk);
+      const std::string where =
+          what + " chunk=" + std::to_string(chunk) + "\ntext: " + text;
+      EXPECT_EQ(off.counts, counted.counts) << where;
+      EXPECT_EQ(off.counts, collected.counts) << where;
+      EXPECT_EQ(off.counters, counted.counters) << where;
+      EXPECT_EQ(off.counters, collected.counters) << where;
+      EXPECT_EQ(off.code, counted.code) << where;
+      EXPECT_EQ(off.code, collected.code) << where;
+      EXPECT_EQ(off.error_offset, counted.error_offset) << where;
+      EXPECT_EQ(off.error_offset, collected.error_offset) << where;
+      EXPECT_EQ(off.matches_emitted, 0) << where;
+      EXPECT_EQ(counted.matches_emitted, collected.matches_emitted) << where;
+      EXPECT_EQ(counting.total(), counted.matches_emitted) << where;
+      EXPECT_EQ(static_cast<int64_t>(collecting.matches().size()),
+                collected.matches_emitted)
+          << where;
+      if (off.code == StreamErrorCode::kNone) {
+        EXPECT_EQ(counting.counts(), off.counts) << where;
+      }
+      EXPECT_EQ(collecting.matches(), reference.matches()) << where;
+      EXPECT_EQ(collecting.spans(), reference.spans()) << where;
+    }
+  }
+}
+
+const char* FormatName(Format format) {
+  switch (format) {
+    case Format::kCompactMarkup:
+      return "markup";
+    case Format::kXmlLite:
+      return "xml";
+    case Format::kCompactTerm:
+      return "term";
+  }
+  return "?";
+}
+
+PlanOptions OptionsFor(Format format) {
+  PlanOptions options;
+  options.format = format;
+  options.encoding = format == Format::kCompactTerm ? StreamEncoding::kTerm
+                                                    : StreamEncoding::kMarkup;
+  return options;
+}
+
+TEST(StructuralIndex, EmissionModesAgreeOnEveryTier) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  Rng rng(5209);
+  std::vector<Tree> trees = testing::SampleTrees(8, 3, &rng);
+  const RecoveryPolicy kPolicies[] = {RecoveryPolicy::kFailFast,
+                                      RecoveryPolicy::kSkipMalformedSubtree};
+  for (const FormatCase& fc : kAllFormats) {
+    std::vector<std::string> texts;
+    for (size_t t = 0; t < trees.size(); ++t) {
+      std::vector<std::string> variants =
+          Variants(fc.encode(alphabet, Encode(trees[t])), t * 61 + 3);
+      texts.insert(texts.end(), variants.begin(), variants.end());
+    }
+    const PlanOptions options = OptionsFor(fc.format);
+    // The single-query rungs: a registerless query (the fused byte table
+    // on markup, the generic machine elsewhere), the stackless R3 /a/b
+    // (fused DRA) and the stack-tier R4 //a/b.
+    for (const char* xpath : {"/a//b", "/a/b", "//a/b"}) {
+      auto plan =
+          QueryPlan::Compile(Rpq::FromXPath(xpath, alphabet), options);
+      ASSERT_TRUE(plan->exact());
+      if (std::string(xpath) == "/a/b") {
+        ASSERT_NE(plan->fused_dra(), nullptr);
+      }
+      Session session(plan);
+      for (RecoveryPolicy policy : kPolicies) {
+        session.selector().set_recovery_policy(policy);
+        CheckEmissionModes(session, 1, texts,
+                           std::string(FormatName(fc.format)) + " " + xpath);
+      }
+    }
+    // The batch rungs: registerless members alone (R1's fused product) and
+    // with a stackless side-car (R2's mixed batch).
+    const std::vector<std::vector<BatchQuery>> batches = {
+        {{QuerySyntax::kXPath, "/a//b"},
+         {QuerySyntax::kXPath, "/b//c"},
+         {QuerySyntax::kXPath, "/c//a"}},
+        {{QuerySyntax::kXPath, "/a//b"},
+         {QuerySyntax::kXPath, "/b//c"},
+         {QuerySyntax::kXPath, "/a/b"}},
+    };
+    for (const std::vector<BatchQuery>& queries : batches) {
+      MultiQueryOptions batch_options;
+      batch_options.plan = options;
+      auto plan = MultiQueryPlan::Compile(queries, alphabet, batch_options);
+      BatchSession session(plan);
+      for (RecoveryPolicy policy : kPolicies) {
+        session.set_recovery_policy(policy);
+        CheckEmissionModes(session, plan->num_queries(), texts,
+                           std::string(FormatName(fc.format)) + " batch " +
+                               MultiTierName(plan->tier()));
+      }
+    }
+  }
 }
 
 }  // namespace
