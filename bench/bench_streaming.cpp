@@ -297,6 +297,78 @@ void BM_MarkupSelectorVsWalk(benchmark::State& state) {
 
 BENCHMARK(BM_MarkupSelectorVsWalk);
 
+// Framing cost per format. One iteration = kRounds rounds over one dense
+// random tree (the BM_RebuiltScanner document) serialized as compact
+// markup, compact term and XML-lite: a reused Session for a stackless
+// "/x/c" whose first step misses the root, so its DRA sleeps after the
+// root and each event costs the framing and one compare. Each round times
+// the three formats in a rotating order. term_over_markup and
+// xml_over_markup are the medians of markup's time over the other
+// format's per round; the events are the same, so that is markup's ns per
+// event over the other format's.
+void BM_FramedFormatsVsMarkup(benchmark::State& state) {
+  const Format kFormats[] = {Format::kCompactMarkup, Format::kCompactTerm,
+                             Format::kXmlLite};
+  const Alphabet alphabet = Alphabet::FromLetters("abc");
+  std::string bytes[3];
+  for (int f = 0; f < 3; ++f) bytes[f] = DocumentBytes(kFormats[f]);
+  const std::string query = bytes[0][0] == 'b' ? "/a/c" : "/b/c";
+  std::vector<std::unique_ptr<Session>> sessions;
+  int64_t expected = -1;
+  int64_t events = -1;
+  for (int f = 0; f < 3; ++f) {
+    PlanOptions options;
+    options.format = kFormats[f];
+    options.encoding = kFormats[f] == Format::kCompactTerm
+                           ? StreamEncoding::kTerm
+                           : StreamEncoding::kMarkup;
+    auto plan =
+        QueryPlan::Compile(Rpq::FromXPath(query, alphabet), options);
+    sessions.push_back(std::make_unique<Session>(plan));
+    Session& session = *sessions.back();
+    const int64_t matches = DriveChunked(session, bytes[f], 65536);
+    SST_CHECK(session.selector().active_tier() ==
+              StreamingSelector::Tier::kFusedDraTable);
+    SST_CHECK(f == 0 || (matches == expected &&
+                         session.stats().events == events));
+    expected = matches;
+    events = session.stats().events;
+  }
+  constexpr int kRounds = 15;
+  std::vector<double> term_ratios;
+  std::vector<double> xml_ratios;
+  int round = 0;
+  for (auto _ : state) {
+    for (int r = 0; r < kRounds; ++r, ++round) {
+      double seconds[3];
+      for (int k = 0; k < 3; ++k) {
+        const int f = (round + k) % 3;
+        const auto start = std::chrono::steady_clock::now();
+        SST_CHECK(DriveChunked(*sessions[f], bytes[f], 65536) == expected);
+        seconds[f] = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+      }
+      term_ratios.push_back(seconds[0] / seconds[1]);
+      xml_ratios.push_back(seconds[0] / seconds[2]);
+    }
+  }
+  state.SetBytesProcessed(
+      state.iterations() * kRounds *
+      static_cast<int64_t>(bytes[0].size() + bytes[1].size() +
+                           bytes[2].size()));
+  auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  state.counters["term_over_markup"] = median(term_ratios);
+  state.counters["xml_over_markup"] = median(xml_ratios);
+  state.counters["matches"] = static_cast<double>(expected);
+  state.SetLabel("framing" + query + "/markup-term-xml-dense/chunk=65536");
+}
+
+BENCHMARK(BM_FramedFormatsVsMarkup);
+
 // --- Engine layer: compile-once/run-many amortization -------------------
 // The cost ladder the engine is built around, one rung per benchmark:
 // a cold QueryPlan::Compile (minimize + classify + build every table), a
@@ -999,9 +1071,39 @@ void BM_StacklessFusedStreaming(benchmark::State& state) {
   state.SetLabel("stackless/fused-streaming/markup-pad");
 }
 
+// Stage 1 alone on the same bytes: ExtractStructural over 64 KiB pieces
+// into one reused position buffer. bench_baselines.json holds each fused
+// whole-document scan above and below as a ratio of the stage-1 row on its
+// bytes, so the floors do not depend on the machine.
+void RunStage1(benchmark::State& state, const std::string& bytes) {
+  constexpr size_t kPiece = 65536;
+  std::vector<uint32_t> positions(kPiece);
+  int64_t structural = 0;
+  for (auto _ : state) {
+    structural = 0;
+    for (size_t at = 0; at < bytes.size(); at += kPiece) {
+      structural += static_cast<int64_t>(ExtractStructural(
+          bytes.data() + at, std::min(kPiece, bytes.size() - at),
+          positions.data()));
+    }
+    benchmark::DoNotOptimize(positions.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["structural"] = static_cast<double>(structural);
+}
+
+void BM_Stage1ExtractPadded(benchmark::State& state) {
+  RunStage1(state, PaddedMarkupBytes());
+  state.SetLabel(std::string("stage1/markup-pad/kernel=") +
+                 ByteScanKernelName());
+}
+
 BENCHMARK(BM_RegisterlessFusedScanPadded);
 BENCHMARK(BM_StacklessFusedScan);
 BENCHMARK(BM_StacklessFusedStreaming);
+BENCHMARK(BM_Stage1ExtractPadded);
 
 // --- Padded-corpus variants of the runner benchmarks --------------------
 // The dense TiledMarkup corpora above measure the worst case for the
@@ -1040,7 +1142,15 @@ void BM_SequentialFusedRunnerPadded(benchmark::State& state) {
                  ByteScanKernelName());
 }
 
+void BM_Stage1ExtractTiledPadded(benchmark::State& state) {
+  const size_t mib = static_cast<size_t>(state.range(0));
+  RunStage1(state, TiledPaddedMarkup(mib << 20));
+  state.SetLabel("stage1/seq-pad/" + std::to_string(mib) + "MiB/kernel=" +
+                 ByteScanKernelName());
+}
+
 BENCHMARK(BM_SequentialFusedRunnerPadded)->Arg(16)->Arg(64);
+BENCHMARK(BM_Stage1ExtractTiledPadded)->Arg(16)->Arg(64);
 
 // Mixed multi-query batch: registerless members on the eager sub-product,
 // stackless members stepping their fused DRAs, all in ONE scan.

@@ -60,7 +60,8 @@ def compact(raw):
                 entry[key] = round(value, 1)
             elif key in ("spliced_fraction", "pooled_vs_vector",
                          "inline_over_virtual", "counting_over_off",
-                         "selector_over_walk",
+                         "selector_over_walk", "term_over_markup",
+                         "xml_over_markup",
                          "match_free_over_match_heavy", "dense_over_sparse",
                          "ordinary_over_repair", "clean_over_recovering"):
                 entry[key] = round(value, 3)

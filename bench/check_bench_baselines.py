@@ -13,11 +13,12 @@ pins one benchmark to a fraction of another from the SAME run — e.g. a
 pooled BatchSession streaming a product batch must reach >= 50% of the
 same plan's one-scan walk over the same bytes.
 
-A third optional section, "counter_floors", pins a user counter of a
-named benchmark to an absolute minimum — machine-independent ratios the
-benchmark computes itself, like bench_incremental's speedup_vs_rescan
-(incremental edits must beat a full rescan by >= 10x). Any section may
-be absent; a file may carry only counter_floors.
+A third optional section, "counter_floors", pins a user counter (or,
+given a list, each of several) of a named benchmark to an absolute
+minimum — machine-independent ratios the benchmark computes itself,
+like bench_incremental's speedup_vs_rescan (incremental edits must beat
+a full rescan by >= 10x). Any section may be absent; a file may carry
+only counter_floors.
 
 Usage:
   check_bench_baselines.py [--artifact build/BENCH_streaming.json]
@@ -91,20 +92,22 @@ def main():
     if counters:
         print(f"\n{'benchmark':45} {'counter':20} {'min':>10} "
               f"{'measured':>10}")
-    for name, spec in sorted(counters.items()):
-        counter = spec["counter"]
-        floor = float(spec["min"])
-        row = rows.get(name)
-        got = None if row is None else row.get(counter)
-        shown = "MISSING" if got is None else f"{got:.3f}"
-        print(f"{name:45} {counter:20} {floor:10.3f} {shown:>10}")
-        if got is None:
-            failures.append(
-                f"{name}.{counter}: not present in {args.artifact}")
-        elif got < floor:
-            failures.append(
-                f"{name}.{counter}: {got:.3f} below the committed floor "
-                f"{floor:.3f}")
+    for name, specs in sorted(counters.items()):
+        # One spec, or a list of them for a row with several counters.
+        for spec in specs if isinstance(specs, list) else [specs]:
+            counter = spec["counter"]
+            floor = float(spec["min"])
+            row = rows.get(name)
+            got = None if row is None else row.get(counter)
+            shown = "MISSING" if got is None else f"{got:.3f}"
+            print(f"{name:45} {counter:20} {floor:10.3f} {shown:>10}")
+            if got is None:
+                failures.append(
+                    f"{name}.{counter}: not present in {args.artifact}")
+            elif got < floor:
+                failures.append(
+                    f"{name}.{counter}: {got:.3f} below the committed floor "
+                    f"{floor:.3f}")
 
     if failures:
         print("\nFAIL: padded-corpus throughput regression", file=sys.stderr)

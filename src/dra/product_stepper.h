@@ -291,13 +291,16 @@ struct ProductLoopStepper {
     home->Fold();
   }
   void Step(bool open, Symbol symbol, unsigned char, int64_t) {
+    // Polarity is data, never a jump: a close's column sits num_symbols
+    // past its open's, and the side-cars' slack moves by 2 * open - 1.
     const Symbol a = symbol < 0 ? 0 : symbol;
+    const int64_t opened = static_cast<int64_t>(open);
     state = next[static_cast<size_t>(state) * width + a +
-                 (open ? 0 : num_symbols)];
-    hits[state] += static_cast<int64_t>(open);
+                 (num_symbols & (static_cast<int>(opened) - 1))];
+    hits[state] += opened;
     if constexpr (kSideCars) {
-      if (slack + 2 * static_cast<int64_t>(open) > 1) {
-        slack += open ? 1 : -1;
+      if (slack + 2 * opened > 1) {
+        slack += 2 * opened - 1;
       } else {
         const DraSideCars::Armed armed = home->WakeSideCars(slack, open, a);
         slack = armed.slack;

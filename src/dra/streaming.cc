@@ -60,6 +60,20 @@ struct InPlaceTag {
 SST_ALWAYS_INLINE InPlaceTag LexInPlace(const char* bytes, size_t n,
                                         size_t i) {
   InPlaceTag tag;
+  if (i + 4 <= n) {
+    // A one-letter name, either polarity, with no branch on the slash: the
+    // polarity is an index into the tag. Exactly the tag the loop below
+    // would lex; any other shape falls through to it.
+    const bool closing = bytes[i + 1] == '/';
+    const size_t name = i + 1 + static_cast<size_t>(closing);
+    if ((bytes[name + 1] == '>') & (bytes[name] != '>')) {
+      tag.complete = true;
+      tag.closing = closing;
+      tag.name = name;
+      tag.name_end = name + 1;
+      return tag;
+    }
+  }
   size_t j = i + 1;
   tag.closing = j < n && bytes[j] == '/';
   j += tag.closing ? 1 : 0;
@@ -111,6 +125,7 @@ ScannerTables ScannerTables::Build(StreamFormat format,
           symbols[c] = interned[c];
         }
       }
+      // '}' keeps symbol -1, the universal close the brace walk reads.
       classes[static_cast<unsigned char>('}')] = kCloseBrace;
       break;
     case StreamFormat::kXmlLite:
@@ -827,18 +842,20 @@ SST_NOINLINE size_t StreamingSelector::TermRun(std::string_view chunk,
                          auto roomy) SST_ALWAYS_INLINE_LAMBDA -> const char* {
     const unsigned char c = static_cast<unsigned char>(*p);
     const bool open = c == '{';
-    // An open reads its label's entry, a close its own: both in bounds.
+    // Polarity is data, never a jump: an open reads its label's entry, a
+    // close its own (both in bounds), and expects the class two below
+    // kCloseBrace; '}' carries symbol -1, so one SymbolOf serves both.
+    static_assert(ScannerTables::kCloseBrace - 2 == ScannerTables::kLabel);
     const int32_t entry =
         entries[static_cast<unsigned char>(p[-static_cast<int>(open)])];
-    if (SST_UNLIKELY(ScannerTables::ClassOf(entry) !=
-                     (open ? ScannerTables::kLabel
-                           : ScannerTables::kCloseBrace))) {
+    if (SST_UNLIKELY(static_cast<int>(ScannerTables::ClassOf(entry)) !=
+                     ScannerTables::kCloseBrace - 2 * static_cast<int>(open))) {
       return p - 1;
     }
     const int64_t offset = base + (p - bytes);
     if (!CleanToken<kMode, true, decltype(roomy)::value>(
-            frame, stepper, open, open ? ScannerTables::SymbolOf(entry) : -1,
-            c, offset - static_cast<int64_t>(open), offset)) {
+            frame, stepper, open, ScannerTables::SymbolOf(entry), c,
+            offset - static_cast<int64_t>(open), offset)) {
       if (open) label = p - 1;
       return p;
     }

@@ -397,8 +397,13 @@ EventStream Spine(int depth) {
 struct BudgetedRun {
   StreamErrorCode code = StreamErrorCode::kNone;
   int64_t error_offset = -1;
+  int64_t error_depth = 0;
+  Symbol error_expected = -1;
+  Symbol error_got = -1;
   int64_t matches = 0;
   std::vector<int64_t> stats;  // every StreamStats field but chunks_fed
+  std::vector<MatchEvent> match_log;  // with a sink only
+  std::vector<MatchEvent> span_log;
 
   friend bool operator==(const BudgetedRun&, const BudgetedRun&) = default;
 };
@@ -406,23 +411,33 @@ struct BudgetedRun {
 BudgetedRun RunBudgeted(StreamMachine* machine, Format format,
                         Alphabet* alphabet, const std::string& text,
                         size_t chunk, const StreamLimits& limits,
-                        RecoveryPolicy policy) {
+                        RecoveryPolicy policy,
+                        CollectingSink* sink = nullptr) {
   machine->Reset();
   StreamingSelector selector(machine, format, alphabet);
   selector.set_limits(limits);
   selector.set_recovery_policy(policy);
+  selector.set_match_sink(sink);
   bool ok = true;
   for (size_t i = 0; i < text.size() && ok; i += chunk) {
     ok = selector.Feed(std::string_view(text).substr(i, chunk));
   }
   if (ok) selector.Finish();
   BudgetedRun run;
-  run.code = selector.stream_error().code;
-  run.error_offset = selector.stream_error().offset;
+  const StreamError& error = selector.stream_error();
+  run.code = error.code;
+  run.error_offset = error.offset;
+  run.error_depth = error.depth;
+  run.error_expected = error.expected;
+  run.error_got = error.got;
   run.matches = selector.matches();
   StreamStats stats = selector.stats();
   stats.chunks_fed = 0;
   run.stats = testing::StatsFields(stats);
+  if (sink != nullptr) {
+    run.match_log = sink->matches();
+    run.span_log = sink->spans();
+  }
   return run;
 }
 
@@ -505,10 +520,10 @@ TEST(StructuralIndex, LimitsInsideABlockMatchThePerEventPath) {
 // byte, and every label byte directly precedes a '{', walks only its
 // braces. Every edit below breaks that shape at one position of a dense
 // document — whitespace between a label and its '{', two labels in a row,
-// junk, a stray '{', a missing byte — and the sweep over positions and
-// chunkings puts a label at byte 63 with its '{' in the next block, a
-// label ending a chunk and a '{' first in a chunk. Each run must match
-// the byte-at-a-time one.
+// junk, a stray '{', a label directly before a '}', a missing byte — and
+// the sweep over positions and chunkings puts a label at byte 63 with its
+// '{' in the next block, a label ending a chunk and a '{' first in a
+// chunk. Each run must match the byte-at-a-time one.
 TEST(StructuralIndex, TermBraceWalkMatchesTheByteAtATimeRun) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   TagDfa evaluator = BuildRegisterlessQueryAutomaton(
@@ -519,7 +534,9 @@ TEST(StructuralIndex, TermBraceWalkMatchesTheByteAtATimeRun) {
   ASSERT_GT(dense.size(), 300u);
   std::vector<std::string> docs = {dense};
   for (size_t k = 0; k < 140; ++k) {
-    for (const char* insert : {" ", "a", "#", "{", "}"}) {
+    // "a}" puts a label directly before a close inside a block that is
+    // otherwise clean.
+    for (const char* insert : {" ", "a", "#", "{", "}", "a}"}) {
       docs.push_back(dense.substr(0, k) + insert + dense.substr(k));
     }
     docs.push_back(dense.substr(0, k) + dense.substr(k + 1));
@@ -540,6 +557,57 @@ TEST(StructuralIndex, TermBraceWalkMatchesTheByteAtATimeRun) {
       }
     }
   }
+}
+
+// XML-lite's one-letter fast path: a tag whose '>' is two or three bytes
+// past its '<' is lexed without a loop, its slash read as an index. Every
+// edge shape is inserted at each offset of a dense document, so with the
+// chunkings below the tag's third and fourth bytes fall on either side of
+// a chunk end: empty names, two-letter and space-led names, '>' or '<' or
+// '/' in name position, an unknown letter, and an unterminated '<a' or
+// '</a' (also as every prefix of the document). Each run must match the
+// 1-byte-chunk run, which never lexes in place: counts, stats, the first
+// error and the match and span logs.
+TEST(StructuralIndex, XmlOneLetterFastPathMatchesTheExactLexer) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  TagDfa evaluator = BuildRegisterlessQueryAutomaton(
+      CompileRegex("a.*b", alphabet), /*blind=*/false);
+  Rng rng(8803);
+  const std::string dense =
+      ToXmlLite(alphabet, Encode(RandomTree(60, 3, 0.5, &rng)));
+  ASSERT_GT(dense.size(), 140u);
+  std::vector<std::string> docs = {dense};
+  for (size_t k = 0; k < 70; ++k) {
+    for (const char* insert :
+         {"<>", "</>", "<ab>", "</ab>", "< a>", "<>>", "</>>", "<<>",
+          "<//>", "<z>", "</z>", "<a", "</a"}) {
+      docs.push_back(dense.substr(0, k) + insert + dense.substr(k));
+    }
+    docs.push_back(dense.substr(0, dense.size() - k));
+  }
+  const size_t kSplits[] = {2, 3, 4, 63, 64, 65, 1 << 20};
+  const RecoveryPolicy kPolicies[] = {RecoveryPolicy::kFailFast,
+                                      RecoveryPolicy::kSkipMalformedSubtree};
+  int errors = 0;
+  for (const std::string& text : docs) {
+    for (RecoveryPolicy policy : kPolicies) {
+      TagDfaMachine machine(&evaluator);
+      CollectingSink sink;
+      const BudgetedRun reference = RunBudgeted(
+          &machine, Format::kXmlLite, &alphabet, text, 1, {}, policy, &sink);
+      errors += reference.code != StreamErrorCode::kNone;
+      for (size_t split : kSplits) {
+        CollectingSink split_sink;
+        EXPECT_EQ(RunBudgeted(&machine, Format::kXmlLite, &alphabet, text,
+                              split, {}, policy, &split_sink),
+                  reference)
+            << "split=" << split << "\ntext: " << text;
+      }
+    }
+  }
+  // Most edits are errors; the clean document and its clean prefixes are
+  // not.
+  EXPECT_GT(errors, 1000);
 }
 
 // ---------------------------------------------------------------------------
